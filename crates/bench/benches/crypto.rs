@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the cryptographic substrate (supports E5).
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use glimmer_crypto::aead::AeadKey;
 use glimmer_crypto::chacha20::ChaCha20;
-use glimmer_crypto::dh::{DhGroup, DhKeyPair};
+use glimmer_crypto::dh::{DhGroup, DhKeyPair, GroupId};
 use glimmer_crypto::drbg::Drbg;
 use glimmer_crypto::hmac::hmac_sha256;
 use glimmer_crypto::schnorr::SigningKey;
@@ -72,9 +72,42 @@ fn bench_public_key(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two exponentiation ladders side by side, per group: `pow_g` walks
+/// the generator's precomputed comb, `pow` a 4-bit window over a table it
+/// builds per call. Then the protocol they serve, whole: both sides of a
+/// handshake from key generation to derived key, with `black_box` around
+/// the entire exchange so nothing of it is hoisted out of the loop.
+fn bench_exponentiation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("exponentiation");
+    let mut rng = Drbg::from_seed([4u8; 32]);
+    for (id, bits) in [(GroupId::Modp1024, 1024), (GroupId::Modp2048, 2048)] {
+        let dh = DhGroup::new(id);
+        let scalar = dh.random_scalar(&mut rng);
+        let base = dh.pow_g(&dh.random_scalar(&mut rng)).unwrap();
+        group.bench_function(BenchmarkId::new("pow_g_fixed_base", bits), |b| {
+            b.iter(|| black_box(dh.pow_g(black_box(&scalar)).unwrap()))
+        });
+        group.bench_function(BenchmarkId::new("pow_variable_base", bits), |b| {
+            b.iter(|| black_box(dh.pow(black_box(&base), black_box(&scalar)).unwrap()))
+        });
+    }
+    group.bench_function("dh_handshake_both_sides", |b| {
+        b.iter(|| {
+            black_box({
+                let alice = DhKeyPair::generate(DhGroup::default_group(), &mut rng).unwrap();
+                let bob = DhKeyPair::generate(DhGroup::default_group(), &mut rng).unwrap();
+                let k_ab = alice.derive_shared_key(bob.public(), b"ctx", 32).unwrap();
+                let k_ba = bob.derive_shared_key(alice.public(), b"ctx", 32).unwrap();
+                (k_ab, k_ba)
+            })
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_hash_and_mac, bench_cipher, bench_public_key
+    targets = bench_hash_and_mac, bench_cipher, bench_public_key, bench_exponentiation
 }
 criterion_main!(benches);

@@ -4512,6 +4512,32 @@ mod tests {
 
     #[test]
     fn e15_async_frontend_reproduces_blocking_outputs_bit_for_bit() {
+        // The thread count E15 reads is the whole process's, and sibling
+        // tests in this binary start and stop shard workers at any moment.
+        // So the test body runs alone in a child process (this same test
+        // binary, filtered to this one test), where any thread that appears
+        // between the two readings is the front-end's own.
+        const ISOLATED: &str = "GLIMMER_E15_ISOLATED";
+        if std::env::var_os(ISOLATED).is_none() {
+            let child = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    "--exact",
+                    "experiments::tests::e15_async_frontend_reproduces_blocking_outputs_bit_for_bit",
+                    "--test-threads=1",
+                ])
+                .env(ISOLATED, "1")
+                .output()
+                .unwrap();
+            assert!(
+                child.status.success(),
+                "isolated run failed:\n{}{}",
+                String::from_utf8_lossy(&child.stdout),
+                String::from_utf8_lossy(&child.stderr)
+            );
+            // The filter matched and the body ran (not "0 passed").
+            assert!(String::from_utf8_lossy(&child.stdout).contains("1 passed"));
+            return;
+        }
         let row = e15_async_frontend(16, 3, 2, SEED);
         assert_eq!(row.sessions, 16);
         assert_eq!(row.endorsed + row.rejected, 16 * 3);

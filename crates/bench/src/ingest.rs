@@ -38,6 +38,7 @@ use glimmer_gateway::{
 };
 use glimmer_workloads::replay::{payload_samples, replay_tenant_name, ReplayRecord};
 use sgx_sim::AttestationService;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A gateway provisioned for a replay scenario: one tenant per scenario
@@ -64,6 +65,10 @@ pub struct ReplayHarness {
     /// The time source [`ingest`] paces against — the same clock injected
     /// into the gateway, so paced replay and telemetry timestamps agree.
     clock: Arc<dyn Clock>,
+    /// Wait iterations of every tick-paced [`ingest`] on this harness so
+    /// far, published as they happen: whoever drives an injected clock from
+    /// another thread reads it to learn the replay is parked on a deadline.
+    paced_waits: Arc<AtomicU64>,
 }
 
 /// How [`ingest`] admits each submission window.
@@ -288,6 +293,7 @@ impl ReplayHarness {
             samples: Vec::new(),
             device_index,
             clock,
+            paced_waits: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -319,6 +325,14 @@ impl ReplayHarness {
     pub fn session_count(&self) -> usize {
         self.sessions.iter().map(Vec::len).sum()
     }
+
+    /// The live paced-wait counter (see [`IngestReport::paced_waits`] for
+    /// one run's final figure): it moves while [`ingest`] is still running,
+    /// so a clock driver can advance time only in answer to a wait.
+    #[must_use]
+    pub fn paced_wait_counter(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.paced_waits)
+    }
 }
 
 /// Replays `records` through the harness's gateway under `config`'s pacing,
@@ -330,7 +344,9 @@ impl ReplayHarness {
 /// (ticks are non-decreasing within a scenario, so the window's last record
 /// is its latest arrival). The wait drains in-flight work when there is
 /// any, and yields the CPU otherwise; every iteration is counted in
-/// [`IngestReport::paced_waits`].
+/// [`IngestReport::paced_waits`] and published, as it happens, on
+/// [`ReplayHarness::paced_wait_counter`] — which is how whoever drives an
+/// injected clock knows the replay is parked on a deadline.
 ///
 /// Backpressure is handled by draining and retrying the rejected
 /// submission once; a second rejection, or any quota error, is terminal for
@@ -369,6 +385,7 @@ pub fn ingest(
             let due = start_nanos.saturating_add(last_tick.saturating_mul(nanos_per_tick));
             while clock.now_nanos() < due {
                 report.paced_waits += 1;
+                harness.paced_waits.fetch_add(1, Ordering::Relaxed);
                 if in_flight > 0 {
                     report.responses.extend(harness.gateway.drain_all()?);
                     report.drains += 1;
@@ -469,7 +486,7 @@ mod tests {
     use super::*;
     use glimmer_gateway::ManualClock;
     use glimmer_workloads::replay::{ScenarioMix, ScenarioSpec};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::AtomicBool;
 
     const NANOS_PER_TICK: u64 = 1_000;
 
@@ -517,9 +534,13 @@ mod tests {
         let baseline = ingest(&mut unpaced, &records, &config(Pacing::Unpaced)).unwrap();
 
         // Open loop against a manual clock: ingest runs on a scoped thread
-        // while this thread plays time in sub-tick steps. The replay cannot
+        // while this thread plays time in sub-tick steps — but only ever
+        // in answer to ingest reporting (on the harness's paced-wait
+        // counter) that it is parked on a deadline. Time cannot outrun the
+        // replay, however the two threads are scheduled, so the first
+        // window with a later tick *must* wait; and the replay cannot
         // finish before the clock has crossed the last record's deadline,
-        // so a completed run *proves* every deadline was honored.
+        // so a completed run proves every deadline was honored.
         let clock = Arc::new(ManualClock::new());
         let mut paced = ReplayHarness::build_with_clock(
             &records,
@@ -534,16 +555,23 @@ mod tests {
         let cfg = config(Pacing::TickPaced {
             nanos_per_tick: NANOS_PER_TICK,
         });
+        let paced_waits = paced.paced_wait_counter();
         let done = AtomicBool::new(false);
         let report = std::thread::scope(|scope| {
             let worker = scope.spawn(|| {
-                let report = ingest(&mut paced, &records, &cfg).unwrap();
+                let report = ingest(&mut paced, &records, &cfg);
                 done.store(true, Ordering::SeqCst);
-                report
+                report.unwrap()
             });
+            let mut answered = 0;
             while !done.load(Ordering::SeqCst) {
-                clock.advance_nanos(NANOS_PER_TICK / 4);
-                std::thread::yield_now();
+                let waits = paced_waits.load(Ordering::Relaxed);
+                if waits > answered {
+                    answered = waits;
+                    clock.advance_nanos(NANOS_PER_TICK / 4);
+                } else {
+                    std::thread::yield_now();
+                }
             }
             worker.join().unwrap()
         });

@@ -3,8 +3,9 @@
 //! The finite-field Diffie-Hellman handshake of Section 4.1 and the Schnorr
 //! endorsement signatures need 1024/2048-bit modular arithmetic. This module
 //! provides a small, dependency-free big-integer type with schoolbook
-//! multiplication, binary long division, and Montgomery-based modular
-//! exponentiation (the hot path).
+//! multiplication and limb-wise (Knuth D) long division. The exponentiation
+//! hot path lives in [`crate::montgomery`]; [`BigUint::mod_exp`] here is the
+//! plain square-and-multiply reference the fast ladders are tested against.
 //!
 //! Limbs are `u64`, stored little-endian (least-significant limb first), and
 //! values are kept normalized (no trailing zero limbs).
@@ -184,6 +185,18 @@ impl BigUint {
         }
     }
 
+    /// The little-endian limbs (no trailing zeros).
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
+
+    /// Builds a value from little-endian limbs, trimming trailing zeros.
+    pub(crate) fn from_limbs(limbs: Vec<u64>) -> Self {
+        let mut out = BigUint { limbs };
+        out.normalize();
+        out
+    }
+
     /// Addition.
     #[must_use]
     pub fn add(&self, other: &BigUint) -> BigUint {
@@ -317,9 +330,9 @@ impl BigUint {
 
     /// Division with remainder: returns `(quotient, remainder)`.
     ///
-    /// Uses binary long division; adequate for the occasional scalar
-    /// reduction, while the modular-exponentiation hot path uses Montgomery
-    /// arithmetic instead.
+    /// Limb-wise long division (Knuth, TAOCP vol. 2, Algorithm D): one
+    /// quotient limb per step, estimated from the top two limbs of the
+    /// running remainder and corrected at most twice.
     pub fn div_rem(&self, divisor: &BigUint) -> Result<(BigUint, BigUint), CryptoError> {
         if divisor.is_zero() {
             return Err(CryptoError::DivisionByZero);
@@ -327,32 +340,75 @@ impl BigUint {
         if self < divisor {
             return Ok((BigUint::zero(), self.clone()));
         }
-        let shift = self.bit_len() - divisor.bit_len();
-        let mut remainder = self.clone();
-        let mut quotient = BigUint::zero();
-        let mut shifted = divisor.shl(shift);
-        for i in (0..=shift).rev() {
-            if remainder >= shifted {
-                remainder = remainder.sub(&shifted);
-                quotient = quotient.set_bit(i);
+        let n = divisor.limbs.len();
+        if n == 1 {
+            let d = divisor.limbs[0] as u128;
+            let mut quotient = vec![0u64; self.limbs.len()];
+            let mut rem = 0u128;
+            for (q, &limb) in quotient.iter_mut().zip(&self.limbs).rev() {
+                let cur = (rem << 64) | limb as u128;
+                *q = (cur / d) as u64;
+                rem = cur % d;
             }
-            shifted = shifted.shr(1);
+            return Ok((Self::from_limbs(quotient), BigUint::from_u64(rem as u64)));
         }
-        Ok((quotient, remainder))
+
+        // D1: normalize so the divisor's top bit is set; the quotient is
+        // unchanged and the remainder is shifted back at the end.
+        let shift = divisor.limbs[n - 1].leading_zeros() as usize;
+        let v = divisor.shl(shift).limbs;
+        let mut u = self.shl(shift).limbs;
+        u.resize(self.limbs.len() + 1, 0);
+        let m = u.len() - n - 1;
+        let mut quotient = vec![0u64; m + 1];
+        let (v_top, v_next) = (v[n - 1] as u128, v[n - 2] as u128);
+        for j in (0..=m).rev() {
+            // D3: estimate the quotient limb from the top two limbs.
+            let numerator = ((u[j + n] as u128) << 64) | u[j + n - 1] as u128;
+            let mut qhat = numerator / v_top;
+            let mut rhat = numerator % v_top;
+            while qhat >> 64 != 0 || qhat * v_next > ((rhat << 64) | u[j + n - 2] as u128) {
+                qhat -= 1;
+                rhat += v_top;
+                if rhat >> 64 != 0 {
+                    break;
+                }
+            }
+            // D4: u[j..=j+n] -= qhat * v.
+            let mut carry = 0u128;
+            let mut borrow = 0u64;
+            for (ui, &vi) in u[j..j + n].iter_mut().zip(&v) {
+                let product = qhat * vi as u128 + carry;
+                carry = product >> 64;
+                let (d1, b1) = ui.overflowing_sub(product as u64);
+                let (d2, b2) = d1.overflowing_sub(borrow);
+                *ui = d2;
+                borrow = (b1 | b2) as u64;
+            }
+            let (d1, b1) = u[j + n].overflowing_sub(carry as u64);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            u[j + n] = d2;
+            // D6: the estimate was one too large (probability ~2/2^64):
+            // add the divisor back.
+            if b1 | b2 {
+                qhat -= 1;
+                let mut carry = 0u64;
+                for (ui, &vi) in u[j..j + n].iter_mut().zip(&v) {
+                    let sum = *ui as u128 + vi as u128 + carry as u128;
+                    *ui = sum as u64;
+                    carry = (sum >> 64) as u64;
+                }
+                u[j + n] = u[j + n].wrapping_add(carry);
+            }
+            quotient[j] = qhat as u64;
+        }
+        u.truncate(n);
+        Ok((Self::from_limbs(quotient), Self::from_limbs(u).shr(shift)))
     }
 
     /// Remainder.
     pub fn rem(&self, modulus: &BigUint) -> Result<BigUint, CryptoError> {
         Ok(self.div_rem(modulus)?.1)
-    }
-
-    fn set_bit(mut self, i: usize) -> BigUint {
-        let limb = i / 64;
-        if self.limbs.len() <= limb {
-            self.limbs.resize(limb + 1, 0);
-        }
-        self.limbs[limb] |= 1 << (i % 64);
-        self
     }
 
     /// Modular addition: `(self + other) mod modulus`.
@@ -391,9 +447,11 @@ impl BigUint {
 
     /// Modular exponentiation: `self^exponent mod modulus`.
     ///
-    /// Uses Montgomery arithmetic when the modulus is odd (the common case for
-    /// the prime moduli used here), falling back to multiply-and-reduce for
-    /// even moduli.
+    /// Plain right-to-left square-and-multiply over [`BigUint::mod_mul`],
+    /// for any modulus. It is variable-time in the exponent and is **not**
+    /// what the protocols run: group exponentiations go through the cached
+    /// Montgomery ladders of [`crate::montgomery`], and this is the
+    /// independent reference they are checked against.
     pub fn mod_exp(&self, exponent: &BigUint, modulus: &BigUint) -> Result<BigUint, CryptoError> {
         if modulus.is_zero() {
             return Err(CryptoError::DivisionByZero);
@@ -401,11 +459,6 @@ impl BigUint {
         if modulus == &BigUint::one() {
             return Ok(BigUint::zero());
         }
-        if modulus.is_odd() {
-            let ctx = MontgomeryCtx::new(modulus)?;
-            return ctx.mod_exp(self, exponent);
-        }
-        // Generic square-and-multiply for even moduli (rare; used only in tests).
         let mut base = self.rem(modulus)?;
         let mut result = BigUint::one();
         for i in 0..exponent.bit_len() {
@@ -534,147 +587,6 @@ impl Ord for BigUint {
             }
         }
         core::cmp::Ordering::Equal
-    }
-}
-
-/// Montgomery multiplication context for a fixed odd modulus.
-///
-/// Precomputes the limb count, `-n^{-1} mod 2^64`, and `R^2 mod n`, and
-/// exposes modular exponentiation in the Montgomery domain.
-pub struct MontgomeryCtx {
-    modulus: Vec<u64>,
-    n0_inv: u64,
-    r2: Vec<u64>,
-    modulus_big: BigUint,
-}
-
-impl MontgomeryCtx {
-    /// Creates a context; the modulus must be odd and greater than one.
-    pub fn new(modulus: &BigUint) -> Result<Self, CryptoError> {
-        if modulus.is_zero() || !modulus.is_odd() || modulus == &BigUint::one() {
-            return Err(CryptoError::OutOfRange(
-                "Montgomery modulus must be odd and > 1",
-            ));
-        }
-        let n = modulus.limbs.clone();
-        let s = n.len();
-
-        // n0_inv = -n[0]^{-1} mod 2^64 via Newton iteration.
-        let mut inv: u64 = 1;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
-        }
-        let n0_inv = inv.wrapping_neg();
-
-        // R^2 mod n where R = 2^(64 * s).
-        let r2_big = BigUint::one().shl(128 * s).rem(modulus)?;
-        let mut r2 = r2_big.limbs.clone();
-        r2.resize(s, 0);
-
-        Ok(MontgomeryCtx {
-            modulus: n,
-            n0_inv,
-            r2,
-            modulus_big: modulus.clone(),
-        })
-    }
-
-    fn limbs(&self) -> usize {
-        self.modulus.len()
-    }
-
-    /// CIOS Montgomery multiplication: returns `a * b * R^{-1} mod n`.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let s = self.limbs();
-        let mut t = vec![0u64; s + 2];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..s {
-            // t += a * b[i]
-            let mut carry: u64 = 0;
-            for j in 0..s {
-                let sum = t[j] as u128 + (a[j] as u128) * (b[i] as u128) + carry as u128;
-                t[j] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let sum = t[s] as u128 + carry as u128;
-            t[s] = sum as u64;
-            t[s + 1] = (sum >> 64) as u64;
-
-            // Reduce: add m * n and shift one limb.
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let sum = t[0] as u128 + (m as u128) * (self.modulus[0] as u128);
-            let mut carry = (sum >> 64) as u64;
-            for j in 1..s {
-                let sum = t[j] as u128 + (m as u128) * (self.modulus[j] as u128) + carry as u128;
-                t[j - 1] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let sum = t[s] as u128 + carry as u128;
-            t[s - 1] = sum as u64;
-            t[s] = t[s + 1].wrapping_add((sum >> 64) as u64);
-            t[s + 1] = 0;
-        }
-
-        let mut result = t[..s].to_vec();
-        // Conditional final subtraction.
-        if t[s] != 0 || ge(&result, &self.modulus) {
-            sub_in_place(&mut result, &self.modulus);
-        }
-        result
-    }
-
-    /// Modular exponentiation `base^exp mod n`.
-    pub fn mod_exp(&self, base: &BigUint, exp: &BigUint) -> Result<BigUint, CryptoError> {
-        let s = self.limbs();
-        let base_red = base.rem(&self.modulus_big)?;
-        let mut base_limbs = base_red.limbs.clone();
-        base_limbs.resize(s, 0);
-
-        // Convert base into the Montgomery domain.
-        let base_mont = self.mont_mul(&base_limbs, &self.r2);
-
-        // one in Montgomery domain = R mod n = mont_mul(1, R^2).
-        let mut one_limbs = vec![0u64; s];
-        one_limbs[0] = 1;
-        let mut acc = self.mont_mul(&one_limbs, &self.r2);
-
-        // Left-to-right square-and-multiply.
-        let bits = exp.bit_len();
-        for i in (0..bits).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_mont);
-            }
-        }
-
-        // Convert out of the Montgomery domain.
-        let out = self.mont_mul(&acc, &one_limbs);
-        let mut big = BigUint { limbs: out };
-        big.normalize();
-        Ok(big)
-    }
-}
-
-fn ge(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        if a[i] > b[i] {
-            return true;
-        }
-        if a[i] < b[i] {
-            return false;
-        }
-    }
-    true
-}
-
-fn sub_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for i in 0..a.len() {
-        let (d1, b1) = a[i].overflowing_sub(b[i]);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        a[i] = d2;
-        borrow = (b1 as u64) + (b2 as u64);
     }
 }
 
@@ -826,35 +738,70 @@ mod tests {
     }
 
     #[test]
-    fn mod_exp_even_modulus_fallback() {
+    fn mod_exp_even_modulus() {
         assert_eq!(
             big(7).mod_exp(&big(13), &big(1000)).unwrap(),
             big(7u128.pow(13) % 1000)
         );
     }
 
-    #[test]
-    fn montgomery_matches_naive_on_random_inputs() {
-        let mut rng = Drbg::from_seed([23u8; 32]);
-        // A 256-bit odd modulus.
-        let mut modulus_bytes = rng.bytes(32);
-        modulus_bytes[31] |= 1;
-        modulus_bytes[0] |= 0x80;
-        let m = BigUint::from_bytes_be(&modulus_bytes);
-        for _ in 0..5 {
-            let base = BigUint::from_bytes_be(&rng.bytes(32));
-            let exp = BigUint::from_bytes_be(&rng.bytes(8));
-            let fast = base.mod_exp(&exp, &m).unwrap();
-            // Naive square-and-multiply for cross-checking.
-            let mut naive = BigUint::one();
-            let mut b = base.rem(&m).unwrap();
-            for i in 0..exp.bit_len() {
-                if exp.bit(i) {
-                    naive = naive.mod_mul(&b, &m).unwrap();
-                }
-                b = b.mod_mul(&b, &m).unwrap();
+    /// The bit-serial long division `div_rem` used before it went
+    /// limb-wise; kept as the independent reference.
+    fn div_rem_bit_serial(a: &BigUint, b: &BigUint) -> (BigUint, BigUint) {
+        let mut quotient = BigUint::zero();
+        let mut remainder = BigUint::zero();
+        for i in (0..a.bit_len()).rev() {
+            remainder = remainder.shl(1);
+            if a.bit(i) {
+                remainder = remainder.add(&BigUint::one());
             }
-            assert_eq!(fast, naive);
+            quotient = quotient.shl(1);
+            if &remainder >= b {
+                remainder = remainder.sub(b);
+                quotient = quotient.add(&BigUint::one());
+            }
+        }
+        (quotient, remainder)
+    }
+
+    #[test]
+    fn limb_wise_division_matches_the_bit_serial_reference() {
+        let mut rng = Drbg::from_seed([23u8; 32]);
+        let mut cases = Vec::new();
+        for (a_len, b_len) in [(8, 8), (16, 8), (48, 20), (129, 128), (256, 128), (40, 9)] {
+            for _ in 0..8 {
+                cases.push((
+                    BigUint::from_bytes_be(&rng.bytes(a_len)),
+                    BigUint::from_bytes_be(&rng.bytes(b_len)),
+                ));
+            }
+        }
+        // Operands that force the quotient-estimate corrections and the
+        // add-back step (Knuth's D6): top limbs all ones over a divisor
+        // whose second limb is tiny or huge.
+        let max = u64::MAX;
+        for (a, b) in [
+            (vec![0, 0, 1 << 63, max >> 1], vec![1, 0, 1 << 63]),
+            (vec![max, max, max, max - 1], vec![max, max, max >> 1]),
+            (vec![0, max - 1, max, 1 << 62], vec![max, max, 1 << 62]),
+            (vec![3, 0, 0, 1 << 63], vec![1, max, 1 << 63]),
+            (vec![0, 0, 0, 1], vec![max, 1]),
+            (vec![max, max, max, max], vec![1, 1]),
+        ] {
+            cases.push((BigUint::from_limbs(a), BigUint::from_limbs(b)));
+        }
+        for (a, b) in cases {
+            if b.is_zero() {
+                continue;
+            }
+            let (q, r) = a.div_rem(&b).unwrap();
+            assert_eq!(
+                (q.clone(), r.clone()),
+                div_rem_bit_serial(&a, &b),
+                "{a:?} / {b:?}"
+            );
+            assert!(r < b);
+            assert_eq!(q.mul(&b).add(&r), a);
         }
     }
 

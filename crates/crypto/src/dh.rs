@@ -14,7 +14,9 @@
 use crate::bignum::BigUint;
 use crate::drbg::Drbg;
 use crate::hkdf::hkdf;
+use crate::montgomery::{FixedBaseComb, MontgomeryCtx};
 use crate::CryptoError;
+use std::sync::OnceLock;
 
 /// RFC 2409 (Oakley group 2) 1024-bit prime, in hex.
 const MODP_1024_HEX: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
@@ -63,31 +65,69 @@ impl GroupId {
     }
 }
 
-/// Group parameters: a safe prime `p`, the subgroup order `q = (p-1)/2`, and
-/// the generator `g = 4` of the order-`q` subgroup.
-#[derive(Clone)]
-pub struct DhGroup {
+/// Everything a group's arithmetic needs, built once per process and then
+/// only read: the safe prime `p`, the subgroup order `q = (p-1)/2`, the
+/// generator `g = 4`, the Montgomery context for `p`, and the fixed-base
+/// comb table for `g` (32 KiB for the 1024-bit group, 64 KiB for the
+/// 2048-bit one; about 0.4 ms and 3 ms to build).
+struct GroupParams {
     id: GroupId,
     p: BigUint,
     q: BigUint,
     g: BigUint,
+    p_minus_1: BigUint,
+    mont: MontgomeryCtx,
+    comb: FixedBaseComb,
+}
+
+impl GroupParams {
+    fn build(id: GroupId) -> Self {
+        let p = BigUint::from_hex(match id {
+            GroupId::Modp1024 => MODP_1024_HEX,
+            GroupId::Modp2048 => MODP_2048_HEX,
+        })
+        .expect("built-in group constants are valid hex");
+        let p_minus_1 = p.sub(&BigUint::one());
+        let g = BigUint::from_u64(4);
+        let mont = MontgomeryCtx::new(&p).expect("built-in primes are odd and at most 2048 bits");
+        let comb = FixedBaseComb::new(&mont, &g).expect("the generator is below the prime");
+        GroupParams {
+            id,
+            q: p_minus_1.shr(1),
+            p,
+            g,
+            p_minus_1,
+            mont,
+            comb,
+        }
+    }
+
+    /// The process-wide parameters of `id`, built on first use.
+    fn get(id: GroupId) -> &'static GroupParams {
+        static MODP_1024: OnceLock<GroupParams> = OnceLock::new();
+        static MODP_2048: OnceLock<GroupParams> = OnceLock::new();
+        match id {
+            GroupId::Modp1024 => &MODP_1024,
+            GroupId::Modp2048 => &MODP_2048,
+        }
+        .get_or_init(|| GroupParams::build(id))
+    }
+}
+
+/// A handle on a group's process-wide parameters: a safe prime `p`, the
+/// subgroup order `q = (p-1)/2`, and the generator `g = 4` of the order-`q`
+/// subgroup. Cheap to create and to clone.
+#[derive(Clone)]
+pub struct DhGroup {
+    params: &'static GroupParams,
 }
 
 impl DhGroup {
     /// Returns the group with the given id.
     #[must_use]
     pub fn new(id: GroupId) -> Self {
-        let p = match id {
-            GroupId::Modp1024 => BigUint::from_hex(MODP_1024_HEX),
-            GroupId::Modp2048 => BigUint::from_hex(MODP_2048_HEX),
-        }
-        .expect("built-in group constants are valid hex");
-        let q = p.sub(&BigUint::one()).shr(1);
         DhGroup {
-            id,
-            p,
-            q,
-            g: BigUint::from_u64(4),
+            params: GroupParams::get(id),
         }
     }
 
@@ -101,41 +141,68 @@ impl DhGroup {
     /// Group identifier.
     #[must_use]
     pub fn id(&self) -> GroupId {
-        self.id
+        self.params.id
     }
 
     /// The prime modulus `p`.
     #[must_use]
     pub fn prime(&self) -> &BigUint {
-        &self.p
+        &self.params.p
     }
 
     /// The subgroup order `q`.
     #[must_use]
     pub fn order(&self) -> &BigUint {
-        &self.q
+        &self.params.q
     }
 
     /// The generator `g`.
     #[must_use]
     pub fn generator(&self) -> &BigUint {
-        &self.g
+        &self.params.g
     }
 
     /// Size of a serialized group element in bytes.
     #[must_use]
     pub fn element_len(&self) -> usize {
-        self.p.bit_len().div_ceil(8)
+        self.params.p.bit_len().div_ceil(8)
     }
 
-    /// Computes `g^exponent mod p`.
+    /// Computes `g^exponent mod p` on the fixed-base comb, at a cost that
+    /// is the same for every exponent below `p`.
     pub fn pow_g(&self, exponent: &BigUint) -> Result<BigUint, CryptoError> {
-        self.g.mod_exp(exponent, &self.p)
+        self.pow_g_bounded(exponent, 64 * self.params.mont.limbs())
     }
 
-    /// Computes `base^exponent mod p`.
+    /// [`Self::pow_g`] for an exponent the caller knows — from public
+    /// facts, not from its value — to be at most `exponent_bits` wide, which
+    /// skips the comb's all-zero high blocks.
+    pub(crate) fn pow_g_bounded(
+        &self,
+        exponent: &BigUint,
+        exponent_bits: usize,
+    ) -> Result<BigUint, CryptoError> {
+        let params = self.params;
+        // Wider than the comb covers (never a valid scalar): g has order q.
+        let reduced;
+        let exponent = if exponent.limbs().len() > params.mont.limbs() {
+            reduced = exponent.rem(&params.q)?;
+            &reduced
+        } else {
+            exponent
+        };
+        Ok(params.comb.pow(&params.mont, exponent, exponent_bits))
+    }
+
+    /// Computes `base^exponent mod p` on the windowed ladder, at a cost
+    /// that is the same for every exponent below `p`.
     pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> Result<BigUint, CryptoError> {
-        base.mod_exp(exponent, &self.p)
+        self.params.mont.pow(base, exponent)
+    }
+
+    /// Computes `a * b mod p`.
+    pub fn mul(&self, a: &BigUint, b: &BigUint) -> Result<BigUint, CryptoError> {
+        self.params.mont.mod_mul(a, b)
     }
 
     /// Checks that an element is in the valid range `(1, p-1)`.
@@ -143,17 +210,13 @@ impl DhGroup {
     /// With `strict` set, additionally verifies membership in the order-`q`
     /// subgroup (one extra exponentiation).
     pub fn check_element(&self, element: &BigUint, strict: bool) -> Result<(), CryptoError> {
-        let p_minus_1 = self.p.sub(&BigUint::one());
-        if element <= &BigUint::one() || element >= &p_minus_1 {
+        if element <= &BigUint::one() || element >= &self.params.p_minus_1 {
             return Err(CryptoError::OutOfRange("DH element outside (1, p-1)"));
         }
-        if strict {
-            let check = element.mod_exp(&self.q, &self.p)?;
-            if check != BigUint::one() {
-                return Err(CryptoError::OutOfRange(
-                    "DH element not in prime-order subgroup",
-                ));
-            }
+        if strict && self.pow(element, &self.params.q)? != BigUint::one() {
+            return Err(CryptoError::OutOfRange(
+                "DH element not in prime-order subgroup",
+            ));
         }
         Ok(())
     }
@@ -161,20 +224,20 @@ impl DhGroup {
     /// Samples a uniform scalar in `[1, q)`.
     #[must_use]
     pub fn random_scalar(&self, rng: &mut Drbg) -> BigUint {
-        BigUint::random_nonzero_below(rng, &self.q)
+        BigUint::random_nonzero_below(rng, &self.params.q)
     }
 
     /// Reduces arbitrary bytes into a scalar modulo `q`.
     pub fn scalar_from_bytes(&self, bytes: &[u8]) -> Result<BigUint, CryptoError> {
-        BigUint::from_bytes_be(bytes).rem(&self.q)
+        BigUint::from_bytes_be(bytes).rem(&self.params.q)
     }
 }
 
 impl core::fmt::Debug for DhGroup {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DhGroup")
-            .field("id", &self.id)
-            .field("bits", &self.p.bit_len())
+            .field("id", &self.params.id)
+            .field("bits", &self.params.p.bit_len())
             .finish()
     }
 }
@@ -231,6 +294,11 @@ impl DhKeyPair {
     /// Generates a key pair in `group` using `rng`.
     pub fn generate(group: DhGroup, rng: &mut Drbg) -> Result<Self, CryptoError> {
         let scalar = group.random_scalar(rng);
+        Self::from_scalar(group, scalar)
+    }
+
+    /// The key pair of secret `scalar`, which must be in `[1, q)`.
+    pub(crate) fn from_scalar(group: DhGroup, scalar: BigUint) -> Result<Self, CryptoError> {
         let element = group.pow_g(&scalar)?;
         Ok(DhKeyPair {
             group,
@@ -285,6 +353,13 @@ mod tests {
 
     fn rng() -> Drbg {
         Drbg::from_seed([33u8; 32])
+    }
+
+    #[test]
+    fn the_precomputed_tables_stay_within_64_kib() {
+        let table_bytes = |id| DhGroup::new(id).params.comb.table_bytes();
+        assert_eq!(table_bytes(GroupId::Modp1024), 32 * 1024);
+        assert_eq!(table_bytes(GroupId::Modp2048), 64 * 1024);
     }
 
     #[test]

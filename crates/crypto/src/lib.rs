@@ -12,8 +12,11 @@
 //! # Security disclaimer
 //!
 //! This code is written for a research reproduction. It favours clarity and
-//! portability over side-channel hardening; only [`ct::ct_eq`] makes a
-//! constant-time claim. Do not use it to protect real data.
+//! portability over side-channel hardening: [`ct::ct_eq`] compares in
+//! constant time, and the secret-exponent ladders of [`montgomery`] run an
+//! operation sequence that depends on public lengths only, but nothing here
+//! has been audited against a compiler or a microarchitecture. Do not use
+//! it to protect real data.
 //!
 //! # Module map
 //!
@@ -25,6 +28,8 @@
 //!   ChaCha20 + HMAC-SHA-256.
 //! * [`drbg`] — a deterministic random bit generator built on ChaCha20.
 //! * [`bignum`] — arbitrary-precision unsigned integers.
+//! * [`montgomery`] — cached Montgomery arithmetic, the windowed
+//!   variable-base ladder and the fixed-base comb.
 //! * [`dh`] — finite-field Diffie-Hellman over RFC 3526 / RFC 2409 groups.
 //! * [`schnorr`] — Schnorr signatures over the same prime-order subgroups.
 //! * [`ct`] — constant-time helpers.
@@ -40,6 +45,7 @@ pub mod dh;
 pub mod drbg;
 pub mod hkdf;
 pub mod hmac;
+pub mod montgomery;
 pub mod schnorr;
 pub mod sha256;
 

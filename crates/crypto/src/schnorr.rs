@@ -24,6 +24,11 @@ use crate::hmac::hmac_sha256;
 use crate::sha256::Sha256;
 use crate::CryptoError;
 
+/// Width of the deterministic signing nonce before reduction mod `q`: two
+/// HMAC-SHA-256 outputs. Both groups' orders are wider, so it is also the
+/// width of the nonce itself.
+const NONCE_BITS: usize = 512;
+
 /// A Schnorr signature: the challenge `e` and response `s`, both scalars
 /// modulo the group order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,7 +107,7 @@ impl SigningKey {
         Self::from_scalar(group, x)
     }
 
-    fn from_scalar(group: DhGroup, x: BigUint) -> Result<Self, CryptoError> {
+    pub(crate) fn from_scalar(group: DhGroup, x: BigUint) -> Result<Self, CryptoError> {
         let y = group.pow_g(&x)?;
         let public = VerifyingKey {
             group_id: group.id(),
@@ -144,17 +149,28 @@ impl SigningKey {
             // Widen the nonce beyond 256 bits by expanding twice, so the
             // reduction mod q is statistically close to uniform.
             let digest2 = hmac_sha256(&key_bytes, &digest);
-            let mut wide = Vec::with_capacity(64);
-            wide.extend_from_slice(&digest);
-            wide.extend_from_slice(&digest2);
+            let mut wide = [0u8; NONCE_BITS / 8];
+            wide[..32].copy_from_slice(&digest);
+            wide[32..].copy_from_slice(&digest2);
             let candidate = BigUint::from_bytes_be(&wide).rem(self.group.order())?;
             if !candidate.is_zero() {
                 break candidate;
             }
             counter = counter.wrapping_add(1);
         };
+        self.sign_with_nonce(&k, message)
+    }
 
-        let r = self.group.pow_g(&k)?;
+    /// The signature over `message` under nonce `k`, which must be below
+    /// `2^NONCE_BITS` and below `q`.
+    pub(crate) fn sign_with_nonce(
+        &self,
+        k: &BigUint,
+        message: &[u8],
+    ) -> Result<Signature, CryptoError> {
+        // The nonce is a 512-bit string whatever its value, so the comb
+        // only walks the blocks 512 bits can reach.
+        let r = self.group.pow_g_bounded(k, NONCE_BITS)?;
         let e = challenge(&self.group, &r, message)?;
         // s = k + x * e mod q.
         let xe = self.x.mod_mul(&e, self.group.order())?;
@@ -216,7 +232,7 @@ impl VerifyingKey {
         let neg_e = q.sub(&signature.e);
         let gs = group.pow_g(&signature.s)?;
         let y_neg_e = group.pow(&self.y, &neg_e)?;
-        let r_prime = gs.mod_mul(&y_neg_e, group.prime())?;
+        let r_prime = group.mul(&gs, &y_neg_e)?;
         let e_prime = challenge(&group, &r_prime, message)?;
         if e_prime == signature.e {
             Ok(())

@@ -4,9 +4,11 @@ use glimmer_crypto::aead::AeadKey;
 use glimmer_crypto::bignum::BigUint;
 use glimmer_crypto::chacha20::ChaCha20;
 use glimmer_crypto::ct::ct_eq;
+use glimmer_crypto::dh::{DhGroup, GroupId};
 use glimmer_crypto::drbg::Drbg;
 use glimmer_crypto::hkdf::hkdf_expand;
 use glimmer_crypto::hmac::hmac_sha256;
+use glimmer_crypto::montgomery::MontgomeryCtx;
 use glimmer_crypto::sha256::{sha256, Sha256};
 use proptest::prelude::*;
 
@@ -129,5 +131,53 @@ proptest! {
         let mut a = Drbg::from_seed(seed);
         let mut b = Drbg::from_seed(seed);
         prop_assert_eq!(a.bytes(len), b.bytes(len));
+    }
+}
+
+// The group ladders against the plain square-and-multiply reference
+// (`BigUint::mod_exp`). A case costs tens of milliseconds unoptimized (the
+// reference is slow on purpose), so these run fewer cases, and the 2048-bit
+// group one case in four.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn comb_windowed_and_reference_ladders_agree(seed in any::<[u8; 32]>(), shape in 0usize..6, wide in 0usize..4) {
+        let group = DhGroup::new(if wide == 0 { GroupId::Modp2048 } else { GroupId::Modp1024 });
+        let (p, q, g) = (group.prime(), group.order(), group.generator());
+        let mut rng = Drbg::from_seed(seed);
+        let k = match shape {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            2 => q.sub(&BigUint::one()),
+            // Wider than the comb covers: reduced mod q on the way in.
+            3 => BigUint::from_bytes_be(&rng.bytes(group.element_len() + 8)),
+            _ => BigUint::random_below(&mut rng, q),
+        };
+        let reference = g.mod_exp(&k, p).unwrap();
+        prop_assert_eq!(group.pow_g(&k).unwrap(), reference.clone());
+        prop_assert_eq!(group.pow(g, &k).unwrap(), reference);
+        // A random base, possibly above p.
+        let base = BigUint::from_bytes_be(&rng.bytes(group.element_len()));
+        prop_assert_eq!(group.pow(&base, &k).unwrap(), base.mod_exp(&k, p).unwrap());
+    }
+
+    #[test]
+    fn montgomery_products_match_mod_mul(seed in any::<[u8; 32]>(), shape_a in 0usize..5, shape_b in 0usize..5, wide in any::<bool>()) {
+        let group = DhGroup::new(if wide { GroupId::Modp2048 } else { GroupId::Modp1024 });
+        let p = group.prime();
+        let ctx = MontgomeryCtx::new(p).unwrap();
+        let mut rng = Drbg::from_seed(seed);
+        let mut operand = |shape: usize| match shape {
+            0 => p.sub(&BigUint::one()),
+            1 => p.clone(),
+            2 => p.add(&BigUint::from_bytes_be(&rng.bytes(8))),
+            3 => BigUint::from_bytes_be(&rng.bytes(group.element_len() + 16)),
+            _ => BigUint::random_below(&mut rng, p),
+        };
+        let (a, b) = (operand(shape_a), operand(shape_b));
+        let expected = a.mod_mul(&b, p).unwrap();
+        prop_assert_eq!(ctx.mod_mul(&a, &b).unwrap(), expected.clone());
+        prop_assert_eq!(group.mul(&a, &b).unwrap(), expected);
     }
 }

@@ -52,7 +52,7 @@
 //!
 //! * **No rollback protection.** A snapshot is a point-in-time capture with
 //!   nothing binding it to "latest": whoever holds the machine can restore
-//!   an *older* snapshot, resetting replay-nonce sets, endorsement
+//!   an *older* snapshot, resetting replay windows, endorsement
 //!   counters, and auditor budgets to their values *as of that capture* —
 //!   traffic processed after the capture becomes replayable and budget
 //!   consumed after it is forgotten. Real SGX pairs sealed state with

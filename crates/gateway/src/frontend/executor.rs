@@ -21,7 +21,8 @@
 //!   [`Clock`]; the run loop fires due timers before each poll and bounds
 //!   its park by the nearest deadline. Idle-connection timeouts, periodic
 //!   stale-session eviction, and drain ticks all ride this wheel instead of
-//!   spawning helper threads.
+//!   spawning helper threads. A timer belongs to its [`Sleep`]: dropping
+//!   the `Sleep` cancels it, so the wheel holds exactly the live sleepers.
 //! * **Pluggable park** — the `net` module's epoll reactor can replace the
 //!   condvar park (the crate-internal `SessionExecutor::attach_parker`,
 //!   used by `net::serve_on`): the executor then
@@ -264,12 +265,38 @@ const WHEEL_SLOTS: usize = 64;
 /// advances far enough.
 const WHEEL_LEVELS: usize = 4;
 
-/// One registered deadline. There is no cancellation: a timer whose task
-/// completed first fires into a stale waker, which the generation check
-/// discards — the cost of a spurious fire is one ignored queue entry.
+/// Names one armed timer: its slab index plus the generation that was live
+/// when it was armed. Firing or cancelling bumps the generation, so a key
+/// held past either names nothing — it can never touch the timer that
+/// later reuses the index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimerKey {
+    index: usize,
+    generation: u64,
+}
+
+/// Which bucket an armed timer's index sits in, and where in it — what
+/// makes cancellation O(1).
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    /// `WHEEL_LEVELS` names the overflow list.
+    level: usize,
+    slot: usize,
+    position: usize,
+}
+
+/// One armed deadline.
 struct TimerEntry {
     deadline_nanos: u64,
     waker: Waker,
+    place: Place,
+}
+
+/// One slab slot of the wheel: the armed timer (if any) and the slot's
+/// current generation.
+struct TimerSlot {
+    generation: u64,
+    entry: Option<TimerEntry>,
 }
 
 /// The hierarchical timer wheel. Single-threaded (owned by the executor
@@ -277,18 +304,29 @@ struct TimerEntry {
 /// injected [`Clock`], so a [`ManualClock`](crate::ManualClock) drives it
 /// deterministically in tests.
 ///
+/// Armed timers live in a slab; the wheel's buckets hold slab indices. A
+/// timer leaves the wheel when it fires **or when its [`Sleep`] is dropped
+/// or resolves** ([`TimerWheel::cancel`]), so the population is exactly the
+/// live sleepers: a connection that suspends ten thousand times under a
+/// far-future idle deadline holds one entry, not ten thousand.
+///
 /// Firing is tick-granular: an entry fires when the wheel advances past its
 /// deadline's tick, so a fire may be up to one tick (~1 ms) early or — for
 /// an entry registered at an already-elapsed deadline — one tick late.
-/// Callers ([`Sleep`], idle-deadline futures) re-check the clock on wake
-/// and re-register when the real deadline has not passed, so the wheel only
-/// ever schedules wake-ups; it never decides elapsed time itself.
+/// [`Sleep`] re-checks the clock on wake and re-arms when the real deadline
+/// has not passed, so the wheel only ever schedules wake-ups; it never
+/// decides elapsed time itself.
 pub(crate) struct TimerWheel {
     /// Clock reading at construction; tick 0.
     origin_nanos: u64,
     current_tick: u64,
-    levels: Vec<Vec<Vec<TimerEntry>>>,
-    overflow: Vec<TimerEntry>,
+    timers: Vec<TimerSlot>,
+    free: Vec<usize>,
+    levels: Vec<Vec<Vec<usize>>>,
+    overflow: Vec<usize>,
+    /// Holds a bucket's indices while they are re-filed or fired; kept so
+    /// that reuses its capacity instead of allocating.
+    scratch: Vec<usize>,
     len: usize,
 }
 
@@ -297,10 +335,13 @@ impl TimerWheel {
         TimerWheel {
             origin_nanos,
             current_tick: 0,
+            timers: Vec::new(),
+            free: Vec::new(),
             levels: (0..WHEEL_LEVELS)
                 .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
                 .collect(),
             overflow: Vec::new(),
+            scratch: Vec::new(),
             len: 0,
         }
     }
@@ -313,12 +354,39 @@ impl TimerWheel {
         nanos.saturating_sub(self.origin_nanos) >> TICK_SHIFT
     }
 
-    fn insert(&mut self, deadline_nanos: u64, waker: Waker) {
-        self.len += 1;
-        let entry = TimerEntry {
+    /// Arms a timer; the returned key cancels or re-wakers it.
+    fn insert(&mut self, deadline_nanos: u64, waker: Waker) -> TimerKey {
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.timers.push(TimerSlot {
+                generation: 0,
+                entry: None,
+            });
+            self.timers.len() - 1
+        });
+        let place = self.file(index, deadline_nanos);
+        self.timers[index].entry = Some(TimerEntry {
             deadline_nanos,
             waker,
-        };
+            place,
+        });
+        self.len += 1;
+        TimerKey {
+            index,
+            generation: self.timers[index].generation,
+        }
+    }
+
+    fn bucket(&mut self, level: usize, slot: usize) -> &mut Vec<usize> {
+        if level == WHEEL_LEVELS {
+            &mut self.overflow
+        } else {
+            &mut self.levels[level][slot]
+        }
+    }
+
+    /// Pushes timer `index` onto the bucket `deadline_nanos` belongs to, as
+    /// seen from the current tick, and says where that is.
+    fn file(&mut self, index: usize, deadline_nanos: u64) -> Place {
         // An already-due deadline (the clock advanced between the caller's
         // check and this insert) lands on the next tick instead of a slot
         // the wheel has already passed and would never visit again.
@@ -330,29 +398,78 @@ impl TimerWheel {
             level += 1;
             span = span.saturating_mul(WHEEL_SLOTS as u64);
         }
-        if level == WHEEL_LEVELS {
-            self.overflow.push(entry);
-            return;
+        let slot = if level == WHEEL_LEVELS {
+            0
+        } else {
+            ((tick >> (6 * level as u32)) % WHEEL_SLOTS as u64) as usize
+        };
+        let bucket = self.bucket(level, slot);
+        bucket.push(index);
+        Place {
+            level,
+            slot,
+            position: bucket.len() - 1,
         }
-        let slot = ((tick >> (6 * level as u32)) % WHEEL_SLOTS as u64) as usize;
-        self.levels[level][slot].push(entry);
     }
 
-    /// Earliest registered deadline, if any. A linear scan: it runs once per
-    /// executor park, and even a thousand armed idle timers cost only a
-    /// thousand comparisons.
-    fn next_deadline(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        let entries = self
-            .levels
-            .iter()
-            .flatten()
-            .flatten()
-            .chain(self.overflow.iter());
-        for entry in entries {
-            min = Some(min.map_or(entry.deadline_nanos, |m: u64| m.min(entry.deadline_nanos)));
+    /// The armed timer `key` names, unless it has fired or been cancelled.
+    fn armed(&mut self, key: TimerKey) -> Option<&mut TimerEntry> {
+        let slot = self.timers.get_mut(key.index)?;
+        if slot.generation != key.generation {
+            return None;
         }
-        min
+        slot.entry.as_mut()
+    }
+
+    /// Disarms `key`'s timer and recycles its slab slot; a key whose timer
+    /// already fired (or was already cancelled) is a no-op. Nothing of the
+    /// timer stays behind: its bucket shrinks by one.
+    fn cancel(&mut self, key: TimerKey) {
+        let Some(entry) = self.armed(key) else {
+            return;
+        };
+        let Place {
+            level,
+            slot,
+            position,
+        } = entry.place;
+        let bucket = self.bucket(level, slot);
+        bucket.swap_remove(position);
+        if let Some(&moved) = bucket.get(position) {
+            self.entry_mut(moved).place.position = position;
+        }
+        self.release(key.index);
+    }
+
+    /// The entry of a timer index found in a bucket.
+    fn entry_mut(&mut self, index: usize) -> &mut TimerEntry {
+        self.timers[index]
+            .entry
+            .as_mut()
+            .expect("buckets hold armed timers only")
+    }
+
+    /// Empties slab slot `index` after its timer left its bucket; returns
+    /// the timer's waker.
+    fn release(&mut self, index: usize) -> Waker {
+        let slot = &mut self.timers[index];
+        let entry = slot.entry.take().expect("buckets hold armed timers only");
+        slot.generation += 1;
+        self.free.push(index);
+        self.len -= 1;
+        entry.waker
+    }
+
+    /// Earliest armed deadline, if any. A linear scan of the slab: it runs
+    /// once per executor park, and the slab is as long as the most sleepers
+    /// that were ever live at once (a thousand idle connections cost a
+    /// thousand comparisons).
+    fn next_deadline(&self) -> Option<u64> {
+        self.timers
+            .iter()
+            .filter_map(|slot| slot.entry.as_ref())
+            .map(|entry| entry.deadline_nanos)
+            .min()
     }
 
     /// Advances the wheel to `now`, waking every entry whose tick has been
@@ -383,31 +500,59 @@ impl TimerWheel {
             // entries land in their final slot before the level-0 drain
             // below reaches it.
             if tick.is_multiple_of((WHEEL_SLOTS as u64).pow(WHEEL_LEVELS as u32)) {
-                let pending = std::mem::take(&mut self.overflow);
-                self.reinsert(pending);
+                self.cascade(WHEEL_LEVELS, 0);
             }
             for level in (1..WHEEL_LEVELS).rev() {
                 if tick.is_multiple_of((WHEEL_SLOTS as u64).pow(level as u32)) {
                     let slot = ((tick >> (6 * level as u32)) % WHEEL_SLOTS as u64) as usize;
-                    let pending = std::mem::take(&mut self.levels[level][slot]);
-                    self.reinsert(pending);
+                    self.cascade(level, slot);
                 }
             }
+            // Fire the tick's bucket in filing order.
             let slot = (tick % WHEEL_SLOTS as u64) as usize;
-            for entry in self.levels[0][slot].drain(..) {
-                entry.waker.wake();
+            let mut due = self.take_bucket(0, slot);
+            for index in due.drain(..) {
+                self.release(index).wake();
                 fired += 1;
-                self.len -= 1;
             }
+            self.scratch = due;
         }
         fired
     }
 
-    fn reinsert(&mut self, entries: Vec<TimerEntry>) {
-        for entry in entries {
-            self.len -= 1; // insert re-counts it
-            self.insert(entry.deadline_nanos, entry.waker);
+    /// Re-files every timer of one bucket from the current tick.
+    fn cascade(&mut self, level: usize, slot: usize) {
+        let mut moving = self.take_bucket(level, slot);
+        for index in moving.drain(..) {
+            let deadline_nanos = self.entry_mut(index).deadline_nanos;
+            let place = self.file(index, deadline_nanos);
+            self.entry_mut(index).place = place;
         }
+        self.scratch = moving;
+    }
+
+    /// Moves a bucket's indices into the scratch list (both keep their
+    /// capacity) and lends it out; the caller hands it back emptied.
+    fn take_bucket(&mut self, level: usize, slot: usize) -> Vec<usize> {
+        let mut taken = std::mem::take(&mut self.scratch);
+        taken.append(self.bucket(level, slot));
+        taken
+    }
+
+    /// Heap the wheel holds, in entries: the tests' measure of "suspending
+    /// again does not grow the wheel".
+    #[cfg(test)]
+    pub(crate) fn allocated_entries(&self) -> usize {
+        self.timers.capacity()
+            + self.free.capacity()
+            + self.overflow.capacity()
+            + self.scratch.capacity()
+            + self
+                .levels
+                .iter()
+                .flatten()
+                .map(Vec::capacity)
+                .sum::<usize>()
     }
 }
 
@@ -432,6 +577,12 @@ impl TimerHandle {
         self.clock.now_nanos()
     }
 
+    /// Timers currently armed on the wheel: one per pending [`Sleep`].
+    #[must_use]
+    pub fn armed(&self) -> usize {
+        self.wheel.borrow().len
+    }
+
     /// Resolves once the executor clock reaches `deadline_nanos` (an
     /// already-elapsed deadline resolves on first poll).
     #[must_use]
@@ -440,6 +591,7 @@ impl TimerHandle {
             wheel: Rc::clone(&self.wheel),
             clock: Arc::clone(&self.clock),
             deadline_nanos,
+            key: None,
         }
     }
 
@@ -452,12 +604,17 @@ impl TimerHandle {
                 .saturating_add(duration.as_nanos() as u64),
         )
     }
+
+    #[cfg(test)]
+    pub(crate) fn allocated_entries(&self) -> usize {
+        self.wheel.borrow().allocated_entries()
+    }
 }
 
 impl core::fmt::Debug for TimerHandle {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("TimerHandle")
-            .field("armed", &self.wheel.borrow().len)
+            .field("armed", &self.armed())
             .finish_non_exhaustive()
     }
 }
@@ -466,26 +623,47 @@ impl core::fmt::Debug for TimerHandle {
 /// [`SessionExecutor::sleep_until`]: pending until the executor clock
 /// reaches the deadline.
 ///
-/// Every pending poll re-registers the current waker on the wheel, so the
-/// future stays correct when the executor re-polls it through a fresh waker
-/// and under spurious wake-ups (it simply re-checks the clock).
+/// A pending `Sleep` owns at most one timer on the wheel. Polling it again
+/// keeps that timer (swapping in the new waker only if it would wake a
+/// different task), a tick-early fire re-arms it, and **dropping it —
+/// resolved or not — cancels it**: a `Sleep` that lost a race against
+/// socket readiness leaves nothing on the wheel.
 pub struct Sleep {
     wheel: Rc<RefCell<TimerWheel>>,
     clock: Arc<dyn Clock>,
     deadline_nanos: u64,
+    key: Option<TimerKey>,
 }
 
 impl Future for Sleep {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if self.clock.now_nanos() >= self.deadline_nanos {
+        let this = self.get_mut();
+        let mut wheel = this.wheel.borrow_mut();
+        if this.clock.now_nanos() >= this.deadline_nanos {
+            if let Some(key) = this.key.take() {
+                wheel.cancel(key);
+            }
             return Poll::Ready(());
         }
-        self.wheel
-            .borrow_mut()
-            .insert(self.deadline_nanos, cx.waker().clone());
+        match this.key.and_then(|key| wheel.armed(key)) {
+            Some(entry) => {
+                if !entry.waker.will_wake(cx.waker()) {
+                    entry.waker = cx.waker().clone();
+                }
+            }
+            None => this.key = Some(wheel.insert(this.deadline_nanos, cx.waker().clone())),
+        }
         Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.wheel.borrow_mut().cancel(key);
+        }
     }
 }
 
@@ -493,6 +671,7 @@ impl core::fmt::Debug for Sleep {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Sleep")
             .field("deadline_nanos", &self.deadline_nanos)
+            .field("armed", &self.key.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -1112,16 +1291,7 @@ mod tests {
         // and into the overflow horizon.
         let clock = ManualClock::new();
         let mut wheel = TimerWheel::new(clock.now_nanos());
-        let fired = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let waker = {
-            struct Count(Arc<std::sync::atomic::AtomicUsize>);
-            impl std::task::Wake for Count {
-                fn wake(self: Arc<Self>) {
-                    self.0.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            Waker::from(Arc::new(Count(Arc::clone(&fired))))
-        };
+        let (waker, fired) = counting_waker();
         let tick = 1u64 << TICK_SHIFT;
         // One near deadline (level 0), one past the level-0 span (level 1),
         // one past the whole wheel horizon (overflow).
@@ -1139,6 +1309,154 @@ mod tests {
         assert_eq!(wheel.advance((horizon + 11) * tick), 1);
         assert_eq!(fired.load(Ordering::SeqCst), 3);
         assert!(wheel.is_empty());
+    }
+
+    /// A waker that counts its wakes.
+    fn counting_waker() -> (Waker, Arc<std::sync::atomic::AtomicUsize>) {
+        struct Count(Arc<std::sync::atomic::AtomicUsize>);
+        impl std::task::Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let count = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        (Waker::from(Arc::new(Count(Arc::clone(&count)))), count)
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_wakes_and_leaves_nothing_behind() {
+        let clock = Arc::new(ManualClock::new());
+        let executor = SessionExecutor::with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let timer = executor.timer();
+        let (waker, wakes) = counting_waker();
+        let mut cx = Context::from_waker(&waker);
+        let tick = 1u64 << TICK_SHIFT;
+
+        // One per level, and one past the horizon.
+        let horizon = (WHEEL_SLOTS as u64).pow(WHEEL_LEVELS as u32);
+        let deadlines = [5, 100, 5_000, 300_000, horizon + 10].map(|t| t * tick);
+        let mut sleeps: Vec<Sleep> = deadlines.iter().map(|&d| timer.sleep_until(d)).collect();
+        for sleep in &mut sleeps {
+            assert!(Pin::new(sleep).poll(&mut cx).is_pending());
+        }
+        assert_eq!(timer.armed(), 5);
+        // Polling again through the same waker arms nothing new.
+        for sleep in &mut sleeps {
+            assert!(Pin::new(sleep).poll(&mut cx).is_pending());
+        }
+        assert_eq!(timer.armed(), 5);
+
+        // Dropping cancels: middle first, so a swap-remove has to patch up
+        // a moved neighbour's position somewhere along the way.
+        let keep = sleeps.remove(1);
+        drop(sleeps);
+        assert_eq!(timer.armed(), 1);
+        assert_eq!(timer.wheel.borrow().next_deadline(), Some(100 * tick));
+
+        // Run the clock past every deadline: only the survivor fires.
+        clock.advance(Duration::from_nanos((horizon + 20) * tick));
+        assert_eq!(timer.wheel.borrow_mut().advance(clock.now_nanos()), 1);
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+        assert_eq!(timer.armed(), 0);
+        // The fired timer's key is stale: dropping its Sleep must not
+        // cancel whoever reuses the slab slot.
+        let mut reuse = timer.sleep_until(clock.now_nanos() + 50 * tick);
+        assert!(Pin::new(&mut reuse).poll(&mut cx).is_pending());
+        drop(keep);
+        assert_eq!(timer.armed(), 1);
+    }
+
+    #[test]
+    fn cancelling_keeps_bucket_neighbours_reachable() {
+        // Many timers in one bucket, cancelled in an arbitrary order: every
+        // survivor must still be cancellable and must still fire.
+        let clock = ManualClock::new();
+        let mut wheel = TimerWheel::new(clock.now_nanos());
+        let (waker, wakes) = counting_waker();
+        let tick = 1u64 << TICK_SHIFT;
+        let keys: Vec<TimerKey> = (0..32)
+            .map(|_| wheel.insert(7 * tick, waker.clone()))
+            .collect();
+        for &i in &[0usize, 31, 5, 17, 16, 1, 30, 9] {
+            wheel.cancel(keys[i]);
+            wheel.cancel(keys[i]); // twice is a no-op
+        }
+        assert_eq!(wheel.len, 24);
+        assert_eq!(wheel.advance(8 * tick), 24);
+        assert_eq!(wakes.load(Ordering::SeqCst), 24);
+        assert!(wheel.is_empty());
+        assert_eq!(wheel.next_deadline(), None);
+    }
+
+    /// Resolves on its second poll, waking itself in between: one
+    /// suspend/resume of the task that awaits it.
+    struct YieldOnce(bool);
+
+    impl Future for YieldOnce {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            if self.0 {
+                return Poll::Ready(());
+            }
+            self.0 = true;
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }
+    }
+
+    /// What a connection's suspend is: an idle-deadline sleep raced against
+    /// another wake source, which wins.
+    struct SleepOrYield {
+        sleep: Sleep,
+        other: YieldOnce,
+    }
+
+    impl Future for SleepOrYield {
+        type Output = ();
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let this = self.get_mut();
+            if Pin::new(&mut this.sleep).poll(cx).is_ready() {
+                return Poll::Ready(());
+            }
+            Pin::new(&mut this.other).poll(cx)
+        }
+    }
+
+    #[test]
+    fn ten_thousand_suspends_under_a_far_deadline_hold_one_timer() {
+        let clock = Arc::new(ManualClock::new());
+        let mut executor = SessionExecutor::with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let timer = executor.timer();
+        let observed = Rc::new(RefCell::new(Vec::new()));
+        let far = Duration::from_secs(130).as_nanos() as u64;
+        {
+            let (timer, observed) = (timer.clone(), Rc::clone(&observed));
+            executor.spawn(async move {
+                for cycle in 0..10_000 {
+                    let mut suspend = SleepOrYield {
+                        sleep: timer.sleep_until(far),
+                        other: YieldOnce(false),
+                    };
+                    std::future::poll_fn(|cx| Pin::new(&mut suspend).poll(cx)).await;
+                    // After one full cycle every list the wheel uses has
+                    // its capacity; the sleep is still armed here.
+                    if cycle == 1 || cycle == 9_999 {
+                        observed
+                            .borrow_mut()
+                            .push((timer.armed(), timer.allocated_entries()));
+                    }
+                }
+            });
+        }
+        executor.run();
+        let observed = observed.borrow();
+        assert_eq!(observed[0].0, 1, "one live sleeper, one timer");
+        assert_eq!(*observed, vec![observed[0]; 2], "the wheel grew");
+        assert_eq!(timer.armed(), 0);
+        // Nothing ever fired: the clock never moved.
+        assert_eq!(clock.now_nanos(), 0);
     }
 
     #[test]

@@ -1629,7 +1629,7 @@ impl Gateway {
     /// A slot whose whole-batch ECALL fails keeps its items queued — and a
     /// shard whose worker is gone is skipped — without aborting the sweep:
     /// replies already produced by other slots carry endorsements that
-    /// consumed budget and replay nonces, so they must reach their devices.
+    /// consumed budget and replay windows, so they must reach their devices.
     /// The first error is reported only after the sweep, and only if no
     /// responses were produced at all.
     pub fn drain(&self) -> Result<Vec<GatewayResponse>> {
@@ -1793,7 +1793,7 @@ impl Gateway {
 
     /// Captures a crash-consistent checkpoint of the serving gateway:
     /// sealed per-slot enclave state (service keys, session channel keys,
-    /// masks, replay nonces, auditor counters — sealed *by the enclaves*,
+    /// masks, replay windows, auditor counters — sealed *by the enclaves*,
     /// opaque to the gateway), the established-session table, per-tenant
     /// quota counters, and per-slot stats.
     ///
@@ -1812,7 +1812,7 @@ impl Gateway {
     /// everything else at import.
     ///
     /// Deliberately **not** captured: in-flight queue entries (unacked —
-    /// devices retransmit after a restart, and their replay nonces are only
+    /// devices retransmit after a restart, and their request counters are only
     /// recorded at processing time, so the retransmission is accepted
     /// exactly once) and pending handshakes (ephemeral DH secrets must die
     /// with the process).

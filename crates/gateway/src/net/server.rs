@@ -383,6 +383,9 @@ mod imp {
         want_write: bool,
         outbox_of: Option<&'a ConnShared>,
         shutdown_slot: usize,
+        /// The idle deadline. It almost never wins the race, and it need
+        /// not be cleaned up by hand: dropping the `Suspend` drops the
+        /// `Sleep`, which takes its timer off the wheel.
         sleep: Option<Sleep>,
         armed: bool,
     }
@@ -812,5 +815,109 @@ mod imp {
             let _ = ctx.frontend.gateway().evict_stale_pending(age);
         }
         ctx.shutdown.free_slot(shutdown_slot);
+    }
+}
+
+#[cfg(all(
+    test,
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod tests {
+    use super::serve_on;
+    use crate::frontend::completion::completion_pair;
+    use crate::frontend::{AsyncGateway, SessionExecutor};
+    use crate::net::GatewayClient;
+    use crate::{Clock, Gateway, GatewayConfig, ManualClock, NetConfig, TenantConfig};
+    use glimmer_core::host::GlimmerDescriptor;
+    use glimmer_core::signing::ServiceKeyMaterial;
+    use glimmer_crypto::drbg::Drbg;
+    use sgx_sim::AttestationService;
+    use std::cell::RefCell;
+    use std::net::TcpListener;
+    use std::rc::Rc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    /// One real connection suspends and resumes ten thousand times under an
+    /// idle deadline that never comes (the benchmark's shape: run length
+    /// plus two minutes). Each suspend arms a fresh idle timer; each resume
+    /// must take it off the wheel again, or the wheel grows by an entry per
+    /// request for as long as the connection lives.
+    #[test]
+    fn a_busy_connection_holds_one_idle_timer() {
+        let mut rng = Drbg::from_seed([91u8; 32]);
+        let mut avs = AttestationService::new([92u8; 32]);
+        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        let clock = Arc::new(ManualClock::new());
+        let gateway = Gateway::with_clock(
+            GatewayConfig {
+                slots_per_tenant: 1,
+                evict_stale_period: None,
+                net: NetConfig {
+                    idle_timeout: Some(Duration::from_secs(130)),
+                    drain_interval: None,
+                    ..NetConfig::default()
+                },
+                ..GatewayConfig::default()
+            },
+            vec![TenantConfig::new(
+                "iot-telemetry.example",
+                GlimmerDescriptor::iot_default(Vec::new()),
+                material.secret_bytes(),
+            )],
+            &mut avs,
+            &mut rng,
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        )
+        .unwrap();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut executor = SessionExecutor::with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let shutdown = serve_on(&mut executor, AsyncGateway::new(gateway), listener, None).unwrap();
+
+        // The client reports after a warm-up and after the full count, and
+        // holds the connection open until the probe has looked.
+        let (warm_tx, warm) = completion_pair::<()>();
+        let (done_tx, done) = completion_pair::<()>();
+        let (resume_tx, resume_rx) = mpsc::channel::<()>();
+        let client = std::thread::spawn(move || {
+            let mut client = GatewayClient::connect(addr).unwrap();
+            for _ in 0..100 {
+                client.drain().unwrap();
+            }
+            warm_tx.complete(());
+            resume_rx.recv().unwrap();
+            for _ in 0..9_900 {
+                client.drain().unwrap();
+            }
+            done_tx.complete(());
+            resume_rx.recv().unwrap();
+        });
+
+        let timer = executor.timer();
+        let observed = Rc::new(RefCell::new(Vec::new()));
+        {
+            let observed = Rc::clone(&observed);
+            executor.spawn(async move {
+                for report in [warm, done] {
+                    report.await.unwrap();
+                    observed
+                        .borrow_mut()
+                        .push((timer.armed(), timer.allocated_entries()));
+                    resume_tx.send(()).unwrap();
+                }
+                shutdown.stop();
+            });
+        }
+        executor.run();
+        client.join().unwrap();
+
+        let observed = observed.borrow();
+        // The suspended connection's idle timer, and nothing else (no
+        // drainer, no sweeper configured).
+        assert_eq!(observed[0].0, 1, "{observed:?}");
+        assert_eq!(observed[1], observed[0], "the wheel grew: {observed:?}");
     }
 }

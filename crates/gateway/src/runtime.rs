@@ -1019,7 +1019,7 @@ impl ShardWorker {
                     .drain_into(max_batch, scratch, Some((telemetry, self.shard_id)))
                 {
                     // A drain that reached the enclave mutated checkpointed
-                    // state (replay nonces, auditor counters, drain stats)
+                    // state (replay windows, auditor counters, drain stats)
                     // even when the batch failed wholesale, so the slot is
                     // dirty either way. Empty sweeps are not.
                     Ok(Some(drained)) => {

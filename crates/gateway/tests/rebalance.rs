@@ -292,6 +292,38 @@ fn migration_moves_queued_work_and_keeps_serving() {
 }
 
 #[test]
+fn replay_windows_travel_with_a_migrated_slot() {
+    let fixture = build_fixture(2);
+    let gateway = &fixture.gateway;
+    let served = submit_rounds(&fixture, 0..PRE_ROUNDS);
+    assert!(!served.is_empty());
+    for tenant in [IOT, KEYBOARD] {
+        for slot_id in 0..config(2).slots_per_tenant {
+            let to = 1 - shard_of(gateway, tenant, slot_id);
+            gateway.migrate_slot(tenant, slot_id, to).unwrap();
+        }
+    }
+    // Every request served before the move is refused after it...
+    for event in fixture.events.iter().filter(|e| e.round < PRE_ROUNDS) {
+        gateway
+            .submit(
+                fixture.devices[event.device].session_id,
+                event.ciphertext.clone(),
+            )
+            .unwrap();
+    }
+    for response in gateway.drain_all().unwrap() {
+        match &response.outcome {
+            BatchOutcome::Failed(reason) => assert!(reason.contains("replay"), "{reason:?}"),
+            other => panic!("a replay must not produce a reply: {other:?}"),
+        }
+    }
+    // ...and the sessions keep serving fresh requests on their new shards.
+    let rest = submit_rounds(&fixture, PRE_ROUNDS..ROUNDS);
+    assert!(rest.iter().any(|(_, _, d)| d.contains("Endorsed")));
+}
+
+#[test]
 fn migration_to_same_shard_is_a_noop() {
     let fixture = build_fixture(2);
     let here = shard_of(&fixture.gateway, IOT, 0);

@@ -928,6 +928,66 @@ fn chain_fixture() -> &'static (GatewaySnapshot, Vec<GatewayDelta>) {
     })
 }
 
+/// Submits one ciphertext and returns the reason it was refused.
+fn refusal(gateway: &Gateway, session_id: u64, ciphertext: &[u8]) -> String {
+    gateway.submit(session_id, ciphertext.to_vec()).unwrap();
+    let responses = gateway.drain_all().unwrap();
+    assert_eq!(responses.len(), 1);
+    match &responses[0].outcome {
+        BatchOutcome::Failed(reason) => reason.clone(),
+        other => panic!("a replay must not produce a reply: {other:?}"),
+    }
+}
+
+#[test]
+fn replay_windows_ride_the_delta_chain_and_stay_constant_size() {
+    // Served before the base, between base and delta, and after the
+    // restore: each era's requests must be refused when replayed against
+    // the gateway restored from base + delta, and the sealed state a
+    // session adds to a slot must not grow with the requests it served.
+    let (base, deltas) = chain_fixture();
+    let mut fixture = build_fixture();
+    drop(fixture.gateway.take());
+    let restored = Gateway::restore_chain_with_clock(
+        config(),
+        tenant_configs(),
+        SnapshotChain {
+            base,
+            deltas: &deltas[..],
+        },
+        &mut fixture.avs,
+        &mut Drbg::from_seed(GW_SEED),
+        fixture.clock.clone(),
+    )
+    .unwrap();
+    // The fixture's devices hold the same keys as the ones that built the
+    // chain (same seeds), so their pre-encrypted events are the chain's.
+    for round in [0, 1, ROUNDS - 1] {
+        let event = fixture.events.iter().find(|e| e.round == round).unwrap();
+        let reason = refusal(
+            &restored,
+            fixture.devices[event.device].session_id,
+            &event.ciphertext,
+        );
+        assert!(reason.contains("replay"), "round {round}: {reason:?}");
+    }
+
+    // Constant size: a base taken after one round and a full checkpoint
+    // taken after all of them seal the same number of bytes per slot.
+    let sealed_len = |snapshot: &GatewaySnapshot| -> Vec<usize> {
+        snapshot
+            .tenants
+            .iter()
+            .flat_map(|t| t.slots.iter().map(|s| s.sealed_state.len()))
+            .collect()
+    };
+    assert_eq!(
+        sealed_len(base),
+        sealed_len(&restored.checkpoint().unwrap()),
+        "sealed slot state grew with the requests served"
+    );
+}
+
 #[test]
 fn delta_chains_fail_closed_with_typed_errors() {
     let (base, deltas) = chain_fixture();

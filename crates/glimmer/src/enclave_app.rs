@@ -17,6 +17,7 @@ use crate::protocol::{
     ecall, BatchOutcome, BatchReplyItem, BatchRequestView, EndorsedContribution, PrivateData,
     ProcessRequest, ProcessResponse, SessionAcceptRequest, SessionMaskRequest, SessionOpenRequest,
 };
+use crate::replay::{request_counter, ReplayWindow};
 use crate::signing::{sign_endorsement, signing_key_from_secret};
 use crate::validation::{AllOf, BotDetector, ValidationPredicate};
 use glimmer_crypto::drbg::Drbg;
@@ -37,9 +38,10 @@ pub const MAX_SESSIONS_PER_ENCLAVE: usize = 4096;
 /// Most items accepted in one `PROCESS_BATCH` ECALL.
 pub const MAX_BATCH_ITEMS: usize = 4096;
 
-/// Most request nonces remembered per session for replay protection. A
-/// session that submits more requests than this must be reopened (fresh
-/// keys), which bounds enclave memory per session (~192 KiB worst case).
+/// Most requests one session may have accepted. A session that submits
+/// more than this must be reopened (fresh keys). Replay state is a
+/// fixed-size [`ReplayWindow`] per session whatever this is set to; the cap
+/// bounds how much one key encrypts, not memory.
 pub const MAX_NONCES_PER_SESSION: usize = 16_384;
 
 /// Associated data under which the service signing key is sealed.
@@ -55,7 +57,9 @@ pub const SEALED_REJECTED_MARKER: &str = "[sealed-rejected]";
 
 /// Version tag leading every serialized enclave-state export; bumping it
 /// makes older sealed exports fail import (closed) instead of misparsing.
-const STATE_EXPORT_TAG: &str = "glimmer-enclave-state-v2";
+/// (v3 replaced v2's per-session list of every request nonce by the
+/// fixed-size replay window.)
+const STATE_EXPORT_TAG: &str = "glimmer-enclave-state-v3";
 
 /// Provisioning request: either fresh secret key bytes from the service, or a
 /// previously exported sealed blob to restore.
@@ -287,7 +291,7 @@ pub struct GlimmerEnclaveProgram {
     sessions: HashMap<u64, ChannelKeys>,
     session_clients: HashMap<u64, HashSet<u64>>,
     session_masks: HashMap<u64, HashSet<(u64, u64)>>,
-    session_nonces: HashMap<u64, HashSet<[u8; 12]>>,
+    session_replay: HashMap<u64, ReplayWindow>,
     confidential_detector: Option<BotDetector>,
     auditor: OutputAuditor,
     /// Reusable wire buffer for `PROCESS_BATCH` replies: reset (capacity
@@ -332,7 +336,7 @@ impl GlimmerEnclaveProgram {
             sessions: HashMap::new(),
             session_clients: HashMap::new(),
             session_masks: HashMap::new(),
-            session_nonces: HashMap::new(),
+            session_replay: HashMap::new(),
             confidential_detector: None,
             auditor: OutputAuditor::new(descriptor.verdict_bit_budget),
             reply_scratch: Encoder::new(),
@@ -602,13 +606,13 @@ impl GlimmerEnclaveProgram {
     }
 
     /// Erases every trace of one session: channel keys, client bindings,
-    /// replay nonces, and its masks. Shared by `SESSION_CLOSE` and the
+    /// replay window, and its masks. Shared by `SESSION_CLOSE` and the
     /// state-import pruning path.
     fn drop_session_state(&mut self, session_id: u64) {
         self.pending_sessions.remove(&session_id);
         self.sessions.remove(&session_id);
         self.session_clients.remove(&session_id);
-        self.session_nonces.remove(&session_id);
+        self.session_replay.remove(&session_id);
         // Session-scoped masks die with the session: a pool slot serves an
         // open-ended stream of sessions, so without eviction the mask table
         // would grow without bound — and a later session re-bound to the
@@ -645,20 +649,24 @@ impl GlimmerEnclaveProgram {
         nonce.copy_from_slice(&data[..12]);
         // Replay protection (pooled path): AEAD opening is stateless, so a
         // replayed ciphertext would re-endorse the same contribution and
-        // burn the tenant's endorsement budget twice. Remember each
-        // session's request nonces and refuse repeats; the per-session cap
-        // bounds enclave memory (reopen the session past it).
-        if let Some(sid) = session_id {
-            let seen = self.session_nonces.entry(sid).or_default();
-            if seen.contains(&nonce) {
-                return Err("replayed request nonce".to_string());
+        // burn the tenant's endorsement budget twice. The nonce is the
+        // device's request counter; refuse one the session's window has
+        // seen or has slid past (see `crate::replay`).
+        let counter = match session_id {
+            None => None,
+            Some(sid) => {
+                let counter =
+                    request_counter(&nonce).ok_or("request nonce is not a session counter")?;
+                let window = self.session_replay.get(&sid).copied().unwrap_or_default();
+                window.check(counter).map_err(|e| e.to_string())?;
+                if window.accepted() >= MAX_NONCES_PER_SESSION as u64 {
+                    return Err(format!(
+                        "session exceeded {MAX_NONCES_PER_SESSION} requests; reopen it"
+                    ));
+                }
+                Some((sid, counter))
             }
-            if seen.len() >= MAX_NONCES_PER_SESSION {
-                return Err(format!(
-                    "session exceeded {MAX_NONCES_PER_SESSION} requests; reopen it"
-                ));
-            }
-        }
+        };
         let plain = keys
             .service_to_glimmer
             .open(&nonce, b"glimmer-remote-request-v1", &data[12..])
@@ -687,11 +695,11 @@ impl GlimmerEnclaveProgram {
             }
         };
         let endorsed = matches!(response, ProcessResponse::Endorsed(_));
-        // Record the nonce only now that the request was actually processed:
-        // a corrupted ciphertext must not burn the nonce of the legitimate
-        // request the device will retransmit.
-        if let Some(sid) = session_id {
-            self.session_nonces.entry(sid).or_default().insert(nonce);
+        // Record the counter only now that the request was actually
+        // processed: a corrupted ciphertext must not burn the counter of the
+        // legitimate request the device will retransmit.
+        if let Some((sid, counter)) = counter {
+            self.session_replay.entry(sid).or_default().record(counter);
         }
         let mut reply_nonce = [0u8; 12];
         reply_nonce.copy_from_slice(&env.random_bytes(12));
@@ -720,7 +728,7 @@ impl GlimmerEnclaveProgram {
         // refs are (id, &[u8]) pairs — still no ciphertext copies). Batch
         // processing must stay all-or-nothing on malformed encodings: if a
         // decode error surfaced mid-loop, the already-processed items would
-        // have consumed replay nonces inside an ECALL that then failed, and
+        // have consumed request counters inside an ECALL that then failed, and
         // the host's retry of those items would be rejected as replays.
         let mut view = view;
         let mut items = Vec::with_capacity(view.len());
@@ -834,17 +842,12 @@ impl GlimmerEnclaveProgram {
                 enc.put_u64(client);
             }
         }
-        let mut nonce_sids: Vec<u64> = self.session_nonces.keys().copied().collect();
-        nonce_sids.sort_unstable();
-        enc.put_varint(nonce_sids.len() as u64);
-        for sid in &nonce_sids {
+        let mut replay_sids: Vec<u64> = self.session_replay.keys().copied().collect();
+        replay_sids.sort_unstable();
+        enc.put_varint(replay_sids.len() as u64);
+        for sid in &replay_sids {
             enc.put_u64(*sid);
-            let mut nonces: Vec<[u8; 12]> = self.session_nonces[sid].iter().copied().collect();
-            nonces.sort_unstable();
-            enc.put_varint(nonces.len() as u64);
-            for nonce in nonces {
-                enc.put_raw(&nonce);
-            }
+            self.session_replay[sid].encode(&mut enc);
         }
         let mut mask_keys: Vec<(u64, u64)> = self.masks.keys().copied().collect();
         mask_keys.sort_unstable();
@@ -917,14 +920,14 @@ impl GlimmerEnclaveProgram {
         dec.finish().map_err(|e| e.to_string())?;
         // Import only into a freshly built enclave: merging a checkpoint
         // into live serving state could resurrect closed sessions, roll
-        // replay-nonce sets backwards, or clobber a live tenant channel.
+        // replay windows backwards, or clobber a live tenant channel.
         if self.signing_key.is_some()
             || self.channel.is_some()
             || self.pending_channel.is_some()
             || !self.sessions.is_empty()
             || !self.pending_sessions.is_empty()
             || !self.masks.is_empty()
-            || !self.session_nonces.is_empty()
+            || !self.session_replay.is_empty()
         {
             return Err("state import requires a freshly built enclave".to_string());
         }
@@ -936,15 +939,15 @@ impl GlimmerEnclaveProgram {
         // Prune session state the routing layer no longer routes: a session
         // closed concurrently with the checkpoint barrier can be present in
         // the sealed export but absent from the captured table. Keeping
-        // exactly the caller's live set erases those orphans' keys, nonces,
-        // and masks instead of carrying them forever across restarts.
+        // exactly the caller's live set erases those orphans' keys, replay
+        // windows, and masks instead of carrying them forever across restarts.
         let live: HashSet<u64> = live_sessions.into_iter().collect();
         let dead: Vec<u64> = self
             .sessions
             .keys()
             .chain(self.session_clients.keys())
             .chain(self.session_masks.keys())
-            .chain(self.session_nonces.keys())
+            .chain(self.session_replay.keys())
             .filter(|sid| !live.contains(sid))
             .copied()
             .collect::<HashSet<u64>>()
@@ -962,7 +965,11 @@ impl GlimmerEnclaveProgram {
         let mut dec = Decoder::new(bytes);
         let tag = dec.get_str().map_err(w)?;
         if tag != STATE_EXPORT_TAG {
-            return Err(format!("unsupported state export tag {tag:?}"));
+            // An export in another format version is sealed input this code
+            // must not guess at: refuse it the way a tampered blob is.
+            return Err(format!(
+                "{SEALED_REJECTED_MARKER} unsupported state export tag {tag:?}"
+            ));
         }
         if dec.get_bool().map_err(w)? {
             let secret = dec.get_bytes().map_err(w)?;
@@ -1013,15 +1020,8 @@ impl GlimmerEnclaveProgram {
         let n = dec.get_varint().map_err(w)? as usize;
         for _ in 0..n {
             let sid = dec.get_u64().map_err(w)?;
-            let m = dec.get_varint().map_err(w)? as usize;
-            let mut nonces = HashSet::with_capacity(m);
-            for _ in 0..m {
-                let raw = dec.get_raw(12).map_err(w)?;
-                let mut nonce = [0u8; 12];
-                nonce.copy_from_slice(&raw);
-                nonces.insert(nonce);
-            }
-            self.session_nonces.insert(sid, nonces);
+            self.session_replay
+                .insert(sid, ReplayWindow::decode(&mut dec).map_err(w)?);
         }
         let n = dec.get_varint().map_err(w)? as usize;
         for _ in 0..n {

@@ -375,7 +375,7 @@ impl GlimmerClient {
     }
 
     /// Exports the enclave's full serving state (signing key, session
-    /// channel keys, masks, replay nonces, auditor counters) as a sealed
+    /// channel keys, masks, replay windows, auditor counters) as a sealed
     /// blob bound to `header` — the gateway's checkpoint path. Only
     /// byte-identical Glimmer code on this platform, presenting the same
     /// header, can import the result.
@@ -770,8 +770,67 @@ mod tests {
         ));
 
         // Import into an already-provisioned enclave is refused (it could
-        // roll replay-nonce state backwards).
+        // roll replay windows backwards).
         assert!(restored.import_state(header, &sealed, &[]).is_err());
+    }
+
+    #[test]
+    fn an_export_in_a_retired_format_is_refused_typed() {
+        use sgx_sim::{EnclaveEnv, EnclaveProgram, Platform, SealPolicy, SgxError};
+
+        /// Stands in for the previous release: same measured image, same
+        /// platform, but its `EXPORT_STATE` writes the v2 layout (an empty
+        /// enclave's, which is all the layout test needs).
+        struct PreviousRelease;
+        impl EnclaveProgram for PreviousRelease {
+            fn handle_ecall(
+                &mut self,
+                env: &mut dyn EnclaveEnv,
+                _selector: u16,
+                header: &[u8],
+            ) -> std::result::Result<Vec<u8>, String> {
+                let mut enc = Encoder::new();
+                enc.put_str("glimmer-enclave-state-v2");
+                enc.put_bool(false); // no service key
+                enc.put_bool(false); // no channel
+                for _empty_table in 0..5 {
+                    enc.put_varint(0);
+                }
+                for _counter in 0..4 {
+                    enc.put_u64(0);
+                }
+                env.seal(SealPolicy::MrEnclave, header, enc.as_slice())
+                    .map(|blob| blob.to_bytes())
+                    .map_err(|e| e.to_string())
+            }
+        }
+
+        let seed = [58u8; 32];
+        let descriptor = GlimmerDescriptor::keyboard_default();
+        let header = b"snapshot-header-epoch-1";
+        let mut old_platform = Platform::new(PlatformConfig::default(), &mut Drbg::from_seed(seed));
+        let old_enclave = old_platform
+            .create_enclave(&descriptor.build_image(), Box::new(PreviousRelease))
+            .unwrap();
+        let sealed = old_platform
+            .ecall(old_enclave, ecall::EXPORT_STATE, header, &mut NoOcalls)
+            .unwrap();
+
+        // Same machine, same measurement, same header: the blob unseals —
+        // and is then refused for its format, as a typed denial rather than
+        // a misparse or a string to match on.
+        let mut client = GlimmerClient::new(
+            descriptor,
+            PlatformConfig::default(),
+            &mut Drbg::from_seed(seed),
+        )
+        .unwrap();
+        assert!(matches!(
+            client.import_state(header, &sealed, &[]),
+            Err(GlimmerError::Sgx(SgxError::UnsealDenied(_)))
+        ));
+        // Nothing was installed by the refused import.
+        assert!(!client.status().unwrap().signing_key);
     }
 
     #[test]

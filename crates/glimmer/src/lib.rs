@@ -19,8 +19,8 @@
 //! channel between the service and the enclave. Section 4 extensions are
 //! covered by [`confidential`] (validation confidentiality via encrypted
 //! predicates), [`auditor`] (the runtime output auditor that bounds leakage
-//! to one bit), and [`remote`] (Glimmer-as-a-service for TEE-less IoT
-//! devices). [`policy`] implements the verifiability/TCB accounting the paper
+//! to one bit), [`remote`] (Glimmer-as-a-service for TEE-less IoT
+//! devices) and [`replay`] (its constant-size replay protection). [`policy`] implements the verifiability/TCB accounting the paper
 //! argues makes Glimmers amenable to formal verification.
 
 #![forbid(unsafe_code)]
@@ -35,6 +35,7 @@ pub mod host;
 pub mod policy;
 pub mod protocol;
 pub mod remote;
+pub mod replay;
 pub mod signing;
 pub mod validation;
 

@@ -47,7 +47,7 @@ pub mod ecall {
     /// becomes a client the session is authorized to contribute as.
     pub const SESSION_INSTALL_MASK: u16 = 15;
     /// Export the enclave's full serving state (signing key, session channel
-    /// keys, masks, replay nonces, auditor counters) as a sealed blob bound
+    /// keys, masks, replay windows, auditor counters) as a sealed blob bound
     /// to a caller-supplied snapshot header (checkpoint/restore).
     pub const EXPORT_STATE: u16 = 16;
     /// Import a sealed serving-state blob into a freshly built enclave on

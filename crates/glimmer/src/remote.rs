@@ -22,6 +22,7 @@
 use crate::channel::{AttestedChannel, ChannelAccept, ChannelKeys, ChannelOffer};
 use crate::host::{GlimmerClient, GlimmerDescriptor};
 use crate::protocol::{Contribution, PrivateData, ProcessRequest, ProcessResponse};
+use crate::replay::request_nonce;
 use crate::{GlimmerError, Result};
 use glimmer_crypto::dh::DhGroup;
 use glimmer_crypto::drbg::Drbg;
@@ -95,7 +96,9 @@ impl RemoteGlimmerHost {
 /// The IoT device's view of a remote Glimmer session.
 pub struct IotDeviceSession {
     keys: ChannelKeys,
-    rng: Drbg,
+    /// Number of the next request; its AEAD nonce
+    /// ([`crate::replay::request_nonce`]).
+    next_request: u64,
 }
 
 impl IotDeviceSession {
@@ -119,7 +122,7 @@ impl IotDeviceSession {
             accept,
             IotDeviceSession {
                 keys: channel.keys,
-                rng: rng.fork("iot-device-session"),
+                next_request: 0,
             },
         ))
     }
@@ -135,8 +138,11 @@ impl IotDeviceSession {
             contribution,
             private_data,
         };
-        let mut nonce = [0u8; 12];
-        self.rng.fill_bytes(&mut nonce);
+        // A counter, not a random value: unique under this session's key by
+        // construction, and what lets the enclave refuse replays from a
+        // fixed-size window instead of a set of every nonce it has seen.
+        let nonce = request_nonce(self.next_request);
+        self.next_request += 1;
         let ciphertext = self.keys.service_to_glimmer.seal(
             &nonce,
             b"glimmer-remote-request-v1",
@@ -420,6 +426,119 @@ mod tests {
             .process_batch(&BatchRequest { items: vec![good] })
             .unwrap();
         assert!(matches!(&reply.items[0].outcome, BatchOutcome::Failed(_)));
+    }
+
+    #[test]
+    fn replay_state_stays_constant_size_and_survives_export_import() {
+        use crate::protocol::{BatchItem, BatchOutcome, BatchRequest};
+
+        const SESSION: u64 = 77;
+        let seed = [63u8; 32];
+        let build = || {
+            GlimmerClient::new(
+                GlimmerDescriptor::iot_default(Vec::new()),
+                PlatformConfig::default(),
+                &mut Drbg::from_seed(seed),
+            )
+            .unwrap()
+        };
+        let mut rng = Drbg::from_seed([64u8; 32]);
+        let mut avs = AttestationService::new([65u8; 32]);
+        let mut client = build();
+        client.provision_platform(&mut avs);
+        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        client
+            .install_service_key(&material.secret_bytes())
+            .unwrap();
+        let offer = client.open_session(SESSION).unwrap();
+        let (accept, mut session) =
+            IotDeviceSession::connect(&offer, &avs, &client.measurement(), &mut rng).unwrap();
+        client.accept_session(SESSION, &accept).unwrap();
+        client
+            .install_session_mask(
+                SESSION,
+                &MaskShare {
+                    round: 1,
+                    client_id: 100,
+                    mask: vec![0; 2],
+                },
+            )
+            .unwrap();
+
+        // Out-of-range readings: validated and refused without a signature,
+        // which keeps ten thousand of them fast. A refusal is still a
+        // processed request and takes its place in the window.
+        let request = |session: &mut IotDeviceSession| BatchItem {
+            session_id: SESSION,
+            ciphertext: session.encrypt_request(
+                Contribution {
+                    app_id: "iot-telemetry.example".to_string(),
+                    client_id: 100,
+                    round: 1,
+                    payload: ContributionPayload::IotReadings {
+                        samples: vec![0.5, 538.0],
+                    },
+                },
+                PrivateData::None,
+            ),
+        };
+        let process = |client: &mut GlimmerClient, items: Vec<BatchItem>| {
+            client
+                .process_batch(&BatchRequest { items })
+                .unwrap()
+                .items
+                .into_iter()
+                .map(|item| item.outcome)
+                .collect::<Vec<_>>()
+        };
+        let replied = |outcome: &BatchOutcome| matches!(outcome, BatchOutcome::Reply { .. });
+        let refused_as_replay = |outcome: &BatchOutcome| matches!(outcome, BatchOutcome::Failed(r) if r.contains("replay"));
+
+        let first = request(&mut session);
+        assert!(replied(&process(&mut client, vec![first.clone()])[0]));
+        let header = b"snapshot-header";
+        let after_one = client.export_state(header).unwrap();
+
+        // A window's worth out of order — newest first — is accepted, each
+        // exactly once.
+        let mut reordered: Vec<BatchItem> = (0..127).map(|_| request(&mut session)).collect();
+        reordered.reverse();
+        assert!(process(&mut client, reordered.clone()).iter().all(replied));
+        assert!(process(&mut client, reordered)
+            .iter()
+            .all(refused_as_replay));
+
+        // A corrupted copy fails to open and must not burn the counter of
+        // the retransmission.
+        let intact = request(&mut session);
+        let mut corrupted = intact.clone();
+        *corrupted.ciphertext.last_mut().unwrap() ^= 1;
+        let outcomes = process(&mut client, vec![corrupted, intact.clone()]);
+        assert!(matches!(&outcomes[0], BatchOutcome::Failed(r) if !r.contains("replay")));
+        assert!(replied(&outcomes[1]));
+
+        for _ in 0..10 {
+            let batch: Vec<BatchItem> = (0..1000).map(|_| request(&mut session)).collect();
+            assert!(process(&mut client, batch).iter().all(replied));
+        }
+        // 10 129 requests later the sealed state is byte-for-byte as long
+        // as after the first.
+        let after_many = client.export_state(header).unwrap();
+        assert_eq!(after_many.len(), after_one.len());
+
+        // The window crosses an export/import: the newest request is still
+        // remembered, the first has long left the window and is refused
+        // unseen, and the session keeps serving.
+        let mut restored = build();
+        restored
+            .import_state(header, &after_many, &[SESSION])
+            .unwrap();
+        let last = request(&mut session);
+        let outcomes = process(&mut restored, vec![intact, first, last.clone(), last]);
+        assert!(refused_as_replay(&outcomes[0]));
+        assert!(refused_as_replay(&outcomes[1]));
+        assert!(replied(&outcomes[2]));
+        assert!(refused_as_replay(&outcomes[3]));
     }
 
     #[test]

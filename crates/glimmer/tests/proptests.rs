@@ -7,6 +7,7 @@ use glimmer_core::confidential::BotVerdict;
 use glimmer_core::protocol::{
     frame_type, Contribution, ContributionPayload, EndorsedContribution, PrivateData,
 };
+use glimmer_core::replay::{ReplayRefusal, ReplayWindow, REPLAY_WINDOW};
 use glimmer_core::validation::{PredicateSpec, RangeCheck, ValidationPredicate};
 use glimmer_federated::fixed::{add_vectors, decode_weights, encode_weights};
 use glimmer_wire::{Frame, WireCodec};
@@ -185,5 +186,81 @@ proptest! {
         prop_assert!(auditor
             .audit(&Frame::new(frame_type::ENDORSED_CONTRIBUTION, endorsed.to_wire()))
             .is_ok());
+    }
+}
+
+// The fixed-size anti-replay window against the obvious model it replaced:
+// a set of every counter ever accepted.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever arrives in whatever order, the window never accepts what
+    /// the set would refuse (no counter twice), refuses everything that is
+    /// a full window behind the newest accepted, and otherwise agrees with
+    /// the set exactly.
+    #[test]
+    fn replay_window_agrees_with_a_set_of_everything_seen(
+        start in 0u64..1_000_000,
+        steps in proptest::collection::vec((0u64..400, any::<bool>()), 1..300),
+    ) {
+        let mut window = ReplayWindow::default();
+        let mut seen = std::collections::HashSet::new();
+        let mut highest: Option<u64> = None;
+        for (offset, jump_ahead) in steps {
+            // Mostly near the high-water mark (both sides of it, both sides
+            // of the window's edge), sometimes far ahead.
+            let base = highest.unwrap_or(start);
+            let counter = if jump_ahead {
+                base + offset
+            } else {
+                base.saturating_sub(offset)
+            };
+            let verdict = window.check(counter);
+            let too_old = highest.is_some_and(|h| h >= counter && h - counter >= REPLAY_WINDOW);
+            match verdict {
+                Ok(()) => {
+                    prop_assert!(!seen.contains(&counter), "{counter} accepted twice");
+                    prop_assert!(!too_old);
+                    window.record(counter);
+                    seen.insert(counter);
+                    highest = Some(highest.map_or(counter, |h| h.max(counter)));
+                }
+                Err(ReplayRefusal::BelowWindow) => prop_assert!(too_old),
+                Err(ReplayRefusal::Replayed) => {
+                    prop_assert!(seen.contains(&counter), "{counter} refused unseen");
+                    prop_assert!(!too_old);
+                }
+            }
+            prop_assert_eq!(window.accepted(), seen.len() as u64);
+        }
+    }
+
+    /// Any arrival order of a run of consecutive counters no longer than
+    /// the window is accepted in full, each counter exactly once.
+    #[test]
+    fn any_reordering_within_the_window_is_accepted_exactly_once(
+        first in 0u64..1_000_000,
+        len in 1usize..=128,
+        shuffle_seed in any::<u64>(),
+    ) {
+        let mut order: Vec<u64> = (first..first + len as u64).collect();
+        // Fisher-Yates on a splitmix stream.
+        let mut state = shuffle_seed;
+        for i in (1..order.len()).rev() {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            order.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
+        let mut window = ReplayWindow::default();
+        for &counter in &order {
+            prop_assert_eq!(window.check(counter), Ok(()));
+            window.record(counter);
+        }
+        for &counter in &order {
+            prop_assert_eq!(window.check(counter), Err(ReplayRefusal::Replayed));
+        }
+        prop_assert_eq!(window.accepted(), len as u64);
     }
 }
