@@ -2059,7 +2059,8 @@ pub struct E14Row {
 /// half the workload already endorsed) checkpoints and then dies. Recovery
 /// path A rebuilds from scratch — every slot re-provisioned, every device
 /// re-handshaking, every mask re-delivered. Recovery path B calls
-/// [`glimmer_gateway::Gateway::restore`] on the snapshot: each slot pays one
+/// [`glimmer_gateway::Gateway::restore_chain`] on the snapshot (an empty
+/// delta chain): each slot pays one
 /// `IMPORT_STATE` ECALL and the original devices keep serving on their
 /// existing sessions. Both paths then serve the remaining workload; they
 /// must produce the same endorsements.
@@ -2070,7 +2071,7 @@ pub fn e14_restart_recovery(
     slots: usize,
     seed: [u8; 32],
 ) -> E14Row {
-    use glimmer_gateway::{Gateway, GatewayConfig, GatewaySnapshot, TenantConfig};
+    use glimmer_gateway::{Gateway, GatewayConfig, GatewaySnapshot, SnapshotChain, TenantConfig};
     use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
 
     const APP: &str = "iot-telemetry.example";
@@ -2210,10 +2211,13 @@ pub fn e14_restart_recovery(
     // --- Recovery path B: restore from the sealed checkpoint. ---
     let restore_start = Instant::now();
     let snapshot = GatewaySnapshot::from_bytes(&snapshot_bytes_vec).unwrap();
-    let restored = Gateway::restore(
+    let restored = Gateway::restore_chain(
         config(),
         tenants(),
-        &snapshot,
+        SnapshotChain {
+            base: &snapshot,
+            deltas: &[],
+        },
         &mut avs,
         &mut Drbg::from_seed(machine_seed),
     )
@@ -3305,8 +3309,8 @@ pub struct E18Result {
 /// must touch only the dirty slots, so both scale with the dirty count,
 /// not the pool size.
 ///
-/// Phase 2 re-captures the same gateway with
-/// [`glimmer_gateway::Gateway::checkpoint_streamed`], driving
+/// Phase 2 re-captures the same gateway with a full
+/// [`glimmer_gateway::Gateway::checkpoint`], driving
 /// `overlap_requests` live requests through the gateway from inside the
 /// [`glimmer_gateway::CrashPoint::MidStreamExport`] hook — each one
 /// submitted and drained while the capture is mid-flight, proving
@@ -3315,8 +3319,8 @@ pub struct E18Result {
 /// Phase 3 (bit-identity) runs two identically-seeded fixtures on a
 /// [`glimmer_gateway::ManualClock`]: run A checkpoints base + delta, run B
 /// takes full snapshots at the same two points, both crash, and run A
-/// restores through [`glimmer_gateway::Gateway::restore_chain_with_clock`]
-/// while run B restores from the full snapshot. A fresh checkpoint from
+/// restores through [`glimmer_gateway::Gateway::restore_chain_with_hooks`]
+/// while run B restores from the full snapshot (the empty chain). A fresh checkpoint from
 /// either restored gateway must be byte-for-byte identical, and both must
 /// serve the remaining workload identically.
 #[must_use]
@@ -3329,7 +3333,8 @@ pub fn e18_incremental_checkpoint(
     seed: [u8; 32],
 ) -> E18Result {
     use glimmer_gateway::{
-        CrashHooks, CrashPoint, Gateway, GatewayConfig, ManualClock, SnapshotChain, TenantConfig,
+        CrashHooks, CrashPoint, Gateway, GatewayConfig, ManualClock, NoCrash, SnapshotChain,
+        TenantConfig,
     };
     use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -3509,7 +3514,7 @@ pub fn e18_incremental_checkpoint(
         }),
     };
     let start = Instant::now();
-    let streamed = gateway.checkpoint_streamed_with_hooks(&hooks).unwrap();
+    let streamed = gateway.checkpoint_with_hooks(&hooks).unwrap();
     let streamed_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         streamed.tenants[0].slots.len(),
@@ -3651,7 +3656,7 @@ pub fn e18_incremental_checkpoint(
 
         let base_a = base_a.unwrap();
         let delta_a = delta_a.unwrap();
-        let restored_a = Gateway::restore_chain_with_clock(
+        let restored_a = Gateway::restore_chain_with_hooks(
             fixture_config(),
             fixture_tenants(),
             SnapshotChain {
@@ -3661,15 +3666,20 @@ pub fn e18_incremental_checkpoint(
             &mut avs_a,
             &mut Drbg::from_seed([88u8; 32]),
             clock_a,
+            &NoCrash,
         )
         .unwrap();
-        let restored_b = Gateway::restore_with_clock(
+        let restored_b = Gateway::restore_chain_with_hooks(
             fixture_config(),
             fixture_tenants(),
-            &full_b.unwrap(),
+            SnapshotChain {
+                base: &full_b.unwrap(),
+                deltas: &[],
+            },
             &mut avs_b,
             &mut Drbg::from_seed([88u8; 32]),
             clock_b,
+            &NoCrash,
         )
         .unwrap();
         let identical = restored_a.checkpoint().unwrap().to_bytes()

@@ -7,9 +7,10 @@
 //! instead: per-slot enclave state **sealed by the enclaves themselves**
 //! (under `SealPolicy::MrEnclave`, with the snapshot header as AAD), the
 //! established-session table, per-tenant quota counters, and serving stats.
-//! [`crate::Gateway::checkpoint`] produces one; [`crate::Gateway::restore`]
-//! rebuilds a serving gateway from one without re-running a single tenant
-//! provisioning or session-handshake ECALL.
+//! [`crate::Gateway::checkpoint`] produces one;
+//! [`crate::Gateway::restore_chain`] rebuilds a serving gateway from one
+//! without re-running a single tenant provisioning or session-handshake
+//! ECALL.
 //!
 //! # What is deliberately *not* persisted
 //!
@@ -73,10 +74,10 @@
 //!   log-truncation rule as any point-in-time recovery); the clock reading
 //!   in the header separates such twins only when the clock actually
 //!   advanced.
-//! * **Tenant counters in a streamed capture are captured last.** The
-//!   slot-at-a-time capture keeps shards serving while earlier slots
-//!   export, so quota counters read at the end can include work a
-//!   just-exported slot performed after its export. Over-counting is the
+//! * **Tenant counters are captured last.** The slot-at-a-time capture
+//!   keeps shards serving while earlier slots export, so quota counters
+//!   read at the end can include work a just-exported slot performed after
+//!   its export. Over-counting is the
 //!   safe direction for endorsement budgets (a restored gateway can only
 //!   under-spend, never over-spend, relative to true history).
 //!
@@ -108,25 +109,16 @@ pub const GATEWAY_DELTA_KIND: u16 = 2;
 pub enum CrashPoint {
     /// Before any checkpoint work has started.
     BeforeCheckpoint,
-    /// Every shard worker has paused at its checkpoint barrier.
-    WorkersQuiesced,
-    /// The session table, quota counters, and stats have been captured, but
-    /// no enclave state has been exported yet.
-    StateCaptured,
-    /// Every slot's sealed state export has been collected; the snapshot is
-    /// not yet assembled.
-    SlotsExported,
-    /// The snapshot value is fully assembled but not yet returned/persisted.
-    SnapshotAssembled,
-    /// Streamed capture only: fired after each slot's export completes and
-    /// its worker has resumed serving — the gateway dies with some slots
-    /// exported and the rest not. The capture still holds the slot's
-    /// quiesce claim at this point, so a migration racing the hook loses
-    /// with a typed [`crate::GatewayError::BarrierConflict`].
+    /// Fired after each slot's barriered export completes and its worker
+    /// has resumed serving — the gateway dies with some slots exported and
+    /// the rest not. The capture still holds the slot's quiesce claim at
+    /// this point, so a migration racing the hook loses with a typed
+    /// [`crate::GatewayError::BarrierConflict`]. A delta capture does not
+    /// fire it for slots it skips on the clean fast path.
     MidStreamExport,
-    /// Delta checkpoint only: the delta value is fully assembled but not
-    /// yet returned/persisted.
-    DeltaAssembled,
+    /// The captured frame (full snapshot or delta) is fully assembled but
+    /// not yet returned/persisted.
+    SnapshotAssembled,
     /// Before any restore work has started.
     BeforeRestore,
     /// Mid-restore: the first tenant's slots have imported their sealed
@@ -153,14 +145,10 @@ impl CrashPoint {
     /// Every labelled crash point, in checkpoint-then-restore-then-migrate
     /// order (the crash-matrix tests iterate this; the checkpoint matrix
     /// filters out the migration-only points, which never fire there).
-    pub const ALL: [CrashPoint; 12] = [
+    pub const ALL: [CrashPoint; 8] = [
         CrashPoint::BeforeCheckpoint,
-        CrashPoint::WorkersQuiesced,
-        CrashPoint::StateCaptured,
-        CrashPoint::SlotsExported,
-        CrashPoint::SnapshotAssembled,
         CrashPoint::MidStreamExport,
-        CrashPoint::DeltaAssembled,
+        CrashPoint::SnapshotAssembled,
         CrashPoint::BeforeRestore,
         CrashPoint::MidRestore,
         CrashPoint::MidMigrationExport,
@@ -183,12 +171,8 @@ impl core::fmt::Display for CrashPoint {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let name = match self {
             CrashPoint::BeforeCheckpoint => "before-checkpoint",
-            CrashPoint::WorkersQuiesced => "workers-quiesced",
-            CrashPoint::StateCaptured => "state-captured",
-            CrashPoint::SlotsExported => "slots-exported",
-            CrashPoint::SnapshotAssembled => "snapshot-assembled",
             CrashPoint::MidStreamExport => "mid-stream-export",
-            CrashPoint::DeltaAssembled => "delta-assembled",
+            CrashPoint::SnapshotAssembled => "snapshot-assembled",
             CrashPoint::BeforeRestore => "before-restore",
             CrashPoint::MidRestore => "mid-restore",
             CrashPoint::MidMigrationExport => "mid-migration-export",
@@ -229,6 +213,85 @@ impl CrashHooks for CrashAt {
     fn reached(&self, point: CrashPoint) -> bool {
         point == self.0
     }
+}
+
+/// Maps a wire decode failure to the typed snapshot-corruption error.
+fn parse<T>(result: core::result::Result<T, glimmer_wire::WireError>) -> Result<T> {
+    result.map_err(GatewayError::SnapshotCorrupt)
+}
+
+// The field groups both frame kinds persist. Wire order is part of the
+// format: the round-trip tests pin the bytes.
+
+fn put_tenant_stats(enc: &mut Encoder, c: &TenantStats) {
+    for v in [
+        c.sessions_opened,
+        c.sessions_closed,
+        c.submitted,
+        c.endorsed,
+        c.rejected,
+        c.failed,
+        c.throttled,
+        c.dropped,
+    ] {
+        enc.put_u64(v);
+    }
+}
+
+fn get_tenant_stats(dec: &mut Decoder<'_>) -> Result<TenantStats> {
+    Ok(TenantStats {
+        sessions_opened: parse(dec.get_u64())?,
+        sessions_closed: parse(dec.get_u64())?,
+        submitted: parse(dec.get_u64())?,
+        endorsed: parse(dec.get_u64())?,
+        rejected: parse(dec.get_u64())?,
+        failed: parse(dec.get_u64())?,
+        throttled: parse(dec.get_u64())?,
+        dropped: parse(dec.get_u64())?,
+    })
+}
+
+/// The persisted subset of a slot's stats. `drain_nanos` is deliberately
+/// not persisted: wall-clock latency totals are per-incarnation (and would
+/// make snapshot bytes non-deterministic — the canary's contract).
+fn put_slot_stats(enc: &mut Encoder, s: &SlotStats) {
+    for v in [s.batches, s.items, s.max_batch, s.drain_cycles] {
+        enc.put_u64(v);
+    }
+}
+
+fn get_slot_stats(dec: &mut Decoder<'_>) -> Result<SlotStats> {
+    Ok(SlotStats {
+        batches: parse(dec.get_u64())?,
+        items: parse(dec.get_u64())?,
+        max_batch: parse(dec.get_u64())?,
+        drain_cycles: parse(dec.get_u64())?,
+        ..SlotStats::default()
+    })
+}
+
+fn put_sessions(enc: &mut Encoder, sessions: &[SessionRecord]) {
+    enc.put_varint(sessions.len() as u64);
+    for record in sessions {
+        enc.put_u64(record.session_id);
+        enc.put_varint(record.tenant_idx as u64);
+        enc.put_varint(record.slot as u64);
+        enc.put_u64(record.opened_at_nanos);
+    }
+}
+
+fn get_sessions(dec: &mut Decoder<'_>) -> Result<Vec<SessionRecord>> {
+    let session_count = parse(dec.get_varint())? as usize;
+    let mut sessions = Vec::with_capacity(session_count.min(65_536));
+    for _ in 0..session_count {
+        sessions.push(SessionRecord {
+            session_id: parse(dec.get_u64())?,
+            tenant_idx: parse(dec.get_varint())? as usize,
+            slot: parse(dec.get_varint())? as usize,
+            opened_at_nanos: parse(dec.get_u64())?,
+        });
+    }
+    Ok(sessions)
 }
 
 /// One pool slot's checkpointed state.
@@ -329,12 +392,7 @@ impl GatewaySnapshot {
             slot_epochs: self
                 .tenants
                 .iter()
-                .map(|t| {
-                    t.slots
-                        .iter()
-                        .map(|s| (s.slot_id, s.dirty_epoch, s.state_epoch))
-                        .collect()
-                })
+                .map(|t| slot_epochs(&t.slots, |s| (s.slot_id, s.dirty_epoch, s.state_epoch)))
                 .collect(),
         }
     }
@@ -350,41 +408,17 @@ impl GatewaySnapshot {
         for tenant in &self.tenants {
             enc.put_str(&tenant.name);
             enc.put_array32(tenant.measurement.as_bytes());
-            let c = &tenant.counters;
-            for v in [
-                c.sessions_opened,
-                c.sessions_closed,
-                c.submitted,
-                c.endorsed,
-                c.rejected,
-                c.failed,
-                c.throttled,
-                c.dropped,
-            ] {
-                enc.put_u64(v);
-            }
+            put_tenant_stats(&mut enc, &tenant.counters);
             enc.put_varint(tenant.slots.len() as u64);
             for slot in &tenant.slots {
                 enc.put_varint(slot.slot_id as u64);
                 enc.put_bytes(&slot.sealed_state);
-                // `drain_nanos` is deliberately not persisted: wall-clock
-                // latency totals are per-incarnation (and would make
-                // snapshot bytes non-deterministic — the canary's contract).
-                let s = &slot.stats;
-                for v in [s.batches, s.items, s.max_batch, s.drain_cycles] {
-                    enc.put_u64(v);
-                }
+                put_slot_stats(&mut enc, &slot.stats);
                 enc.put_u64(slot.dirty_epoch);
                 enc.put_u64(slot.state_epoch);
             }
         }
-        enc.put_varint(self.sessions.len() as u64);
-        for record in &self.sessions {
-            enc.put_u64(record.session_id);
-            enc.put_varint(record.tenant_idx as u64);
-            enc.put_varint(record.slot as u64);
-            enc.put_u64(record.opened_at_nanos);
-        }
+        put_sessions(&mut enc, &self.sessions);
         SnapshotFrame {
             kind: GATEWAY_SNAPSHOT_KIND,
             epoch: self.epoch,
@@ -404,9 +438,6 @@ impl GatewaySnapshot {
                 reason: "not a gateway snapshot",
             });
         }
-        fn parse<T>(result: core::result::Result<T, glimmer_wire::WireError>) -> Result<T> {
-            result.map_err(GatewayError::SnapshotCorrupt)
-        }
         let mut dec = Decoder::new(&frame.payload);
         let slots_per_tenant = parse(dec.get_varint())? as usize;
         let next_session_id = parse(dec.get_u64())?;
@@ -416,28 +447,13 @@ impl GatewaySnapshot {
         for _ in 0..tenant_count {
             let name = parse(dec.get_str())?;
             let measurement = Measurement(parse(dec.get_array32())?);
-            let counters = TenantStats {
-                sessions_opened: parse(dec.get_u64())?,
-                sessions_closed: parse(dec.get_u64())?,
-                submitted: parse(dec.get_u64())?,
-                endorsed: parse(dec.get_u64())?,
-                rejected: parse(dec.get_u64())?,
-                failed: parse(dec.get_u64())?,
-                throttled: parse(dec.get_u64())?,
-                dropped: parse(dec.get_u64())?,
-            };
+            let counters = get_tenant_stats(&mut dec)?;
             let slot_count = parse(dec.get_varint())? as usize;
             let mut slots = Vec::with_capacity(slot_count.min(1024));
             for _ in 0..slot_count {
                 let slot_id = parse(dec.get_varint())? as usize;
                 let sealed_state = parse(dec.get_bytes())?;
-                let stats = SlotStats {
-                    batches: parse(dec.get_u64())?,
-                    items: parse(dec.get_u64())?,
-                    max_batch: parse(dec.get_u64())?,
-                    drain_cycles: parse(dec.get_u64())?,
-                    ..SlotStats::default()
-                };
+                let stats = get_slot_stats(&mut dec)?;
                 let dirty_epoch = parse(dec.get_u64())?;
                 let state_epoch = parse(dec.get_u64())?;
                 slots.push(SlotSnapshot {
@@ -455,16 +471,7 @@ impl GatewaySnapshot {
                 slots,
             });
         }
-        let session_count = parse(dec.get_varint())? as usize;
-        let mut sessions = Vec::with_capacity(session_count.min(65_536));
-        for _ in 0..session_count {
-            sessions.push(SessionRecord {
-                session_id: parse(dec.get_u64())?,
-                tenant_idx: parse(dec.get_varint())? as usize,
-                slot: parse(dec.get_varint())? as usize,
-                opened_at_nanos: parse(dec.get_u64())?,
-            });
-        }
+        let sessions = get_sessions(&mut dec)?;
         parse(dec.finish())?;
         Ok(GatewaySnapshot {
             epoch: frame.epoch,
@@ -492,6 +499,12 @@ pub struct ChainBase {
     /// Per tenant (snapshot order), per slot (slot-id order): the
     /// `(slot_id, dirty_epoch, state_epoch)` the base captured.
     pub slot_epochs: Vec<Vec<(usize, u64, u64)>>,
+}
+
+/// One tenant's row of a [`ChainBase`] epoch map: each slot's
+/// `(slot_id, dirty_epoch, state_epoch)`, in slot order.
+fn slot_epochs<S>(slots: &[S], epochs: impl Fn(&S) -> (usize, u64, u64)) -> Vec<(usize, u64, u64)> {
+    slots.iter().map(epochs).collect()
 }
 
 impl ChainBase {
@@ -528,7 +541,10 @@ pub struct DeltaSlot {
     /// (`delta header ‖ base header`), unlike a full snapshot's blobs.
     pub sealed_state: Option<Vec<u8>>,
     /// The slot's drain counters at capture time (per-incarnation fields
-    /// zeroed, as in [`SlotSnapshot::stats`]).
+    /// zeroed, as in [`SlotSnapshot::stats`]) when the slot went through
+    /// its export barrier. A slot skipped on the clean fast path carries
+    /// default (all-zero) stats: nothing read them from its worker, and the
+    /// restore fold ignores the stats of any entry without a sealed export.
     pub stats: SlotStats,
 }
 
@@ -608,12 +624,7 @@ impl GatewayDelta {
             slot_epochs: self
                 .tenants
                 .iter()
-                .map(|t| {
-                    t.slots
-                        .iter()
-                        .map(|s| (s.slot_id, s.dirty_epoch, s.state_epoch))
-                        .collect()
-                })
+                .map(|t| slot_epochs(&t.slots, |s| (s.slot_id, s.dirty_epoch, s.state_epoch)))
                 .collect(),
         }
     }
@@ -652,19 +663,7 @@ impl GatewayDelta {
         for tenant in &self.tenants {
             enc.put_str(&tenant.name);
             enc.put_array32(tenant.measurement.as_bytes());
-            let c = &tenant.counters;
-            for v in [
-                c.sessions_opened,
-                c.sessions_closed,
-                c.submitted,
-                c.endorsed,
-                c.rejected,
-                c.failed,
-                c.throttled,
-                c.dropped,
-            ] {
-                enc.put_u64(v);
-            }
+            put_tenant_stats(&mut enc, &tenant.counters);
             enc.put_varint(tenant.slots.len() as u64);
             for slot in &tenant.slots {
                 enc.put_varint(slot.slot_id as u64);
@@ -677,19 +676,10 @@ impl GatewayDelta {
                     }
                     None => enc.put_bool(false),
                 }
-                let s = &slot.stats;
-                for v in [s.batches, s.items, s.max_batch, s.drain_cycles] {
-                    enc.put_u64(v);
-                }
+                put_slot_stats(&mut enc, &slot.stats);
             }
         }
-        enc.put_varint(self.sessions.len() as u64);
-        for record in &self.sessions {
-            enc.put_u64(record.session_id);
-            enc.put_varint(record.tenant_idx as u64);
-            enc.put_varint(record.slot as u64);
-            enc.put_u64(record.opened_at_nanos);
-        }
+        put_sessions(&mut enc, &self.sessions);
         SnapshotFrame {
             kind: GATEWAY_DELTA_KIND,
             epoch: self.epoch,
@@ -713,9 +703,6 @@ impl GatewayDelta {
                 reason: "not a gateway delta snapshot",
             });
         }
-        fn parse<T>(result: core::result::Result<T, glimmer_wire::WireError>) -> Result<T> {
-            result.map_err(GatewayError::SnapshotCorrupt)
-        }
         let mut dec = Decoder::new(&frame.payload);
         let base_epoch = parse(dec.get_u64())?;
         let base_header = parse(dec.get_bytes())?;
@@ -727,16 +714,7 @@ impl GatewayDelta {
         for _ in 0..tenant_count {
             let name = parse(dec.get_str())?;
             let measurement = Measurement(parse(dec.get_array32())?);
-            let counters = TenantStats {
-                sessions_opened: parse(dec.get_u64())?,
-                sessions_closed: parse(dec.get_u64())?,
-                submitted: parse(dec.get_u64())?,
-                endorsed: parse(dec.get_u64())?,
-                rejected: parse(dec.get_u64())?,
-                failed: parse(dec.get_u64())?,
-                throttled: parse(dec.get_u64())?,
-                dropped: parse(dec.get_u64())?,
-            };
+            let counters = get_tenant_stats(&mut dec)?;
             let slot_count = parse(dec.get_varint())? as usize;
             let mut slots = Vec::with_capacity(slot_count.min(1024));
             for _ in 0..slot_count {
@@ -748,13 +726,7 @@ impl GatewayDelta {
                 } else {
                     None
                 };
-                let stats = SlotStats {
-                    batches: parse(dec.get_u64())?,
-                    items: parse(dec.get_u64())?,
-                    max_batch: parse(dec.get_u64())?,
-                    drain_cycles: parse(dec.get_u64())?,
-                    ..SlotStats::default()
-                };
+                let stats = get_slot_stats(&mut dec)?;
                 slots.push(DeltaSlot {
                     slot_id,
                     dirty_epoch,
@@ -770,16 +742,7 @@ impl GatewayDelta {
                 slots,
             });
         }
-        let session_count = parse(dec.get_varint())? as usize;
-        let mut sessions = Vec::with_capacity(session_count.min(65_536));
-        for _ in 0..session_count {
-            sessions.push(SessionRecord {
-                session_id: parse(dec.get_u64())?,
-                tenant_idx: parse(dec.get_varint())? as usize,
-                slot: parse(dec.get_varint())? as usize,
-                opened_at_nanos: parse(dec.get_u64())?,
-            });
-        }
+        let sessions = get_sessions(&mut dec)?;
         parse(dec.finish())?;
         Ok(GatewayDelta {
             epoch: frame.epoch,
@@ -799,7 +762,8 @@ impl GatewayDelta {
 /// [`crate::Gateway::restore_chain`] rebuilds from. `deltas` must be in
 /// capture order (each extending the previous frame); restore validates
 /// every link fail-closed before touching any enclave. An empty `deltas`
-/// is exactly a full-snapshot restore.
+/// (`SnapshotChain { base: &snapshot, deltas: &[] }`) is how a full
+/// snapshot is restored.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotChain<'a> {
     /// The full snapshot the chain starts from.
@@ -865,6 +829,12 @@ mod tests {
         }
     }
 
+    /// A frame's length and the CRC-32 of everything before its trailing
+    /// CRC field — a fingerprint of every byte the codec emitted.
+    fn frame_len_and_crc(bytes: &[u8]) -> (usize, u32) {
+        (bytes.len(), snapshot::crc32(&bytes[..bytes.len() - 4]))
+    }
+
     #[test]
     fn snapshot_round_trip() {
         let snap = sample();
@@ -872,6 +842,8 @@ mod tests {
         assert_eq!(GatewaySnapshot::from_bytes(&bytes).unwrap(), snap);
         // Serialization is deterministic.
         assert_eq!(bytes, sample().to_bytes());
+        // The wire bytes are the ones PR 13 produced for this value.
+        assert_eq!(frame_len_and_crc(&bytes), (308, 0xD2CD_916D));
     }
 
     #[test]
@@ -972,6 +944,8 @@ mod tests {
         let bytes = delta.to_bytes();
         assert_eq!(GatewayDelta::from_bytes(&bytes).unwrap(), delta);
         assert_eq!(bytes, sample_delta().to_bytes());
+        // The wire bytes are the ones PR 13 produced for this value.
+        assert_eq!(frame_len_and_crc(&bytes), (321, 0x3E43_A5FC));
 
         // chain_base views expose the per-slot epoch maps.
         let base = sample().chain_base();

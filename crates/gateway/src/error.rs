@@ -103,12 +103,11 @@ pub enum GatewayError {
         reason: &'static str,
     },
     /// A quiesce claim was refused because another operation already holds
-    /// it. Covers both scopes: a whole-gateway barrier (checkpoint or
-    /// shutdown) refused while another fleet-wide operation held it, and a
-    /// *slot-level* claim — a streamed/delta capture and a live migration
-    /// contending for the same slot, or a fleet pause finding a slot
-    /// mid-migration. Interleaving the underlying worker pauses would
-    /// deadlock the shard workers (each paused waiting for the other
+    /// it. Covers both scopes: the whole-gateway barrier (checkpoint or
+    /// shutdown) refused while another holder had it, and a *slot-level*
+    /// claim — a capture and a live migration contending for the same
+    /// slot, in either order. Interleaving the underlying worker pauses
+    /// would deadlock the shard workers (each paused waiting for the other
     /// operation's release), so the loser fails typed and the caller
     /// retries after the winner finishes — except after shutdown, whose
     /// claim is terminal.

@@ -8,9 +8,10 @@
 //! replies. This module is the paper's "gateway of enclaves" front door at
 //! scale, with no external dependencies:
 //!
-//! * `completion` (crate-internal) — waker-notified completion cells that
-//!   replace the blocking reply channel for every command type (the shard
-//!   worker calls one `Reply::deliver`, identical code path either way).
+//! * `completion` (crate-internal) — the waker-notified completion cells
+//!   every command type answers through (the shard worker calls one
+//!   `Completer::complete`; this front-end awaits the cell, the blocking
+//!   API parks its thread on it).
 //! * [`executor`] — a hand-rolled single-threaded future executor: slab of
 //!   session tasks, its own `RawWaker` vtable, and a parking readiness queue
 //!   wired to shard reply delivery.

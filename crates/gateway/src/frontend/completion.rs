@@ -1,21 +1,19 @@
-//! Waker-notified completion cells: the async replacement for the blocking
-//! per-command reply channel.
+//! Waker-notified completion cells: the one reply primitive every shard
+//! command answers through.
 //!
-//! Every gateway command that used to answer over a one-shot
-//! `std::sync::mpsc` channel (the caller parked in `recv`) can instead carry
-//! a [`Completer`]: the shard worker delivers the result into the shared
-//! cell and wakes whichever task is parked on the matching [`Completion`]
-//! future. One front-end thread can therefore have thousands of commands in
-//! flight — one per session task — where the blocking path pinned a whole
-//! OS thread per outstanding reply.
+//! Every gateway command that expects an answer carries a [`Completer`]:
+//! the shard worker delivers the result into the shared cell and wakes
+//! whoever holds the matching [`Completion`]. An async caller awaits it as
+//! a future, so one front-end thread can have thousands of commands in
+//! flight — one per session task; a blocking caller parks its own thread in
+//! [`Completion::wait`], which is `block_on` for that one future.
 //!
 //! The pair is deliberately tiny: a mutex-guarded `Option<T>` plus an
 //! `Option<Waker>`. A dropped-without-delivering [`Completer`] (the worker
 //! died, or the command was abandoned in a shard queue at shutdown) closes
-//! the cell, so the future resolves to
+//! the cell, so the completion resolves to
 //! [`GatewayError::RuntimeUnavailable`](crate::GatewayError::RuntimeUnavailable)
-//! instead of pending forever — the exact analogue of `recv` returning
-//! `RecvError` when the sender side is gone.
+//! instead of pending forever.
 //!
 //! Lock acquisitions recover from poisoning (the cell holds a plain
 //! value/waker pair with no invariant a mid-panic unwind can break): a task
@@ -27,7 +25,8 @@ use crate::frontend::lock_unpoisoned;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 
 /// Shared state of one completion cell.
 struct State<T> {
@@ -102,6 +101,31 @@ pub(crate) struct Completion<T> {
     state: Arc<Mutex<State<T>>>,
 }
 
+/// Wakes a thread parked in [`Completion::wait`].
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+impl<T> Completion<T> {
+    /// Blocks the calling thread until the reply is delivered (or the
+    /// command is abandoned): polls with a waker that unparks this thread
+    /// and parks between polls, so a spurious unpark just polls again.
+    pub(crate) fn wait(mut self) -> Result<T> {
+        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+        let mut cx = Context::from_waker(&waker);
+        loop {
+            match Pin::new(&mut self).poll(&mut cx) {
+                Poll::Ready(outcome) => return outcome,
+                Poll::Pending => std::thread::park(),
+            }
+        }
+    }
+}
+
 impl<T> Future for Completion<T> {
     type Output = Result<T>;
 
@@ -123,7 +147,6 @@ impl<T> Future for Completion<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::task::Wake;
 
     struct Flag(std::sync::atomic::AtomicBool);
 
@@ -171,5 +194,68 @@ mod tests {
             poll_once(&mut completion, &waker),
             Poll::Ready(Err(GatewayError::RuntimeUnavailable))
         );
+    }
+
+    #[test]
+    fn wait_returns_a_value_delivered_before_it() {
+        let (completer, completion) = completion_pair::<u32>();
+        completer.complete(11);
+        assert_eq!(completion.wait(), Ok(11));
+    }
+
+    #[test]
+    fn wait_parks_until_another_thread_delivers() {
+        let (completer, completion) = completion_pair::<u32>();
+        let state = Arc::clone(&completion.state);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(move || completion.wait());
+            // The waiter registers its waker under the cell lock right
+            // before it parks; deliver only once that has happened.
+            while lock_unpoisoned(&state).waker.is_none() {
+                std::thread::yield_now();
+            }
+            completer.complete(13);
+            assert_eq!(waiter.join().unwrap(), Ok(13));
+        });
+    }
+
+    #[test]
+    fn wait_on_a_dropped_completer_is_runtime_unavailable() {
+        let (completer, completion) = completion_pair::<u32>();
+        drop(completer);
+        assert_eq!(completion.wait(), Err(GatewayError::RuntimeUnavailable));
+    }
+
+    #[test]
+    fn spurious_unpark_does_not_end_the_wait() {
+        let (completer, completion) = completion_pair::<u32>();
+        let state = Arc::clone(&completion.state);
+        let returned = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let outcome = completion.wait();
+                returned.store(true, std::sync::atomic::Ordering::SeqCst);
+                outcome
+            });
+            // Every unpark below is spurious: each one makes the waiter
+            // poll again, and each poll takes the registered waker's place
+            // with a fresh clone — so seeing the slot refilled proves the
+            // waiter went round the loop and is still waiting.
+            for _ in 0..8 {
+                loop {
+                    if lock_unpoisoned(&state).waker.take().is_some() {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                waiter.thread().unpark();
+            }
+            while lock_unpoisoned(&state).waker.is_none() {
+                std::thread::yield_now();
+            }
+            assert!(!returned.load(std::sync::atomic::Ordering::SeqCst));
+            completer.complete(17);
+            assert_eq!(waiter.join().unwrap(), Ok(17));
+        });
     }
 }

@@ -52,7 +52,7 @@
 //!   whole serving state: per-slot enclave state sealed *by the enclaves*
 //!   (MrEnclave policy, snapshot header as AAD), the established-session
 //!   table, and quota counters, in a CRC-guarded versioned envelope.
-//!   [`Gateway::restore`] resumes serving after a crash with one
+//!   [`Gateway::restore_chain`] resumes serving after a crash with one
 //!   `IMPORT_STATE` ECALL per slot — no re-provisioning, no device
 //!   re-handshakes — and every tampered, spliced, or mismatched snapshot
 //!   fails closed with a typed error, proven by a deterministic

@@ -79,6 +79,23 @@ pub struct PoolSlot {
     pub(crate) dirty_epoch: u64,
 }
 
+/// What one slot restores from — the winning frame of a snapshot chain,
+/// borrowed from it (see [`crate::Gateway::restore_chain`]).
+pub(crate) struct SlotRestore<'a> {
+    pub(crate) slot_id: usize,
+    /// The sealing AAD of the frame `sealed_state` came from.
+    pub(crate) aad: &'a [u8],
+    pub(crate) sealed_state: &'a [u8],
+    /// The chain tip's host-side dirty-epoch for the slot.
+    pub(crate) dirty_epoch: u64,
+    /// The previous incarnation's drain counters, so serving metrics stay
+    /// cumulative across the restart.
+    pub(crate) stats: &'a SlotStats,
+    /// The authoritative live set: the enclave prunes every other session
+    /// its sealed export carried.
+    pub(crate) live_sessions: &'a [u64],
+}
+
 impl PoolSlot {
     fn new(
         slot_id: usize,
@@ -112,8 +129,7 @@ impl PoolSlot {
     /// instead of the provisioning ECALL sequence (service key install, and
     /// later a handshake pair plus mask installs per session) the serving
     /// state arrives in **one** `IMPORT_STATE` ECALL, unsealed inside the
-    /// enclave. `restored_stats` carries the previous incarnation's drain
-    /// counters so serving metrics stay cumulative across the restart.
+    /// enclave.
     ///
     /// Fails closed with the glimmer-level unseal rejection (mapped to
     /// [`GatewayError::SealedBlobRejected`] by the caller) when the blob was
@@ -124,28 +140,26 @@ impl PoolSlot {
         platform_config: PlatformConfig,
         rng: &mut Drbg,
         avs: &mut AttestationService,
-        header: &[u8],
-        snap: &crate::checkpoint::SlotSnapshot,
-        live_sessions: &[u64],
+        source: SlotRestore<'_>,
     ) -> Result<Self> {
         let mut client = GlimmerClient::new(
             tenant.descriptor.clone(),
             platform_config,
-            &mut rng.fork(&format!("gateway-slot-{}-{}", tenant.name, snap.slot_id)),
+            &mut rng.fork(&format!("gateway-slot-{}-{}", tenant.name, source.slot_id)),
         )
         .map_err(GatewayError::Glimmer)?;
         client.provision_platform(avs);
         client
-            .import_state(header, &snap.sealed_state, live_sessions)
+            .import_state(source.aad, source.sealed_state, source.live_sessions)
             .map_err(GatewayError::Glimmer)?;
         Ok(PoolSlot {
-            slot_id: snap.slot_id,
+            slot_id: source.slot_id,
             client,
             queue: VecDeque::new(),
             // Resume the exporting incarnation's dirtiness clock, so the
             // first post-restore delta can still skip slots that stayed
             // idle across the restart.
-            dirty_epoch: snap.dirty_epoch,
+            dirty_epoch: source.dirty_epoch,
             stats: SlotStats {
                 // Transient gauges restart at zero; the queue is empty by
                 // construction (in-flight entries are deliberately not
@@ -154,7 +168,7 @@ impl PoolSlot {
                 queue_depth: 0,
                 ecalls: 0,
                 last_drain_queue_depth: 0,
-                ..snap.stats.clone()
+                ..source.stats.clone()
             },
         })
     }

@@ -43,32 +43,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-/// How a shard command answers its caller: over a blocking one-shot channel
-/// (the classic `recv`-parked path) or into a waker-notified completion cell
-/// (the async front-end's path). The worker side is identical either way —
-/// it calls [`Reply::deliver`] once and moves on — so every command type
-/// supports both front-ends with one code path.
-pub(crate) enum Reply<T> {
-    /// Blocking caller: parked in `Receiver::recv`.
-    Sync(Sender<T>),
-    /// Async caller: a task awaiting a [`Completion`](crate::frontend::completion::Completion).
-    Async(Completer<T>),
-}
-
-impl<T> Reply<T> {
-    /// Delivers the reply. Best-effort on the sync path (a caller that gave
-    /// up dropped its receiver); always wakes the awaiting task on the async
-    /// path.
-    pub(crate) fn deliver(self, value: T) {
-        match self {
-            Reply::Sync(tx) => {
-                let _ = tx.send(value);
-            }
-            Reply::Async(completer) => completer.complete(value),
-        }
-    }
-}
-
 /// Routing-layer gauges for one slot. The routing side increments them as it
 /// admits work; the owning worker decrements them as work leaves its queue.
 #[derive(Default)]
@@ -82,7 +56,7 @@ pub(crate) struct SlotGauges {
     pub(crate) dirty_epoch: AtomicU64,
     /// Who currently holds this *slot's* quiesce claim (encoded
     /// [`BarrierOp`], or [`BARRIER_IDLE`]). Slot-scoped operations — a
-    /// streamed/delta per-slot export barrier, a live migration — claim the
+    /// capture's per-slot export barrier, a live migration — claim the
     /// slot instead of the whole fleet, so they can overlap on different
     /// slots; two of them contending on one slot would interleave per-slot
     /// barriers on the same worker (or move the slot out from under an
@@ -204,19 +178,19 @@ pub(crate) struct Shared {
     /// Tenants in deterministic (name) order; `tenant_idx` indexes here.
     pub(crate) tenants: Vec<TenantMeta>,
     pub(crate) table: Mutex<SessionTable>,
-    /// Commands pushed onto shard queues by the submit paths (one per
-    /// `Submit`, one per `SubmitMany`) — the E13 batching metric.
+    /// `SubmitMany` commands pushed onto shard queues by the admission
+    /// path (one per call per shard) — the E13 batching metric.
     pub(crate) submit_commands: AtomicU64,
     /// Checkpoint sequence counter: each checkpoint takes the next epoch,
     /// which is folded into the snapshot header every sealed slot export is
     /// AAD-bound to. Restored gateways resume from the snapshot's epoch.
     pub(crate) checkpoint_epoch: AtomicU64,
-    /// Who currently holds the whole-gateway quiesce barrier (encoded
-    /// [`BarrierOp`], or [`BARRIER_IDLE`]). Checkpoint and shutdown both
-    /// pause every shard worker; letting two of them interleave their
-    /// two-phase barriers deadlocks the workers (each waits for the other's
-    /// pause to finish), so the loser of this CAS gets a typed
-    /// [`GatewayError::BarrierConflict`] instead.
+    /// Who currently holds the whole-gateway barrier (encoded
+    /// [`BarrierOp`], or [`BARRIER_IDLE`]). It is mutual exclusion, not a
+    /// pause: one capture at a time (two would race for the same epoch
+    /// sequence and slot claims), and no capture or migration once a
+    /// shutdown has begun stopping the workers. The loser of this CAS gets
+    /// a typed [`GatewayError::BarrierConflict`].
     pub(crate) barrier: AtomicU8,
     /// The observability hub ([`crate::telemetry`]): admission counters on
     /// the routing side, per-shard histogram registries written only by the
@@ -238,16 +212,16 @@ pub(crate) struct Shared {
 /// operation holds the claim.
 pub(crate) const BARRIER_IDLE: u8 = 0;
 
-/// An operation that quiesces shard workers: the whole fleet (checkpoint,
-/// shutdown — claimed on the gateway-wide barrier word) or one slot at a
-/// time (streamed/delta exports, rebalancing — claimed on the slot's own
-/// claim byte). Two claims can never overlap on the same scope; see
+/// An operation that claims the gateway-wide barrier word (checkpoint,
+/// shutdown) or one slot's claim byte (a capture's per-slot export,
+/// rebalancing). Two claims can never overlap on the same scope; see
 /// [`GatewayError::BarrierConflict`](crate::GatewayError::BarrierConflict).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierOp {
-    /// [`Gateway::checkpoint`](crate::Gateway::checkpoint) is pausing the
-    /// workers for a consistent capture (the streamed and delta variants
-    /// hold the same fleet claim, plus a per-slot claim around each export).
+    /// [`Gateway::checkpoint`](crate::Gateway::checkpoint) or
+    /// [`Gateway::checkpoint_delta`](crate::Gateway::checkpoint_delta) is
+    /// capturing: it holds the fleet claim for the whole capture, plus a
+    /// per-slot claim around each slot's export barrier.
     Checkpoint,
     /// [`Gateway::shutdown`](crate::Gateway::shutdown) is draining in-flight
     /// work before stopping the workers. Terminal: once entered, the barrier
@@ -288,10 +262,11 @@ impl core::fmt::Display for BarrierOp {
     }
 }
 
-/// Holds the quiesce barrier for one [`BarrierOp::Checkpoint`]; releasing is
-/// automatic (including on error paths), which is what guarantees a failed
-/// checkpoint never wedges later checkpoints or shutdown. Shutdown does not
-/// use a guard: its claim is terminal by design.
+/// Holds the gateway-wide barrier for one capture; releasing is automatic
+/// (including on error paths), which is what guarantees a failed checkpoint
+/// never wedges later checkpoints or shutdown. Shutdown
+/// [`persist`](BarrierGuard::persist)s its guard: its claim is terminal by
+/// design.
 pub(crate) struct BarrierGuard<'a> {
     shared: &'a Shared,
 }
@@ -330,14 +305,13 @@ impl Drop for BarrierGuard<'_> {
 }
 
 /// Holds one slot's claim byte ([`SlotGauges::claim`]) for a slot-scoped
-/// quiesce: a streamed/delta per-slot export or a live migration. Release is
+/// quiesce: a capture's per-slot export or a live migration. Release is
 /// automatic (including on every error path), mirroring [`BarrierGuard`].
-/// Claims compose with the fleet barrier in one direction each way: a fleet
-/// operation that pauses *every* worker (full checkpoint) additionally
-/// verifies no slot claim is live before pausing (a mid-flight migration
-/// would deadlock against the pause), and a migration verifies the fleet
-/// barrier is idle after claiming its slot — with seqcst ordering on both
-/// sides, at least one of two racing claimants observes the other.
+/// Claims compose with the fleet barrier in one direction each way: a
+/// capture takes the fleet barrier first and then claims each slot it
+/// exports, and a migration claims its slot first and then verifies the
+/// fleet barrier is idle — with seqcst ordering on both sides, at least one
+/// of two racing claimants observes the other.
 pub(crate) struct SlotClaim<'a> {
     gauges: &'a SlotGauges,
 }
@@ -389,85 +363,68 @@ pub(crate) enum ShardCommand {
     OpenSession {
         slot: usize,
         session_id: u64,
-        reply: Reply<Result<ChannelOffer>>,
+        reply: Completer<Result<ChannelOffer>>,
     },
     AcceptSession {
         slot: usize,
         session_id: u64,
         accept: ChannelAccept,
-        reply: Reply<Result<()>>,
+        reply: Completer<Result<()>>,
     },
     CloseSession {
         slot: usize,
         session_id: u64,
-        reply: Reply<Result<()>>,
+        reply: Completer<Result<()>>,
     },
     InstallMask {
         slot: usize,
         session_id: u64,
         delivery: MaskDelivery,
-        reply: Reply<Result<()>>,
+        reply: Completer<Result<()>>,
     },
     TenantChannelOffer {
         slot: usize,
-        reply: Reply<Result<ChannelOffer>>,
+        reply: Completer<Result<ChannelOffer>>,
     },
     TenantChannelComplete {
         slot: usize,
         accept: ChannelAccept,
-        reply: Reply<Result<()>>,
+        reply: Completer<Result<()>>,
     },
-    /// Fire-and-forget: gauges were already bumped by the routing layer.
-    /// `trace` is the request's sampled trace tag (0 for the untraced
-    /// majority; see [`crate::telemetry`]).
-    Submit {
-        slot: usize,
-        item: BatchItem,
-        trace: u64,
-    },
-    /// Fire-and-forget batched admission: one command carries every
-    /// already-reserved item this shard receives from a `submit_many` /
-    /// `submit_batch` call — channel and atomic traffic are paid per call,
-    /// not per request. Items are `(worker-local slot, item, trace-tag)`
-    /// triples in arrival order (one flat vector, so the whole command
-    /// costs one allocation however many requests it carries); the worker
-    /// fans them out to their slot queues, which preserves per-slot arrival
-    /// order.
+    /// Fire-and-forget admission (gauges were already bumped by the routing
+    /// layer): one command carries every already-reserved item this shard
+    /// receives from one `submit` / `submit_many` / `submit_batch` call —
+    /// channel and atomic traffic are paid per call, not per request. Items
+    /// are `(worker-local slot, item, trace-tag)` triples in arrival order
+    /// (one flat vector, so the whole command costs one allocation however
+    /// many requests it carries; the tag is 0 for the untraced majority,
+    /// see [`crate::telemetry`]); the worker fans them out to their slot
+    /// queues, which preserves per-slot arrival order.
     SubmitMany {
         items: Vec<(usize, BatchItem, u64)>,
     },
     Drain {
-        reply: Reply<ShardDrainReport>,
+        reply: Completer<ShardDrainReport>,
     },
-    /// Two-phase checkpoint barrier. The worker signals `ready` (it is now
-    /// paused — nothing on this shard mutates enclave or stats state), then
-    /// blocks on `go`. `go = true` means the routing layer finished its
-    /// consistent capture of the shared state: the worker exports every
-    /// slot's sealed enclave state under `header` and replies. `go = false`
-    /// (or a dropped sender — the checkpointing caller died) abandons the
-    /// checkpoint; the worker resumes serving untouched.
-    Checkpoint {
-        header: Arc<Vec<u8>>,
-        ready: Sender<()>,
-        go: Receiver<bool>,
-        reply: Sender<Result<Vec<SlotCheckpoint>>>,
-    },
-    /// Per-slot two-phase export barrier — the streamed-capture analogue of
-    /// `Checkpoint`, pausing this worker only for one slot's export while
-    /// every other shard keeps draining. Same protocol: the worker signals
-    /// `ready` (paused), blocks on `go`, exports exactly `slot` under
-    /// `header` (skipping the seal when the enclave's state epoch still
-    /// equals `known_state_epoch`), replies, and resumes.
+    /// Per-slot two-phase export barrier, pausing this worker only for one
+    /// slot's export while every other shard keeps draining. The worker
+    /// signals `ready` (it is now paused — nothing on this shard mutates
+    /// enclave or stats state), then blocks on `go`. `go = true` means the
+    /// capture finished reading the slot's session rows: the worker exports
+    /// exactly `slot` under `header` (skipping the seal when the enclave's
+    /// state epoch still equals `known_state_epoch`), replies, and resumes.
+    /// `go = false` (or a dropped sender — the capturing caller died)
+    /// abandons the export; the worker resumes serving untouched.
     ExportSlot {
         slot: usize,
         header: Arc<Vec<u8>>,
         known_state_epoch: Option<u64>,
         ready: Sender<()>,
         go: Receiver<bool>,
-        reply: Sender<Result<SlotExport>>,
+        reply: Completer<Result<SlotExport>>,
     },
     CollectStats {
-        reply: Sender<Vec<SlotStatsRow>>,
+        reply: Completer<Vec<SlotStatsRow>>,
     },
     /// Two-phase migration handoff barrier (the rebalance path). Same
     /// ready/go protocol as `ExportSlot`, then the worker seals the slot's
@@ -486,7 +443,7 @@ pub(crate) enum ShardCommand {
         header: Arc<Vec<u8>>,
         ready: Sender<()>,
         go: Receiver<bool>,
-        reply: Sender<Result<MigrationPackage>>,
+        reply: Completer<Result<MigrationPackage>>,
         done: Receiver<Option<Box<WorkerSlot>>>,
     },
     /// Installs a migrated slot at the end of this worker's slot vector and
@@ -494,7 +451,7 @@ pub(crate) enum ShardCommand {
     /// travel inside the slot and replay on this worker's next drain sweep.
     MigrateIn {
         worker: Box<WorkerSlot>,
-        reply: Sender<usize>,
+        reply: Completer<usize>,
     },
     /// Synchronous no-op round-trip. The queue is FIFO, so a fence reply
     /// proves every command sent to this shard before the fence has been
@@ -502,7 +459,7 @@ pub(crate) enum ShardCommand {
     /// committing, flushing any stray commands through the tombstone's
     /// forward before the migration call returns.
     Fence {
-        reply: Sender<()>,
+        reply: Completer<()>,
     },
     Shutdown,
 }
@@ -519,23 +476,8 @@ pub(crate) struct MigrationPackage {
     pub(crate) state_epoch: u64,
 }
 
-/// One slot's contribution to a checkpoint, as reported by its shard worker.
-pub(crate) struct SlotCheckpoint {
-    pub(crate) tenant_idx: usize,
-    pub(crate) slot_id: usize,
-    /// Enclave-sealed serving state (AAD-bound to the snapshot header).
-    pub(crate) sealed_state: Vec<u8>,
-    /// The slot's host-side dirty-epoch at export time.
-    pub(crate) dirty_epoch: u64,
-    /// The enclave's own state epoch inside the sealed export.
-    pub(crate) state_epoch: u64,
-    pub(crate) stats: crate::stats::SlotStats,
-}
-
 /// One slot's reply to an [`ShardCommand::ExportSlot`] barrier.
 pub(crate) struct SlotExport {
-    pub(crate) tenant_idx: usize,
-    pub(crate) slot_id: usize,
     pub(crate) dirty_epoch: u64,
     pub(crate) state_epoch: u64,
     /// `None` when the enclave skipped the seal (state unchanged since the
@@ -626,8 +568,8 @@ impl ShardWorker {
     }
 
     /// The worker-local index a per-slot command targets, or `None` for
-    /// fan-out/barrier commands that address the whole shard.
-    fn target_slot(command: &ShardCommand) -> Option<usize> {
+    /// fan-out commands that address the whole shard.
+    fn target_slot(command: &mut ShardCommand) -> Option<&mut usize> {
         match command {
             ShardCommand::OpenSession { slot, .. }
             | ShardCommand::AcceptSession { slot, .. }
@@ -635,55 +577,36 @@ impl ShardWorker {
             | ShardCommand::InstallMask { slot, .. }
             | ShardCommand::TenantChannelOffer { slot, .. }
             | ShardCommand::TenantChannelComplete { slot, .. }
-            | ShardCommand::Submit { slot, .. }
             | ShardCommand::ExportSlot { slot, .. }
-            | ShardCommand::MigrateOut { slot, .. } => Some(*slot),
+            | ShardCommand::MigrateOut { slot, .. } => Some(slot),
             _ => None,
         }
     }
 
-    /// Rewrites a per-slot command's worker-local index for its new shard.
-    fn retarget(command: ShardCommand, new_idx: usize) -> ShardCommand {
-        let mut command = command;
-        match &mut command {
-            ShardCommand::OpenSession { slot, .. }
-            | ShardCommand::AcceptSession { slot, .. }
-            | ShardCommand::CloseSession { slot, .. }
-            | ShardCommand::InstallMask { slot, .. }
-            | ShardCommand::TenantChannelOffer { slot, .. }
-            | ShardCommand::TenantChannelComplete { slot, .. }
-            | ShardCommand::Submit { slot, .. }
-            | ShardCommand::ExportSlot { slot, .. }
-            | ShardCommand::MigrateOut { slot, .. } => *slot = new_idx,
-            _ => {}
-        }
-        command
-    }
-
     /// Forwards a command whose slot migrated away to the slot's current
-    /// owner (index rewritten); the reply channel travels with the command,
-    /// so the caller is answered by the new owner directly. Returns the
-    /// command back when its slot is still local.
-    fn forward_if_moved(&mut self, command: ShardCommand) -> Option<ShardCommand> {
-        let slot = match Self::target_slot(&command) {
-            Some(slot) => slot,
-            None => return Some(command),
+    /// owner (index rewritten for its new shard); the completer travels
+    /// with the command, so the caller is answered by the new owner
+    /// directly. Returns the command back when its slot is still local.
+    fn forward_if_moved(&mut self, mut command: ShardCommand) -> Option<ShardCommand> {
+        let Some(slot) = Self::target_slot(&mut command) else {
+            return Some(command);
         };
-        let (tenant_idx, slot_id) = match &self.slots[slot] {
-            SlotEntry::Occupied(_) => return Some(command),
-            SlotEntry::Moved {
-                tenant_idx,
-                slot_id,
-            } => (*tenant_idx, *slot_id),
+        let SlotEntry::Moved {
+            tenant_idx,
+            slot_id,
+        } = self.slots[*slot]
+        else {
+            return Some(command);
         };
         let (shard, idx) = self.shared.tenants[tenant_idx].slots[slot_id].location();
-        let _ = self.senders[shard].send(Self::retarget(command, idx));
+        *slot = idx;
+        let _ = self.senders[shard].send(command);
         None
     }
 
     /// The worker loop. Exits on `Shutdown` or when every sender is gone.
-    /// Replies are best-effort: a caller that gave up (dropped its receiver)
-    /// doesn't stop the worker.
+    /// Replies are best-effort: a caller that gave up (dropped its
+    /// completion) doesn't stop the worker.
     pub(crate) fn run(mut self) {
         while let Ok(command) = self.rx.recv() {
             let command = match self.forward_if_moved(command) {
@@ -703,7 +626,7 @@ impl ShardWorker {
                         .client_mut()
                         .open_session(session_id)
                         .map_err(GatewayError::Glimmer);
-                    reply.deliver(result);
+                    reply.complete(result);
                 }
                 ShardCommand::AcceptSession {
                     slot,
@@ -718,7 +641,7 @@ impl ShardWorker {
                         .client_mut()
                         .accept_session(session_id, &accept)
                         .map_err(GatewayError::Glimmer);
-                    reply.deliver(result);
+                    reply.complete(result);
                 }
                 ShardCommand::CloseSession {
                     slot,
@@ -726,7 +649,7 @@ impl ShardWorker {
                     reply,
                 } => {
                     let result = self.close_session(slot, session_id);
-                    reply.deliver(result);
+                    reply.complete(result);
                 }
                 ShardCommand::InstallMask {
                     slot,
@@ -741,7 +664,7 @@ impl ShardWorker {
                         .client_mut()
                         .install_session_mask_delivery(session_id, &delivery)
                         .map_err(GatewayError::Glimmer);
-                    reply.deliver(result);
+                    reply.complete(result);
                 }
                 ShardCommand::TenantChannelOffer { slot, reply } => {
                     let ws = Self::occupied_at(&mut self.slots[slot]);
@@ -751,7 +674,7 @@ impl ShardWorker {
                         .client_mut()
                         .start_channel()
                         .map_err(GatewayError::Glimmer);
-                    reply.deliver(result);
+                    reply.complete(result);
                 }
                 ShardCommand::TenantChannelComplete {
                     slot,
@@ -765,16 +688,7 @@ impl ShardWorker {
                         .client_mut()
                         .complete_channel(&accept)
                         .map_err(GatewayError::Glimmer);
-                    reply.deliver(result);
-                }
-                ShardCommand::Submit { slot, item, trace } => {
-                    let now = self.shared.telemetry.now_nanos();
-                    self.shared
-                        .telemetry
-                        .trace_stage(trace, TraceStage::Enqueued, now);
-                    Self::occupied_at(&mut self.slots[slot])
-                        .slot
-                        .enqueue(item, now, trace);
+                    reply.complete(result);
                 }
                 ShardCommand::SubmitMany { items } => {
                     // One clock read for the whole group: the items were
@@ -797,10 +711,8 @@ impl ShardWorker {
                             } => {
                                 let (shard, idx) =
                                     self.shared.tenants[*tenant_idx].slots[*slot_id].location();
-                                let _ = self.senders[shard].send(ShardCommand::Submit {
-                                    slot: idx,
-                                    item,
-                                    trace,
+                                let _ = self.senders[shard].send(ShardCommand::SubmitMany {
+                                    items: vec![(idx, item, trace)],
                                 });
                             }
                         }
@@ -808,23 +720,7 @@ impl ShardWorker {
                 }
                 ShardCommand::Drain { reply } => {
                     let report = self.drain();
-                    reply.deliver(report);
-                }
-                ShardCommand::Checkpoint {
-                    header,
-                    ready,
-                    go,
-                    reply,
-                } => {
-                    let _ = ready.send(());
-                    // Block until every shard is paused and the routing
-                    // layer has captured the shared state; an abandoned
-                    // checkpoint (false, or the caller died) resumes serving
-                    // with nothing exported.
-                    if !matches!(go.recv(), Ok(true)) {
-                        continue;
-                    }
-                    let _ = reply.send(self.export_slots(&header));
+                    reply.complete(report);
                 }
                 ShardCommand::ExportSlot {
                     slot,
@@ -842,10 +738,10 @@ impl ShardWorker {
                     if !matches!(go.recv(), Ok(true)) {
                         continue;
                     }
-                    let _ = reply.send(self.export_one(slot, &header, known_state_epoch));
+                    reply.complete(self.export_one(slot, &header, known_state_epoch));
                 }
                 ShardCommand::CollectStats { reply } => {
-                    let _ = reply.send(self.collect_stats());
+                    reply.complete(self.collect_stats());
                 }
                 ShardCommand::MigrateOut {
                     slot,
@@ -865,7 +761,7 @@ impl ShardWorker {
                     }
                     match self.migrate_out(slot, &header) {
                         Ok(package) => {
-                            let _ = reply.send(Ok(package));
+                            reply.complete(Ok(package));
                             // Stay paused until the coordinator commits or
                             // aborts: while the slot is in-flight nothing
                             // drains this queue, so no stray command can
@@ -886,18 +782,14 @@ impl ShardWorker {
                             }
                         }
                         // Export failed: the slot never left this worker.
-                        Err(e) => {
-                            let _ = reply.send(Err(e));
-                        }
+                        Err(e) => reply.complete(Err(e)),
                     }
                 }
                 ShardCommand::MigrateIn { worker, reply } => {
                     self.slots.push(SlotEntry::Occupied(worker));
-                    let _ = reply.send(self.slots.len() - 1);
+                    reply.complete(self.slots.len() - 1);
                 }
-                ShardCommand::Fence { reply } => {
-                    let _ = reply.send(());
-                }
+                ShardCommand::Fence { reply } => reply.complete(()),
                 ShardCommand::Shutdown => break,
             }
         }
@@ -927,28 +819,9 @@ impl ShardWorker {
         })
     }
 
-    /// Seals every owned slot's enclave state under the snapshot header.
-    /// Runs strictly between the checkpoint barrier and the next command,
-    /// so the exports are consistent with the captured shared state.
-    fn export_slots(&mut self, header: &[u8]) -> Result<Vec<SlotCheckpoint>> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for ws in self.slots.iter_mut().filter_map(SlotEntry::occupied_mut) {
-            let (state_epoch, sealed_state, stats) = ws.slot.export_checkpoint(header, None)?;
-            let sealed_state = sealed_state.expect("a forced export always seals");
-            out.push(SlotCheckpoint {
-                tenant_idx: ws.tenant_idx,
-                slot_id: ws.slot.slot_id,
-                sealed_state,
-                dirty_epoch: ws.slot.dirty_epoch,
-                state_epoch,
-                stats,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Exports exactly one slot (the streamed-capture path), skipping the
-    /// seal when the enclave's state still matches `known_state_epoch`.
+    /// Exports exactly one slot (strictly between its export barrier and
+    /// the next command), skipping the seal when the enclave's state still
+    /// matches `known_state_epoch`.
     fn export_one(
         &mut self,
         slot: usize,
@@ -959,8 +832,6 @@ impl ShardWorker {
         let (state_epoch, sealed_state, stats) =
             ws.slot.export_checkpoint(header, known_state_epoch)?;
         Ok(SlotExport {
-            tenant_idx: ws.tenant_idx,
-            slot_id: ws.slot.slot_id,
             dirty_epoch: ws.slot.dirty_epoch,
             state_epoch,
             sealed_state,

@@ -350,8 +350,9 @@ fn panicking_task_among_healthy_sessions_poisons_nothing() {
         .unwrap();
 }
 
-/// Holds a checkpoint open at its quiesce barrier until released, so the
-/// test can deterministically overlap a second whole-gateway operation.
+/// Holds a checkpoint open mid-capture (its first slot exported, the
+/// gateway-wide claim and that slot's claim still held) until released, so
+/// the test can deterministically overlap a second whole-gateway operation.
 struct HoldAtQuiesce {
     entered: Sender<()>,
     release: Mutex<Receiver<()>>,
@@ -359,7 +360,9 @@ struct HoldAtQuiesce {
 
 impl CrashHooks for HoldAtQuiesce {
     fn reached(&self, point: CrashPoint) -> bool {
-        if point == CrashPoint::WorkersQuiesced {
+        // Only the first firing holds: the receiver errors immediately on
+        // later ones, once the test has dropped its release sender.
+        if point == CrashPoint::MidStreamExport {
             let _ = self.entered.send(());
             let _ = self.release.lock().unwrap().recv();
         }
@@ -367,7 +370,7 @@ impl CrashHooks for HoldAtQuiesce {
     }
 }
 
-/// Regression test for the quiesce-barrier race: two concurrent checkpoints
+/// Regression test for the capture-overlap race: two concurrent checkpoints
 /// used to interleave their two-phase worker barriers and deadlock (each
 /// worker paused for a different checkpoint, each checkpoint waiting for
 /// the other's workers). Now the loser gets a typed
@@ -389,8 +392,8 @@ fn overlapping_checkpoints_fail_typed_instead_of_deadlocking() {
 
     std::thread::scope(|scope| {
         let first = scope.spawn(|| gateway.checkpoint_with_hooks(&hooks));
-        // Wait until the first checkpoint provably holds the barrier (every
-        // worker paused), then race a second one against it.
+        // Wait until the first checkpoint provably holds the barrier (it is
+        // between two slots' exports), then race a second one against it.
         entered_rx.recv().unwrap();
         let conflict = gateway.checkpoint().expect_err("overlap must be refused");
         assert_eq!(
@@ -400,7 +403,7 @@ fn overlapping_checkpoints_fail_typed_instead_of_deadlocking() {
                 requested: BarrierOp::Checkpoint,
             }
         );
-        release_tx.send(()).unwrap();
+        drop(release_tx);
         let snapshot = first.join().unwrap().expect("winner completes normally");
         assert_eq!(snapshot.tenants.len(), 2);
     });
@@ -421,9 +424,8 @@ fn crashed_checkpoint_releases_the_barrier() {
     let mut avs = AttestationService::new([98u8; 32]);
     let gateway = build_gateway(2, 1, &mut avs, &mut rng);
     for point in [
-        CrashPoint::WorkersQuiesced,
-        CrashPoint::StateCaptured,
-        CrashPoint::SlotsExported,
+        CrashPoint::BeforeCheckpoint,
+        CrashPoint::MidStreamExport,
         CrashPoint::SnapshotAssembled,
     ] {
         let err = gateway

@@ -17,7 +17,7 @@ use glimmer_core::remote::IotDeviceSession;
 use glimmer_core::signing::ServiceKeyMaterial;
 use glimmer_crypto::drbg::Drbg;
 use glimmer_gateway::{
-    plan_rebalance, BarrierOp, CrashAt, CrashHooks, CrashPoint, Gateway, GatewayConfig,
+    plan_rebalance, BarrierOp, ChainBase, CrashAt, CrashHooks, CrashPoint, Gateway, GatewayConfig,
     GatewayError, ManualClock, RebalanceConfig, Rebalancer, SlotLoad, TenantConfig,
 };
 use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
@@ -479,7 +479,7 @@ fn migrated_run_is_bit_identical_to_the_single_shard_baseline() {
 // BarrierConflict: slot-level claims, both directions
 // ---------------------------------------------------------------------------
 
-/// Hooks that, the first time a streamed capture holds a slot's claim
+/// Hooks that, the first time a capture holds a slot's claim
 /// (`MidStreamExport` fires with the claim still live), race migrations
 /// against it and record the errors. Never actually crashes.
 struct MigrateDuringStream<'a> {
@@ -496,8 +496,7 @@ impl CrashHooks for MigrateDuringStream<'_> {
             // slot loses on the slot-level claim...
             let same_slot = self.gateway.migrate_slot(IOT, 0, 1).unwrap_err();
             // ...and a migration of any *other* slot loses on the
-            // fleet-wide barrier the streamed capture holds for mutual
-            // exclusion.
+            // fleet-wide barrier the capture holds for mutual exclusion.
             let other_slot = self.gateway.migrate_slot(KEYBOARD, 1, 0).unwrap_err();
             self.seen.lock().unwrap().extend([same_slot, other_slot]);
         }
@@ -516,10 +515,7 @@ fn streamed_capture_mid_slot_refuses_a_racing_migration() {
     };
     // The capture itself must succeed — the losing migration backed off
     // without disturbing it.
-    fixture
-        .gateway
-        .checkpoint_streamed_with_hooks(&hooks)
-        .unwrap();
+    fixture.gateway.checkpoint_with_hooks(&hooks).unwrap();
     let seen = hooks.seen.into_inner().unwrap();
     assert_eq!(seen.len(), 2, "both racing migrations must have run");
     for err in &seen {
@@ -542,6 +538,8 @@ fn streamed_capture_mid_slot_refuses_a_racing_migration() {
 /// exercise the fail-closed unwind.
 struct CaptureDuringMigration<'a> {
     gateway: &'a Gateway,
+    /// A chain base older than the fixture's traffic.
+    base: ChainBase,
     seen: Mutex<Vec<GatewayError>>,
 }
 
@@ -550,18 +548,15 @@ impl CrashHooks for CaptureDuringMigration<'_> {
         if point != CrashPoint::SlotHandedOff {
             return false;
         }
-        // Streamed capture: reaches (IOT, 0) first and loses on its claim.
-        let streamed = self.gateway.checkpoint_streamed().unwrap_err();
-        // Full checkpoint: the pre-pause claim scan refuses before any
-        // worker is paused (pausing the fleet around a mid-flight
-        // migration would deadlock on the parked source worker).
+        // Delta capture: (IOT, 0) served traffic since the base, so it
+        // needs the export barrier, and loses on the slot's claim.
+        let delta = self.gateway.checkpoint_delta(&self.base).unwrap_err();
+        // Full checkpoint: reaches (IOT, 0) first and loses on its claim,
+        // before any command is sent to the slot's parked source worker.
         let full = self.gateway.checkpoint().unwrap_err();
         // A second migration of the same slot loses on the claim too.
         let remigrate = self.gateway.migrate_slot(IOT, 0, 1).unwrap_err();
-        self.seen
-            .lock()
-            .unwrap()
-            .extend([streamed, full, remigrate]);
+        self.seen.lock().unwrap().extend([delta, full, remigrate]);
         true
     }
 }
@@ -569,10 +564,12 @@ impl CrashHooks for CaptureDuringMigration<'_> {
 #[test]
 fn mid_flight_migration_refuses_captures_and_fails_closed() {
     let fixture = build_fixture(2);
+    let base = fixture.gateway.checkpoint().unwrap().chain_base();
     submit_rounds(&fixture, 0..PRE_ROUNDS);
     let from = shard_of(&fixture.gateway, IOT, 0);
     let hooks = CaptureDuringMigration {
         gateway: &fixture.gateway,
+        base,
         seen: Mutex::new(Vec::new()),
     };
     let err = fixture

@@ -17,8 +17,8 @@ use glimmer_core::remote::IotDeviceSession;
 use glimmer_core::signing::ServiceKeyMaterial;
 use glimmer_crypto::drbg::Drbg;
 use glimmer_gateway::{
-    CrashAt, CrashPoint, Gateway, GatewayConfig, GatewayDelta, GatewayError, GatewaySnapshot,
-    ManualClock, QuotaResource, SnapshotChain, TenantConfig, TenantQuota,
+    Clock, CrashAt, CrashHooks, CrashPoint, Gateway, GatewayConfig, GatewayDelta, GatewayError,
+    GatewaySnapshot, ManualClock, NoCrash, QuotaResource, SnapshotChain, TenantConfig, TenantQuota,
 };
 use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
 use proptest::prelude::*;
@@ -244,6 +244,30 @@ fn submit_filtered(
         .collect()
 }
 
+/// A full-snapshot restore through the one restore entry: the empty chain.
+fn restore_full(
+    config: GatewayConfig,
+    tenants: Vec<TenantConfig>,
+    snapshot: &GatewaySnapshot,
+    avs: &mut AttestationService,
+    rng: &mut Drbg,
+    clock: Arc<dyn Clock>,
+    hooks: &dyn CrashHooks,
+) -> Result<Gateway, GatewayError> {
+    Gateway::restore_chain_with_hooks(
+        config,
+        tenants,
+        SnapshotChain {
+            base: snapshot,
+            deltas: &[],
+        },
+        avs,
+        rng,
+        clock,
+        hooks,
+    )
+}
+
 fn run_uninterrupted() -> Vec<RespRec> {
     let mut fixture = build_fixture();
     let gateway = fixture.gateway.take().unwrap();
@@ -271,21 +295,21 @@ fn run_with_crash_at(point: CrashPoint) -> (Vec<RespRec>, Vec<u8>) {
 
     let restore_side = matches!(point, CrashPoint::BeforeRestore | CrashPoint::MidRestore);
     if !restore_side {
-        // A later checkpoint attempt dies at the labelled point: it must
-        // fail atomically (typed error, workers released, nothing emitted).
-        // The streamed- and delta-only points are injected on their own
-        // capture paths, where they actually fire.
-        let err = match point {
-            CrashPoint::MidStreamExport => gateway
-                .checkpoint_streamed_with_hooks(&CrashAt(point))
-                .unwrap_err(),
-            CrashPoint::DeltaAssembled => gateway
-                .checkpoint_delta_with_hooks(&persisted.chain_base(), &CrashAt(point))
-                .unwrap_err(),
-            _ => gateway.checkpoint_with_hooks(&CrashAt(point)).unwrap_err(),
-        };
-        assert_eq!(err, GatewayError::CrashInjected(point));
-        // The gateway is still fully serviceable after the aborted attempt.
+        // A later capture attempt of either frame kind dies at the labelled
+        // point: it must fail atomically (typed error, claims and paused
+        // worker released, nothing emitted). A handshake left pending
+        // dirties one slot first, so the delta has a slot to take through
+        // its export barrier — a delta over a clean pool skips every slot
+        // and never reaches `MidStreamExport`.
+        gateway.open_session(IOT).unwrap();
+        let full = gateway.checkpoint_with_hooks(&CrashAt(point)).unwrap_err();
+        let delta = gateway
+            .checkpoint_delta_with_hooks(&persisted.chain_base(), &CrashAt(point))
+            .unwrap_err();
+        for err in [full, delta] {
+            assert_eq!(err, GatewayError::CrashInjected(point));
+        }
+        // The gateway is still fully serviceable after the aborted attempts.
         assert!(gateway.drain().unwrap().is_empty());
     }
 
@@ -298,7 +322,7 @@ fn run_with_crash_at(point: CrashPoint) -> (Vec<RespRec>, Vec<u8>) {
         // The first restore attempt dies at the labelled point; the snapshot
         // is untouched, so a clean retry (fresh machine-identity rng in its
         // original state) must succeed.
-        let err = Gateway::restore_with_hooks(
+        let err = restore_full(
             config(),
             tenant_configs(),
             &snapshot,
@@ -310,13 +334,14 @@ fn run_with_crash_at(point: CrashPoint) -> (Vec<RespRec>, Vec<u8>) {
         .unwrap_err();
         assert_eq!(err, GatewayError::CrashInjected(point));
     }
-    let restored = Gateway::restore_with_clock(
+    let restored = restore_full(
         config(),
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap();
 
@@ -427,13 +452,14 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
     let mut tampered = snapshot.clone();
     let mid = tampered.tenants[0].slots[0].sealed_state.len() / 2;
     tampered.tenants[0].slots[0].sealed_state[mid] ^= 0x01;
-    let err = Gateway::restore_with_clock(
+    let err = restore_full(
         config(),
         tenant_configs(),
         &tampered,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap_err();
     assert_eq!(
@@ -444,13 +470,14 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
     );
 
     // Restoring on a different machine (different fuse secrets): rejected.
-    let err = Gateway::restore_with_clock(
+    let err = restore_full(
         config(),
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed([7u8; 32]),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SealedBlobRejected { .. }));
@@ -465,13 +492,14 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
     for (snap, tenant) in forged.tenants.iter_mut().zip(&v2_tenants) {
         snap.measurement = tenant.descriptor.measurement();
     }
-    let err = Gateway::restore_with_clock(
+    let err = restore_full(
         config(),
         v2_tenants,
         &forged,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SealedBlobRejected { .. }));
@@ -482,13 +510,14 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
     for tenant in &mut v2_only {
         tenant.descriptor.version += 1;
     }
-    let err = Gateway::restore_with_clock(
+    let err = restore_full(
         config(),
         v2_only,
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SnapshotMismatch { .. }));
@@ -497,13 +526,14 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
     // work.
     let mut wide = config();
     wide.slots_per_tenant = 3;
-    let err = Gateway::restore_with_clock(
+    let err = restore_full(
         wide,
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SnapshotMismatch { .. }));
@@ -515,13 +545,14 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
         forged_record.session_id = bogus.next_session_id + 5;
         bogus.sessions.push(forged_record);
     }
-    let err = Gateway::restore_with_clock(
+    let err = restore_full(
         config(),
         tenant_configs(),
         &bogus,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SnapshotMismatch { .. }));
@@ -545,13 +576,14 @@ fn sealed_state_cannot_be_spliced_across_snapshots() {
     // same machine sealed both.
     let mut spliced = epoch2.clone();
     spliced.tenants[0].slots[0].sealed_state = epoch1.tenants[0].slots[0].sealed_state.clone();
-    let err = Gateway::restore_with_clock(
+    let err = restore_full(
         config(),
         tenant_configs(),
         &spliced,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap_err();
     assert_eq!(
@@ -562,13 +594,14 @@ fn sealed_state_cannot_be_spliced_across_snapshots() {
     );
 
     // The unspliced epoch-2 snapshot still restores.
-    let restored = Gateway::restore_with_clock(
+    let restored = restore_full(
         config(),
         tenant_configs(),
         &epoch2,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap();
     assert_eq!(restored.live_sessions(), fixture.devices.len());
@@ -586,13 +619,14 @@ fn restore_prunes_sessions_missing_from_the_captured_table() {
     // concurrently with the checkpoint is in the sealed enclave exports but
     // not in the captured table.
     let dropped = snapshot.sessions.remove(0);
-    let restored = Gateway::restore_with_clock(
+    let restored = restore_full(
         config(),
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap();
 
@@ -638,13 +672,14 @@ fn replayed_requests_stay_rejected_across_restarts() {
     let snapshot = gateway.checkpoint().unwrap();
     drop(gateway);
 
-    let restored = Gateway::restore_with_clock(
+    let restored = restore_full(
         config(),
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap();
 
@@ -740,13 +775,14 @@ fn endorsement_budget_survives_restarts() {
 
     let snapshot = gateway.checkpoint().unwrap();
     drop(gateway);
-    let restored = Gateway::restore_with_clock(
+    let restored = restore_full(
         small_config,
         tenants(),
         &snapshot,
         &mut avs,
         &mut Drbg::from_seed([62u8; 32]),
         clock,
+        &NoCrash,
     )
     .unwrap();
 
@@ -765,47 +801,29 @@ fn endorsement_budget_survives_restarts() {
 
 #[test]
 fn streamed_checkpoint_matches_quiesced_capture_and_restores() {
-    // Run A: the classic global-quiesce checkpoint.
+    // Every full checkpoint is captured slot-at-a-time now (the fleet-wide
+    // quiesce this test used to compare against is gone, and with it the
+    // byte comparison of the two frames). What stays: a restore from the
+    // slot-at-a-time frame serves exactly like an uninterrupted run.
     let mut fixture = build_fixture();
     let gateway = fixture.gateway.take().unwrap();
     let mut records = submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
-    let quiesced = gateway.checkpoint().unwrap().to_bytes();
+    let streamed = gateway.checkpoint().unwrap();
     drop(gateway);
 
-    // Run B: the identical scenario captured slot-at-a-time. The emitted
-    // frame must be byte-identical — streaming changes *when* each slot is
-    // paused, never what is persisted.
-    let mut fixture_b = build_fixture();
-    let gateway_b = fixture_b.gateway.take().unwrap();
-    let records_b = submit_rounds(
-        &fixture_b.devices,
-        &fixture_b.events,
-        &gateway_b,
-        0..PRE_ROUNDS,
-    );
-    assert_eq!(records_b, records);
-    let streamed = gateway_b.checkpoint_streamed().unwrap();
-    assert_eq!(
-        streamed.to_bytes(),
-        quiesced,
-        "streamed capture diverged from the quiesced frame"
-    );
-    drop(gateway_b);
-
-    // And a restore from the streamed frame serves exactly like an
-    // uninterrupted run.
-    let restored = Gateway::restore_with_clock(
+    let restored = restore_full(
         config(),
         tenant_configs(),
         &streamed,
-        &mut fixture_b.avs,
+        &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture_b.clock.clone(),
+        fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap();
     records.extend(submit_rounds(
-        &fixture_b.devices,
-        &fixture_b.events,
+        &fixture.devices,
+        &fixture.events,
         &restored,
         PRE_ROUNDS..ROUNDS,
     ));
@@ -855,7 +873,7 @@ fn delta_chain_restore_is_bit_identical_to_full_snapshot_restore() {
 
     // Restore run A from base + delta, run B from the equivalent full
     // snapshot.
-    let restored_a = Gateway::restore_chain_with_clock(
+    let restored_a = Gateway::restore_chain_with_hooks(
         config(),
         tenant_configs(),
         SnapshotChain {
@@ -865,15 +883,17 @@ fn delta_chain_restore_is_bit_identical_to_full_snapshot_restore() {
         &mut fa.avs,
         &mut Drbg::from_seed(GW_SEED),
         fa.clock.clone(),
+        &NoCrash,
     )
     .unwrap();
-    let restored_b = Gateway::restore_with_clock(
+    let restored_b = restore_full(
         config(),
         tenant_configs(),
         &full,
         &mut fb.avs,
         &mut Drbg::from_seed(GW_SEED),
         fb.clock.clone(),
+        &NoCrash,
     )
     .unwrap();
 
@@ -948,7 +968,7 @@ fn replay_windows_ride_the_delta_chain_and_stay_constant_size() {
     let (base, deltas) = chain_fixture();
     let mut fixture = build_fixture();
     drop(fixture.gateway.take());
-    let restored = Gateway::restore_chain_with_clock(
+    let restored = Gateway::restore_chain_with_hooks(
         config(),
         tenant_configs(),
         SnapshotChain {
@@ -958,6 +978,7 @@ fn replay_windows_ride_the_delta_chain_and_stay_constant_size() {
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
         fixture.clock.clone(),
+        &NoCrash,
     )
     .unwrap();
     // The fixture's devices hold the same keys as the ones that built the
@@ -997,7 +1018,7 @@ fn delta_chains_fail_closed_with_typed_errors() {
     let mut avs = AttestationService::new(AVS_SEED);
     let clock = Arc::new(ManualClock::new());
     let mut restore = |chain: Vec<GatewayDelta>| {
-        Gateway::restore_chain_with_clock(
+        Gateway::restore_chain_with_hooks(
             config(),
             tenant_configs(),
             SnapshotChain {
@@ -1007,6 +1028,7 @@ fn delta_chains_fail_closed_with_typed_errors() {
             &mut avs,
             &mut Drbg::from_seed(GW_SEED),
             clock.clone(),
+            &NoCrash,
         )
     };
 
@@ -1088,6 +1110,16 @@ fn delta_chains_fail_closed_with_typed_errors() {
         GatewayError::SealedBlobRejected { .. }
     ));
 
+    // The empty chain is the full-snapshot restore: the base alone, every
+    // slot unsealed under the base's own header. (Its fail-closed table is
+    // `corrupted_snapshots_fail_closed_with_typed_errors`, which restores
+    // through this same entry.)
+    assert_eq!(
+        restore(Vec::new()).unwrap().live_sessions(),
+        2 * DEVICES_PER_TENANT,
+        "the empty chain must restore the base alone"
+    );
+
     // The untampered chain still restores, full length.
     let restored = restore(vec![d1.clone(), d2.clone(), d3.clone()]).unwrap();
     assert_eq!(
@@ -1146,13 +1178,14 @@ proptest! {
         let chain: Vec<GatewayDelta> =
             picks.iter().map(|&i| deltas[i].clone()).collect();
         let mut avs = AttestationService::new(AVS_SEED);
-        let err = Gateway::restore_chain_with_clock(
+        let err = Gateway::restore_chain_with_hooks(
             config(),
             tenant_configs(),
             SnapshotChain { base, deltas: &chain },
             &mut avs,
             &mut Drbg::from_seed(GW_SEED),
             Arc::new(ManualClock::new()),
+            &NoCrash,
         )
         .unwrap_err();
         prop_assert!(matches!(err, GatewayError::SnapshotChainBroken { .. }));

@@ -582,6 +582,109 @@ fn batched_and_per_request_admission_agree_bit_for_bit() {
 }
 
 #[test]
+fn one_request_is_admitted_identically_by_every_submit_verb() {
+    // `submit` and `submit_many` are wrappers over `submit_batch`'s one
+    // admission path, so the same request — admitted, refused by the
+    // queued-request quota, refused by slot backpressure — must be
+    // indistinguishable whichever verb carried it: same reply bytes, same
+    // stats (one `SubmitMany` command), same typed refusal, same
+    // `throttled` count, same journal entry (clock included).
+    type Verb = fn(&Gateway, u64, Vec<u8>) -> Result<(), GatewayError>;
+    let verbs: [Verb; 3] = [
+        |gateway, sid, request| gateway.submit(sid, request),
+        |gateway, sid, request| gateway.submit_many(sid, vec![request]),
+        |gateway, sid, request| gateway.submit_batch(vec![(sid, request)]),
+    ];
+    // (tenant max_queued, slot max_queue_depth): which limit refuses the
+    // second request while the first is still queued.
+    for (max_queued, max_queue_depth) in [(1usize, 64usize), (64, 1)] {
+        let observe = |verb: Verb| {
+            let mut rng = Drbg::from_seed([83u8; 32]);
+            let mut avs = AttestationService::new([84u8; 32]);
+            let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+            let mut tenant = TenantConfig::new(
+                IOT,
+                GlimmerDescriptor::iot_default(Vec::new()),
+                material.secret_bytes(),
+            );
+            tenant.quota.max_queued = max_queued;
+            let gateway = Gateway::with_clock(
+                GatewayConfig {
+                    slots_per_tenant: 1,
+                    shards: 1,
+                    max_queue_depth,
+                    ..GatewayConfig::default()
+                },
+                vec![tenant],
+                &mut avs,
+                &mut rng,
+                Arc::new(ManualClock::new()),
+            )
+            .unwrap();
+            let approved = gateway.measurement(IOT).unwrap();
+            let (sid, offer) = gateway.open_session(IOT).unwrap();
+            let (accept, mut session) =
+                IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
+            gateway.complete_session(sid, &accept).unwrap();
+            let blinding = BlindingService::new([82u8; 32]);
+            let mut requests = (0..2u64).map(|round| {
+                let mask = &blinding.zero_sum_masks(round, &[0], DIM)[0];
+                gateway.install_mask(sid, mask).unwrap();
+                session.encrypt_request(contribution(IOT, 0, round), PrivateData::None)
+            });
+            let (first, second) = (requests.next().unwrap(), requests.next().unwrap());
+
+            verb(&gateway, sid, first).unwrap();
+            let refusal = verb(&gateway, sid, second).unwrap_err();
+            let replies: Vec<String> = gateway
+                .drain_all()
+                .unwrap()
+                .iter()
+                .map(|reply| format!("{reply:?}"))
+                .collect();
+            let stats = gateway.stats();
+            let slots: Vec<String> = stats
+                .slots
+                .iter()
+                .map(|row| {
+                    // Wall-clock drain time is the one per-run field.
+                    let mut row = row.clone();
+                    row.stats.drain_nanos = 0;
+                    format!("{row:?}")
+                })
+                .collect();
+            let telemetry = gateway.telemetry();
+            (
+                (sid, refusal, replies),
+                (stats.tenants, slots, stats.submit_commands),
+                (telemetry.admission, telemetry.events),
+            )
+        };
+        let [by_submit, by_submit_many, by_submit_batch] = verbs.map(observe);
+        assert_eq!(by_submit, by_submit_many);
+        assert_eq!(by_submit, by_submit_batch);
+
+        // And the shared observation is the right one.
+        let ((sid, refusal, replies), (tenants, _, submit_commands), (_, events)) = by_submit;
+        match (max_queue_depth, &refusal) {
+            (
+                1,
+                GatewayError::Backpressure {
+                    slot: 0, depth: 1, ..
+                },
+            )
+            | (64, GatewayError::QuotaExceeded { .. }) => {}
+            other => panic!("wrong refusal for the limit: {other:?}"),
+        }
+        assert_eq!(replies.len(), 1);
+        assert_eq!((tenants[0].1.submitted, tenants[0].1.throttled), (1, 1));
+        assert_eq!(submit_commands, 1);
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].session_id, events[0].count), (Some(sid), 1));
+    }
+}
+
+#[test]
 fn placement_steers_new_sessions_away_from_deep_queues() {
     // Two slots, one shard. Old placement ordered by (sessions, depth) and
     // would pin the next session to whichever slot has fewest sessions, no
