@@ -21,23 +21,18 @@
 //! deterministic counterpart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use glimmer_bench::rig::{self, Rig, Sessions};
 use glimmer_bench::{ingest, IngestConfig, IngestMode, Pacing, ReplayHarness};
-use glimmer_core::blinding::BlindingService;
-use glimmer_core::host::GlimmerDescriptor;
-use glimmer_core::protocol::{BatchOutcome, Contribution, ContributionPayload, PrivateData};
-use glimmer_core::remote::{IotDeviceSession, RemoteGlimmerHost};
-use glimmer_core::signing::ServiceKeyMaterial;
+use glimmer_core::protocol::BatchOutcome;
+use glimmer_core::remote::IotDeviceSession;
 use glimmer_crypto::drbg::Drbg;
 use glimmer_gateway::frontend::{AsyncGateway, SessionExecutor};
 use glimmer_gateway::net::GatewayClient;
-use glimmer_gateway::{Gateway, GatewayConfig, NetConfig, TenantConfig};
-use sgx_sim::{AttestationService, PlatformConfig};
+use glimmer_gateway::{Gateway, GatewayConfig, SystemClock};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
-
-const APP: &str = "iot-telemetry.example";
-const DIM: usize = 8;
 
 fn config() -> Criterion {
     Criterion::default()
@@ -46,85 +41,90 @@ fn config() -> Criterion {
         .warm_up_time(Duration::from_millis(200))
 }
 
-fn contribution(client_id: u64) -> Contribution {
-    Contribution {
-        app_id: APP.to_string(),
-        client_id,
-        round: 0,
-        payload: ContributionPayload::IotReadings {
-            samples: vec![0.4; DIM],
-        },
+/// The steady-state fixture every group shares: `sessions` honest devices
+/// that re-send the same one-round contribution each iteration. Returns
+/// the rig and the rng its key material left behind.
+fn steady_rig(sessions: usize, blinding_seed: u8, rng_seed: u8) -> (Rig, Drbg) {
+    let mut rng = Drbg::from_seed([rng_seed; 32]);
+    let rig = Rig::uniform(sessions, 1, 0.4, [blinding_seed; 32], &mut rng);
+    (rig, rng)
+}
+
+/// The gateway configuration of a steady-state bench: iterations queue
+/// more than the rig's one planned round, so the depth is fixed.
+fn steady_config(rig: &Rig, slots: usize, shards: usize) -> GatewayConfig {
+    let mut config = rig.config(slots, shards);
+    config.max_queue_depth = 4096;
+    config
+}
+
+/// A gateway plus established device sessions, ready for steady-state
+/// submission benches.
+struct Setup {
+    rig: Rig,
+    gateway: Gateway,
+    established: Sessions,
+}
+
+fn setup(sessions: usize, slots: usize, shards: usize, seeds: (u8, u8, u8)) -> Setup {
+    let (rig, mut rng) = steady_rig(sessions, seeds.0, seeds.1);
+    let mut avs = rig::attestation([seeds.2; 32]);
+    let gateway = rig.gateway(
+        steady_config(&rig, slots, shards),
+        &mut avs,
+        &mut rng,
+        Arc::new(SystemClock::new()),
+    );
+    let established = rig.connect(&gateway, &avs, &mut rng);
+    Setup {
+        rig,
+        gateway,
+        established,
     }
+}
+
+/// Submits every session's contribution one request at a time.
+fn submit_each(setup: &mut Setup) {
+    for (device, (sid, session)) in setup.established.iter_mut().enumerate() {
+        let request = setup.rig.request(session, device, 0);
+        setup.gateway.submit(*sid, request).unwrap();
+    }
+}
+
+/// Drains everything queued and asserts every reply is an endorsement.
+fn drain_all_endorsed(gateway: &Gateway) -> usize {
+    let responses = gateway.drain_all().unwrap();
+    // Fail loudly rather than silently timing an error path (e.g. an
+    // exhausted nonce window).
+    assert_eq!(
+        rig::endorsed(&responses),
+        responses.len(),
+        "bench traffic is honest"
+    );
+    responses.len()
 }
 
 fn bench_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("gateway");
     for &sessions in &[1usize, 8, 64] {
-        let clients: Vec<u64> = (0..sessions as u64).collect();
-        let masks = BlindingService::new([13u8; 32]).zero_sum_masks(0, &clients, DIM);
         group.throughput(Throughput::Elements(sessions as u64));
 
         // Steady state: pool built and sessions established outside the loop.
         {
-            let mut rng = Drbg::from_seed([21u8; 32]);
-            let mut avs = AttestationService::new([22u8; 32]);
-            let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-            let gateway = Gateway::new(
-                GatewayConfig {
-                    slots_per_tenant: (sessions / 16).max(1),
-                    shards: 1,
-                    max_batch: 256,
-                    max_queue_depth: 4096,
-                    placement_session_weight: 4,
-                    platform_config: PlatformConfig::default(),
-                    ..GatewayConfig::default()
-                },
-                vec![TenantConfig::new(
-                    APP,
-                    GlimmerDescriptor::iot_default(Vec::new()),
-                    material.secret_bytes(),
-                )],
-                &mut avs,
-                &mut rng,
-            )
-            .unwrap();
-            let approved = gateway.measurement(APP).unwrap();
-            let mut established = Vec::with_capacity(sessions);
-            for client in &clients {
-                let (sid, offer) = gateway.open_session(APP).unwrap();
-                let (accept, device) =
-                    IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-                gateway.complete_session(sid, &accept).unwrap();
-                gateway.install_mask(sid, &masks[*client as usize]).unwrap();
-                established.push((sid, *client, device));
-            }
+            let mut setup = setup(sessions, (sessions / 16).max(1), 1, (13, 21, 22));
             group.bench_with_input(
                 BenchmarkId::new("pooled_batched", sessions),
                 &sessions,
                 |b, _| {
                     b.iter(|| {
-                        for (sid, client, device) in &mut established {
-                            let request =
-                                device.encrypt_request(contribution(*client), PrivateData::None);
-                            gateway.submit(*sid, request).unwrap();
-                        }
+                        submit_each(&mut setup);
                         // Decrypt every reply at the device, matching the
                         // per-device baseline's client-side work.
-                        let mut endorsed = 0usize;
-                        for response in gateway.drain_all().unwrap() {
-                            // Fail loudly rather than silently timing an
-                            // error path (e.g. an exhausted nonce window).
-                            let BatchOutcome::Reply { ciphertext, .. } = &response.outcome else {
-                                panic!("bench item failed: {:?}", response.outcome);
-                            };
-                            let (_, _, device) = established
-                                .iter()
-                                .find(|(sid, _, _)| *sid == response.session_id)
-                                .unwrap();
-                            device.decrypt_response(ciphertext).unwrap();
-                            endorsed += 1;
+                        let responses = setup.gateway.drain_all().unwrap();
+                        for response in &responses {
+                            let _ = rig::decrypt(&setup.established, response);
                         }
-                        endorsed
+                        responses.len()
                     })
                 },
             );
@@ -132,39 +132,20 @@ fn bench_serving(c: &mut Criterion) {
 
         // Baseline: every contribution pays a fresh enclave host.
         {
-            let mut rng = Drbg::from_seed([23u8; 32]);
-            let mut avs = AttestationService::new([22u8; 32]);
-            let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+            let (rig, mut rng) = steady_rig(sessions, 13, 23);
+            let mut avs = rig::attestation([22u8; 32]);
             group.bench_with_input(
                 BenchmarkId::new("per_device", sessions),
                 &sessions,
                 |b, _| {
                     b.iter(|| {
                         let mut endorsed = 0usize;
-                        for client in &clients {
-                            let mut host = RemoteGlimmerHost::new(
-                                GlimmerDescriptor::iot_default(Vec::new()),
-                                PlatformConfig::default(),
-                                &mut rng,
-                                &mut avs,
-                            )
-                            .unwrap();
-                            host.client_mut()
-                                .install_service_key(&material.secret_bytes())
-                                .unwrap();
-                            host.client_mut()
-                                .install_mask(&masks[*client as usize])
-                                .unwrap();
-                            let approved = host.measurement();
-                            let offer = host.attestation_offer().unwrap();
-                            let (accept, mut device) =
-                                IotDeviceSession::connect(&offer, &avs, &approved, &mut rng)
-                                    .unwrap();
-                            host.accept_device(&accept).unwrap();
-                            let request =
-                                device.encrypt_request(contribution(*client), PrivateData::None);
+                        for device in 0..sessions {
+                            let (mut host, mut session) =
+                                rig.host_device(device, &mut avs, &mut rng);
+                            let request = rig.request(&mut session, device, 0);
                             let reply = host.relay(&request).unwrap();
-                            if device.decrypt_response(&reply).is_ok() {
+                            if session.decrypt_response(&reply).is_ok() {
                                 endorsed += 1;
                             }
                         }
@@ -182,126 +163,20 @@ fn bench_shard_scaling(c: &mut Criterion) {
     const SLOTS: usize = 8;
     const SESSIONS: usize = 16;
     for &shards in &[1usize, 2, 4] {
-        let clients: Vec<u64> = (0..SESSIONS as u64).collect();
-        let masks = BlindingService::new([14u8; 32]).zero_sum_masks(0, &clients, DIM);
         group.throughput(Throughput::Elements(SESSIONS as u64));
-        let mut rng = Drbg::from_seed([24u8; 32]);
-        let mut avs = AttestationService::new([25u8; 32]);
-        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-        let gateway = Gateway::new(
-            GatewayConfig {
-                slots_per_tenant: SLOTS,
-                shards,
-                max_batch: 256,
-                max_queue_depth: 4096,
-                placement_session_weight: 4,
-                platform_config: PlatformConfig::default(),
-                ..GatewayConfig::default()
-            },
-            vec![TenantConfig::new(
-                APP,
-                GlimmerDescriptor::iot_default(Vec::new()),
-                material.secret_bytes(),
-            )],
-            &mut avs,
-            &mut rng,
-        )
-        .unwrap();
-        let approved = gateway.measurement(APP).unwrap();
-        let mut established = Vec::with_capacity(SESSIONS);
-        for client in &clients {
-            let (sid, offer) = gateway.open_session(APP).unwrap();
-            let (accept, device) =
-                IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-            gateway.complete_session(sid, &accept).unwrap();
-            gateway.install_mask(sid, &masks[*client as usize]).unwrap();
-            established.push((sid, *client, device));
-        }
+        let mut setup = setup(SESSIONS, SLOTS, shards, (14, 24, 25));
         group.bench_with_input(
             BenchmarkId::new("shard_scaling", shards),
             &shards,
             |b, _| {
                 b.iter(|| {
-                    for (sid, client, device) in &mut established {
-                        let request =
-                            device.encrypt_request(contribution(*client), PrivateData::None);
-                        gateway.submit(*sid, request).unwrap();
-                    }
-                    let mut endorsed = 0usize;
-                    for response in gateway.drain_all().unwrap() {
-                        let BatchOutcome::Reply { endorsed: e, .. } = &response.outcome else {
-                            panic!("bench item failed: {:?}", response.outcome);
-                        };
-                        assert!(e, "bench traffic is honest");
-                        endorsed += 1;
-                    }
-                    endorsed
+                    submit_each(&mut setup);
+                    drain_all_endorsed(&setup.gateway)
                 })
             },
         );
     }
     group.finish();
-}
-
-/// A gateway plus established device sessions, ready for steady-state
-/// submission benches.
-struct BatchedSetup {
-    gateway: Gateway,
-    established: Vec<(u64, u64, IotDeviceSession)>,
-}
-
-fn batched_setup(sessions: usize, slots: usize, seeds: (u8, u8)) -> BatchedSetup {
-    let clients: Vec<u64> = (0..sessions as u64).collect();
-    let masks = BlindingService::new([15u8; 32]).zero_sum_masks(0, &clients, DIM);
-    let mut rng = Drbg::from_seed([seeds.0; 32]);
-    let mut avs = AttestationService::new([seeds.1; 32]);
-    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let gateway = Gateway::new(
-        GatewayConfig {
-            slots_per_tenant: slots,
-            shards: 1,
-            max_batch: 256,
-            max_queue_depth: 4096,
-            placement_session_weight: 4,
-            platform_config: PlatformConfig::default(),
-            ..GatewayConfig::default()
-        },
-        vec![TenantConfig::new(
-            APP,
-            GlimmerDescriptor::iot_default(Vec::new()),
-            material.secret_bytes(),
-        )],
-        &mut avs,
-        &mut rng,
-    )
-    .unwrap();
-    let approved = gateway.measurement(APP).unwrap();
-    let mut established = Vec::with_capacity(sessions);
-    for client in &clients {
-        let (sid, offer) = gateway.open_session(APP).unwrap();
-        let (accept, device) =
-            IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-        gateway.complete_session(sid, &accept).unwrap();
-        gateway.install_mask(sid, &masks[*client as usize]).unwrap();
-        established.push((sid, *client, device));
-    }
-    BatchedSetup {
-        gateway,
-        established,
-    }
-}
-
-/// Drains everything queued and asserts every reply is an endorsement.
-fn drain_all_endorsed(gateway: &Gateway) -> usize {
-    let mut endorsed = 0usize;
-    for response in gateway.drain_all().unwrap() {
-        let BatchOutcome::Reply { endorsed: e, .. } = &response.outcome else {
-            panic!("bench item failed: {:?}", response.outcome);
-        };
-        assert!(e, "bench traffic is honest");
-        endorsed += 1;
-    }
-    endorsed
 }
 
 fn bench_batched_submission(c: &mut Criterion) {
@@ -313,18 +188,12 @@ fn bench_batched_submission(c: &mut Criterion) {
     // Per-request baseline: one `submit` call (one admission sequence, one
     // shard-queue command) per request.
     {
-        let BatchedSetup {
-            gateway,
-            mut established,
-        } = batched_setup(SESSIONS, SLOTS, (26, 27));
+        let mut setup = setup(SESSIONS, SLOTS, 1, (15, 26, 27));
         group.throughput(Throughput::Elements(SESSIONS as u64));
         group.bench_function(BenchmarkId::new("per_request", SESSIONS), |b| {
             b.iter(|| {
-                for (sid, client, device) in &mut established {
-                    let request = device.encrypt_request(contribution(*client), PrivateData::None);
-                    gateway.submit(*sid, request).unwrap();
-                }
-                drain_all_endorsed(&gateway)
+                submit_each(&mut setup);
+                drain_all_endorsed(&setup.gateway)
             })
         });
     }
@@ -332,20 +201,17 @@ fn bench_batched_submission(c: &mut Criterion) {
     // Bulk producer: the same traffic admitted in `submit_batch` chunks —
     // admission reservation and the shard command are paid per chunk.
     {
-        let BatchedSetup {
+        let Setup {
+            rig,
             gateway,
             mut established,
-        } = batched_setup(SESSIONS, SLOTS, (28, 29));
+        } = setup(SESSIONS, SLOTS, 1, (15, 28, 29));
+        let devices: Vec<usize> = (0..SESSIONS).collect();
         group.throughput(Throughput::Elements(SESSIONS as u64));
         group.bench_function(BenchmarkId::new("submit_batch", CHUNK), |b| {
             b.iter(|| {
-                for window in established.chunks_mut(CHUNK) {
-                    let mut chunk = Vec::with_capacity(window.len());
-                    for (sid, client, device) in window.iter_mut() {
-                        let request =
-                            device.encrypt_request(contribution(*client), PrivateData::None);
-                        chunk.push((*sid, request));
-                    }
+                for window in devices.chunks(CHUNK) {
+                    let chunk = rig.encrypt(&mut established, window.iter().map(|&d| (d, 0)));
                     gateway.submit_batch(chunk).unwrap();
                 }
                 drain_all_endorsed(&gateway)
@@ -357,19 +223,18 @@ fn bench_batched_submission(c: &mut Criterion) {
     // `submit_many` group.
     {
         const STREAM_SESSIONS: usize = 16;
-        let BatchedSetup {
+        let Setup {
+            rig,
             gateway,
             mut established,
-        } = batched_setup(STREAM_SESSIONS, SLOTS, (30, 31));
+        } = setup(STREAM_SESSIONS, SLOTS, 1, (15, 30, 31));
         group.throughput(Throughput::Elements((STREAM_SESSIONS * CHUNK) as u64));
         group.bench_function(BenchmarkId::new("submit_many", CHUNK), |b| {
             b.iter(|| {
-                for (sid, client, device) in &mut established {
-                    let mut stream = Vec::with_capacity(CHUNK);
-                    for _ in 0..CHUNK {
-                        stream
-                            .push(device.encrypt_request(contribution(*client), PrivateData::None));
-                    }
+                for (device, (sid, session)) in established.iter_mut().enumerate() {
+                    let stream = (0..CHUNK)
+                        .map(|_| rig.request(session, device, 0))
+                        .collect();
                     gateway.submit_many(*sid, stream).unwrap();
                 }
                 drain_all_endorsed(&gateway)
@@ -395,29 +260,25 @@ fn bench_async_frontend(c: &mut Criterion) {
     // Blocking driver at equal traffic (same shape as pooled_batched, here
     // as the in-group baseline).
     {
-        let BatchedSetup {
-            gateway,
-            mut established,
-        } = batched_setup(SESSIONS, SLOTS, (32, 33));
+        let mut setup = setup(SESSIONS, SLOTS, 1, (15, 32, 33));
         group.throughput(Throughput::Elements(SESSIONS as u64));
         group.bench_function(BenchmarkId::new("blocking_driver", SESSIONS), |b| {
             b.iter(|| {
-                for (sid, client, device) in &mut established {
-                    let request = device.encrypt_request(contribution(*client), PrivateData::None);
-                    gateway.submit(*sid, request).unwrap();
-                }
-                drain_all_endorsed(&gateway)
+                submit_each(&mut setup);
+                drain_all_endorsed(&setup.gateway)
             })
         });
     }
 
     // Async front-end: the same traffic as session tasks on one executor.
     {
-        let BatchedSetup {
+        let Setup {
+            rig,
             gateway,
             established,
-        } = batched_setup(SESSIONS, SLOTS, (34, 35));
+        } = setup(SESSIONS, SLOTS, 1, (15, 34, 35));
         let frontend = AsyncGateway::new(gateway);
+        let rig = Rc::new(rig);
         let established = Rc::new(RefCell::new(established));
         group.throughput(Throughput::Elements(SESSIONS as u64));
         group.bench_function(BenchmarkId::new("async_session_tasks", SESSIONS), |b| {
@@ -426,15 +287,12 @@ fn bench_async_frontend(c: &mut Criterion) {
                 let endorsed = Rc::new(Cell::new(0usize));
                 for i in 0..SESSIONS {
                     let frontend = frontend.clone();
+                    let rig = Rc::clone(&rig);
                     let established = Rc::clone(&established);
                     executor.spawn(async move {
                         let (sid, request) = {
-                            let mut sessions = established.borrow_mut();
-                            let (sid, client, device) = &mut sessions[i];
-                            (
-                                *sid,
-                                device.encrypt_request(contribution(*client), PrivateData::None),
-                            )
+                            let (sid, session) = &mut established.borrow_mut()[i];
+                            (*sid, rig.request(session, i, 0))
                         };
                         frontend.submit(sid, request).await.unwrap();
                     });
@@ -445,14 +303,13 @@ fn bench_async_frontend(c: &mut Criterion) {
                     executor.spawn(async move {
                         let mut collected = 0usize;
                         while collected < SESSIONS {
-                            for response in frontend.drain_replies().await.unwrap() {
-                                let BatchOutcome::Reply { endorsed: e, .. } = &response.outcome
-                                else {
-                                    panic!("bench item failed: {:?}", response.outcome);
-                                };
-                                assert!(e, "bench traffic is honest");
-                                collected += 1;
-                            }
+                            let responses = frontend.drain_replies().await.unwrap();
+                            assert_eq!(
+                                rig::endorsed(&responses),
+                                responses.len(),
+                                "bench traffic is honest"
+                            );
+                            collected += responses.len();
                         }
                         endorsed.set(collected);
                     });
@@ -476,8 +333,7 @@ fn bench_async_frontend(c: &mut Criterion) {
 /// paths' — E17 is the precise (isolated-region) instrument.
 fn bench_replay_ingest(c: &mut Criterion) {
     use glimmer_workloads::replay::{
-        generate_scenario_file, load_chunks, load_spans, FileSource, MmapSource, ScenarioMix,
-        ScenarioSpec, CHUNK_EXCESS,
+        generate_scenario_file, load_chunks, FileSource, ScenarioMix, ScenarioSpec, CHUNK_EXCESS,
     };
 
     let mut group = c.benchmark_group("gateway_ingest");
@@ -512,25 +368,6 @@ fn bench_replay_ingest(c: &mut Criterion) {
                 },
             );
         }
-        // pread vs mmap at the same reader counts: `load/R` pays one
-        // positional read syscall per window; `load_mmap/R` parses the
-        // page cache copy-free through one long-lived mapping.
-        let mapped = MmapSource::map(&path).unwrap();
-        for &readers in &[1usize, 4] {
-            group.throughput(Throughput::Elements(info.records));
-            group.bench_with_input(
-                BenchmarkId::new("load_mmap", readers),
-                &readers,
-                |b, &readers| {
-                    b.iter(|| {
-                        let loads = load_spans(mapped.as_bytes(), readers);
-                        let total: u64 = loads.iter().map(|l| l.summary.records).sum();
-                        assert_eq!(total, info.records, "loader lost records");
-                        total
-                    })
-                },
-            );
-        }
     }
     let _ = std::fs::remove_file(&path);
 
@@ -556,7 +393,16 @@ fn bench_replay_ingest(c: &mut Criterion) {
         group.throughput(Throughput::Elements(records.len() as u64));
         group.bench_function(BenchmarkId::new(name, records.len()), |b| {
             b.iter(|| {
-                let mut harness = ReplayHarness::build(&records, 2, 1, 2, DIM, 1024, [47u8; 32]);
+                let mut harness = ReplayHarness::build(
+                    &records,
+                    2,
+                    1,
+                    2,
+                    rig::DIM,
+                    1024,
+                    [47u8; 32],
+                    Arc::new(SystemClock::new()),
+                );
                 ingest(&mut harness, &records, &config).unwrap().endorsed()
             })
         });
@@ -578,74 +424,47 @@ fn bench_gateway_net(c: &mut Criterion) {
 
     // In-process baseline: blocking submits straight into the gateway.
     {
-        let BatchedSetup {
-            gateway,
-            mut established,
-        } = batched_setup(SESSIONS, SLOTS, (36, 37));
+        let mut setup = setup(SESSIONS, SLOTS, 1, (15, 36, 37));
         group.throughput(Throughput::Elements(SESSIONS as u64));
         group.bench_function(BenchmarkId::new("in_process_driver", SESSIONS), |b| {
             b.iter(|| {
-                for (sid, client, device) in &mut established {
-                    let request = device.encrypt_request(contribution(*client), PrivateData::None);
-                    gateway.submit(*sid, request).unwrap();
-                }
-                drain_all_endorsed(&gateway)
+                submit_each(&mut setup);
+                drain_all_endorsed(&setup.gateway)
             })
         });
     }
 
     // Socket path: one TCP connection per session, lifecycle established
-    // over the wire, then steady-state submit + client-driven drain.
+    // over the wire (the driver is the thing measured, so — like E19 — it
+    // takes only data from the rig), then steady-state submit +
+    // client-driven drain.
     {
-        let mut rng = Drbg::from_seed([38u8; 32]);
-        let mut avs = AttestationService::new([39u8; 32]);
-        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-        let gateway = Gateway::new(
-            GatewayConfig {
-                slots_per_tenant: SLOTS,
-                shards: 1,
-                max_batch: 256,
-                max_queue_depth: 4096,
-                placement_session_weight: 4,
-                platform_config: PlatformConfig::default(),
-                evict_stale_period: None,
-                net: NetConfig {
-                    idle_timeout: None,
-                    drain_interval: None,
-                    ..NetConfig::default()
-                },
-                ..GatewayConfig::default()
-            },
-            vec![TenantConfig::new(
-                APP,
-                GlimmerDescriptor::iot_default(Vec::new()),
-                material.secret_bytes(),
-            )],
-            &mut avs,
-            &mut rng,
-        )
-        .unwrap();
-        let approved = gateway.measurement(APP).unwrap();
+        let (rig, mut rng) = steady_rig(SESSIONS, 15, 38);
+        let mut avs = rig::attestation([39u8; 32]);
+        let mut config = steady_config(&rig, SLOTS, 1);
+        config.evict_stale_period = None;
+        config.net.idle_timeout = None;
+        config.net.drain_interval = None;
+        let gateway = rig.gateway(config, &mut avs, &mut rng, Arc::new(SystemClock::new()));
+        let approved = gateway.measurement(rig::APP).unwrap();
         let server = glimmer_gateway::net::serve(AsyncGateway::new(gateway), None).unwrap();
-        let clients: Vec<u64> = (0..SESSIONS as u64).collect();
-        let masks = BlindingService::new([15u8; 32]).zero_sum_masks(0, &clients, DIM);
         let mut conns = Vec::with_capacity(SESSIONS);
-        for client in &clients {
+        for mask in &rig.masks[0] {
             let mut conn = GatewayClient::connect(server.addr()).unwrap();
             conn.set_read_timeout(Some(Duration::from_secs(60)))
                 .unwrap();
-            let (sid, offer) = conn.open_session(APP).unwrap();
-            let (accept, device) =
+            let (sid, offer) = conn.open_session(rig::APP).unwrap();
+            let (accept, session) =
                 IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
             conn.complete_session(sid, &accept).unwrap();
-            conn.install_mask(sid, &masks[*client as usize]).unwrap();
-            conns.push((conn, sid, *client, device));
+            conn.install_mask(sid, mask).unwrap();
+            conns.push((conn, sid, session));
         }
         group.throughput(Throughput::Elements(SESSIONS as u64));
         group.bench_function(BenchmarkId::new("socket_driver", SESSIONS), |b| {
             b.iter(|| {
-                for (conn, sid, client, device) in conns.iter_mut() {
-                    let request = device.encrypt_request(contribution(*client), PrivateData::None);
+                for (device, (conn, sid, session)) in conns.iter_mut().enumerate() {
+                    let request = rig.request(session, device, 0);
                     conn.submit(*sid, request).unwrap();
                 }
                 let mut routed = 0u64;
@@ -653,7 +472,7 @@ fn bench_gateway_net(c: &mut Criterion) {
                     routed += conns[0].0.drain().unwrap();
                 }
                 let mut endorsed = 0usize;
-                for (conn, sid, _, _) in conns.iter_mut() {
+                for (conn, sid, _) in conns.iter_mut() {
                     let envelope = conn.next_reply().unwrap();
                     assert_eq!(envelope.session_id, *sid);
                     let BatchOutcome::Reply { endorsed: e, .. } = &envelope.outcome else {

@@ -1,9 +1,10 @@
-//! The E1–E16 experiment implementations.
+//! The E1–E20 experiment implementations.
 //!
 //! Every experiment is a pure function of its configuration and seed, so the
 //! binaries, the Criterion benches, and the integration tests can all run the
 //! same code at different scales.
 
+use crate::rig::{self, Rig};
 use glimmer_core::blinding::BlindingService;
 use glimmer_core::host::{GlimmerClient, GlimmerDescriptor};
 use glimmer_core::policy::{check_verifiability, PolicyLimits, TcbReport};
@@ -21,6 +22,7 @@ use glimmer_federated::inversion::invert_membership;
 use glimmer_federated::metrics::{evaluate, ModelQuality};
 use glimmer_federated::trainer::train_local_model;
 use glimmer_federated::{GlobalModel, LocalModel};
+use glimmer_gateway::SystemClock;
 use glimmer_services::botdetect::BotDetectionService;
 use glimmer_services::keyboard::{KeyboardService, KeyboardServiceConfig};
 use glimmer_services::ServiceError;
@@ -30,6 +32,7 @@ use glimmer_workloads::botsignals::{BotSignalWorkload, SessionKind};
 use glimmer_workloads::keyboard::{KeyboardWorkload, KeyboardWorkloadConfig};
 use sgx_sim::{AttestationService, CostModel, PlatformConfig};
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Poisoning strategies named independently of the schema (the concrete slot
@@ -1198,68 +1201,29 @@ pub fn e11_gateway_serving(
     slots: usize,
     seed: [u8; 32],
 ) -> E11Row {
-    use glimmer_gateway::{Gateway, GatewayConfig, TenantConfig};
-    use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
-
-    const APP: &str = "iot-telemetry.example";
     let dimension = 8usize;
-    let workload = GatewayTrafficWorkload::generate(
-        &[TenantTrafficSpec {
-            name: APP.to_string(),
-            devices: sessions,
-            requests_per_device: requests_per_session,
-            dimension,
-            misbehaving_fraction: 0.2,
-        }],
-        seed,
-    );
-    let devices = &workload.tenants[0].devices;
     let mut rng = Drbg::from_seed(seed);
-    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let client_ids: Vec<u64> = devices.iter().map(|d| d.device_id).collect();
-    // One mask per (round, client): round r is the device's r-th request.
-    let blinding = BlindingService::new([31u8; 32]);
-    let mask_rounds: Vec<Vec<glimmer_core::blinding::MaskShare>> = (0..requests_per_session)
-        .map(|round| blinding.zero_sum_masks(round as u64, &client_ids, dimension))
-        .collect();
-    let contribution =
-        |device: &glimmer_workloads::gateway::DeviceTraffic, round: usize| Contribution {
-            app_id: APP.to_string(),
-            client_id: device.device_id,
-            round: round as u64,
-            payload: ContributionPayload::IotReadings {
-                samples: device.requests[round].clone(),
-            },
-        };
+    let rig = Rig::generate(
+        sessions,
+        requests_per_session,
+        dimension,
+        0.2,
+        seed,
+        [31u8; 32],
+        &mut rng,
+    );
 
     // --- Per-device baseline: a fresh enclave host per device. ---
-    let mut avs = AttestationService::new([17u8; 32]);
+    let mut avs = rig::attestation([17u8; 32]);
     let mut endorsed = 0usize;
     let mut rejected = 0usize;
     let mut per_device_cycles = 0u64;
     let mut endorsements = Vec::new();
     let per_device_start = Instant::now();
-    for (i, device) in devices.iter().enumerate() {
-        let mut host = RemoteGlimmerHost::new(
-            GlimmerDescriptor::iot_default(Vec::new()),
-            PlatformConfig::default(),
-            &mut rng,
-            &mut avs,
-        )
-        .unwrap();
-        host.client_mut()
-            .install_service_key(&material.secret_bytes())
-            .unwrap();
-        for round in mask_rounds.iter() {
-            host.client_mut().install_mask(&round[i]).unwrap();
-        }
-        let approved = host.measurement();
-        let offer = host.attestation_offer().unwrap();
-        let (accept, mut session) =
-            IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-        host.accept_device(&accept).unwrap();
+    for device in 0..sessions {
+        let (mut host, mut session) = rig.host_device(device, &mut avs, &mut rng);
         for round in 0..requests_per_session {
-            let request = session.encrypt_request(contribution(device, round), PrivateData::None);
+            let request = rig.request(&mut session, device, round);
             let response = session
                 .decrypt_response(&host.relay(&request).unwrap())
                 .unwrap();
@@ -1278,78 +1242,43 @@ pub fn e11_gateway_serving(
     // on either architecture, so verification sits outside both timed
     // regions; it still runs, to prove the produced endorsements are valid.
     for e in endorsements.drain(..) {
-        material.verifier().verify(&e).unwrap();
+        rig.material.verifier().verify(&e).unwrap();
     }
 
     // --- Pooled gateway: pre-provisioned slots, batched drains. ---
-    let mut avs = AttestationService::new([17u8; 32]);
+    let mut avs = rig::attestation([17u8; 32]);
     let pool_build_start = Instant::now();
-    let gateway = Gateway::new(
-        GatewayConfig {
-            slots_per_tenant: slots,
-            // Deterministic single-shard mode: E11's cycle metric must stay
-            // reproducible run-to-run (E12 is the shard-scaling experiment).
-            shards: 1,
-            max_batch: 256,
-            max_queue_depth: (sessions * requests_per_session).max(256),
-            placement_session_weight: 4,
-            platform_config: PlatformConfig::default(),
-            ..GatewayConfig::default()
-        },
-        vec![TenantConfig::new(
-            APP,
-            GlimmerDescriptor::iot_default(Vec::new()),
-            material.secret_bytes(),
-        )],
+    // Deterministic single-shard mode: E11's cycle metric must stay
+    // reproducible run-to-run (E12 is the shard-scaling experiment).
+    let gateway = rig.gateway(
+        rig.config(slots, 1),
         &mut avs,
         &mut rng,
-    )
-    .unwrap();
+        Arc::new(SystemClock::new()),
+    );
     let pool_build_elapsed = pool_build_start.elapsed().as_secs_f64();
 
     let pooled_start = Instant::now();
-    let approved = gateway.measurement(APP).unwrap();
-    let mut device_sessions = Vec::with_capacity(devices.len());
-    for (i, _device) in devices.iter().enumerate() {
-        let (sid, offer) = gateway.open_session(APP).unwrap();
-        let (accept, session) =
-            IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-        gateway.complete_session(sid, &accept).unwrap();
-        for round in mask_rounds.iter() {
-            gateway.install_mask(sid, &round[i]).unwrap();
-        }
-        device_sessions.push((sid, session));
-    }
+    let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
     // Replay the interleaved arrival schedule, then drain in batches.
-    for event in &workload.schedule {
-        let device = &workload.tenants[event.tenant].devices[event.device];
-        let (sid, session) = &mut device_sessions[event.device];
-        let request =
-            session.encrypt_request(contribution(device, event.request), PrivateData::None);
-        gateway.submit(*sid, request).unwrap();
-    }
-    let responses = gateway.drain_all().unwrap();
+    let responses = rig.serve(
+        &gateway,
+        &mut device_sessions,
+        rig.schedule(0..requests_per_session),
+    );
     // Devices decrypt their replies inside the timed region, mirroring the
     // per-device baseline's client-side work; signature verification happens
     // after timing on both paths (see above).
     let mut pooled_endorsed = 0usize;
     for response in &responses {
-        let glimmer_core::protocol::BatchOutcome::Reply { ciphertext, .. } = &response.outcome
-        else {
-            continue;
-        };
-        let (_, session) = device_sessions
-            .iter()
-            .find(|(sid, _)| *sid == response.session_id)
-            .unwrap();
-        if let ProcessResponse::Endorsed(e) = session.decrypt_response(ciphertext).unwrap() {
+        if let ProcessResponse::Endorsed(e) = rig::decrypt(&device_sessions, response) {
             endorsements.push(e);
             pooled_endorsed += 1;
         }
     }
     let pooled_elapsed = pooled_start.elapsed().as_secs_f64();
     for e in endorsements.drain(..) {
-        material.verifier().verify(&e).unwrap();
+        rig.material.verifier().verify(&e).unwrap();
     }
     assert_eq!(
         pooled_endorsed, endorsed,
@@ -1424,79 +1353,29 @@ pub fn e12_shard_scaling(
     requests_per_session: usize,
     seed: [u8; 32],
 ) -> Vec<E12Row> {
-    use glimmer_gateway::{Gateway, GatewayConfig, TenantConfig};
-
-    const APP: &str = "iot-telemetry.example";
-    let dimension = 8usize;
     let sessions = slots * sessions_per_slot;
+    let mut rng = Drbg::from_seed(seed);
+    let rig = Rig::uniform(sessions, requests_per_session, 0.3, [32u8; 32], &mut rng);
     let mut rows: Vec<E12Row> = Vec::with_capacity(shard_counts.len());
 
     for &shards in shard_counts {
         // Identical seeds per configuration: the enclaves, handshakes, and
         // ciphertexts are bit-identical across shard counts, so any
         // difference between rows is the runtime's doing.
-        let mut rng = Drbg::from_seed(seed);
-        let mut avs = AttestationService::new([18u8; 32]);
-        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-        let gateway = Gateway::new(
-            GatewayConfig {
-                slots_per_tenant: slots,
-                shards,
-                max_batch: 256,
-                max_queue_depth: (sessions * requests_per_session).max(256),
-                placement_session_weight: 4,
-                platform_config: PlatformConfig::default(),
-                ..GatewayConfig::default()
-            },
-            vec![TenantConfig::new(
-                APP,
-                GlimmerDescriptor::iot_default(Vec::new()),
-                material.secret_bytes(),
-            )],
+        let mut rng = rng.clone();
+        let mut avs = rig::attestation([18u8; 32]);
+        let gateway = rig.gateway(
+            rig.config(slots, shards),
             &mut avs,
             &mut rng,
-        )
-        .unwrap();
-
-        let approved = gateway.measurement(APP).unwrap();
-        let client_ids: Vec<u64> = (0..sessions as u64).collect();
-        let blinding = BlindingService::new([32u8; 32]);
-        let mask_rounds: Vec<_> = (0..requests_per_session as u64)
-            .map(|round| blinding.zero_sum_masks(round, &client_ids, dimension))
-            .collect();
-        let mut device_sessions = Vec::with_capacity(sessions);
-        for (i, client_id) in client_ids.iter().enumerate() {
-            let (sid, offer) = gateway.open_session(APP).unwrap();
-            let (accept, session) =
-                IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-            gateway.complete_session(sid, &accept).unwrap();
-            for round in &mask_rounds {
-                gateway.install_mask(sid, &round[i]).unwrap();
-            }
-            device_sessions.push((sid, *client_id, session));
-        }
+            Arc::new(SystemClock::new()),
+        );
+        let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
 
         // Pre-encrypt every request so the timed region measures gateway
         // serving (queueing + batched enclave drains), not device-side
         // encryption.
-        let mut encrypted: Vec<(u64, Vec<u8>)> =
-            Vec::with_capacity(sessions * requests_per_session);
-        for round in 0..requests_per_session as u64 {
-            for (sid, client_id, session) in &mut device_sessions {
-                let contribution = Contribution {
-                    app_id: APP.to_string(),
-                    client_id: *client_id,
-                    round,
-                    payload: ContributionPayload::IotReadings {
-                        samples: vec![0.3; dimension],
-                    },
-                };
-                encrypted.push((
-                    *sid,
-                    session.encrypt_request(contribution, PrivateData::None),
-                ));
-            }
-        }
+        let encrypted = rig.encrypt(&mut device_sessions, rig.schedule(0..requests_per_session));
 
         let serve_start = Instant::now();
         for (sid, ciphertext) in encrypted {
@@ -1505,15 +1384,7 @@ pub fn e12_shard_scaling(
         let responses = gateway.drain_all().unwrap();
         let serve_elapsed = serve_start.elapsed().as_secs_f64();
 
-        let endorsed = responses
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.outcome,
-                    glimmer_core::protocol::BatchOutcome::Reply { endorsed: true, .. }
-                )
-            })
-            .count();
+        let endorsed = rig::endorsed(&responses);
         let stats = gateway.stats();
         let total_drain_cycles = stats.total_drain_cycles();
         let critical_path_cycles = stats.critical_path_drain_cycles();
@@ -1583,75 +1454,21 @@ pub fn e12_pinning_variance(
     repeats: usize,
     seed: [u8; 32],
 ) -> E12PinningVariance {
-    use glimmer_gateway::{Gateway, GatewayConfig, TenantConfig};
-
-    const APP: &str = "iot-telemetry.example";
-    let dimension = 8usize;
     let sessions = slots * sessions_per_slot;
+    let mut rng = Drbg::from_seed(seed);
+    let rig = Rig::uniform(sessions, requests_per_session, 0.3, [32u8; 32], &mut rng);
 
     // One timed serve of the bit-identical workload; returns wall seconds,
     // the deterministic critical path, and how many workers reported a
     // successful pin.
     let run_once = |pin_cores: bool| -> (f64, u64, usize) {
-        let mut rng = Drbg::from_seed(seed);
-        let mut avs = AttestationService::new([18u8; 32]);
-        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-        let gateway = Gateway::new(
-            GatewayConfig {
-                slots_per_tenant: slots,
-                shards,
-                max_batch: 256,
-                max_queue_depth: (sessions * requests_per_session).max(256),
-                placement_session_weight: 4,
-                pin_cores,
-                platform_config: PlatformConfig::default(),
-                ..GatewayConfig::default()
-            },
-            vec![TenantConfig::new(
-                APP,
-                GlimmerDescriptor::iot_default(Vec::new()),
-                material.secret_bytes(),
-            )],
-            &mut avs,
-            &mut rng,
-        )
-        .unwrap();
-
-        let approved = gateway.measurement(APP).unwrap();
-        let client_ids: Vec<u64> = (0..sessions as u64).collect();
-        let blinding = BlindingService::new([32u8; 32]);
-        let mask_rounds: Vec<_> = (0..requests_per_session as u64)
-            .map(|round| blinding.zero_sum_masks(round, &client_ids, dimension))
-            .collect();
-        let mut device_sessions = Vec::with_capacity(sessions);
-        for (i, client_id) in client_ids.iter().enumerate() {
-            let (sid, offer) = gateway.open_session(APP).unwrap();
-            let (accept, session) =
-                IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-            gateway.complete_session(sid, &accept).unwrap();
-            for round in &mask_rounds {
-                gateway.install_mask(sid, &round[i]).unwrap();
-            }
-            device_sessions.push((sid, *client_id, session));
-        }
-        let mut encrypted: Vec<(u64, Vec<u8>)> =
-            Vec::with_capacity(sessions * requests_per_session);
-        for round in 0..requests_per_session as u64 {
-            for (sid, client_id, session) in &mut device_sessions {
-                let contribution = Contribution {
-                    app_id: APP.to_string(),
-                    client_id: *client_id,
-                    round,
-                    payload: ContributionPayload::IotReadings {
-                        samples: vec![0.3; dimension],
-                    },
-                };
-                encrypted.push((
-                    *sid,
-                    session.encrypt_request(contribution, PrivateData::None),
-                ));
-            }
-        }
+        let mut rng = rng.clone();
+        let mut avs = rig::attestation([18u8; 32]);
+        let mut config = rig.config(slots, shards);
+        config.pin_cores = pin_cores;
+        let gateway = rig.gateway(config, &mut avs, &mut rng, Arc::new(SystemClock::new()));
+        let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
+        let encrypted = rig.encrypt(&mut device_sessions, rig.schedule(0..requests_per_session));
 
         let serve_start = Instant::now();
         for (sid, ciphertext) in encrypted {
@@ -1769,87 +1586,36 @@ pub fn e13_batched_hot_path(
     seed: [u8; 32],
 ) -> Vec<E13Row> {
     use crate::alloc_track::AllocSnapshot;
-    use glimmer_gateway::{Gateway, GatewayConfig, TenantConfig};
-    use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
 
-    const APP: &str = "iot-telemetry.example";
-    let dimension = 8usize;
-    let workload = GatewayTrafficWorkload::generate(
-        &[TenantTrafficSpec {
-            name: APP.to_string(),
-            devices: sessions,
-            requests_per_device: requests_per_session,
-            dimension,
-            misbehaving_fraction: 0.2,
-        }],
+    let mut rng = Drbg::from_seed(seed);
+    let rig = Rig::generate(
+        sessions,
+        requests_per_session,
+        8,
+        0.2,
         seed,
+        [33u8; 32],
+        &mut rng,
     );
+    let workload = &rig.workload;
 
     let run = |mode: &'static str, batch: usize, baseline_commands: Option<u64>| -> E13Row {
-        let mut rng = Drbg::from_seed(seed);
-        let mut avs = AttestationService::new([19u8; 32]);
-        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-        let gateway = Gateway::new(
-            GatewayConfig {
-                slots_per_tenant: slots,
-                // The determinism bar: cycles must be bit-identical, so E13
-                // always runs the single-shard deterministic mode.
-                shards: 1,
-                max_batch: 256,
-                max_queue_depth: (sessions * requests_per_session).max(256),
-                placement_session_weight: 4,
-                platform_config: PlatformConfig::default(),
-                ..GatewayConfig::default()
-            },
-            vec![TenantConfig::new(
-                APP,
-                GlimmerDescriptor::iot_default(Vec::new()),
-                material.secret_bytes(),
-            )],
+        let mut rng = rng.clone();
+        let mut avs = rig::attestation([19u8; 32]);
+        // The determinism bar: cycles must be bit-identical, so E13 always
+        // runs the single-shard deterministic mode.
+        let gateway = rig.gateway(
+            rig.config(slots, 1),
             &mut avs,
             &mut rng,
-        )
-        .unwrap();
-
-        let approved = gateway.measurement(APP).unwrap();
-        let devices = &workload.tenants[0].devices;
-        let client_ids: Vec<u64> = devices.iter().map(|d| d.device_id).collect();
-        let blinding = BlindingService::new([33u8; 32]);
-        let mask_rounds: Vec<_> = (0..requests_per_session as u64)
-            .map(|round| blinding.zero_sum_masks(round, &client_ids, dimension))
-            .collect();
-        let mut device_sessions = Vec::with_capacity(devices.len());
-        for (i, _device) in devices.iter().enumerate() {
-            let (sid, offer) = gateway.open_session(APP).unwrap();
-            let (accept, session) =
-                IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-            gateway.complete_session(sid, &accept).unwrap();
-            for round in &mask_rounds {
-                gateway.install_mask(sid, &round[i]).unwrap();
-            }
-            device_sessions.push((sid, session));
-        }
+            Arc::new(SystemClock::new()),
+        );
+        let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
 
         // Pre-encrypt the whole schedule, in schedule order for every row
         // (identical device rng consumption, hence identical ciphertexts),
         // so the measured region isolates the gateway's hot path.
-        let mut encrypted: Vec<(u64, Vec<u8>)> = Vec::with_capacity(workload.total_requests());
-        for event in &workload.schedule {
-            let device = &workload.tenants[0].devices[event.device];
-            let (sid, session) = &mut device_sessions[event.device];
-            let contribution = Contribution {
-                app_id: APP.to_string(),
-                client_id: device.device_id,
-                round: event.request as u64,
-                payload: ContributionPayload::IotReadings {
-                    samples: device.requests[event.request].clone(),
-                },
-            };
-            encrypted.push((
-                *sid,
-                session.encrypt_request(contribution, PrivateData::None),
-            ));
-        }
+        let encrypted = rig.encrypt(&mut device_sessions, rig.schedule(0..requests_per_session));
 
         let allocs_before = AllocSnapshot::now();
         let serve_start = Instant::now();
@@ -1899,15 +1665,7 @@ pub fn e13_batched_hot_path(
         let serve_elapsed = serve_start.elapsed().as_secs_f64();
         let allocs_after = AllocSnapshot::now();
 
-        let endorsed = responses
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.outcome,
-                    glimmer_core::protocol::BatchOutcome::Reply { endorsed: true, .. }
-                )
-            })
-            .count();
+        let endorsed = rig::endorsed(&responses);
         let stats = gateway.stats();
         let requests = workload.total_requests();
         E13Row {
@@ -2071,149 +1829,64 @@ pub fn e14_restart_recovery(
     slots: usize,
     seed: [u8; 32],
 ) -> E14Row {
-    use glimmer_gateway::{Gateway, GatewayConfig, GatewaySnapshot, SnapshotChain, TenantConfig};
-    use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
+    use glimmer_gateway::{Gateway, GatewaySnapshot, SnapshotChain, TenantQuota};
 
-    const APP: &str = "iot-telemetry.example";
-    let dimension = 8usize;
     let pre_rounds = requests_per_session / 2;
-    let workload = GatewayTrafficWorkload::generate(
-        &[TenantTrafficSpec {
-            name: APP.to_string(),
-            devices: sessions,
-            requests_per_device: requests_per_session,
-            dimension,
-            misbehaving_fraction: 0.2,
-        }],
-        seed,
-    );
-    let devices = &workload.tenants[0].devices;
-    let client_ids: Vec<u64> = devices.iter().map(|d| d.device_id).collect();
-    let blinding = BlindingService::new([71u8; 32]);
-    let mask_rounds: Vec<Vec<glimmer_core::blinding::MaskShare>> = (0..requests_per_session)
-        .map(|round| blinding.zero_sum_masks(round as u64, &client_ids, dimension))
-        .collect();
     let mut rng = Drbg::from_seed(seed);
-    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let config = || GatewayConfig {
-        slots_per_tenant: slots,
-        shards: 1,
-        max_batch: 256,
-        max_queue_depth: (sessions * requests_per_session).max(256),
-        placement_session_weight: 4,
-        platform_config: PlatformConfig::default(),
-        ..GatewayConfig::default()
-    };
-    let tenants = || {
-        vec![TenantConfig::new(
-            APP,
-            GlimmerDescriptor::iot_default(Vec::new()),
-            material.secret_bytes(),
-        )]
-    };
-    let contribution =
-        |device: &glimmer_workloads::gateway::DeviceTraffic, round: usize| Contribution {
-            app_id: APP.to_string(),
-            client_id: device.device_id,
-            round: round as u64,
-            payload: ContributionPayload::IotReadings {
-                samples: device.requests[round].clone(),
-            },
-        };
-    // Connects every device: handshake plus a mask install per round.
-    let connect = |gateway: &Gateway,
-                   avs: &AttestationService,
-                   rng: &mut Drbg|
-     -> Vec<(u64, IotDeviceSession)> {
-        let approved = gateway.measurement(APP).unwrap();
-        devices
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let (sid, offer) = gateway.open_session(APP).unwrap();
-                let (accept, session) =
-                    IotDeviceSession::connect(&offer, avs, &approved, rng).unwrap();
-                gateway.complete_session(sid, &accept).unwrap();
-                for round in &mask_rounds {
-                    gateway.install_mask(sid, &round[i]).unwrap();
-                }
-                (sid, session)
-            })
-            .collect()
-    };
-    let serve = |gateway: &Gateway,
-                 device_sessions: &mut [(u64, IotDeviceSession)],
-                 rounds: core::ops::Range<usize>|
-     -> usize {
-        for event in &workload.schedule {
-            if !rounds.contains(&event.request) {
-                continue;
-            }
-            let device = &workload.tenants[event.tenant].devices[event.device];
-            let (sid, session) = &mut device_sessions[event.device];
-            let request =
-                session.encrypt_request(contribution(device, event.request), PrivateData::None);
-            gateway.submit(*sid, request).unwrap();
-        }
-        gateway
-            .drain_all()
-            .unwrap()
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.outcome,
-                    glimmer_core::protocol::BatchOutcome::Reply { endorsed: true, .. }
-                )
-            })
-            .count()
-    };
-    let ready_ecalls = |gateway: &Gateway| -> u64 {
-        gateway
-            .stats()
-            .slots
-            .iter()
-            .map(|row| row.stats.ecalls)
-            .sum()
-    };
+    let rig = Rig::generate(
+        sessions,
+        requests_per_session,
+        8,
+        0.2,
+        seed,
+        [71u8; 32],
+        &mut rng,
+    );
 
     // --- Serve, checkpoint, crash. ---
     // The dedicated gateway rng stands in for the machine identity: restore
     // reproduces the platforms from the same seed.
     let machine_seed = [73u8; 32];
-    let mut avs = AttestationService::new([72u8; 32]);
-    let gateway = Gateway::new(
-        config(),
-        tenants(),
+    let mut avs = rig::attestation([72u8; 32]);
+    let gateway = rig.gateway(
+        rig.config(slots, 1),
         &mut avs,
         &mut Drbg::from_seed(machine_seed),
-    )
-    .unwrap();
-    let mut original_sessions = connect(&gateway, &avs, &mut rng);
-    let pre_endorsed = serve(&gateway, &mut original_sessions, 0..pre_rounds);
+        Arc::new(SystemClock::new()),
+    );
+    let mut original_sessions = rig.connect(&gateway, &avs, &mut rng);
+    let pre_endorsed = rig::endorsed(&rig.serve(
+        &gateway,
+        &mut original_sessions,
+        rig.schedule(0..pre_rounds),
+    ));
     let snapshot_bytes_vec = gateway.checkpoint().unwrap().to_bytes();
     drop(gateway); // the crash: every enclave dies with the process
 
     // --- Recovery path A: cold rebuild (what PR 3 and earlier had). ---
     let cold_start = Instant::now();
-    let cold = Gateway::new(
-        config(),
-        tenants(),
+    let cold = rig.gateway(
+        rig.config(slots, 1),
         &mut avs,
         &mut Drbg::from_seed([74u8; 32]),
-    )
-    .unwrap();
-    let mut cold_sessions = connect(&cold, &avs, &mut rng);
+        Arc::new(SystemClock::new()),
+    );
+    let mut cold_sessions = rig.connect(&cold, &avs, &mut rng);
     let cold_rebuild_ms = cold_start.elapsed().as_secs_f64() * 1e3;
-    let cold_ready_ecalls = ready_ecalls(&cold);
-    let post_endorsed_cold = serve(&cold, &mut cold_sessions, pre_rounds..requests_per_session);
+    let cold_ready_ecalls = rig::ecalls(&cold);
+    let post_endorsed_cold = rig::endorsed(&rig.serve(
+        &cold,
+        &mut cold_sessions,
+        rig.schedule(pre_rounds..requests_per_session),
+    ));
     drop(cold);
 
     // --- Recovery path B: restore from the sealed checkpoint. ---
     let restore_start = Instant::now();
     let snapshot = GatewaySnapshot::from_bytes(&snapshot_bytes_vec).unwrap();
     let restored = Gateway::restore_chain(
-        config(),
-        tenants(),
+        rig.config(slots, 1),
+        rig.tenants(TenantQuota::default()),
         SnapshotChain {
             base: &snapshot,
             deltas: &[],
@@ -2223,14 +1896,14 @@ pub fn e14_restart_recovery(
     )
     .unwrap();
     let restore_ms = restore_start.elapsed().as_secs_f64() * 1e3;
-    let restore_ready_ecalls = ready_ecalls(&restored);
+    let restore_ready_ecalls = rig::ecalls(&restored);
     // The original devices keep their sessions: no re-handshake, no mask
     // re-delivery, straight back to serving.
-    let post_endorsed_restore = serve(
+    let post_endorsed_restore = rig::endorsed(&rig.serve(
         &restored,
         &mut original_sessions,
-        pre_rounds..requests_per_session,
-    );
+        rig.schedule(pre_rounds..requests_per_session),
+    ));
 
     E14Row {
         sessions,
@@ -2312,92 +1985,43 @@ pub fn e15_async_frontend(
     slots: usize,
     seed: [u8; 32],
 ) -> E15Row {
-    use glimmer_core::protocol::BatchOutcome;
     use glimmer_gateway::frontend::{AsyncGateway, SessionExecutor, WaitGroup};
-    use glimmer_gateway::{Gateway, GatewayConfig, GatewayResponse, TenantConfig};
-    use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
+    use glimmer_gateway::{Gateway, GatewayResponse};
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    const APP: &str = "iot-telemetry.example";
-    let dimension = 8usize;
-    let workload = Rc::new(GatewayTrafficWorkload::generate(
-        &[TenantTrafficSpec {
-            name: APP.to_string(),
-            devices: sessions,
-            requests_per_device: requests_per_session,
-            dimension,
-            misbehaving_fraction: 0.2,
-        }],
+    let rig = Rc::new(Rig::generate(
+        sessions,
+        requests_per_session,
+        8,
+        0.2,
         seed,
+        [31u8; 32],
+        &mut Drbg::from_seed(seed),
     ));
-    let client_ids: Vec<u64> = workload.tenants[0]
-        .devices
-        .iter()
-        .map(|d| d.device_id)
-        .collect();
-    let blinding = BlindingService::new([31u8; 32]);
-    let mask_rounds: Rc<Vec<Vec<glimmer_core::blinding::MaskShare>>> = Rc::new(
-        (0..requests_per_session)
-            .map(|round| blinding.zero_sum_masks(round as u64, &client_ids, dimension))
-            .collect(),
-    );
-    let mut rng = Drbg::from_seed(seed);
-    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let config = || GatewayConfig {
-        slots_per_tenant: slots,
-        // Deterministic single-shard mode: the bit-identical-outputs claim
-        // depends on a single FIFO command stream per the frontend docs.
-        shards: 1,
-        max_batch: 256,
-        max_queue_depth: (sessions * requests_per_session).max(256),
-        placement_session_weight: 4,
-        platform_config: PlatformConfig::default(),
-        ..GatewayConfig::default()
-    };
-    let tenants = || {
-        let mut tenant = TenantConfig::new(
-            APP,
-            GlimmerDescriptor::iot_default(Vec::new()),
-            material.secret_bytes(),
-        );
-        // The whole point is concurrency scale, so the default quota
-        // (1024 sessions, 4096 queued) must grow with the experiment: all
-        // sessions are live at once and the entire schedule is queued
-        // before the first drain.
-        tenant.quota = glimmer_gateway::TenantQuota {
-            max_sessions: sessions.max(1024),
-            max_queued: (sessions * requests_per_session).max(4096),
-            endorsement_budget: None,
-        };
-        vec![tenant]
-    };
-    let contribution =
-        |device: &glimmer_workloads::gateway::DeviceTraffic, round: usize| Contribution {
-            app_id: APP.to_string(),
-            client_id: device.device_id,
-            round: round as u64,
-            payload: ContributionPayload::IotReadings {
-                samples: device.requests[round].clone(),
-            },
-        };
+    // Deterministic single-shard mode: the bit-identical-outputs claim
+    // depends on a single FIFO command stream per the frontend docs.
+    let config = || rig.config(slots, 1);
+    // The whole point is concurrency scale: all sessions are live at once
+    // and the entire schedule is queued before the first drain.
+    let tenants = || rig.tenants(rig.all_live_quota());
     // Both paths must consume identical randomness streams: the machine rng
     // rebuilds identical platforms, the device rng identical handshakes.
     let machine_seed = [101u8; 32];
     let device_seed = [102u8; 32];
-    let expected_replies = workload.total_requests();
+    let expected_replies = rig.workload.total_requests();
 
     // Per-session request streams, extracted once from the interleaved
     // schedule: each driver submits them through `submit_many` — one
     // atomic admission + one shard command per session — in device order.
     // (Single tenant, so streams[i].device == i.)
-    let streams = Rc::new(workload.session_streams());
+    let streams = Rc::new(rig.workload.session_streams());
 
     // --- Blocking driver, phased exactly like the async task lifecycle:
     // all opens, then all handshakes (device order), then masks
     // round-major, then each session's stream via submit_many, then
     // drain-to-empty. ---
-    let mut avs = AttestationService::new([17u8; 32]);
+    let mut avs = rig::attestation([17u8; 32]);
     let gateway = Gateway::new(
         config(),
         tenants(),
@@ -2406,33 +2030,8 @@ pub fn e15_async_frontend(
     )
     .unwrap();
     let blocking_start = Instant::now();
-    let approved = gateway.measurement(APP).unwrap();
-    let opened: Vec<(u64, glimmer_core::channel::ChannelOffer)> = (0..sessions)
-        .map(|_| gateway.open_session(APP).unwrap())
-        .collect();
-    let mut device_rng = Drbg::from_seed(device_seed);
-    let mut device_sessions = Vec::with_capacity(sessions);
-    for (sid, offer) in opened {
-        let (accept, session) =
-            IotDeviceSession::connect(&offer, &avs, &approved, &mut device_rng).unwrap();
-        gateway.complete_session(sid, &accept).unwrap();
-        device_sessions.push((sid, session));
-    }
-    for round in mask_rounds.iter() {
-        for (i, (sid, _)) in device_sessions.iter().enumerate() {
-            gateway.install_mask(*sid, &round[i]).unwrap();
-        }
-    }
-    for stream in streams.iter() {
-        let device = &workload.tenants[stream.tenant].devices[stream.device];
-        let (sid, session) = &mut device_sessions[stream.device];
-        let requests: Vec<Vec<u8>> = stream
-            .requests
-            .iter()
-            .map(|&round| session.encrypt_request(contribution(device, round), PrivateData::None))
-            .collect();
-        gateway.submit_many(*sid, requests).unwrap();
-    }
+    let mut device_sessions = rig.connect_phased(&gateway, &avs, &mut Drbg::from_seed(device_seed));
+    rig.submit_streams(&gateway, &mut device_sessions, &streams);
     let blocking_responses = gateway.drain_all().unwrap();
     let blocking_ms = blocking_start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(blocking_responses.len(), expected_replies);
@@ -2441,7 +2040,7 @@ pub fn e15_async_frontend(
     // --- Async driver: one self-contained task per session (lifecycle
     // through submitting its own stream), one drainer task, every poll on
     // this thread. ---
-    let mut avs = AttestationService::new([17u8; 32]);
+    let mut avs = rig::attestation([17u8; 32]);
     let gateway = Gateway::new(
         config(),
         tenants(),
@@ -2455,7 +2054,7 @@ pub fn e15_async_frontend(
     let frontend = AsyncGateway::new(gateway);
     let mut executor = SessionExecutor::new();
     let async_start = Instant::now();
-    let approved = frontend.gateway().measurement(APP).unwrap();
+    let approved = frontend.gateway().measurement(rig::APP).unwrap();
     let device_rng = Rc::new(RefCell::new(Drbg::from_seed(device_seed)));
     let avs = Rc::new(avs);
     let ready = WaitGroup::new(sessions);
@@ -2472,17 +2071,17 @@ pub fn e15_async_frontend(
         let frontend = frontend.clone();
         let device_rng = Rc::clone(&device_rng);
         let avs = Rc::clone(&avs);
-        let mask_rounds = Rc::clone(&mask_rounds);
+        let rig = Rc::clone(&rig);
         let established = Rc::clone(&established);
         let ready = ready.clone();
         executor.spawn(async move {
-            let (sid, offer) = frontend.open_session(APP).await.unwrap();
+            let (sid, offer) = frontend.open_session(rig::APP).await.unwrap();
             let (accept, session) = {
                 let mut rng = device_rng.borrow_mut();
                 IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap()
             };
             frontend.complete_session(sid, &accept).await.unwrap();
-            for round in mask_rounds.iter() {
+            for round in &rig.masks {
                 frontend.install_mask(sid, &round[i]).await.unwrap();
             }
             established.borrow_mut()[i] = Some((sid, session));
@@ -2491,7 +2090,7 @@ pub fn e15_async_frontend(
     }
     {
         let frontend = frontend.clone();
-        let workload = Rc::clone(&workload);
+        let rig = Rc::clone(&rig);
         let streams = Rc::clone(&streams);
         let established = Rc::clone(&established);
         let async_responses = Rc::clone(&async_responses);
@@ -2517,16 +2116,13 @@ pub fn e15_async_frontend(
             // a RefCell borrow across the awaits below would be fragile.
             let mut established: Established = std::mem::take(&mut established.borrow_mut());
             for stream in streams.iter() {
-                let device = &workload.tenants[stream.tenant].devices[stream.device];
                 let (sid, session) = established[stream.device]
                     .as_mut()
                     .expect("all sessions established");
                 let requests: Vec<Vec<u8>> = stream
                     .requests
                     .iter()
-                    .map(|&round| {
-                        session.encrypt_request(contribution(device, round), PrivateData::None)
-                    })
+                    .map(|&round| rig.request(session, stream.device, round))
                     .collect();
                 frontend.submit_many(*sid, requests).await.unwrap();
             }
@@ -2555,10 +2151,7 @@ pub fn e15_async_frontend(
             .iter()
             .zip(async_responses.iter())
             .all(|(b, a)| b.session_id == a.session_id && b.outcome == a.outcome);
-    let endorsed = async_responses
-        .iter()
-        .filter(|r| matches!(r.outcome, BatchOutcome::Reply { endorsed: true, .. }))
-        .count();
+    let endorsed = rig::endorsed(&async_responses);
     let rejected = expected_replies - endorsed;
     let extra_frontend_threads = match (baseline_threads, threads_mid_serving.get()) {
         (Some(before), Some(during)) => Some(during.saturating_sub(before)),
@@ -2688,26 +2281,21 @@ pub fn e16_telemetry(
     use crate::alloc_track::AllocSnapshot;
     use glimmer_gateway::telemetry::{parse_exposition, parse_json_samples};
     use glimmer_gateway::{
-        AdmitReason, Gateway, GatewayConfig, Histogram, ManualClock, TelemetryConfig,
-        TelemetrySnapshot, TenantConfig, TraceStage,
+        AdmitReason, Histogram, ManualClock, TelemetryConfig, TelemetrySnapshot, TraceStage,
     };
-    use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
-    use std::sync::Arc;
 
-    const APP: &str = "iot-telemetry.example";
-    let dimension = 8usize;
     let repeats = repeats.max(1);
-    let workload = GatewayTrafficWorkload::generate(
-        &[TenantTrafficSpec {
-            name: APP.to_string(),
-            devices: sessions,
-            requests_per_device: requests_per_session,
-            dimension,
-            misbehaving_fraction: 0.2,
-        }],
+    let mut rng = Drbg::from_seed(seed);
+    let rig = Rig::generate(
+        sessions,
+        requests_per_session,
+        8,
+        0.2,
         seed,
+        [33u8; 32],
+        &mut rng,
     );
-    let requests = workload.total_requests();
+    let requests = rig.workload.total_requests();
 
     struct Once {
         endorsed: usize,
@@ -2720,65 +2308,14 @@ pub fn e16_telemetry(
             // Same-seed rebuild per run (and per mode): enclaves,
             // handshakes, placement, and ciphertexts are bit-identical, so
             // the two modes can only differ in the telemetry layer itself.
-            let mut rng = Drbg::from_seed(seed);
-            let mut avs = AttestationService::new([19u8; 32]);
-            let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-            let gateway = Gateway::new(
-                GatewayConfig {
-                    slots_per_tenant: slots,
-                    shards: 1,
-                    max_batch: 256,
-                    max_queue_depth: requests.max(256),
-                    placement_session_weight: 4,
-                    platform_config: PlatformConfig::default(),
-                    telemetry,
-                    ..GatewayConfig::default()
-                },
-                vec![TenantConfig::new(
-                    APP,
-                    GlimmerDescriptor::iot_default(Vec::new()),
-                    material.secret_bytes(),
-                )],
-                &mut avs,
-                &mut rng,
-            )
-            .unwrap();
-
-            let approved = gateway.measurement(APP).unwrap();
-            let devices = &workload.tenants[0].devices;
-            let client_ids: Vec<u64> = devices.iter().map(|d| d.device_id).collect();
-            let blinding = BlindingService::new([33u8; 32]);
-            let mask_rounds: Vec<_> = (0..requests_per_session as u64)
-                .map(|round| blinding.zero_sum_masks(round, &client_ids, dimension))
-                .collect();
-            let mut device_sessions = Vec::with_capacity(devices.len());
-            for (i, _device) in devices.iter().enumerate() {
-                let (sid, offer) = gateway.open_session(APP).unwrap();
-                let (accept, session) =
-                    IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-                gateway.complete_session(sid, &accept).unwrap();
-                for round in &mask_rounds {
-                    gateway.install_mask(sid, &round[i]).unwrap();
-                }
-                device_sessions.push((sid, session));
-            }
-            let mut encrypted: Vec<(u64, Vec<u8>)> = Vec::with_capacity(requests);
-            for event in &workload.schedule {
-                let device = &workload.tenants[0].devices[event.device];
-                let (sid, session) = &mut device_sessions[event.device];
-                let contribution = Contribution {
-                    app_id: APP.to_string(),
-                    client_id: device.device_id,
-                    round: event.request as u64,
-                    payload: ContributionPayload::IotReadings {
-                        samples: device.requests[event.request].clone(),
-                    },
-                };
-                encrypted.push((
-                    *sid,
-                    session.encrypt_request(contribution, PrivateData::None),
-                ));
-            }
+            let mut rng = rng.clone();
+            let mut avs = rig::attestation([19u8; 32]);
+            let mut config = rig.config(slots, 1);
+            config.telemetry = telemetry;
+            let gateway = rig.gateway(config, &mut avs, &mut rng, Arc::new(SystemClock::new()));
+            let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
+            let encrypted =
+                rig.encrypt(&mut device_sessions, rig.schedule(0..requests_per_session));
 
             // The measured region: per-request admission plus drain — the
             // paths the telemetry layer instruments.
@@ -2791,17 +2328,8 @@ pub fn e16_telemetry(
             let elapsed = serve_start.elapsed().as_secs_f64();
             let allocs = AllocSnapshot::now().allocations_since(&allocs_before);
 
-            let endorsed = responses
-                .iter()
-                .filter(|r| {
-                    matches!(
-                        r.outcome,
-                        glimmer_core::protocol::BatchOutcome::Reply { endorsed: true, .. }
-                    )
-                })
-                .count();
             Once {
-                endorsed,
+                endorsed: rig::endorsed(&responses),
                 elapsed_s: elapsed,
                 allocs,
                 snapshot: gateway.telemetry(),
@@ -2877,47 +2405,14 @@ pub fn e16_telemetry(
     // admission and enqueue at t=1000, the drain stages at t=2500.
     let (trace_complete, trace_monotonic) = {
         let mut rng = Drbg::from_seed(seed);
-        let mut avs = AttestationService::new([19u8; 32]);
-        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        let rig = Rig::uniform(1, 1, 0.25, [33u8; 32], &mut rng);
+        let mut avs = rig::attestation([19u8; 32]);
         let clock = Arc::new(ManualClock::new());
-        let gateway = Gateway::with_clock(
-            GatewayConfig {
-                slots_per_tenant: 1,
-                shards: 1,
-                telemetry: TelemetryConfig {
-                    trace_sample_interval: 1,
-                    ..TelemetryConfig::default()
-                },
-                ..GatewayConfig::default()
-            },
-            vec![TenantConfig::new(
-                APP,
-                GlimmerDescriptor::iot_default(Vec::new()),
-                material.secret_bytes(),
-            )],
-            &mut avs,
-            &mut rng,
-            Arc::clone(&clock) as Arc<dyn glimmer_gateway::Clock>,
-        )
-        .unwrap();
-        let approved = gateway.measurement(APP).unwrap();
-        let masks = BlindingService::new([33u8; 32]).zero_sum_masks(0, &[0u64], dimension);
-        let (sid, offer) = gateway.open_session(APP).unwrap();
-        let (accept, mut session) =
-            IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-        gateway.complete_session(sid, &accept).unwrap();
-        gateway.install_mask(sid, &masks[0]).unwrap();
-        let ciphertext = session.encrypt_request(
-            Contribution {
-                app_id: APP.to_string(),
-                client_id: 0,
-                round: 0,
-                payload: ContributionPayload::IotReadings {
-                    samples: vec![0.25; dimension],
-                },
-            },
-            PrivateData::None,
-        );
+        let mut config = rig.config(1, 1);
+        config.telemetry.trace_sample_interval = 1;
+        let gateway = rig.gateway(config, &mut avs, &mut rng, clock.clone());
+        let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
+        let (sid, ciphertext) = rig.encrypt(&mut device_sessions, [(0, 0)]).remove(0);
         clock.advance_nanos(1_000);
         gateway.submit(sid, ciphertext).unwrap();
         // FIFO barrier: the stats round-trip proves the worker stamped
@@ -3203,6 +2698,7 @@ pub fn e17_replay_ingest(
             8,
             1024,
             seed,
+            Arc::new(SystemClock::new()),
         )
     };
 
@@ -3333,126 +2829,62 @@ pub fn e18_incremental_checkpoint(
     seed: [u8; 32],
 ) -> E18Result {
     use glimmer_gateway::{
-        CrashHooks, CrashPoint, Gateway, GatewayConfig, ManualClock, NoCrash, SnapshotChain,
-        TenantConfig,
+        CrashHooks, CrashPoint, Gateway, ManualClock, NoCrash, SnapshotChain, TenantQuota,
     };
-    use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
-    const APP: &str = "iot-telemetry.example";
     assert!(dirty >= 1 && dirty <= slots, "dirty must be in 1..=slots");
     let total_rounds = 2 + overlap_requests;
-    let workload = GatewayTrafficWorkload::generate(
-        &[TenantTrafficSpec {
-            name: APP.to_string(),
-            devices: slots,
-            requests_per_device: total_rounds,
-            dimension,
-            misbehaving_fraction: 0.0,
-        }],
-        seed,
-    );
-    let devices = &workload.tenants[0].devices;
-    let client_ids: Vec<u64> = devices.iter().map(|d| d.device_id).collect();
-    let blinding = BlindingService::new([81u8; 32]);
-    let mask_rounds: Vec<Vec<glimmer_core::blinding::MaskShare>> = (0..total_rounds)
-        .map(|round| blinding.zero_sum_masks(round as u64, &client_ids, dimension))
-        .collect();
     let mut rng = Drbg::from_seed(seed);
-    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let config = GatewayConfig {
-        slots_per_tenant: slots,
-        shards: 4,
-        max_batch: 256,
-        max_queue_depth: (slots * total_rounds).max(256),
-        ..GatewayConfig::default()
-    };
-    let tenants = vec![TenantConfig::new(
-        APP,
-        GlimmerDescriptor::iot_default(Vec::new()),
-        material.secret_bytes(),
-    )];
-    let contribution = |device: usize, round: usize| Contribution {
-        app_id: APP.to_string(),
-        client_id: devices[device].device_id,
-        round: round as u64,
-        payload: ContributionPayload::IotReadings {
-            samples: devices[device].requests[round].clone(),
-        },
-    };
-    let mut avs = AttestationService::new([82u8; 32]);
-    let gateway =
-        Gateway::new(config, tenants, &mut avs, &mut Drbg::from_seed([83u8; 32])).unwrap();
-    let approved = gateway.measurement(APP).unwrap();
-    let mut sessions: Vec<(u64, IotDeviceSession)> = Vec::with_capacity(slots);
-    for (i, _) in devices.iter().enumerate() {
-        let (sid, offer) = gateway.open_session(APP).unwrap();
-        let (accept, session) =
-            IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-        gateway.complete_session(sid, &accept).unwrap();
-        for round in &mask_rounds {
-            gateway.install_mask(sid, &round[i]).unwrap();
-        }
-        sessions.push((sid, session));
-    }
-    let endorsed = |responses: &[glimmer_gateway::GatewayResponse]| {
-        responses
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.outcome,
-                    glimmer_core::protocol::BatchOutcome::Reply { endorsed: true, .. }
-                )
-            })
-            .count() as u64
-    };
-    let total_ecalls = |gateway: &Gateway| -> u64 {
-        gateway
-            .stats()
-            .slots
-            .iter()
-            .map(|row| row.stats.ecalls)
-            .sum()
-    };
+    let rig = Rig::generate(
+        slots,
+        total_rounds,
+        dimension,
+        0.0,
+        seed,
+        [81u8; 32],
+        &mut rng,
+    );
+    let mut avs = rig::attestation([82u8; 32]);
+    let gateway = rig.gateway(
+        rig.config(slots, 4),
+        &mut avs,
+        &mut Drbg::from_seed([83u8; 32]),
+        Arc::new(SystemClock::new()),
+    );
+    let mut sessions = rig.connect(&gateway, &avs, &mut rng);
     // Round 0 for every device: every slot ends up dirty and stateful.
-    for (i, (sid, session)) in sessions.iter_mut().enumerate() {
-        let request = session.encrypt_request(contribution(i, 0), PrivateData::None);
-        gateway.submit(*sid, request).unwrap();
-    }
-    let served = endorsed(&gateway.drain_all().unwrap());
-    assert_eq!(served, slots as u64, "honest round 0 must fully endorse");
+    let served = rig::endorsed(&rig.serve(&gateway, &mut sessions, (0..slots).map(|i| (i, 0))));
+    assert_eq!(served, slots, "honest round 0 must fully endorse");
 
     // --- Full-checkpoint cost: every slot pays its EXPORT_STATE. ---
     let mut full_ms = f64::INFINITY;
     let mut full_ecalls = 0u64;
     let mut base = None;
     for _ in 0..repeats.max(1) {
-        let before = total_ecalls(&gateway);
+        let before = rig::ecalls(&gateway);
         let start = Instant::now();
         let snapshot = gateway.checkpoint().unwrap();
         full_ms = full_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        full_ecalls = total_ecalls(&gateway) - before;
+        full_ecalls = rig::ecalls(&gateway) - before;
         base = Some(snapshot);
     }
     let base = base.unwrap();
     let full_bytes = base.to_bytes().len();
 
     // --- Dirty a 5%-ish subset, then measure the delta. ---
-    for (i, (sid, session)) in sessions.iter_mut().enumerate().take(dirty) {
-        let request = session.encrypt_request(contribution(i, 1), PrivateData::None);
-        gateway.submit(*sid, request).unwrap();
-    }
-    assert_eq!(endorsed(&gateway.drain_all().unwrap()), dirty as u64);
+    let served = rig::endorsed(&rig.serve(&gateway, &mut sessions, (0..dirty).map(|i| (i, 1))));
+    assert_eq!(served, dirty);
     let mut delta_ms = f64::INFINITY;
     let mut delta_ecalls = 0u64;
     let mut delta = None;
     for _ in 0..repeats.max(1) {
-        let before = total_ecalls(&gateway);
+        let before = rig::ecalls(&gateway);
         let start = Instant::now();
         let captured = gateway.checkpoint_delta(&base.chain_base()).unwrap();
         delta_ms = delta_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        delta_ecalls = total_ecalls(&gateway) - before;
+        delta_ecalls = rig::ecalls(&gateway) - before;
         delta = Some(captured);
     }
     let delta = delta.unwrap();
@@ -3465,15 +2897,13 @@ pub fn e18_incremental_checkpoint(
     let skipped_slots = slots - dirty_slots;
 
     // --- Streamed capture with live traffic from inside the hook. ---
-    type EncryptFn<'a> =
-        Box<dyn Fn(&mut IotDeviceSession, usize, usize) -> Vec<u8> + Send + Sync + 'a>;
     struct ServeDuringCapture<'a> {
+        rig: &'a Rig,
         gateway: &'a Gateway,
         // (dense device index, sid, device session, next round) for the
         // device the hook keeps serving; rounds_left bounds the traffic.
         lane: Mutex<(usize, u64, IotDeviceSession, usize, usize)>,
         served: AtomicU64,
-        encrypt: EncryptFn<'a>,
     }
     impl CrashHooks for ServeDuringCapture<'_> {
         fn reached(&self, point: CrashPoint) -> bool {
@@ -3482,20 +2912,11 @@ pub fn e18_incremental_checkpoint(
                 let (device, sid, ref mut session, ref mut round, ref mut left) = *lane;
                 if *left > 0 {
                     *left -= 1;
-                    let request = (self.encrypt)(session, device, *round);
+                    let request = self.rig.request(session, device, *round);
                     *round += 1;
                     self.gateway.submit(sid, request).unwrap();
-                    let drained = self.gateway.drain_all().unwrap();
-                    let endorsed = drained
-                        .iter()
-                        .filter(|r| {
-                            matches!(
-                                r.outcome,
-                                glimmer_core::protocol::BatchOutcome::Reply { endorsed: true, .. }
-                            )
-                        })
-                        .count() as u64;
-                    self.served.fetch_add(endorsed, Ordering::Relaxed);
+                    let endorsed = rig::endorsed(&self.gateway.drain_all().unwrap());
+                    self.served.fetch_add(endorsed as u64, Ordering::Relaxed);
                 }
             }
             false // observe, never crash
@@ -3506,12 +2927,10 @@ pub fn e18_incremental_checkpoint(
     // hook to burn mid-capture.
     let (sid0, session0) = sessions.swap_remove(0);
     let hooks = ServeDuringCapture {
+        rig: &rig,
         gateway: &gateway,
         lane: Mutex::new((0, sid0, session0, 2, overlap_requests)),
         served: AtomicU64::new(0),
-        encrypt: Box::new(|session, device, round| {
-            session.encrypt_request(contribution(device, round), PrivateData::None)
-        }),
     };
     let start = Instant::now();
     let streamed = gateway.checkpoint_with_hooks(&hooks).unwrap();
@@ -3523,89 +2942,41 @@ pub fn e18_incremental_checkpoint(
     );
     let served_during_capture = hooks.served.load(Ordering::Relaxed);
     let telemetry = gateway.telemetry();
-    drop(hooks);
     drop(gateway);
 
     // --- Bit-identity: chain restore vs full-snapshot restore. ---
     let (chain_restore_identical, chain_tail_identical) = {
-        let fixture_config = || GatewayConfig {
-            slots_per_tenant: 4,
-            shards: 1, // deterministic serial drain order: the identity bar
-            max_batch: 64,
-            max_queue_depth: 256,
-            ..GatewayConfig::default()
-        };
-        let fixture_material =
-            ServiceKeyMaterial::generate(&mut Drbg::from_seed([84u8; 32])).unwrap();
-        let fixture_tenants = || {
-            vec![TenantConfig::new(
-                APP,
-                GlimmerDescriptor::iot_default(Vec::new()),
-                fixture_material.secret_bytes(),
-            )]
-        };
-        let fixture_blinding = BlindingService::new([85u8; 32]);
-        let fixture_devices = 4usize;
-        let fixture_dim = 8usize;
-        let fixture_ids: Vec<u64> = (0..fixture_devices as u64).collect();
-        let fixture_masks: Vec<Vec<glimmer_core::blinding::MaskShare>> = (0..2)
-            .map(|round| fixture_blinding.zero_sum_masks(round, &fixture_ids, fixture_dim))
-            .collect();
-        let fixture_samples = |device: usize, round: usize| {
-            vec![0.1 + 0.08 * device as f64 + 0.04 * round as f64; fixture_dim]
-        };
+        // Deterministic serial drain order at `shards: 1`: the identity bar.
+        let fixture = Rig::synthetic(
+            rig::APP,
+            &[0, 1, 2, 3],
+            2,
+            8,
+            |device, round| vec![0.1 + 0.08 * device as f64 + 0.04 * round as f64; 8],
+            [85u8; 32],
+            &mut Drbg::from_seed([84u8; 32]),
+        );
         // One deterministic pre-crash run: serve round 0 everywhere, hand
         // the gateway to `ops` for its two checkpoint calls (serving the
         // dirtying round between them), and return everything the restore
         // needs. Identical seeds make run A and run B the same machine.
         type CheckpointOps<'o> = dyn FnMut(&Gateway, &mut dyn FnMut(&Gateway)) + 'o;
         let run = |ops: &mut CheckpointOps<'_>| {
-            let clock = std::sync::Arc::new(ManualClock::new());
-            let mut avs = AttestationService::new([86u8; 32]);
-            let mut rng = Drbg::from_seed([87u8; 32]);
-            let gateway = Gateway::with_clock(
-                fixture_config(),
-                fixture_tenants(),
+            let clock = Arc::new(ManualClock::new());
+            let mut avs = rig::attestation([86u8; 32]);
+            let gateway = fixture.gateway(
+                fixture.config(4, 1),
                 &mut avs,
                 &mut Drbg::from_seed([88u8; 32]),
                 clock.clone(),
-            )
-            .unwrap();
-            let approved = gateway.measurement(APP).unwrap();
-            let mut device_sessions: Vec<(u64, IotDeviceSession)> = Vec::new();
-            for i in 0..fixture_devices {
-                let (sid, offer) = gateway.open_session(APP).unwrap();
-                let (accept, session) =
-                    IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-                gateway.complete_session(sid, &accept).unwrap();
-                for round in &fixture_masks {
-                    gateway.install_mask(sid, &round[i]).unwrap();
-                }
-                device_sessions.push((sid, session));
-            }
-            let mut serve = |gateway: &Gateway, pick: &mut dyn FnMut(usize) -> Option<usize>| {
-                for (i, (sid, session)) in device_sessions.iter_mut().enumerate() {
-                    let Some(round) = pick(i) else { continue };
-                    let request = session.encrypt_request(
-                        Contribution {
-                            app_id: APP.to_string(),
-                            client_id: i as u64,
-                            round: round as u64,
-                            payload: ContributionPayload::IotReadings {
-                                samples: fixture_samples(i, round),
-                            },
-                        },
-                        PrivateData::None,
-                    );
-                    gateway.submit(*sid, request).unwrap();
-                }
-                gateway.drain_all().unwrap()
-            };
-            serve(&gateway, &mut |_| Some(0));
+            );
+            let mut device_sessions =
+                fixture.connect(&gateway, &avs, &mut Drbg::from_seed([87u8; 32]));
+            fixture.serve(&gateway, &mut device_sessions, (0..4).map(|i| (i, 0)));
             // `ops` checkpoints, then asks us to serve the dirtying round
             // (devices 0..2 at round 1), then checkpoints again.
             ops(&gateway, &mut |gateway| {
-                serve(gateway, &mut |i| (i < 2).then_some(1));
+                fixture.serve(gateway, &mut device_sessions, (0..2).map(|i| (i, 1)));
             });
             drop(gateway);
             (avs, clock, device_sessions)
@@ -3614,23 +2985,8 @@ pub fn e18_incremental_checkpoint(
         let tail = |gateway: &Gateway,
                     device_sessions: &mut [(u64, IotDeviceSession)]|
          -> Vec<(u64, String)> {
-            for (i, (sid, session)) in device_sessions.iter_mut().enumerate().skip(2) {
-                let request = session.encrypt_request(
-                    Contribution {
-                        app_id: APP.to_string(),
-                        client_id: i as u64,
-                        round: 1,
-                        payload: ContributionPayload::IotReadings {
-                            samples: fixture_samples(i, 1),
-                        },
-                    },
-                    PrivateData::None,
-                );
-                gateway.submit(*sid, request).unwrap();
-            }
-            gateway
-                .drain_all()
-                .unwrap()
+            fixture
+                .serve(gateway, device_sessions, (2..4).map(|i| (i, 1)))
                 .iter()
                 .map(|r| (r.session_id, format!("{:?}", r.outcome)))
                 .collect()
@@ -3657,8 +3013,8 @@ pub fn e18_incremental_checkpoint(
         let base_a = base_a.unwrap();
         let delta_a = delta_a.unwrap();
         let restored_a = Gateway::restore_chain_with_hooks(
-            fixture_config(),
-            fixture_tenants(),
+            fixture.config(4, 1),
+            fixture.tenants(TenantQuota::default()),
             SnapshotChain {
                 base: &base_a,
                 deltas: std::slice::from_ref(&delta_a),
@@ -3670,8 +3026,8 @@ pub fn e18_incremental_checkpoint(
         )
         .unwrap();
         let restored_b = Gateway::restore_chain_with_hooks(
-            fixture_config(),
-            fixture_tenants(),
+            fixture.config(4, 1),
+            fixture.tenants(TenantQuota::default()),
             SnapshotChain {
                 base: &full_b.unwrap(),
                 deltas: &[],
@@ -3782,84 +3138,40 @@ pub fn e19_socket_frontdoor(
     use glimmer_core::protocol::BatchOutcome;
     use glimmer_gateway::frontend::AsyncGateway;
     use glimmer_gateway::net::{GatewayClient, ReplyEnvelope};
-    use glimmer_gateway::{Gateway, GatewayConfig, NetConfig, TenantConfig};
-    use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
+    use glimmer_gateway::Gateway;
     use std::net::TcpStream;
 
-    const APP: &str = "iot-telemetry.example";
-    let dimension = 8usize;
-    let workload = GatewayTrafficWorkload::generate(
-        &[TenantTrafficSpec {
-            name: APP.to_string(),
-            devices: sessions,
-            requests_per_device: requests_per_session,
-            dimension,
-            misbehaving_fraction: 0.2,
-        }],
+    let rig = Rig::generate(
+        sessions,
+        requests_per_session,
+        8,
+        0.2,
         seed,
+        [31u8; 32],
+        &mut Drbg::from_seed(seed),
     );
-    let client_ids: Vec<u64> = workload.tenants[0]
-        .devices
-        .iter()
-        .map(|d| d.device_id)
-        .collect();
-    let blinding = BlindingService::new([31u8; 32]);
-    let mask_rounds: Vec<Vec<glimmer_core::blinding::MaskShare>> = (0..requests_per_session)
-        .map(|round| blinding.zero_sum_masks(round as u64, &client_ids, dimension))
-        .collect();
-    let mut rng = Drbg::from_seed(seed);
-    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let config = || GatewayConfig {
-        slots_per_tenant: slots,
+    let config = || {
         // Deterministic single-shard mode, like E15: the bit-identical
         // claim needs one FIFO command stream per enclave.
-        shards: 1,
-        max_batch: 256,
-        max_queue_depth: (sessions * requests_per_session).max(256),
-        placement_session_weight: 4,
-        platform_config: PlatformConfig::default(),
+        let mut config = rig.config(slots, 1);
         // Timer policies off for the comparison run: an idle timeout or a
         // stale sweep firing mid-experiment on a slow host would perturb
         // the op order whose determinism is under test (both have their
         // own ManualClock-driven tests).
-        evict_stale_period: None,
-        net: NetConfig {
-            idle_timeout: None,
-            drain_interval: None,
-            ..NetConfig::default()
-        },
-        ..GatewayConfig::default()
+        config.evict_stale_period = None;
+        config.net.idle_timeout = None;
+        config.net.drain_interval = None;
+        config
     };
-    let tenants = || {
-        let mut tenant = TenantConfig::new(
-            APP,
-            GlimmerDescriptor::iot_default(Vec::new()),
-            material.secret_bytes(),
-        );
-        tenant.quota = glimmer_gateway::TenantQuota {
-            max_sessions: sessions.max(1024),
-            max_queued: (sessions * requests_per_session).max(4096),
-            endorsement_budget: None,
-        };
-        vec![tenant]
-    };
-    let contribution =
-        |device: &glimmer_workloads::gateway::DeviceTraffic, round: usize| Contribution {
-            app_id: APP.to_string(),
-            client_id: device.device_id,
-            round: round as u64,
-            payload: ContributionPayload::IotReadings {
-                samples: device.requests[round].clone(),
-            },
-        };
+    let tenants = || rig.tenants(rig.all_live_quota());
     let machine_seed = [101u8; 32];
     let device_seed = [102u8; 32];
-    let expected_replies = workload.total_requests();
-    let streams = workload.session_streams();
+    let expected_replies = rig.workload.total_requests();
+    let streams = rig.workload.session_streams();
 
     // --- Phase A: the in-process blocking driver (E15's phase structure,
     // bit-for-bit). ---
-    let mut avs = AttestationService::new([17u8; 32]);
+    let mut avs = rig::attestation([17u8; 32]);
     let gateway = Gateway::new(
         config(),
         tenants(),
@@ -3868,40 +3180,15 @@ pub fn e19_socket_frontdoor(
     )
     .unwrap();
     let blocking_start = Instant::now();
-    let approved = gateway.measurement(APP).unwrap();
-    let opened: Vec<(u64, glimmer_core::channel::ChannelOffer)> = (0..sessions)
-        .map(|_| gateway.open_session(APP).unwrap())
-        .collect();
-    let mut device_rng = Drbg::from_seed(device_seed);
-    let mut device_sessions = Vec::with_capacity(sessions);
-    for (sid, offer) in opened {
-        let (accept, session) =
-            IotDeviceSession::connect(&offer, &avs, &approved, &mut device_rng).unwrap();
-        gateway.complete_session(sid, &accept).unwrap();
-        device_sessions.push((sid, session));
-    }
-    for round in &mask_rounds {
-        for (i, (sid, _)) in device_sessions.iter().enumerate() {
-            gateway.install_mask(*sid, &round[i]).unwrap();
-        }
-    }
-    for stream in &streams {
-        let device = &workload.tenants[stream.tenant].devices[stream.device];
-        let (sid, session) = &mut device_sessions[stream.device];
-        let requests: Vec<Vec<u8>> = stream
-            .requests
-            .iter()
-            .map(|&round| session.encrypt_request(contribution(device, round), PrivateData::None))
-            .collect();
-        gateway.submit_many(*sid, requests).unwrap();
-    }
+    let mut device_sessions = rig.connect_phased(&gateway, &avs, &mut Drbg::from_seed(device_seed));
+    rig.submit_streams(&gateway, &mut device_sessions, &streams);
     let blocking_responses = gateway.drain_all().unwrap();
     let blocking_ms = blocking_start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(blocking_responses.len(), expected_replies);
     drop(gateway);
 
     // --- Phase B: the same traffic over real loopback TCP. ---
-    let mut avs = AttestationService::new([17u8; 32]);
+    let mut avs = rig::attestation([17u8; 32]);
     let gateway = Gateway::new(
         config(),
         tenants(),
@@ -3909,6 +3196,7 @@ pub fn e19_socket_frontdoor(
         &mut Drbg::from_seed(machine_seed),
     )
     .unwrap();
+    let approved = gateway.measurement(rig::APP).unwrap();
     // Baseline AFTER the shard workers exist: growth from here on is what
     // serving sockets costs in threads (exactly the front-door thread).
     let baseline_threads = os_threads();
@@ -3938,7 +3226,7 @@ pub fn e19_socket_frontdoor(
     // the server observes exactly the op order Phase A issued.
     let mut opened = Vec::with_capacity(sessions);
     for client in &mut clients {
-        opened.push(client.open_session(APP).unwrap());
+        opened.push(client.open_session(rig::APP).unwrap());
     }
     let mut device_rng = Drbg::from_seed(device_seed);
     let mut socket_sessions = Vec::with_capacity(sessions);
@@ -3952,7 +3240,7 @@ pub fn e19_socket_frontdoor(
     // Every session's handshake completed and nothing has drained: this is
     // the moment all N TCP-backed sessions are provably live at once.
     let peak_live_sessions = gateway.live_sessions();
-    for round in &mask_rounds {
+    for round in &rig.masks {
         for (i, client) in clients.iter_mut().enumerate() {
             client
                 .install_mask(socket_sessions[i].0, &round[i])
@@ -3960,12 +3248,11 @@ pub fn e19_socket_frontdoor(
         }
     }
     for stream in &streams {
-        let device = &workload.tenants[stream.tenant].devices[stream.device];
         let (sid, session) = &mut socket_sessions[stream.device];
         let requests: Vec<Vec<u8>> = stream
             .requests
             .iter()
-            .map(|&round| session.encrypt_request(contribution(device, round), PrivateData::None))
+            .map(|&round| rig.request(session, stream.device, round))
             .collect();
         clients[stream.device].submit_many(*sid, requests).unwrap();
     }
@@ -4108,74 +3395,26 @@ pub fn e20_live_rebalance(
     requests_per_session: usize,
     seed: [u8; 32],
 ) -> E20Report {
-    use glimmer_gateway::{Gateway, GatewayConfig, RebalanceConfig, Rebalancer, TenantConfig};
+    use glimmer_gateway::{Gateway, RebalanceConfig, Rebalancer};
 
-    const APP: &str = "iot-telemetry.example";
-    let dimension = 8usize;
     let slots = shards * slots_per_shard;
     let sessions = slots;
+    let mut rng = Drbg::from_seed(seed);
+    let rig = Rig::uniform(sessions, requests_per_session, 0.3, [21u8; 32], &mut rng);
 
     // One fixture per run, identically seeded: returns the gateway and
     // every request pre-encrypted in submission order.
     let build = || {
-        let mut rng = Drbg::from_seed(seed);
-        let mut avs = AttestationService::new([20u8; 32]);
-        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-        let gateway = Gateway::new(
-            GatewayConfig {
-                slots_per_tenant: slots,
-                shards,
-                max_batch: 256,
-                max_queue_depth: (sessions * requests_per_session).max(256),
-                placement_session_weight: 4,
-                platform_config: PlatformConfig::default(),
-                ..GatewayConfig::default()
-            },
-            vec![TenantConfig::new(
-                APP,
-                GlimmerDescriptor::iot_default(Vec::new()),
-                material.secret_bytes(),
-            )],
+        let mut rng = rng.clone();
+        let mut avs = rig::attestation([20u8; 32]);
+        let gateway = rig.gateway(
+            rig.config(slots, shards),
             &mut avs,
             &mut rng,
-        )
-        .unwrap();
-
-        let approved = gateway.measurement(APP).unwrap();
-        let client_ids: Vec<u64> = (0..sessions as u64).collect();
-        let blinding = BlindingService::new([21u8; 32]);
-        let mask_rounds: Vec<_> = (0..requests_per_session as u64)
-            .map(|round| blinding.zero_sum_masks(round, &client_ids, dimension))
-            .collect();
-        let mut device_sessions = Vec::with_capacity(sessions);
-        for (i, client_id) in client_ids.iter().enumerate() {
-            let (sid, offer) = gateway.open_session(APP).unwrap();
-            let (accept, session) =
-                IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-            gateway.complete_session(sid, &accept).unwrap();
-            for round in &mask_rounds {
-                gateway.install_mask(sid, &round[i]).unwrap();
-            }
-            device_sessions.push((sid, *client_id, session));
-        }
-        let mut encrypted: Vec<(u64, Vec<u8>)> =
-            Vec::with_capacity(sessions * requests_per_session);
-        for round in 0..requests_per_session as u64 {
-            for (sid, client_id, session) in &mut device_sessions {
-                let contribution = Contribution {
-                    app_id: APP.to_string(),
-                    client_id: *client_id,
-                    round,
-                    payload: ContributionPayload::IotReadings {
-                        samples: vec![0.3; dimension],
-                    },
-                };
-                encrypted.push((
-                    *sid,
-                    session.encrypt_request(contribution, PrivateData::None),
-                ));
-            }
-        }
+            Arc::new(SystemClock::new()),
+        );
+        let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
+        let encrypted = rig.encrypt(&mut device_sessions, rig.schedule(0..requests_per_session));
         (gateway, device_sessions, encrypted)
     };
 
@@ -4185,7 +3424,7 @@ pub fn e20_live_rebalance(
     let consolidate = |gateway: &Gateway| {
         for load in gateway.slot_loads() {
             if load.shard != 0 {
-                gateway.migrate_slot(APP, load.slot_id, 0).unwrap();
+                gateway.migrate_slot(rig::APP, load.slot_id, 0).unwrap();
             }
         }
     };
@@ -4204,23 +3443,13 @@ pub fn e20_live_rebalance(
     // advances — the reply *contents* (endorsements included) must still be
     // bit-identical.
     let reply_set = |responses: &[glimmer_gateway::GatewayResponse],
-                     devices: &[(u64, u64, IotDeviceSession)]| {
+                     devices: &[(u64, IotDeviceSession)]| {
         let mut set: Vec<(u64, bool, String)> = responses
             .iter()
             .map(|r| {
-                let glimmer_core::protocol::BatchOutcome::Reply {
-                    endorsed,
-                    ciphertext,
-                } = &r.outcome
-                else {
-                    panic!("unexpected outcome {:?}", r.outcome);
-                };
-                let (_, _, session) = devices
-                    .iter()
-                    .find(|(sid, _, _)| *sid == r.session_id)
-                    .expect("reply for unknown session");
-                let decrypted = session.decrypt_response(ciphertext).unwrap();
-                (r.session_id, *endorsed, format!("{decrypted:?}"))
+                let decrypted = rig::decrypt(devices, r);
+                let endorsed = matches!(decrypted, ProcessResponse::Endorsed(_));
+                (r.session_id, endorsed, format!("{decrypted:?}"))
             })
             .collect();
         set.sort();

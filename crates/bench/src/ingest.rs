@@ -27,17 +27,11 @@
 //! and batched modes produce **bit-identical responses** — the E17
 //! integration bar.
 
-use glimmer_core::blinding::BlindingService;
-use glimmer_core::host::GlimmerDescriptor;
+use crate::rig::{self, Rig, Sessions};
 use glimmer_core::protocol::{BatchOutcome, Contribution, ContributionPayload, PrivateData};
-use glimmer_core::remote::IotDeviceSession;
-use glimmer_core::signing::ServiceKeyMaterial;
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::{
-    Clock, Gateway, GatewayConfig, GatewayError, GatewayResponse, SystemClock, TenantConfig,
-};
+use glimmer_gateway::{Clock, Gateway, GatewayError, GatewayResponse, TenantQuota};
 use glimmer_workloads::replay::{payload_samples, replay_tenant_name, ReplayRecord};
-use sgx_sim::AttestationService;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,7 +43,7 @@ pub struct ReplayHarness {
     /// The gateway under test.
     pub gateway: Gateway,
     /// `sessions[tenant][device]` → (session id, device-side channel).
-    sessions: Vec<Vec<(u64, IotDeviceSession)>>,
+    sessions: Vec<Sessions>,
     /// Per-device round counter: a device's n-th replayed record is its
     /// round `n` contribution, mirroring how the in-process workloads
     /// number requests.
@@ -137,10 +131,7 @@ impl IngestReport {
     /// Responses that carry an endorsement.
     #[must_use]
     pub fn endorsed(&self) -> usize {
-        self.responses
-            .iter()
-            .filter(|r| matches!(r.outcome, BatchOutcome::Reply { endorsed: true, .. }))
-            .count()
+        rig::endorsed(&self.responses)
     }
 
     /// The responses as comparable values: `(session_id, tenant, outcome)`
@@ -160,37 +151,8 @@ impl ReplayHarness {
     /// for every (tenant, device) the records mention, and masks for
     /// rounds `0..per-device record count`. Deterministic from `seed` —
     /// two harnesses built from the same arguments serve identical
-    /// ciphertexts to identical enclaves. Uses the production
-    /// [`SystemClock`]; [`ReplayHarness::build_with_clock`] injects a
-    /// deterministic one.
-    ///
-    /// # Panics
-    /// Panics if provisioning fails (these are experiment harnesses: a
-    /// provisioning failure is a bug, not an operational condition).
-    #[must_use]
-    pub fn build(
-        records: &[ReplayRecord],
-        tenants: u32,
-        shards: usize,
-        slots_per_tenant: usize,
-        dimension: usize,
-        max_queue_depth: usize,
-        seed: [u8; 32],
-    ) -> ReplayHarness {
-        Self::build_with_clock(
-            records,
-            tenants,
-            shards,
-            slots_per_tenant,
-            dimension,
-            max_queue_depth,
-            seed,
-            Arc::new(SystemClock::new()),
-        )
-    }
-
-    /// [`ReplayHarness::build`] with an injected [`Clock`]: the gateway and
-    /// the tick-paced ingest loop both read time from it, so a
+    /// ciphertexts to identical enclaves. The gateway and the tick-paced
+    /// ingest loop both read time from `clock`, so a
     /// [`glimmer_gateway::ManualClock`] makes open-loop replay fully
     /// deterministic under test.
     ///
@@ -199,7 +161,7 @@ impl ReplayHarness {
     /// provisioning failure is a bug, not an operational condition).
     #[must_use]
     #[allow(clippy::too_many_arguments)]
-    pub fn build_with_clock(
+    pub fn build(
         records: &[ReplayRecord],
         tenants: u32,
         shards: usize,
@@ -225,73 +187,55 @@ impl ReplayHarness {
                 .or_insert(0) += 1;
         }
 
+        // One rig per tenant. Device ids are sparse in the records but
+        // sessions are dense: the sorted key order is the device order. The
+        // payloads come from the records, so the rigs plan no samples.
         let mut rng = Drbg::from_material(&[&seed[..], b"replay-harness"].concat());
-        let mut avs = AttestationService::new([91u8; 32]);
-        let mut tenant_configs = Vec::with_capacity(tenants);
-        for t in 0..tenants {
-            let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-            tenant_configs.push(TenantConfig::new(
-                replay_tenant_name(t as u32),
-                GlimmerDescriptor::iot_default(Vec::new()),
-                material.secret_bytes(),
-            ));
-        }
+        let rigs: Vec<Rig> = device_counts
+            .iter()
+            .enumerate()
+            .map(|(t, counts)| {
+                let client_ids: Vec<u64> = counts.keys().copied().collect();
+                let rounds = counts.values().copied().max().unwrap_or(0);
+                Rig::synthetic(
+                    &replay_tenant_name(t as u32),
+                    &client_ids,
+                    rounds as usize,
+                    dimension,
+                    |_, _| Vec::new(),
+                    [92u8; 32],
+                    &mut rng,
+                )
+            })
+            .collect();
+        let mut avs = rig::attestation([91u8; 32]);
+        let mut config = rigs[0].config(slots_per_tenant, shards);
+        config.max_queue_depth = max_queue_depth;
         let gateway = Gateway::with_clock(
-            GatewayConfig {
-                slots_per_tenant,
-                shards,
-                max_batch: 256,
-                max_queue_depth,
-                ..GatewayConfig::default()
-            },
-            tenant_configs,
+            config,
+            rigs.iter()
+                .flat_map(|rig| rig.tenants(TenantQuota::default()))
+                .collect(),
             &mut avs,
             &mut rng,
             Arc::clone(&clock),
         )
         .unwrap();
-
-        let mut sessions = Vec::with_capacity(tenants);
-        let mut next_round = Vec::with_capacity(tenants);
-        for (t, counts) in device_counts.iter().enumerate() {
-            let name = replay_tenant_name(t as u32);
-            let approved = gateway.measurement(&name).unwrap();
-            let client_ids: Vec<u64> = counts.keys().copied().collect();
-            let rounds = counts.values().copied().max().unwrap_or(0);
-            let blinding = BlindingService::new([92u8; 32]);
-            let mask_rounds: Vec<_> = (0..rounds)
-                .map(|round| blinding.zero_sum_masks(round, &client_ids, dimension))
-                .collect();
-            let mut tenant_sessions = Vec::with_capacity(client_ids.len());
-            for (i, _client_id) in client_ids.iter().enumerate() {
-                let (sid, offer) = gateway.open_session(&name).unwrap();
-                let (accept, session) =
-                    IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
-                gateway.complete_session(sid, &accept).unwrap();
-                for round in &mask_rounds {
-                    gateway.install_mask(sid, &round[i]).unwrap();
-                }
-                tenant_sessions.push((sid, session));
-            }
-            // Device ids are sparse in the records but sessions are dense:
-            // map device id → dense index via the sorted key order.
-            sessions.push(tenant_sessions);
-            next_round.push(vec![0u64; client_ids.len()]);
-        }
-
-        // Dense index lookup: rebuild the sorted id lists once.
-        let device_index: Vec<std::collections::BTreeMap<u64, usize>> = device_counts
+        let sessions: Vec<Sessions> = rigs
             .iter()
-            .map(|counts| counts.keys().enumerate().map(|(i, &id)| (id, i)).collect())
+            .map(|rig| rig.connect(&gateway, &avs, &mut rng))
             .collect();
 
         ReplayHarness {
             gateway,
+            next_round: sessions.iter().map(|s| vec![0u64; s.len()]).collect(),
             sessions,
-            next_round,
             dimension,
             samples: Vec::new(),
-            device_index,
+            device_index: device_counts
+                .iter()
+                .map(|counts| counts.keys().enumerate().map(|(i, &id)| (id, i)).collect())
+                .collect(),
             clock,
             paced_waits: Arc::new(AtomicU64::new(0)),
         }
@@ -484,7 +428,7 @@ fn reject(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glimmer_gateway::ManualClock;
+    use glimmer_gateway::{ManualClock, SystemClock};
     use glimmer_workloads::replay::{ScenarioMix, ScenarioSpec};
     use std::sync::atomic::AtomicBool;
 
@@ -513,7 +457,16 @@ mod tests {
     #[test]
     fn unpaced_ingest_never_waits() {
         let records = scenario_records();
-        let mut harness = ReplayHarness::build(&records, 2, 1, 2, 4, 512, [7u8; 32]);
+        let mut harness = ReplayHarness::build(
+            &records,
+            2,
+            1,
+            2,
+            4,
+            512,
+            [7u8; 32],
+            Arc::new(SystemClock::new()),
+        );
         let report = ingest(&mut harness, &records, &config(Pacing::Unpaced)).unwrap();
         assert_eq!(report.paced_waits, 0);
         assert_eq!(report.quota_rejected, 0);
@@ -530,7 +483,16 @@ mod tests {
         );
 
         // Closed-loop baseline for the serving results.
-        let mut unpaced = ReplayHarness::build(&records, 2, 1, 2, 4, 512, [7u8; 32]);
+        let mut unpaced = ReplayHarness::build(
+            &records,
+            2,
+            1,
+            2,
+            4,
+            512,
+            [7u8; 32],
+            Arc::new(SystemClock::new()),
+        );
         let baseline = ingest(&mut unpaced, &records, &config(Pacing::Unpaced)).unwrap();
 
         // Open loop against a manual clock: ingest runs on a scoped thread
@@ -542,7 +504,7 @@ mod tests {
         // finish before the clock has crossed the last record's deadline,
         // so a completed run proves every deadline was honored.
         let clock = Arc::new(ManualClock::new());
-        let mut paced = ReplayHarness::build_with_clock(
+        let mut paced = ReplayHarness::build(
             &records,
             2,
             1,

@@ -3,24 +3,19 @@
 //! The paper (HotOS 2017) has no measurement tables; its figures are
 //! architecture and scenario illustrations. This crate therefore defines
 //! the experiments derived from the figures, worked examples, and
-//! quantitative claims — E1–E10 from the paper plus E11 (the gateway
-//! serving comparison), E12 (shard-per-core runtime scaling), E13 (the
-//! batched, allocation-lean hot path), E14 (restart recovery: cold
-//! rebuild vs sealed checkpoint restore), E15 (the async session
-//! front-end: ≥1000 concurrent sessions on one executor thread,
-//! bit-identical to the blocking driver), and E16 (the telemetry layer:
-//! serving overhead with observability on vs off, allocation-free
-//! recording, deterministic sampled traces, round-tripping exposition
-//! formats), E17 (million-device replay ingest: a chunked parallel
-//! scenario loader feeding the batched hot path, bit-identical to the
-//! in-process driver), and E18 (incremental + streamed checkpoints:
-//! per-slot dirty epochs make delta captures scale with the dirty set,
-//! streamed capture overlaps serving, and chain restore is byte-identical
-//! to full-snapshot restore) — and implements each one as a
-//! reusable function plus a binary that prints the corresponding table.
-//! The Criterion benches under `benches/` cover the micro-benchmarks
-//! (crypto, enclave transitions, blinding, validation, end-to-end
-//! pipeline).
+//! quantitative claims — E1–E10 from the paper, plus the serving
+//! experiments built on the gateway: E11 (pooled serving vs per-device
+//! hosts), E12 (shard-per-core scaling), E13 (the batched,
+//! allocation-lean hot path), E14 (restart recovery: cold rebuild vs
+//! sealed checkpoint restore), E15 (the async session front-end), E16
+//! (telemetry overhead and fidelity), E17 (million-device replay
+//! ingest), E18 (incremental + streamed checkpoints), E19 (the socket
+//! front door) and E20 (live slot rebalancing) — and implements each one
+//! as a reusable function plus a binary that prints the corresponding
+//! table. The serving experiments, the gateway benches and the replay
+//! harness share one fixture, [`rig`]. The Criterion benches under
+//! `benches/` cover the micro-benchmarks (crypto, enclave transitions,
+//! blinding, validation, end-to-end pipeline).
 
 // `deny`, not `forbid`: the opt-in `count-allocs` feature installs a
 // counting global allocator, whose `GlobalAlloc` impl is necessarily
@@ -31,6 +26,7 @@ pub mod alloc_track;
 pub mod experiments;
 pub mod ingest;
 pub mod report;
+pub mod rig;
 
 pub use experiments::*;
 pub use ingest::{ingest, IngestConfig, IngestMode, IngestReport, Pacing, ReplayHarness};

@@ -1546,7 +1546,7 @@ impl Gateway {
 
     /// Captures an **incremental** checkpoint against `base`: only slots
     /// whose dirty-epoch advanced past the base frame re-run their
-    /// `EXPORT_STATE` ECALL; clean slots are skipped entirely — no barrier,
+    /// state-export ECALL; clean slots are skipped entirely — no barrier,
     /// no seal, no ECALL — which is what lets housekeeping on a mostly-idle
     /// gateway run at hardware speed (the E18 claim: ECALL count and wall
     /// time scale with the *dirty* slot count, not the pool size).

@@ -117,7 +117,7 @@ pub struct SlotStatsRow {
 }
 
 /// A labelled snapshot of the whole gateway.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GatewayStats {
     /// Per-tenant counters, keyed by tenant name.
     pub tenants: Vec<(String, TenantStats)>,
@@ -128,26 +128,6 @@ pub struct GatewayStats {
     /// per call. The gap between this and `submitted` is the channel and
     /// atomic traffic batched admission saved (experiment E13's metric).
     pub submit_commands: u64,
-    /// Lazily-built per-shard drain-cycle totals, filled on the first
-    /// by-shard query so repeated aggregation calls (the E12 report loops
-    /// call them per row) stop rebuilding a `BTreeMap` each time. Never
-    /// read directly — go through
-    /// [`GatewayStats::drain_cycles_by_shard_cached`].
-    pub(crate) by_shard_cycles: std::sync::OnceLock<std::collections::BTreeMap<usize, u64>>,
-}
-
-impl Clone for GatewayStats {
-    fn clone(&self) -> Self {
-        GatewayStats {
-            tenants: self.tenants.clone(),
-            slots: self.slots.clone(),
-            submit_commands: self.submit_commands,
-            // A fresh cache, not a copy: the clone's `slots` may be mutated
-            // before its first by-shard query, and the cache must reflect
-            // the rows it is derived from.
-            by_shard_cycles: std::sync::OnceLock::new(),
-        }
-    }
 }
 
 impl GatewayStats {
@@ -170,29 +150,13 @@ impl GatewayStats {
     }
 
     /// Simulated drain cycles grouped by owning shard, keyed by shard index.
-    /// Returns an owned copy; hot aggregation loops should prefer
-    /// [`GatewayStats::drain_cycles_by_shard_cached`], which this delegates
-    /// to.
     #[must_use]
     pub fn drain_cycles_by_shard(&self) -> std::collections::BTreeMap<usize, u64> {
-        self.drain_cycles_by_shard_cached().clone()
-    }
-
-    /// Simulated drain cycles grouped by owning shard, computed once per
-    /// snapshot and cached. The cache is keyed to the rows present at the
-    /// first call: a snapshot is ordinarily read-only after
-    /// [`crate::Gateway::stats`] builds it, and [`Clone`] resets the cache,
-    /// so code that *does* edit `slots` by hand should query only
-    /// afterwards.
-    #[must_use]
-    pub fn drain_cycles_by_shard_cached(&self) -> &std::collections::BTreeMap<usize, u64> {
-        self.by_shard_cycles.get_or_init(|| {
-            let mut by_shard = std::collections::BTreeMap::new();
-            for row in &self.slots {
-                *by_shard.entry(row.shard).or_insert(0) += row.stats.drain_cycles;
-            }
-            by_shard
-        })
+        let mut by_shard = std::collections::BTreeMap::new();
+        for row in &self.slots {
+            *by_shard.entry(row.shard).or_insert(0) += row.stats.drain_cycles;
+        }
+        by_shard
     }
 
     /// Queue depth found waiting at each shard's most recent drain sweep
@@ -215,7 +179,7 @@ impl GatewayStats {
     /// two is exactly what shard-per-core parallelism buys (experiment E12).
     #[must_use]
     pub fn critical_path_drain_cycles(&self) -> u64 {
-        self.drain_cycles_by_shard_cached()
+        self.drain_cycles_by_shard()
             .values()
             .copied()
             .max()
@@ -258,7 +222,6 @@ mod tests {
                 stats: slot,
             }],
             submit_commands: 0,
-            ..GatewayStats::default()
         };
         assert_eq!(stats.total_endorsed(), 3);
         assert_eq!(stats.total_items(), 8);
@@ -282,7 +245,6 @@ mod tests {
             tenants: Vec::new(),
             slots: vec![row(0, 10), row(1, 25), row(0, 5), row(1, 1)],
             submit_commands: 0,
-            ..GatewayStats::default()
         };
         assert_eq!(stats.total_drain_cycles(), 41);
         let by_shard = stats.drain_cycles_by_shard();
@@ -290,13 +252,6 @@ mod tests {
         assert_eq!(by_shard[&1], 26);
         // The busiest shard is the critical path.
         assert_eq!(stats.critical_path_drain_cycles(), 26);
-        // The cached accessor returns the same aggregation without a
-        // rebuild, and cloning starts a fresh cache for the clone's rows.
-        assert_eq!(stats.drain_cycles_by_shard_cached(), &by_shard);
-        let mut cloned = stats.clone();
-        cloned.slots.push(row(2, 100));
-        assert_eq!(cloned.drain_cycles_by_shard_cached()[&2], 100);
-        assert_eq!(stats.drain_cycles_by_shard_cached().get(&2), None);
     }
 
     #[test]
@@ -314,7 +269,6 @@ mod tests {
             tenants: Vec::new(),
             slots: vec![row(0, 3), row(1, 7), row(0, 2)],
             submit_commands: 0,
-            ..GatewayStats::default()
         };
         let by_shard = stats.last_drain_queue_depth_by_shard();
         assert_eq!(by_shard[&0], 5);

@@ -864,7 +864,7 @@ impl Telemetry {
     }
 
     /// Counts a checkpoint's per-slot export decisions: `exported` slots
-    /// paid an `EXPORT_STATE` ECALL, `skipped` slots were proven clean and
+    /// paid an state-export ECALL, `skipped` slots were proven clean and
     /// paid nothing. The skip ratio is the E18 housekeeping claim made
     /// observable in production.
     pub(crate) fn count_checkpoint_slots(&self, exported: u64, skipped: u64) {
@@ -1038,7 +1038,7 @@ pub struct TelemetrySnapshot {
     /// Replayed requests terminally rejected by quota/admission during
     /// ingest.
     pub ingest_quota_rejected: u64,
-    /// Pool slots whose checkpoint capture paid an `EXPORT_STATE` ECALL.
+    /// Pool slots whose checkpoint capture paid an state-export ECALL.
     pub checkpoint_slots_exported: u64,
     /// Pool slots a delta checkpoint proved clean and skipped (no barrier,
     /// no seal, no ECALL).

@@ -10,216 +10,31 @@
 //! property-tested, and the `BarrierConflict` regression holds a streamed
 //! capture mid-slot while racing a migration — in both directions.
 
-use glimmer_core::blinding::{BlindingService, MaskShare};
-use glimmer_core::host::GlimmerDescriptor;
-use glimmer_core::protocol::{BatchOutcome, Contribution, ContributionPayload, PrivateData};
-use glimmer_core::remote::IotDeviceSession;
-use glimmer_core::signing::ServiceKeyMaterial;
-use glimmer_crypto::drbg::Drbg;
+mod common;
+
+use common::*;
+use glimmer_core::protocol::BatchOutcome;
 use glimmer_gateway::{
     plan_rebalance, BarrierOp, ChainBase, CrashAt, CrashHooks, CrashPoint, Gateway, GatewayConfig,
-    GatewayError, ManualClock, RebalanceConfig, Rebalancer, SlotLoad, TenantConfig,
+    GatewayError, RebalanceConfig, Rebalancer, SlotLoad,
 };
-use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
 use proptest::prelude::*;
-use sgx_sim::{AttestationService, PlatformConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-const IOT: &str = "iot-telemetry.example";
-const KEYBOARD: &str = "nextwordpredictive.com";
-const DIM: usize = 4;
-const DEVICES_PER_TENANT: usize = 2;
-const ROUNDS: usize = 4;
-const PRE_ROUNDS: usize = 2;
-
-const GW_SEED: [u8; 32] = [70u8; 32];
-const DEV_SEED: [u8; 32] = [71u8; 32];
-const AVS_SEED: [u8; 32] = [72u8; 32];
-const WORKLOAD_SEED: [u8; 32] = [73u8; 32];
-const MATERIAL_SEED: [u8; 32] = [74u8; 32];
+/// The seed byte this matrix runs on.
+const SEED: u8 = 70;
 
 fn config(shards: usize) -> GatewayConfig {
-    GatewayConfig {
-        slots_per_tenant: 2,
-        shards,
-        max_batch: 64,
-        max_queue_depth: 256,
-        placement_session_weight: 4,
-        platform_config: PlatformConfig::default(),
-        ..GatewayConfig::default()
-    }
-}
-
-fn tenant_configs() -> Vec<TenantConfig> {
-    let mut rng = Drbg::from_seed(MATERIAL_SEED);
-    let iot_material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let kb_material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    vec![
-        TenantConfig::new(
-            IOT,
-            GlimmerDescriptor::iot_default(Vec::new()),
-            iot_material.secret_bytes(),
-        ),
-        TenantConfig::new(
-            KEYBOARD,
-            GlimmerDescriptor::keyboard_range_only(),
-            kb_material.secret_bytes(),
-        ),
-    ]
-}
-
-fn workload() -> GatewayTrafficWorkload {
-    GatewayTrafficWorkload::generate(
-        &[
-            TenantTrafficSpec {
-                name: IOT.to_string(),
-                devices: DEVICES_PER_TENANT,
-                requests_per_device: ROUNDS,
-                dimension: DIM,
-                misbehaving_fraction: 0.25,
-            },
-            TenantTrafficSpec {
-                name: KEYBOARD.to_string(),
-                devices: DEVICES_PER_TENANT,
-                requests_per_device: ROUNDS,
-                dimension: DIM,
-                misbehaving_fraction: 0.25,
-            },
-        ],
-        WORKLOAD_SEED,
-    )
-}
-
-struct Device {
-    tenant: String,
-    session_id: u64,
-    session: IotDeviceSession,
-}
-
-/// One scheduled arrival: which device (index into the fixture's device
-/// vector), which round, and the pre-encrypted request.
-struct Event {
-    device: usize,
-    round: usize,
-    ciphertext: Vec<u8>,
-}
-
-struct Fixture {
-    gateway: Gateway,
-    devices: Vec<Device>,
-    events: Vec<Event>,
+    common::config(shards)
 }
 
 fn build_fixture(shards: usize) -> Fixture {
-    let workload = workload();
-    let mut avs = AttestationService::new(AVS_SEED);
-    let clock = Arc::new(ManualClock::new());
-    let gateway = Gateway::with_clock(
-        config(shards),
-        tenant_configs(),
-        &mut avs,
-        &mut Drbg::from_seed(GW_SEED),
-        clock,
-    )
-    .unwrap();
-
-    let mut dev_rng = Drbg::from_seed(DEV_SEED);
-    let mut devices = Vec::new();
-    for (t_idx, tenant) in workload.tenants.iter().enumerate() {
-        let approved = gateway.measurement(&tenant.name).unwrap();
-        let client_ids: Vec<u64> = tenant.devices.iter().map(|d| d.device_id).collect();
-        let blinding = BlindingService::new([75 + t_idx as u8; 32]);
-        let mask_rounds: Vec<Vec<MaskShare>> = (0..ROUNDS)
-            .map(|round| blinding.zero_sum_masks(round as u64, &client_ids, DIM))
-            .collect();
-        for (d_idx, _device) in tenant.devices.iter().enumerate() {
-            let (session_id, offer) = gateway.open_session(&tenant.name).unwrap();
-            let (accept, session) =
-                IotDeviceSession::connect(&offer, &avs, &approved, &mut dev_rng).unwrap();
-            gateway.complete_session(session_id, &accept).unwrap();
-            for round in &mask_rounds {
-                gateway.install_mask(session_id, &round[d_idx]).unwrap();
-            }
-            devices.push(Device {
-                tenant: tenant.name.clone(),
-                session_id,
-                session,
-            });
-        }
-    }
-
-    let mut events = Vec::new();
-    for event in &workload.schedule {
-        let device_idx = event.tenant * DEVICES_PER_TENANT + event.device;
-        let traffic = &workload.tenants[event.tenant].devices[event.device];
-        let samples = traffic.requests[event.request].clone();
-        let payload = if workload.tenants[event.tenant].name == IOT {
-            ContributionPayload::IotReadings { samples }
-        } else {
-            ContributionPayload::ModelUpdate { weights: samples }
-        };
-        let contribution = Contribution {
-            app_id: workload.tenants[event.tenant].name.clone(),
-            client_id: traffic.device_id,
-            round: event.request as u64,
-            payload,
-        };
-        let ciphertext = devices[device_idx]
-            .session
-            .encrypt_request(contribution, PrivateData::None);
-        events.push(Event {
-            device: device_idx,
-            round: event.request,
-            ciphertext,
-        });
-    }
-
-    Fixture {
-        gateway,
-        devices,
-        events,
-    }
+    common::build_fixture(shards, SEED)
 }
 
-/// One decrypted reply: (session id, tenant label, decrypted device-side
-/// view of the response). Agreement on the *multiset* of these records
-/// means agreement on endorsement outcomes and exact endorsement contents
-/// (signatures are deterministic); agreement on the *sequence* also pins
-/// drain order.
-type RespRec = (u64, String, String);
-
 fn submit_rounds(fixture: &Fixture, rounds: std::ops::Range<usize>) -> Vec<RespRec> {
-    for event in fixture.events.iter().filter(|e| rounds.contains(&e.round)) {
-        fixture
-            .gateway
-            .submit(
-                fixture.devices[event.device].session_id,
-                event.ciphertext.clone(),
-            )
-            .unwrap();
-    }
-    let responses = fixture.gateway.drain_all().unwrap();
-    responses
-        .iter()
-        .map(|response| {
-            let device = fixture
-                .devices
-                .iter()
-                .find(|d| d.session_id == response.session_id)
-                .expect("response for unknown session");
-            assert_eq!(&*response.tenant, device.tenant.as_str());
-            let BatchOutcome::Reply { ciphertext, .. } = &response.outcome else {
-                panic!("unexpected outcome {:?}", response.outcome);
-            };
-            let decrypted = device.session.decrypt_response(ciphertext).unwrap();
-            (
-                response.session_id,
-                device.tenant.clone(),
-                format!("{decrypted:?}"),
-            )
-        })
-        .collect()
+    common::submit_rounds(&fixture.devices, &fixture.events, &fixture.gateway, rounds)
 }
 
 fn shard_of(gateway: &Gateway, tenant: &str, slot_id: usize) -> usize {

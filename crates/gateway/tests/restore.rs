@@ -10,7 +10,10 @@
 //! A determinism canary runs the checkpoint scenario twice and diffs the
 //! snapshot bytes.
 
-use glimmer_core::blinding::{BlindingService, MaskShare};
+mod common;
+
+use common::*;
+use glimmer_core::blinding::BlindingService;
 use glimmer_core::host::GlimmerDescriptor;
 use glimmer_core::protocol::{BatchOutcome, Contribution, ContributionPayload, PrivateData};
 use glimmer_core::remote::IotDeviceSession;
@@ -20,228 +23,33 @@ use glimmer_gateway::{
     Clock, CrashAt, CrashHooks, CrashPoint, Gateway, GatewayConfig, GatewayDelta, GatewayError,
     GatewaySnapshot, ManualClock, NoCrash, QuotaResource, SnapshotChain, TenantConfig, TenantQuota,
 };
-use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
+use glimmer_workloads::gateway::GatewayTrafficWorkload;
 use proptest::prelude::*;
-use sgx_sim::{AttestationService, PlatformConfig};
-use std::ops::Range;
+use sgx_sim::AttestationService;
 use std::sync::{Arc, OnceLock};
 
-const IOT: &str = "iot-telemetry.example";
-const KEYBOARD: &str = "nextwordpredictive.com";
-const DIM: usize = 4;
-const DEVICES_PER_TENANT: usize = 2;
-const ROUNDS: usize = 4;
-const PRE_ROUNDS: usize = 2;
+/// The seed byte this matrix runs on.
+const SEED: u8 = 90;
+const GW_SEED: [u8; 32] = common::seed(SEED, common::GATEWAY);
+const DEV_SEED: [u8; 32] = common::seed(SEED, common::DEVICE);
+const AVS_SEED: [u8; 32] = common::seed(SEED, common::AVS);
 
-const GW_SEED: [u8; 32] = [90u8; 32];
-const DEV_SEED: [u8; 32] = [91u8; 32];
-const AVS_SEED: [u8; 32] = [92u8; 32];
-const WORKLOAD_SEED: [u8; 32] = [93u8; 32];
-const MATERIAL_SEED: [u8; 32] = [94u8; 32];
-
+/// Deterministic single-shard mode: the matrix compares drain order
+/// bit-for-bit against an uninterrupted run.
 fn config() -> GatewayConfig {
-    GatewayConfig {
-        slots_per_tenant: 2,
-        // Deterministic single-shard mode: the matrix compares drain order
-        // bit-for-bit against an uninterrupted run.
-        shards: 1,
-        max_batch: 64,
-        max_queue_depth: 256,
-        placement_session_weight: 4,
-        platform_config: PlatformConfig::default(),
-        ..GatewayConfig::default()
-    }
+    common::config(1)
 }
 
 fn tenant_configs() -> Vec<TenantConfig> {
-    let mut rng = Drbg::from_seed(MATERIAL_SEED);
-    let iot_material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let kb_material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    vec![
-        TenantConfig::new(
-            IOT,
-            GlimmerDescriptor::iot_default(Vec::new()),
-            iot_material.secret_bytes(),
-        ),
-        TenantConfig::new(
-            KEYBOARD,
-            GlimmerDescriptor::keyboard_range_only(),
-            kb_material.secret_bytes(),
-        ),
-    ]
+    common::tenant_configs(SEED)
 }
 
 fn workload() -> GatewayTrafficWorkload {
-    GatewayTrafficWorkload::generate(
-        &[
-            TenantTrafficSpec {
-                name: IOT.to_string(),
-                devices: DEVICES_PER_TENANT,
-                requests_per_device: ROUNDS,
-                dimension: DIM,
-                misbehaving_fraction: 0.25,
-            },
-            TenantTrafficSpec {
-                name: KEYBOARD.to_string(),
-                devices: DEVICES_PER_TENANT,
-                requests_per_device: ROUNDS,
-                dimension: DIM,
-                misbehaving_fraction: 0.25,
-            },
-        ],
-        WORKLOAD_SEED,
-    )
-}
-
-struct Device {
-    tenant: String,
-    session_id: u64,
-    session: IotDeviceSession,
-}
-
-/// One scheduled arrival: which device (index into the fixture's device
-/// vector), which round, and the encrypted request. Requests are encrypted
-/// exactly once, up front — after a crash, devices retransmit the *stored*
-/// ciphertext of every unacknowledged request, exactly like real devices.
-struct Event {
-    device: usize,
-    round: usize,
-    ciphertext: Vec<u8>,
-}
-
-struct Fixture {
-    gateway: Option<Gateway>,
-    avs: AttestationService,
-    clock: Arc<ManualClock>,
-    devices: Vec<Device>,
-    events: Vec<Event>,
+    common::workload(SEED)
 }
 
 fn build_fixture() -> Fixture {
-    let workload = workload();
-    let mut avs = AttestationService::new(AVS_SEED);
-    let clock = Arc::new(ManualClock::new());
-    let gateway = Gateway::with_clock(
-        config(),
-        tenant_configs(),
-        &mut avs,
-        &mut Drbg::from_seed(GW_SEED),
-        clock.clone(),
-    )
-    .unwrap();
-
-    let mut dev_rng = Drbg::from_seed(DEV_SEED);
-    let mut devices = Vec::new();
-    for (t_idx, tenant) in workload.tenants.iter().enumerate() {
-        let approved = gateway.measurement(&tenant.name).unwrap();
-        let client_ids: Vec<u64> = tenant.devices.iter().map(|d| d.device_id).collect();
-        let blinding = BlindingService::new([95 + t_idx as u8; 32]);
-        let mask_rounds: Vec<Vec<MaskShare>> = (0..ROUNDS)
-            .map(|round| blinding.zero_sum_masks(round as u64, &client_ids, DIM))
-            .collect();
-        for (d_idx, _device) in tenant.devices.iter().enumerate() {
-            let (session_id, offer) = gateway.open_session(&tenant.name).unwrap();
-            let (accept, session) =
-                IotDeviceSession::connect(&offer, &avs, &approved, &mut dev_rng).unwrap();
-            gateway.complete_session(session_id, &accept).unwrap();
-            for round in &mask_rounds {
-                gateway.install_mask(session_id, &round[d_idx]).unwrap();
-            }
-            devices.push(Device {
-                tenant: tenant.name.clone(),
-                session_id,
-                session,
-            });
-        }
-    }
-
-    let mut events = Vec::new();
-    for event in &workload.schedule {
-        let device_idx = event.tenant * DEVICES_PER_TENANT + event.device;
-        let traffic = &workload.tenants[event.tenant].devices[event.device];
-        let samples = traffic.requests[event.request].clone();
-        let payload = if workload.tenants[event.tenant].name == IOT {
-            ContributionPayload::IotReadings { samples }
-        } else {
-            ContributionPayload::ModelUpdate { weights: samples }
-        };
-        let contribution = Contribution {
-            app_id: workload.tenants[event.tenant].name.clone(),
-            client_id: traffic.device_id,
-            round: event.request as u64,
-            payload,
-        };
-        let ciphertext = devices[device_idx]
-            .session
-            .encrypt_request(contribution, PrivateData::None);
-        events.push(Event {
-            device: device_idx,
-            round: event.request,
-            ciphertext,
-        });
-    }
-
-    Fixture {
-        gateway: Some(gateway),
-        avs,
-        clock,
-        devices,
-        events,
-    }
-}
-
-/// One decrypted reply, in drain order: (session id, tenant label, decrypted
-/// device-side view of the response). Two runs agreeing on this sequence
-/// agree on drain order, endorsement outcomes, and the exact endorsement
-/// contents (signatures are deterministic), i.e. bit-identically.
-type RespRec = (u64, String, String);
-
-fn submit_rounds(
-    devices: &[Device],
-    events: &[Event],
-    gateway: &Gateway,
-    rounds: Range<usize>,
-) -> Vec<RespRec> {
-    submit_filtered(devices, events, gateway, |e| rounds.contains(&e.round))
-}
-
-/// [`submit_rounds`] with an arbitrary event filter — used by the delta
-/// tests to dirty only one tenant's slots between checkpoints.
-fn submit_filtered(
-    devices: &[Device],
-    events: &[Event],
-    gateway: &Gateway,
-    keep: impl Fn(&Event) -> bool,
-) -> Vec<RespRec> {
-    for event in events.iter().filter(|e| keep(e)) {
-        gateway
-            .submit(devices[event.device].session_id, event.ciphertext.clone())
-            .unwrap();
-    }
-    let responses = gateway.drain_all().unwrap();
-    responses
-        .iter()
-        .map(|response| {
-            let device = devices
-                .iter()
-                .find(|d| d.session_id == response.session_id)
-                .expect("response for unknown session");
-            // No cross-tenant leakage: the reply is labelled with the
-            // session's own tenant and decrypts under the device's own
-            // channel keys (another tenant's enclave or another session's
-            // keys would fail AEAD opening).
-            assert_eq!(&*response.tenant, device.tenant.as_str());
-            let BatchOutcome::Reply { ciphertext, .. } = &response.outcome else {
-                panic!("unexpected outcome {:?}", response.outcome);
-            };
-            let decrypted = device.session.decrypt_response(ciphertext).unwrap();
-            (
-                response.session_id,
-                device.tenant.clone(),
-                format!("{decrypted:?}"),
-            )
-        })
-        .collect()
+    common::build_fixture(1, SEED)
 }
 
 /// A full-snapshot restore through the one restore entry: the empty chain.
@@ -269,8 +77,8 @@ fn restore_full(
 }
 
 fn run_uninterrupted() -> Vec<RespRec> {
-    let mut fixture = build_fixture();
-    let gateway = fixture.gateway.take().unwrap();
+    let fixture = build_fixture();
+    let gateway = fixture.gateway;
     let mut records = submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
     records.extend(submit_rounds(
         &fixture.devices,
@@ -286,7 +94,7 @@ fn run_uninterrupted() -> Vec<RespRec> {
 /// Returns the full decrypted reply sequence and the snapshot bytes.
 fn run_with_crash_at(point: CrashPoint) -> (Vec<RespRec>, Vec<u8>) {
     let mut fixture = build_fixture();
-    let gateway = fixture.gateway.take().unwrap();
+    let gateway = fixture.gateway;
     let mut records = submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
 
     // The last good checkpoint — what the operator has persisted.
@@ -420,7 +228,7 @@ fn snapshot_determinism_canary() {
 #[test]
 fn corrupted_snapshots_fail_closed_with_typed_errors() {
     let mut fixture = build_fixture();
-    let gateway = fixture.gateway.take().unwrap();
+    let gateway = fixture.gateway;
     submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
     let snapshot = gateway.checkpoint().unwrap();
     let bytes = snapshot.to_bytes();
@@ -561,7 +369,7 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
 #[test]
 fn sealed_state_cannot_be_spliced_across_snapshots() {
     let mut fixture = build_fixture();
-    let gateway = fixture.gateway.take().unwrap();
+    let gateway = fixture.gateway;
     submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..1);
     let epoch1 = gateway.checkpoint().unwrap();
     submit_rounds(&fixture.devices, &fixture.events, &gateway, 1..PRE_ROUNDS);
@@ -610,7 +418,7 @@ fn sealed_state_cannot_be_spliced_across_snapshots() {
 #[test]
 fn restore_prunes_sessions_missing_from_the_captured_table() {
     let mut fixture = build_fixture();
-    let gateway = fixture.gateway.take().unwrap();
+    let gateway = fixture.gateway;
     submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
     let mut snapshot = gateway.checkpoint().unwrap();
     drop(gateway);
@@ -666,7 +474,7 @@ fn restore_prunes_sessions_missing_from_the_captured_table() {
 #[test]
 fn replayed_requests_stay_rejected_across_restarts() {
     let mut fixture = build_fixture();
-    let gateway = fixture.gateway.take().unwrap();
+    let gateway = fixture.gateway;
     let records = submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
     assert!(!records.is_empty());
     let snapshot = gateway.checkpoint().unwrap();
@@ -806,7 +614,7 @@ fn streamed_checkpoint_matches_quiesced_capture_and_restores() {
     // byte comparison of the two frames). What stays: a restore from the
     // slot-at-a-time frame serves exactly like an uninterrupted run.
     let mut fixture = build_fixture();
-    let gateway = fixture.gateway.take().unwrap();
+    let gateway = fixture.gateway;
     let mut records = submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
     let streamed = gateway.checkpoint().unwrap();
     drop(gateway);
@@ -834,7 +642,7 @@ fn streamed_checkpoint_matches_quiesced_capture_and_restores() {
 fn delta_chain_restore_is_bit_identical_to_full_snapshot_restore() {
     // Run A: base snapshot, then dirty ONLY the IoT tenant, then a delta.
     let mut fa = build_fixture();
-    let ga = fa.gateway.take().unwrap();
+    let ga = fa.gateway;
     let mut records_a = submit_rounds(&fa.devices, &fa.events, &ga, 0..PRE_ROUNDS);
     let base = ga.checkpoint().unwrap();
     let devices_a = &fa.devices;
@@ -860,7 +668,7 @@ fn delta_chain_restore_is_bit_identical_to_full_snapshot_restore() {
     // Run B: the identical scenario with FULL snapshots at the same two
     // points (same checkpoint-op count, so the epoch sequence matches).
     let mut fb = build_fixture();
-    let gb = fb.gateway.take().unwrap();
+    let gb = fb.gateway;
     let mut records_b = submit_rounds(&fb.devices, &fb.events, &gb, 0..PRE_ROUNDS);
     let _base_b = gb.checkpoint().unwrap();
     let devices_b = &fb.devices;
@@ -927,8 +735,8 @@ fn delta_chain_restore_is_bit_identical_to_full_snapshot_restore() {
 fn chain_fixture() -> &'static (GatewaySnapshot, Vec<GatewayDelta>) {
     static CELL: OnceLock<(GatewaySnapshot, Vec<GatewayDelta>)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let mut fixture = build_fixture();
-        let gateway = fixture.gateway.take().unwrap();
+        let fixture = build_fixture();
+        let gateway = fixture.gateway;
         submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..1);
         let base = gateway.checkpoint().unwrap();
         let mut deltas = Vec::new();
@@ -967,7 +775,7 @@ fn replay_windows_ride_the_delta_chain_and_stay_constant_size() {
     // session adds to a slot must not grow with the requests it served.
     let (base, deltas) = chain_fixture();
     let mut fixture = build_fixture();
-    drop(fixture.gateway.take());
+    drop(fixture.gateway);
     let restored = Gateway::restore_chain_with_hooks(
         config(),
         tenant_configs(),

@@ -865,8 +865,8 @@ impl GlimmerEnclaveProgram {
         enc.into_bytes()
     }
 
-    /// `EXPORT_STATE`: seals the serving state under [`SealPolicy::MrEnclave`]
-    /// with the caller's snapshot header as AAD and returns the blob bytes.
+    /// Seals the serving state under [`SealPolicy::MrEnclave`] with the
+    /// caller's snapshot header as AAD and returns the blob bytes.
     /// Only byte-identical Glimmer code on this platform can ever open the
     /// result, and only when presenting the same header — which binds the
     /// blob to exactly one snapshot.
@@ -1152,7 +1152,6 @@ impl EnclaveProgram for GlimmerEnclaveProgram {
         match selector {
             ecall::STATUS
             | ecall::EXPORT_SEALED_KEY
-            | ecall::EXPORT_STATE
             | ecall::EXPORT_STATE_IF_NEWER
             | ecall::IMPORT_STATE => {}
             _ => self.state_epoch += 1,
@@ -1185,7 +1184,6 @@ impl EnclaveProgram for GlimmerEnclaveProgram {
                 let delivery = MaskDelivery::from_wire(data).map_err(|e| e.to_string())?;
                 self.install_mask(delivery)
             }
-            ecall::EXPORT_STATE => self.export_state(env, data),
             ecall::EXPORT_STATE_IF_NEWER => self.export_state_if_newer(env, data),
             ecall::IMPORT_STATE => self.import_state(env, data),
             ecall::STATUS => Ok(self.status()),

@@ -378,17 +378,12 @@ impl GlimmerClient {
     /// channel keys, masks, replay windows, auditor counters) as a sealed
     /// blob bound to `header` — the gateway's checkpoint path. Only
     /// byte-identical Glimmer code on this platform, presenting the same
-    /// header, can import the result.
-    pub fn export_state(&mut self, header: &[u8]) -> Result<Vec<u8>> {
-        self.ecall(ecall::EXPORT_STATE, header)
-    }
-
-    /// The incremental-checkpoint variant of [`Self::export_state`]: asks
-    /// the enclave for its current state epoch and a fresh sealed export
-    /// only when the state mutated since `known_epoch` (pass `None` to
-    /// force an export regardless). Returns `(state_epoch, sealed_blob)`;
-    /// the blob is `None` exactly when the enclave skipped the seal — the
-    /// caller's existing export for `known_epoch` is still current.
+    /// header, can import the result. The enclave reports its current state
+    /// epoch and seals a fresh export only when the state mutated since
+    /// `known_epoch` (pass `None` to force an export regardless). Returns
+    /// `(state_epoch, sealed_blob)`; the blob is `None` exactly when the
+    /// enclave skipped the seal — the caller's existing export for
+    /// `known_epoch` is still current.
     pub fn export_state_if_newer(
         &mut self,
         header: &[u8],
@@ -713,7 +708,8 @@ mod tests {
             })
             .unwrap();
         let header = b"snapshot-header-epoch-1";
-        let sealed = client.export_state(header).unwrap();
+        let (_, sealed) = client.export_state_if_newer(header, None).unwrap();
+        let sealed = sealed.unwrap();
 
         // "Reboot the machine": the identical host rng stream reproduces the
         // platform (same simulated fuse secrets), and the enclave is rebuilt
@@ -782,6 +778,7 @@ mod tests {
         /// platform, but its `EXPORT_STATE` writes the v2 layout (an empty
         /// enclave's, which is all the layout test needs).
         struct PreviousRelease;
+        const RETIRED_EXPORT_STATE: u16 = 16; // see `protocol::ecall`
         impl EnclaveProgram for PreviousRelease {
             fn handle_ecall(
                 &mut self,
@@ -813,7 +810,7 @@ mod tests {
             .create_enclave(&descriptor.build_image(), Box::new(PreviousRelease))
             .unwrap();
         let sealed = old_platform
-            .ecall(old_enclave, ecall::EXPORT_STATE, header, &mut NoOcalls)
+            .ecall(old_enclave, RETIRED_EXPORT_STATE, header, &mut NoOcalls)
             .unwrap();
 
         // Same machine, same measurement, same header: the blob unseals —
@@ -911,7 +908,8 @@ mod tests {
         }
         assert_eq!(client.status().unwrap().sessions, 2);
         let header = b"snapshot-header";
-        let sealed = client.export_state(header).unwrap();
+        let (_, sealed) = client.export_state_if_newer(header, None).unwrap();
+        let sealed = sealed.unwrap();
 
         // A session can be closed concurrently with a gateway checkpoint
         // barrier: present in the sealed export, absent from the captured

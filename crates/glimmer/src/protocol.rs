@@ -46,18 +46,18 @@ pub mod ecall {
     /// Install a blinding mask bound to one session: the mask's client id
     /// becomes a client the session is authorized to contribute as.
     pub const SESSION_INSTALL_MASK: u16 = 15;
-    /// Export the enclave's full serving state (signing key, session channel
-    /// keys, masks, replay windows, auditor counters) as a sealed blob bound
-    /// to a caller-supplied snapshot header (checkpoint/restore).
-    pub const EXPORT_STATE: u16 = 16;
+    // 16 was `EXPORT_STATE`, the unconditional export: retired, not reused —
+    // a forced `EXPORT_STATE_IF_NEWER` is the same export.
     /// Import a sealed serving-state blob into a freshly built enclave on
     /// the same platform with the same measurement (restore after restart).
     pub const IMPORT_STATE: u16 = 17;
-    /// Export serving state only if it changed: the caller supplies the
-    /// state epoch it already holds (plus a force flag) and the enclave
-    /// replies with its current epoch and — only when newer or forced —
-    /// a fresh sealed export. Lets incremental checkpoints skip the
-    /// sealing work for idle slots entirely.
+    /// Export the enclave's full serving state (signing key, session channel
+    /// keys, masks, replay windows, auditor counters) as a sealed blob bound
+    /// to a caller-supplied snapshot header — if it changed: the caller
+    /// supplies the state epoch it already holds (plus a force flag) and the
+    /// enclave replies with its current epoch and, only when newer or forced,
+    /// a fresh sealed export. Lets incremental checkpoints skip the sealing
+    /// work for idle slots entirely.
     pub const EXPORT_STATE_IF_NEWER: u16 = 18;
 }
 

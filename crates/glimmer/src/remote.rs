@@ -497,7 +497,7 @@ mod tests {
         let first = request(&mut session);
         assert!(replied(&process(&mut client, vec![first.clone()])[0]));
         let header = b"snapshot-header";
-        let after_one = client.export_state(header).unwrap();
+        let after_one = client.export_state_if_newer(header, None).unwrap().1;
 
         // A window's worth out of order — newest first — is accepted, each
         // exactly once.
@@ -523,15 +523,15 @@ mod tests {
         }
         // 10 129 requests later the sealed state is byte-for-byte as long
         // as after the first.
-        let after_many = client.export_state(header).unwrap();
-        assert_eq!(after_many.len(), after_one.len());
+        let after_many = client.export_state_if_newer(header, None).unwrap().1;
+        assert_eq!(after_many.as_ref().unwrap().len(), after_one.unwrap().len());
 
         // The window crosses an export/import: the newest request is still
         // remembered, the first has long left the window and is refused
         // unseen, and the session keeps serving.
         let mut restored = build();
         restored
-            .import_state(header, &after_many, &[SESSION])
+            .import_state(header, &after_many.unwrap(), &[SESSION])
             .unwrap();
         let last = request(&mut session);
         let outcomes = process(&mut restored, vec![intact, first, last.clone(), last]);

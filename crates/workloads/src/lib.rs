@@ -22,11 +22,7 @@
 //!   deterministic generator) and the chunked parallel loader that replays
 //!   them at full hardware speed.
 
-// `deny`, not `forbid`: the replay loader's raw `mmap`/`munmap` syscall
-// shim ([`replay::MmapSource`]) is necessarily `unsafe` and carries a
-// scoped `allow` with its invariants documented; everything else stays
-// safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;

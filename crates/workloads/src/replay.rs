@@ -526,11 +526,6 @@ pub fn parse_window(
     summary
 }
 
-/// [`parse_window`] over a fully in-memory file (`base == 0`).
-pub fn parse_span(data: &[u8], span: ChunkSpan, out: &mut Vec<ReplayRecord>) -> ParseSummary {
-    parse_window(data, 0, span, out)
-}
-
 /// A byte source the chunked loader can read at arbitrary offsets from
 /// multiple reader threads at once.
 pub trait ChunkSource: Sync {
@@ -634,256 +629,6 @@ impl ChunkSource for FileSource {
     }
 }
 
-/// A scenario file mapped read-only into memory for zero-copy multi-reader
-/// access.
-///
-/// On Linux (x86_64/aarch64) this is a real `mmap(2)` mapping created with
-/// raw syscalls (the workspace takes no libc dependency), unmapped with
-/// `munmap(2)` on drop: chunk readers parse straight out of the page cache
-/// with no per-window read syscalls. On every other target
-/// [`MmapSource::map`] degrades to reading the file into an owned buffer —
-/// same interface, no mapping — exactly how core pinning degrades in the
-/// gateway's affinity shim.
-///
-/// The mapping assumes the file is not truncated while mapped (truncation
-/// under an mmap consumer turns reads into `SIGBUS` on any platform); the
-/// replay pipeline only maps scenario files it generated itself. Pair with
-/// [`load_spans`] for fully copy-free loading, or use it as a
-/// [`ChunkSource`] anywhere a [`FileSource`] fits.
-#[derive(Debug)]
-pub struct MmapSource {
-    inner: mmap_imp::Mapping,
-}
-
-impl MmapSource {
-    /// Maps `path` read-only (falls back to an owned full read on targets
-    /// without the mmap shim).
-    pub fn map(path: &std::path::Path) -> io::Result<MmapSource> {
-        Ok(MmapSource {
-            inner: mmap_imp::Mapping::map(path)?,
-        })
-    }
-
-    /// True when this target actually memory-maps; false when
-    /// [`MmapSource::map`] falls back to an owned read.
-    #[must_use]
-    pub fn is_mapped() -> bool {
-        mmap_imp::IS_MAPPED
-    }
-
-    /// The file bytes, borrowed from the mapping (or the fallback buffer).
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8] {
-        self.inner.as_bytes()
-    }
-}
-
-impl ChunkSource for MmapSource {
-    fn len(&self) -> u64 {
-        self.as_bytes().len() as u64
-    }
-
-    fn read_full_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        self.as_bytes().read_full_at(offset, buf)
-    }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-/// The one `unsafe` corner of replay loading: raw `mmap`/`munmap` syscalls
-/// and the slice view over the live mapping.
-///
-/// Invariants keeping this sound:
-/// * The mapping is `PROT_READ` + `MAP_PRIVATE` over a file opened
-///   read-only and is never written through; concurrent reads from many
-///   threads are therefore data-race-free (`Send`/`Sync` below).
-/// * A successful `mmap` return is a page-aligned pointer valid for `len`
-///   bytes until the matching `munmap` in `Drop`; the `&[u8]` view borrows
-///   from `&self`, so no slice outlives the mapping.
-/// * The inline asm clobbers are exactly the Linux syscall ABI's
-///   (`rcx`/`r11` on x86_64; `x8` plus argument registers on aarch64), the
-///   same convention as the gateway's `sched_setaffinity` shim.
-#[allow(unsafe_code)]
-mod mmap_imp {
-    use std::io;
-    use std::os::fd::AsRawFd;
-
-    pub(super) const IS_MAPPED: bool = true;
-
-    #[derive(Debug)]
-    pub(super) struct Mapping {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is immutable, private to this process, and lives
-    // until Drop; sharing the pointer across threads only ever reads.
-    unsafe impl Send for Mapping {}
-    unsafe impl Sync for Mapping {}
-
-    impl Mapping {
-        pub(super) fn map(path: &std::path::Path) -> io::Result<Mapping> {
-            let file = std::fs::File::open(path)?;
-            let len = usize::try_from(file.metadata()?.len()).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidInput, "file too large to map")
-            })?;
-            if len == 0 {
-                // `mmap` rejects zero-length mappings; an empty file needs
-                // no mapping at all (and `Drop` skips the `munmap`).
-                return Ok(Mapping {
-                    ptr: std::ptr::NonNull::dangling().as_ptr(),
-                    len: 0,
-                });
-            }
-            let ret = mmap_read_private(file.as_raw_fd(), len);
-            if (-4095..0).contains(&ret) {
-                return Err(io::Error::from_raw_os_error(-ret as i32));
-            }
-            // The fd can close here: POSIX keeps the mapping alive.
-            Ok(Mapping {
-                ptr: ret as *mut u8,
-                len,
-            })
-        }
-
-        pub(super) fn as_bytes(&self) -> &[u8] {
-            if self.len == 0 {
-                return &[];
-            }
-            // SAFETY: see module docs — ptr/len come from a successful
-            // PROT_READ mapping held until Drop, and the borrow is tied to
-            // `&self`.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            if self.len != 0 {
-                // A failed munmap at drop time just leaves the range
-                // reserved; there is nothing useful to do with the error.
-                let _ = munmap(self.ptr, self.len);
-            }
-        }
-    }
-
-    const PROT_READ: usize = 1;
-    const MAP_PRIVATE: usize = 2;
-
-    #[cfg(target_arch = "x86_64")]
-    fn mmap_read_private(fd: i32, len: usize) -> i64 {
-        const SYS_MMAP: i64 = 9;
-        let ret: i64;
-        // SAFETY: see module docs — the kernel allocates the mapping, no
-        // Rust memory is passed in; standard x86_64 syscall clobbers.
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") SYS_MMAP => ret,
-                in("rdi") 0usize,
-                in("rsi") len,
-                in("rdx") PROT_READ,
-                in("r10") MAP_PRIVATE,
-                in("r8") i64::from(fd),
-                in("r9") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn munmap(ptr: *mut u8, len: usize) -> i64 {
-        const SYS_MUNMAP: i64 = 11;
-        let ret: i64;
-        // SAFETY: see module docs — `ptr`/`len` name exactly the mapping
-        // being dropped; standard x86_64 syscall clobbers.
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") SYS_MUNMAP => ret,
-                in("rdi") ptr,
-                in("rsi") len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    fn mmap_read_private(fd: i32, len: usize) -> i64 {
-        const SYS_MMAP: i64 = 222;
-        let ret: i64;
-        // SAFETY: see module docs — standard aarch64 syscall convention
-        // (number in x8, `svc 0`).
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                in("x8") SYS_MMAP,
-                inlateout("x0") 0i64 => ret,
-                in("x1") len,
-                in("x2") PROT_READ,
-                in("x3") MAP_PRIVATE,
-                in("x4") i64::from(fd),
-                in("x5") 0i64,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    fn munmap(ptr: *mut u8, len: usize) -> i64 {
-        const SYS_MUNMAP: i64 = 215;
-        let ret: i64;
-        // SAFETY: see module docs — `ptr`/`len` name exactly the mapping
-        // being dropped; standard aarch64 syscall convention.
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                in("x8") SYS_MUNMAP,
-                inlateout("x0") ptr as i64 => ret,
-                in("x1") len,
-                options(nostack),
-            );
-        }
-        ret
-    }
-}
-
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod mmap_imp {
-    use std::io;
-
-    pub(super) const IS_MAPPED: bool = false;
-
-    #[derive(Debug)]
-    pub(super) struct Mapping {
-        data: Vec<u8>,
-    }
-
-    impl Mapping {
-        pub(super) fn map(path: &std::path::Path) -> io::Result<Mapping> {
-            Ok(Mapping {
-                data: std::fs::read(path)?,
-            })
-        }
-
-        pub(super) fn as_bytes(&self) -> &[u8] {
-            &self.data
-        }
-    }
-}
-
 /// One loaded chunk: its span, its owned records in file order, and the
 /// parse accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -963,38 +708,6 @@ pub fn load_chunks<S: ChunkSource + ?Sized>(
         handles
             .into_iter()
             .map(|h| h.join().expect("chunk reader panicked"))
-            .collect()
-    })
-}
-
-/// Fully copy-free variant of [`load_chunks`] over an in-memory byte slice
-/// — typically an [`MmapSource`] mapping. Each reader parses its span
-/// straight out of `data`: no window allocation, no copy, no read syscalls.
-/// Same exactly-once ownership rule and same result shape as
-/// [`load_chunks`].
-#[must_use]
-pub fn load_spans(data: &[u8], readers: usize) -> Vec<ChunkLoad> {
-    let spans = chunk_spans(<[u8]>::len(data) as u64, readers);
-    let parse = |span: ChunkSpan| {
-        let mut records = Vec::new();
-        let summary = parse_span(data, span, &mut records);
-        ChunkLoad {
-            span,
-            records,
-            summary,
-        }
-    };
-    if spans.len() <= 1 {
-        return spans.into_iter().map(parse).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .into_iter()
-            .map(|span| scope.spawn(move || parse(span)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("span reader panicked"))
             .collect()
     })
 }
@@ -1181,56 +894,6 @@ mod tests {
             400
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mmap_source_matches_file_source_and_load_spans_is_exactly_once() {
-        let s = spec(300, ScenarioMix::Steady);
-        let truth = s.records_vec();
-        let path = std::env::temp_dir().join(format!(
-            "glimmer-replay-mmap-test-{}.scenario",
-            std::process::id()
-        ));
-        let info = generate_scenario_file(&path, &s).expect("generate");
-        let mmap = MmapSource::map(&path).expect("map");
-        assert_eq!(ChunkSource::len(&mmap), info.bytes);
-        assert_eq!(mmap.as_bytes(), &std::fs::read(&path).expect("read")[..]);
-        // On Linux this is a real mapping; elsewhere the fallback read.
-        assert_eq!(MmapSource::is_mapped(), cfg!(target_os = "linux"));
-
-        // As a ChunkSource it loads identically to the pread path...
-        let via_pread = load_chunks(&FileSource::open(&path).expect("open"), 4, CHUNK_EXCESS)
-            .expect("pread load");
-        let via_mmap = load_chunks(&mmap, 4, CHUNK_EXCESS).expect("mmap load");
-        assert_eq!(via_mmap, via_pread);
-        // ...and the copy-free span loader owns every record exactly once,
-        // for any reader count.
-        for readers in [1usize, 2, 3, 7, 64] {
-            let loads = load_spans(mmap.as_bytes(), readers);
-            let flat: Vec<ReplayRecord> = loads
-                .iter()
-                .flat_map(|l| l.records.iter().copied())
-                .collect();
-            assert_eq!(flat, truth, "readers={readers}");
-            assert!(loads.iter().all(|l| l.summary.parse_errors == 0));
-        }
-        drop(mmap);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mmap_source_handles_empty_and_missing_files() {
-        let path = std::env::temp_dir().join(format!(
-            "glimmer-replay-mmap-empty-{}.scenario",
-            std::process::id()
-        ));
-        std::fs::write(&path, b"").expect("write empty");
-        let mmap = MmapSource::map(&path).expect("map empty");
-        assert!(ChunkSource::is_empty(&mmap));
-        assert!(mmap.as_bytes().is_empty());
-        assert!(load_spans(mmap.as_bytes(), 4).is_empty());
-        let _ = std::fs::remove_file(&path);
-        assert!(MmapSource::map(&path).is_err(), "missing file is an error");
     }
 
     #[test]
