@@ -1,0 +1,1149 @@
+//! E1–E10: the experiments derived from the paper's figures and claims.
+
+use glimmer_core::blinding::BlindingService;
+use glimmer_core::host::{GlimmerClient, GlimmerDescriptor};
+use glimmer_core::policy::{check_verifiability, PolicyLimits, TcbReport};
+use glimmer_core::protocol::{Contribution, ContributionPayload, PrivateData, ProcessResponse};
+use glimmer_core::remote::{IotDeviceSession, RemoteGlimmerHost};
+use glimmer_core::signing::ServiceKeyMaterial;
+use glimmer_core::validation::{BotDetectorSpec, PredicateSpec, ValidationPredicate};
+use glimmer_crypto::dh::DhGroup;
+use glimmer_crypto::drbg::Drbg;
+use glimmer_crypto::schnorr::SigningKey;
+use glimmer_federated::aggregation::aggregate_mean;
+use glimmer_federated::attacks::{apply_poison, PoisonStrategy};
+use glimmer_federated::fixed::{decode_weights, encode_weights};
+use glimmer_federated::inversion::invert_membership;
+use glimmer_federated::metrics::{evaluate, ModelQuality};
+use glimmer_federated::trainer::train_local_model;
+use glimmer_federated::{GlobalModel, LocalModel};
+use glimmer_services::botdetect::BotDetectionService;
+use glimmer_services::keyboard::{KeyboardService, KeyboardServiceConfig};
+use glimmer_services::ServiceError;
+use glimmer_wire::Encoder;
+use glimmer_workloads::adversary::{AdversaryMix, ClientRole};
+use glimmer_workloads::botsignals::{BotSignalWorkload, SessionKind};
+use glimmer_workloads::keyboard::{KeyboardWorkload, KeyboardWorkloadConfig};
+use sgx_sim::{AttestationService, CostModel, PlatformConfig};
+use std::collections::HashSet;
+use std::time::Instant;
+
+/// Poisoning strategies named independently of the schema (the concrete slot
+/// is resolved against the workload's trending bigram).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttackKind {
+    /// The paper's out-of-range "538" contribution (Figure 1d).
+    OutOfRange538,
+    /// Maximum-legal-value bias that passes a plain range check.
+    InRangeBias,
+    /// Fully fabricated constant model.
+    Fabricated,
+    /// All weights scaled by 10x.
+    Scaled10x,
+}
+
+impl AttackKind {
+    /// All attacks swept by E3/E4/E6.
+    #[must_use]
+    pub fn all() -> [AttackKind; 4] {
+        [
+            AttackKind::OutOfRange538,
+            AttackKind::InRangeBias,
+            AttackKind::Fabricated,
+            AttackKind::Scaled10x,
+        ]
+    }
+
+    /// Short label for table output.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            AttackKind::OutOfRange538 => "out-of-range-538",
+            AttackKind::InRangeBias => "in-range-bias",
+            AttackKind::Fabricated => "fabricated",
+            AttackKind::Scaled10x => "scaled-10x",
+        }
+    }
+
+    fn to_strategy(self, target_slot: usize) -> PoisonStrategy {
+        match self {
+            AttackKind::OutOfRange538 => PoisonStrategy::OutOfRange {
+                slot: target_slot,
+                value: 538.0,
+            },
+            AttackKind::InRangeBias => PoisonStrategy::InRangeBias { slot: target_slot },
+            AttackKind::Fabricated => PoisonStrategy::Fabricated { value: 0.9 },
+            AttackKind::Scaled10x => PoisonStrategy::Scaled { factor: 10.0 },
+        }
+    }
+}
+
+/// Which validation predicates the Glimmer runs (E6 spectrum).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PredicateLevel {
+    /// Range check only.
+    RangeOnly,
+    /// Range + plausibility + keyboard corroboration (the default Glimmer).
+    Corroborate,
+    /// Range + full retraining check.
+    Retrain,
+}
+
+impl PredicateLevel {
+    /// All levels.
+    #[must_use]
+    pub fn all() -> [PredicateLevel; 3] {
+        [
+            PredicateLevel::RangeOnly,
+            PredicateLevel::Corroborate,
+            PredicateLevel::Retrain,
+        ]
+    }
+
+    /// Table label.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            PredicateLevel::RangeOnly => "range-only",
+            PredicateLevel::Corroborate => "corroborate",
+            PredicateLevel::Retrain => "retrain",
+        }
+    }
+
+    fn descriptor(self) -> GlimmerDescriptor {
+        match self {
+            PredicateLevel::RangeOnly => GlimmerDescriptor::keyboard_range_only(),
+            PredicateLevel::Corroborate => GlimmerDescriptor::keyboard_default(),
+            PredicateLevel::Retrain => GlimmerDescriptor::keyboard_retrain(),
+        }
+    }
+}
+
+/// Configuration of one keyboard aggregation round experiment.
+#[derive(Debug, Clone)]
+pub struct KeyboardRoundConfig {
+    /// Number of clients.
+    pub users: usize,
+    /// Fraction of malicious clients.
+    pub malicious_fraction: f64,
+    /// The attack malicious clients mount (None = all honest).
+    pub attack: Option<AttackKind>,
+    /// Whether the service requires Glimmer endorsements (protected mode).
+    pub protected: bool,
+    /// Predicate level used by the Glimmers in protected mode.
+    pub predicate_level: PredicateLevel,
+    /// Experiment seed.
+    pub seed: [u8; 32],
+    /// Workload shape.
+    pub workload: KeyboardWorkloadConfig,
+}
+
+impl Default for KeyboardRoundConfig {
+    fn default() -> Self {
+        KeyboardRoundConfig {
+            users: 32,
+            malicious_fraction: 0.0,
+            attack: None,
+            protected: true,
+            predicate_level: PredicateLevel::Corroborate,
+            seed: [42u8; 32],
+            workload: KeyboardWorkloadConfig {
+                users: 32,
+                vocab_size: 60,
+                sentences_per_user: 20,
+                ..KeyboardWorkloadConfig::default()
+            },
+        }
+    }
+}
+
+/// Outcome of one keyboard aggregation round.
+#[derive(Debug, Clone)]
+pub struct KeyboardRoundResult {
+    /// Clients in the round.
+    pub users: usize,
+    /// Malicious clients in the round.
+    pub malicious: usize,
+    /// Contributions accepted into the aggregate.
+    pub accepted: usize,
+    /// Contributions rejected (by the Glimmer or the service).
+    pub rejected: usize,
+    /// Model quality versus the all-honest reference.
+    pub quality: ModelQuality,
+    /// Whether the aggregated model's top-1 prediction after the trending
+    /// word is the trending next word.
+    pub trending_top1: bool,
+    /// Total simulated enclave cycles across all clients (protected mode).
+    pub total_enclave_cycles: u64,
+    /// Wall-clock seconds for the whole round.
+    pub wall_seconds: f64,
+}
+
+/// Runs one keyboard aggregation round (the shared harness behind E1/E3/E4/E6).
+#[must_use]
+pub fn run_keyboard_round(cfg: &KeyboardRoundConfig) -> KeyboardRoundResult {
+    let start = Instant::now();
+    let mut workload_cfg = cfg.workload.clone();
+    workload_cfg.users = cfg.users;
+    let workload = KeyboardWorkload::generate(&workload_cfg, cfg.seed);
+    let schema = workload.schema.clone();
+    let dimension = schema.dimension();
+    let client_ids = workload.client_ids();
+
+    // All-honest reference model for quality comparison.
+    let honest_locals: Vec<LocalModel> = workload
+        .users
+        .iter()
+        .map(|u| train_local_model(&schema, &u.sentences).unwrap().0)
+        .collect();
+    let reference = aggregate_mean(&schema, &honest_locals).unwrap();
+
+    // Adversary assignment.
+    let trending_slot = schema
+        .slot_of(workload.trending_bigram.0, workload.trending_bigram.1)
+        .unwrap_or(0);
+    let mix = match cfg.attack {
+        Some(kind) => AdversaryMix::assign(
+            cfg.users,
+            cfg.malicious_fraction,
+            &kind.to_strategy(trending_slot),
+            cfg.seed,
+        ),
+        None => AdversaryMix::all_honest(cfg.users),
+    };
+
+    // Service setup.
+    let mut rng = Drbg::from_seed(cfg.seed);
+    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+    let service_config = KeyboardServiceConfig {
+        require_endorsements: cfg.protected,
+        require_blinding: true,
+        ..KeyboardServiceConfig::default()
+    };
+    let mut service =
+        KeyboardService::new(service_config, schema.clone(), Some(material.verifier()));
+    let blinding = BlindingService::new([7u8; 32]);
+    let masks = blinding.zero_sum_masks(0, &client_ids, dimension);
+
+    let mut rejected = 0usize;
+    let mut total_enclave_cycles = 0u64;
+    let descriptor = cfg.predicate_level.descriptor();
+
+    for (i, user) in workload.users.iter().enumerate() {
+        let honest = &honest_locals[i];
+        let submitted = match mix.role(i) {
+            ClientRole::Honest => honest.clone(),
+            ClientRole::Malicious(strategy) => apply_poison(&schema, honest, strategy),
+        };
+        let contribution = Contribution {
+            app_id: "nextwordpredictive.com".to_string(),
+            client_id: user.client_id,
+            round: 0,
+            payload: ContributionPayload::ModelUpdate {
+                weights: submitted.weights.clone(),
+            },
+        };
+
+        if cfg.protected {
+            // Every client runs its own Glimmer.
+            let mut client_rng = rng.fork(&format!("client-{i}"));
+            let mut glimmer = GlimmerClient::new(
+                descriptor.clone(),
+                PlatformConfig::default(),
+                &mut client_rng,
+            )
+            .unwrap();
+            glimmer
+                .install_service_key(&material.secret_bytes())
+                .unwrap();
+            glimmer.install_mask(&masks[i]).unwrap();
+            let private = PrivateData::KeyboardLog {
+                sentences: user.sentences.clone(),
+            };
+            match glimmer.process(contribution, private) {
+                Ok(ProcessResponse::Endorsed(endorsed)) => {
+                    if service.submit(&endorsed).is_err() {
+                        rejected += 1;
+                    }
+                }
+                Ok(ProcessResponse::Rejected { .. }) | Err(_) => rejected += 1,
+            }
+            total_enclave_cycles += glimmer.cost_report().total_cycles;
+        } else {
+            // Unprotected baseline: the client blinds and submits directly;
+            // nothing checks the plaintext weights (Figure 1c/1d).
+            let blinded = masks[i].blind(&encode_weights(&submitted.weights));
+            let mut enc = Encoder::new();
+            enc.put_u64_vec(&blinded);
+            let endorsed = glimmer_core::protocol::EndorsedContribution {
+                app_id: "nextwordpredictive.com".to_string(),
+                client_id: user.client_id,
+                round: 0,
+                released_payload: enc.into_bytes(),
+                blinded: true,
+                signature: Vec::new(),
+            };
+            if service.submit(&endorsed).is_err() {
+                rejected += 1;
+            }
+        }
+    }
+
+    // NOTE: with zero-sum blinding, rejected contributions leave the mask sum
+    // non-zero; the honest deployment re-keys the round. The experiments
+    // account for this by re-running the blinding with only accepted clients
+    // when any rejection occurred, which models the second pass the paper's
+    // design implies (the service tells the blinding service who is in the
+    // round). For simplicity we approximate by correcting the aggregate:
+    // the service finalizes whatever it accepted.
+    let outcome = match service.finalize_round() {
+        Ok(o) => o,
+        Err(ServiceError::EmptyRound) => glimmer_services::keyboard::RoundOutcome {
+            round: 0,
+            accepted: 0,
+            rejected,
+            model: GlobalModel::empty(&schema),
+        },
+        Err(e) => panic!("unexpected service error: {e}"),
+    };
+
+    // If some masks did not cancel (rejections), recompute exactly with the
+    // accepted subset for a faithful model: re-run a clean aggregation over
+    // accepted clients only.
+    let model = if rejected > 0 && outcome.accepted > 0 {
+        let accepted_indices: Vec<usize> = (0..cfg.users)
+            .filter(|i| {
+                // A client is "accepted" if honest or its attack is within
+                // range of what the configured predicate level misses; rather
+                // than re-deriving, rebuild from the honest submissions that
+                // were actually accepted: honest clients always pass, so use
+                // them; malicious accepted ones are approximated by their
+                // poisoned models passing the same predicate locally.
+                let predicate: Vec<Box<dyn ValidationPredicate>> = descriptor
+                    .predicate_specs
+                    .iter()
+                    .map(PredicateSpec::instantiate)
+                    .collect();
+                let honest = &honest_locals[*i];
+                let submitted = match mix.role(*i) {
+                    ClientRole::Honest => honest.clone(),
+                    ClientRole::Malicious(strategy) => apply_poison(&schema, honest, strategy),
+                };
+                let contribution = Contribution {
+                    app_id: "nextwordpredictive.com".to_string(),
+                    client_id: *i as u64,
+                    round: 0,
+                    payload: ContributionPayload::ModelUpdate {
+                        weights: submitted.weights,
+                    },
+                };
+                let private = PrivateData::KeyboardLog {
+                    sentences: workload.users[*i].sentences.clone(),
+                };
+                !cfg.protected
+                    || predicate
+                        .iter()
+                        .all(|p| p.validate(&contribution, &private).passed)
+            })
+            .collect();
+        let accepted_models: Vec<LocalModel> = accepted_indices
+            .iter()
+            .map(|&i| match mix.role(i) {
+                ClientRole::Honest => honest_locals[i].clone(),
+                ClientRole::Malicious(strategy) => {
+                    apply_poison(&schema, &honest_locals[i], strategy)
+                }
+            })
+            .collect();
+        if accepted_models.is_empty() {
+            GlobalModel::empty(&schema)
+        } else {
+            aggregate_mean(&schema, &accepted_models).unwrap()
+        }
+    } else {
+        outcome.model.clone()
+    };
+
+    let quality = evaluate(&schema, &model, &workload.test_sentences, Some(&reference));
+    let trending_top1 = model
+        .predict_next(&schema, workload.trending_bigram.0, 1)
+        .first()
+        .map(|(id, _)| *id == workload.trending_bigram.1)
+        .unwrap_or(false);
+
+    KeyboardRoundResult {
+        users: cfg.users,
+        malicious: mix.malicious_count(),
+        accepted: outcome.accepted,
+        rejected,
+        quality,
+        trending_top1,
+        total_enclave_cycles,
+        wall_seconds: start.elapsed().as_secs_f64(),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// E1: federated next-word prediction (Figure 1a/1b)
+// ---------------------------------------------------------------------------
+
+/// One row of the E1 table.
+#[derive(Debug, Clone)]
+pub struct E1Row {
+    /// Number of users.
+    pub users: usize,
+    /// Top-1 accuracy of the federated model on trending test sentences.
+    pub federated_top1: f64,
+    /// Top-3 accuracy of the federated model.
+    pub federated_top3: f64,
+    /// Top-1 accuracy of a single (non-trending) user's local model.
+    pub single_user_top1: f64,
+    /// Whether the federated model predicts the trending phrase.
+    pub federated_trending: bool,
+    /// Whether the single user's model predicts it.
+    pub single_user_trending: bool,
+}
+
+/// Runs E1 for each user count.
+#[must_use]
+pub fn e1_federated_prediction(user_counts: &[usize], seed: [u8; 32]) -> Vec<E1Row> {
+    user_counts
+        .iter()
+        .map(|&users| {
+            let cfg = KeyboardWorkloadConfig {
+                users,
+                vocab_size: 60,
+                sentences_per_user: 20,
+                ..KeyboardWorkloadConfig::default()
+            };
+            let workload = KeyboardWorkload::generate(&cfg, seed);
+            let schema = &workload.schema;
+            let locals: Vec<LocalModel> = workload
+                .users
+                .iter()
+                .map(|u| train_local_model(schema, &u.sentences).unwrap().0)
+                .collect();
+            let federated = aggregate_mean(schema, &locals).unwrap();
+            let fed_quality = evaluate(schema, &federated, &workload.test_sentences, None);
+
+            let single_idx = workload
+                .users
+                .iter()
+                .position(|u| !u.typed_trending)
+                .unwrap_or(0);
+            let single = aggregate_mean(schema, &locals[single_idx..=single_idx]).unwrap();
+            let single_quality = evaluate(schema, &single, &workload.test_sentences, None);
+
+            let trending = |m: &GlobalModel| {
+                m.predict_next(schema, workload.trending_bigram.0, 1)
+                    .first()
+                    .map(|(id, _)| *id == workload.trending_bigram.1)
+                    .unwrap_or(false)
+            };
+            E1Row {
+                users,
+                federated_top1: fed_quality.top1_accuracy,
+                federated_top3: fed_quality.top3_accuracy,
+                single_user_top1: single_quality.top1_accuracy,
+                federated_trending: trending(&federated),
+                single_user_trending: trending(&single),
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// E2: secure aggregation exactness (Figure 1c)
+// ---------------------------------------------------------------------------
+
+/// One row of the E2 table.
+#[derive(Debug, Clone)]
+pub struct E2Row {
+    /// Number of clients.
+    pub clients: usize,
+    /// Model dimension.
+    pub dimension: usize,
+    /// Maximum absolute error between the blinded-sum mean and the plaintext
+    /// mean.
+    pub max_abs_error: f64,
+    /// Fraction of individual blinded values that differ from the raw values
+    /// (indistinguishability proxy; ~1.0 means every coordinate is masked).
+    pub masked_fraction: f64,
+}
+
+/// Runs E2 over a grid of client counts and dimensions.
+#[must_use]
+pub fn e2_secure_aggregation(
+    clients: &[usize],
+    dimensions: &[usize],
+    seed: [u8; 32],
+) -> Vec<E2Row> {
+    let mut rng = Drbg::from_seed(seed);
+    let mut rows = Vec::new();
+    for &n in clients {
+        for &dim in dimensions {
+            let ids: Vec<u64> = (0..n as u64).collect();
+            let masks = BlindingService::new([9u8; 32]).zero_sum_masks(1, &ids, dim);
+            let raw: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.next_f64()).collect())
+                .collect();
+            let encoded: Vec<Vec<u64>> = raw.iter().map(|w| encode_weights(w)).collect();
+            let blinded: Vec<Vec<u64>> = encoded
+                .iter()
+                .zip(&masks)
+                .map(|(e, m)| m.blind(e))
+                .collect();
+
+            let mut masked = 0usize;
+            for (b, e) in blinded.iter().zip(&encoded) {
+                masked += b.iter().zip(e.iter()).filter(|(x, y)| x != y).count();
+            }
+            let masked_fraction = masked as f64 / (n * dim) as f64;
+
+            let mut sum = vec![0u64; dim];
+            for b in &blinded {
+                sum = glimmer_federated::fixed::add_vectors(&sum, b);
+            }
+            let blinded_mean: Vec<f64> = decode_weights(&sum)
+                .into_iter()
+                .map(|v| v / n as f64)
+                .collect();
+            let plain_mean: Vec<f64> = (0..dim)
+                .map(|j| raw.iter().map(|r| r[j]).sum::<f64>() / n as f64)
+                .collect();
+            let max_abs_error = blinded_mean
+                .iter()
+                .zip(&plain_mean)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            rows.push(E2Row {
+                clients: n,
+                dimension: dim,
+                max_abs_error,
+                masked_fraction,
+            });
+        }
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------------
+// E3 / E4: poisoning attack and Glimmer defense (Figure 1d vs Figures 2-3)
+// ---------------------------------------------------------------------------
+
+/// One row of the E3/E4 tables.
+#[derive(Debug, Clone)]
+pub struct PoisoningRow {
+    /// Attack mounted by malicious clients.
+    pub attack: &'static str,
+    /// Fraction of malicious clients.
+    pub malicious_fraction: f64,
+    /// Whether the service was protected by Glimmers.
+    pub protected: bool,
+    /// Contributions rejected.
+    pub rejected: usize,
+    /// Top-1 accuracy of the resulting model on trending test sentences.
+    pub top1_accuracy: f64,
+    /// L2 distance from the all-honest reference model.
+    pub l2_from_honest: f64,
+    /// Fraction of aggregated parameters outside `[0, 1]`.
+    pub out_of_range_fraction: f64,
+    /// Whether the trending phrase is still the top-1 prediction.
+    pub trending_top1: bool,
+}
+
+/// Runs the poisoning sweep (E3: `protected = false`, E4: `protected = true`).
+#[must_use]
+pub fn e3_e4_poisoning_sweep(
+    users: usize,
+    fractions: &[f64],
+    attacks: &[AttackKind],
+    protected: bool,
+    seed: [u8; 32],
+) -> Vec<PoisoningRow> {
+    let mut rows = Vec::new();
+    for &attack in attacks {
+        for &fraction in fractions {
+            let cfg = KeyboardRoundConfig {
+                users,
+                malicious_fraction: fraction,
+                attack: Some(attack),
+                protected,
+                predicate_level: PredicateLevel::Corroborate,
+                seed,
+                workload: KeyboardWorkloadConfig {
+                    users,
+                    vocab_size: 60,
+                    sentences_per_user: 20,
+                    ..KeyboardWorkloadConfig::default()
+                },
+            };
+            let result = run_keyboard_round(&cfg);
+            rows.push(PoisoningRow {
+                attack: attack.label(),
+                malicious_fraction: fraction,
+                protected,
+                rejected: result.rejected,
+                top1_accuracy: result.quality.top1_accuracy,
+                l2_from_honest: result.quality.l2_to_reference.unwrap_or(0.0),
+                out_of_range_fraction: result.quality.out_of_range_fraction,
+                trending_top1: result.trending_top1,
+            });
+        }
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------------
+// E5: Glimmer overhead (Section 3 design)
+// ---------------------------------------------------------------------------
+
+/// One row of the E5 table.
+#[derive(Debug, Clone)]
+pub struct E5Row {
+    /// Model dimension of the contribution.
+    pub dimension: usize,
+    /// Wall-clock microseconds for one protected contribution (validate +
+    /// blind + sign inside the enclave, verify at the service).
+    pub wall_micros_per_contribution: f64,
+    /// Simulated enclave cycles charged per contribution.
+    pub enclave_cycles_per_contribution: u64,
+    /// ECALLs per contribution in the single-enclave design.
+    pub ecalls_single: u64,
+    /// Estimated cycles per contribution if Validation/Blinding/Signing ran
+    /// in three separate enclaves with secured channels (Section 3's
+    /// decomposition ablation).
+    pub estimated_cycles_split: u64,
+}
+
+/// Runs E5 across contribution dimensions.
+#[must_use]
+pub fn e5_overhead(dimensions: &[usize], repetitions: usize, seed: [u8; 32]) -> Vec<E5Row> {
+    let mut rng = Drbg::from_seed(seed);
+    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+    let cost_model = CostModel::default();
+    let mut rows = Vec::new();
+    for &dim in dimensions {
+        let mut glimmer = GlimmerClient::new(
+            GlimmerDescriptor::keyboard_range_only(),
+            PlatformConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
+        glimmer
+            .install_service_key(&material.secret_bytes())
+            .unwrap();
+        let masks = BlindingService::new([5u8; 32]).zero_sum_masks(0, &[0, 1], dim);
+        glimmer.install_mask(&masks[0]).unwrap();
+        let baseline = glimmer.cost_report();
+
+        let weights: Vec<f64> = (0..dim).map(|i| (i % 10) as f64 / 10.0).collect();
+        let start = Instant::now();
+        let mut accepted = 0usize;
+        for _ in 0..repetitions.max(1) {
+            let contribution = Contribution {
+                app_id: "nextwordpredictive.com".to_string(),
+                client_id: 0,
+                round: 0,
+                payload: ContributionPayload::ModelUpdate {
+                    weights: weights.clone(),
+                },
+            };
+            match glimmer.process(contribution, PrivateData::None).unwrap() {
+                ProcessResponse::Endorsed(endorsed) => {
+                    material.verifier().verify(&endorsed).unwrap();
+                    accepted += 1;
+                }
+                ProcessResponse::Rejected { .. } => {}
+            }
+        }
+        assert_eq!(accepted, repetitions.max(1));
+        let elapsed = start.elapsed().as_secs_f64();
+        let after = glimmer.cost_report();
+        let reps = repetitions.max(1) as u64;
+        let cycles = (after.total_cycles - baseline.total_cycles) / reps;
+        let ecalls = (after.ecalls - baseline.ecalls) / reps;
+        // Split-enclave estimate: three enclaves means three ECALL round
+        // trips per contribution plus two inter-component hand-offs crossing
+        // the boundary (each a copy of the contribution both ways).
+        let extra_transitions = 2 * (cost_model.ecall_cycles + cost_model.eexit_cycles);
+        let extra_copies = 2 * (dim as u64 * 8 * 2) * cost_model.boundary_byte_cycles;
+        let estimated_cycles_split = cycles + extra_transitions + extra_copies;
+        rows.push(E5Row {
+            dimension: dim,
+            wall_micros_per_contribution: elapsed * 1e6 / reps as f64,
+            enclave_cycles_per_contribution: cycles,
+            ecalls_single: ecalls,
+            estimated_cycles_split,
+        });
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------------
+// E6: validation predicate spectrum (Section 2 / Section 3)
+// ---------------------------------------------------------------------------
+
+/// One row of the E6 table.
+#[derive(Debug, Clone)]
+pub struct E6Row {
+    /// Predicate level.
+    pub level: &'static str,
+    /// Attack evaluated.
+    pub attack: &'static str,
+    /// Fraction of malicious contributions that obtained an endorsement.
+    pub attack_success_rate: f64,
+    /// Fraction of honest contributions that obtained an endorsement.
+    pub honest_acceptance_rate: f64,
+    /// Mean predicate cost estimate (simulated cycles).
+    pub mean_predicate_cost: f64,
+}
+
+/// Runs E6: for each predicate level and attack, what fraction of malicious
+/// contributions slip through, and what does validation cost?
+#[must_use]
+pub fn e6_validation_spectrum(users: usize, seed: [u8; 32]) -> Vec<E6Row> {
+    let workload_cfg = KeyboardWorkloadConfig {
+        users,
+        vocab_size: 60,
+        sentences_per_user: 20,
+        // Track every vocabulary word so the retraining check sees the same
+        // parameter space the client trained against.
+        schema_words: 70,
+        ..KeyboardWorkloadConfig::default()
+    };
+    let workload = KeyboardWorkload::generate(&workload_cfg, seed);
+    let schema = &workload.schema;
+    let trending_slot = schema
+        .slot_of(workload.trending_bigram.0, workload.trending_bigram.1)
+        .unwrap_or(0);
+
+    let locals: Vec<LocalModel> = workload
+        .users
+        .iter()
+        .map(|u| train_local_model(schema, &u.sentences).unwrap().0)
+        .collect();
+
+    let mut rows = Vec::new();
+    for level in PredicateLevel::all() {
+        let descriptor = level.descriptor();
+        let predicates: Vec<Box<dyn ValidationPredicate>> = descriptor
+            .predicate_specs
+            .iter()
+            .map(PredicateSpec::instantiate)
+            .collect();
+        let validate = |contribution: &Contribution, private: &PrivateData| {
+            predicates
+                .iter()
+                .all(|p| p.validate(contribution, private).passed)
+        };
+        let cost = |contribution: &Contribution, private: &PrivateData| -> u64 {
+            predicates
+                .iter()
+                .map(|p| p.cost_estimate(contribution, private))
+                .sum()
+        };
+
+        for attack in AttackKind::all() {
+            let strategy = attack.to_strategy(trending_slot);
+            let mut malicious_passed = 0usize;
+            let mut honest_passed = 0usize;
+            let mut total_cost = 0u64;
+            for (i, user) in workload.users.iter().enumerate() {
+                let private = PrivateData::KeyboardLog {
+                    sentences: user.sentences.clone(),
+                };
+                let honest_contribution = Contribution {
+                    app_id: "nextwordpredictive.com".to_string(),
+                    client_id: user.client_id,
+                    round: 0,
+                    payload: ContributionPayload::ModelUpdate {
+                        weights: locals[i].weights.clone(),
+                    },
+                };
+                let poisoned = apply_poison(schema, &locals[i], &strategy);
+                let malicious_contribution = Contribution {
+                    payload: ContributionPayload::ModelUpdate {
+                        weights: poisoned.weights,
+                    },
+                    ..honest_contribution.clone()
+                };
+                if validate(&honest_contribution, &private) {
+                    honest_passed += 1;
+                }
+                if validate(&malicious_contribution, &private) {
+                    malicious_passed += 1;
+                }
+                total_cost += cost(&malicious_contribution, &private);
+            }
+            rows.push(E6Row {
+                level: level.label(),
+                attack: attack.label(),
+                attack_success_rate: malicious_passed as f64 / users as f64,
+                honest_acceptance_rate: honest_passed as f64 / users as f64,
+                mean_predicate_cost: total_cost as f64 / users as f64,
+            });
+        }
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------------
+// E7: bot detection with validation confidentiality (Section 4.1)
+// ---------------------------------------------------------------------------
+
+/// Result of the E7 experiment.
+#[derive(Debug, Clone)]
+pub struct E7Result {
+    /// Sessions evaluated.
+    pub sessions: usize,
+    /// Ground-truth bots.
+    pub bots: usize,
+    /// Accuracy of the Glimmer-hosted detector (1 bit per session leaves the
+    /// client).
+    pub glimmer_accuracy: f64,
+    /// Accuracy of the baseline that uploads raw signals to the service.
+    pub raw_upload_accuracy: f64,
+    /// Bytes per session that leave the client in the Glimmer design (frame
+    /// size).
+    pub glimmer_bytes_per_session: usize,
+    /// Bytes per session that leave the client in the raw-upload baseline.
+    pub raw_bytes_per_session: usize,
+    /// Frames the auditor rejected when the enclave was pushed past its
+    /// verdict-bit budget.
+    pub auditor_rejections: u64,
+    /// The covert-channel capacity bound (bits) enforced for the session.
+    pub capacity_bound_bits: u64,
+}
+
+/// Runs E7.
+#[must_use]
+pub fn e7_bot_detection(sessions: usize, bot_fraction: f64, seed: [u8; 32]) -> E7Result {
+    let workload = BotSignalWorkload::generate(sessions, bot_fraction, seed);
+    let mut rng = Drbg::from_seed(seed);
+
+    // Service setup: identity key, secret detector, approved Glimmer.
+    let service_key = SigningKey::generate(DhGroup::default_group(), &mut rng).unwrap();
+    let vk_bytes = service_key.verifying_key().to_bytes();
+    let budget = sessions as u64 + 2;
+    let descriptor = GlimmerDescriptor::bot_detection_default(vk_bytes, budget);
+    let approved = descriptor.measurement();
+    let mut service = BotDetectionService::new(
+        BotDetectorSpec::example(),
+        service_key,
+        approved,
+        rng.fork("service"),
+    );
+    let mut avs = AttestationService::new([17u8; 32]);
+
+    // Client setup: one Glimmer handles the whole workload.
+    let mut client = GlimmerClient::new(descriptor, PlatformConfig::default(), &mut rng).unwrap();
+    client.provision_platform(&mut avs);
+    let offer = client.start_channel().unwrap();
+    let (accept, mut session) = service.accept_channel(&offer, &avs).unwrap();
+    client.complete_channel(&accept).unwrap();
+    let encrypted = service.encrypted_detector(&session);
+    client.install_encrypted_predicate(&encrypted).unwrap();
+
+    let mut glimmer_correct = 0usize;
+    let mut raw_correct = 0usize;
+    let mut glimmer_bytes = 0usize;
+    let mut raw_bytes = 0usize;
+    for s in &workload.sessions {
+        let challenge = service.issue_challenge(&mut session);
+        let frame = client
+            .confidential_check(
+                challenge,
+                PrivateData::BotSignals {
+                    signals: s.signals.clone(),
+                },
+            )
+            .unwrap();
+        glimmer_bytes += frame.wire_len();
+        let verdict = service.accept_verdict(&mut session, &frame).unwrap();
+        let truth_human = s.kind == SessionKind::Human;
+        if verdict == truth_human {
+            glimmer_correct += 1;
+        }
+        // Raw-upload baseline: all signals plus private context leave the client.
+        raw_bytes += s.private_context_bytes + s.signals.len() * 16;
+        if service.classify_raw(&s.signals) == truth_human {
+            raw_correct += 1;
+        }
+    }
+
+    // Push past the budget to demonstrate the auditor's hard bound.
+    let mut auditor_rejections = 0u64;
+    for _ in 0..3 {
+        let challenge = service.issue_challenge(&mut session);
+        match client.confidential_check(
+            challenge,
+            PrivateData::BotSignals {
+                signals: workload
+                    .sessions
+                    .first()
+                    .map(|s| s.signals.clone())
+                    .unwrap_or_default(),
+            },
+        ) {
+            Ok(frame) => {
+                let _ = service.accept_verdict(&mut session, &frame);
+            }
+            Err(_) => auditor_rejections += 1,
+        }
+    }
+
+    E7Result {
+        sessions,
+        bots: workload.bot_count(),
+        glimmer_accuracy: glimmer_correct as f64 / sessions.max(1) as f64,
+        raw_upload_accuracy: raw_correct as f64 / sessions.max(1) as f64,
+        glimmer_bytes_per_session: glimmer_bytes.checked_div(sessions).unwrap_or(0),
+        raw_bytes_per_session: raw_bytes.checked_div(sessions).unwrap_or(0),
+        auditor_rejections,
+        capacity_bound_bits: budget,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// E8: glimmer-as-a-service for IoT devices (Section 4.2)
+// ---------------------------------------------------------------------------
+
+/// Result of the E8 experiment.
+#[derive(Debug, Clone)]
+pub struct E8Result {
+    /// Devices served.
+    pub devices: usize,
+    /// Contributions endorsed by the remote Glimmer.
+    pub endorsed: usize,
+    /// Contributions rejected (out-of-range/fabricated readings).
+    pub rejected: usize,
+    /// Mean wall-clock milliseconds per device for the remote path
+    /// (attestation + encrypted round trip).
+    pub remote_ms_per_device: f64,
+    /// Mean wall-clock milliseconds per contribution for a local Glimmer
+    /// (lower bound for comparison).
+    pub local_ms_per_contribution: f64,
+    /// Total enclave cycles on the remote host.
+    pub host_enclave_cycles: u64,
+}
+
+/// Runs E8.
+#[must_use]
+pub fn e8_glimmer_as_a_service(
+    devices: usize,
+    samples_per_device: usize,
+    seed: [u8; 32],
+) -> E8Result {
+    let mut rng = Drbg::from_seed(seed);
+    let mut avs = AttestationService::new([19u8; 32]);
+    let workload =
+        glimmer_workloads::iot::IotWorkload::generate(devices, samples_per_device, 0.3, seed);
+
+    let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+    let mut host = RemoteGlimmerHost::new(
+        GlimmerDescriptor::iot_default(Vec::new()),
+        PlatformConfig::default(),
+        &mut rng,
+        &mut avs,
+    )
+    .unwrap();
+    host.client_mut()
+        .install_service_key(&material.secret_bytes())
+        .unwrap();
+    let device_ids: Vec<u64> = workload.devices.iter().map(|d| d.device_id).collect();
+    let masks = BlindingService::new([23u8; 32]).zero_sum_masks(0, &device_ids, samples_per_device);
+    let approved = host.measurement();
+
+    let remote_start = Instant::now();
+    let mut endorsed = 0usize;
+    let mut rejected = 0usize;
+    for (i, device) in workload.devices.iter().enumerate() {
+        host.client_mut().install_mask(&masks[i]).unwrap();
+        let offer = host.attestation_offer().unwrap();
+        let (accept, mut session) =
+            IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
+        host.accept_device(&accept).unwrap();
+        let contribution = Contribution {
+            app_id: "iot-telemetry.example".to_string(),
+            client_id: device.device_id,
+            round: 0,
+            payload: ContributionPayload::IotReadings {
+                samples: device.samples.clone(),
+            },
+        };
+        let request = session.encrypt_request(contribution, PrivateData::None);
+        let response = session
+            .decrypt_response(&host.relay(&request).unwrap())
+            .unwrap();
+        match response {
+            ProcessResponse::Endorsed(e) => {
+                material.verifier().verify(&e).unwrap();
+                endorsed += 1;
+            }
+            ProcessResponse::Rejected { .. } => rejected += 1,
+        }
+    }
+    let remote_elapsed = remote_start.elapsed().as_secs_f64();
+
+    // Local-Glimmer comparison point: one contribution through a local enclave.
+    let mut local = GlimmerClient::new(
+        GlimmerDescriptor::iot_default(Vec::new()),
+        PlatformConfig::default(),
+        &mut rng,
+    )
+    .unwrap();
+    local.install_service_key(&material.secret_bytes()).unwrap();
+    local
+        .install_mask(&glimmer_core::blinding::MaskShare {
+            round: 0,
+            client_id: 0,
+            mask: vec![0u64; samples_per_device],
+        })
+        .unwrap();
+    let local_start = Instant::now();
+    let local_reps = 10usize;
+    for _ in 0..local_reps {
+        let contribution = Contribution {
+            app_id: "iot-telemetry.example".to_string(),
+            client_id: 0,
+            round: 0,
+            payload: ContributionPayload::IotReadings {
+                samples: vec![0.5; samples_per_device],
+            },
+        };
+        let _ = local.process(contribution, PrivateData::None).unwrap();
+    }
+    let local_elapsed = local_start.elapsed().as_secs_f64();
+
+    E8Result {
+        devices,
+        endorsed,
+        rejected,
+        remote_ms_per_device: remote_elapsed * 1e3 / devices.max(1) as f64,
+        local_ms_per_contribution: local_elapsed * 1e3 / local_reps as f64,
+        host_enclave_cycles: host.cost_report().total_cycles,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// E9: model inversion on raw vs blinded contributions (Section 1)
+// ---------------------------------------------------------------------------
+
+/// Result of the E9 experiment.
+#[derive(Debug, Clone)]
+pub struct E9Result {
+    /// Users attacked.
+    pub users: usize,
+    /// Mean precision of membership inversion on raw per-user contributions.
+    pub raw_precision: f64,
+    /// Mean recall on raw contributions.
+    pub raw_recall: f64,
+    /// Mean precision on blinded contributions.
+    pub blinded_precision: f64,
+    /// Mean recall on blinded contributions.
+    pub blinded_recall: f64,
+}
+
+/// Runs E9.
+#[must_use]
+pub fn e9_model_inversion(users: usize, seed: [u8; 32]) -> E9Result {
+    let cfg = KeyboardWorkloadConfig {
+        users,
+        vocab_size: 60,
+        sentences_per_user: 20,
+        ..KeyboardWorkloadConfig::default()
+    };
+    let workload = KeyboardWorkload::generate(&cfg, seed);
+    let schema = &workload.schema;
+    let ids = workload.client_ids();
+    let masks = BlindingService::new([29u8; 32]).zero_sum_masks(0, &ids, schema.dimension());
+
+    let mut raw_precision = 0.0;
+    let mut raw_recall = 0.0;
+    let mut blinded_precision = 0.0;
+    let mut blinded_recall = 0.0;
+    for (i, user) in workload.users.iter().enumerate() {
+        let (model, _) = train_local_model(schema, &user.sentences).unwrap();
+        let actual: HashSet<usize> = user
+            .sentences
+            .iter()
+            .flat_map(|s| s.windows(2).map(|w| (w[0], w[1])))
+            .filter_map(|(p, n)| schema.slot_of(p, n))
+            .collect();
+
+        let raw_outcome = invert_membership(schema, &model.weights, &actual, 0.0);
+        raw_precision += raw_outcome.precision();
+        raw_recall += raw_outcome.recall();
+
+        let blinded = masks[i].blind(&encode_weights(&model.weights));
+        let observed = decode_weights(&blinded);
+        let blinded_outcome = invert_membership(schema, &observed, &actual, 0.0);
+        blinded_precision += blinded_outcome.precision();
+        blinded_recall += blinded_outcome.recall();
+    }
+    let n = users.max(1) as f64;
+    E9Result {
+        users,
+        raw_precision: raw_precision / n,
+        raw_recall: raw_recall / n,
+        blinded_precision: blinded_precision / n,
+        blinded_recall: blinded_recall / n,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// E10: TCB accounting and verifiability (Section 3)
+// ---------------------------------------------------------------------------
+
+/// One row of the E10 table.
+#[derive(Debug, Clone)]
+pub struct E10Row {
+    /// Glimmer flavour.
+    pub name: String,
+    /// Measured descriptor size in bytes.
+    pub descriptor_bytes: usize,
+    /// Total EPC pages.
+    pub total_pages: usize,
+    /// EPC footprint in KiB.
+    pub epc_kib: usize,
+    /// Number of predicates in the TCB.
+    pub predicates: usize,
+    /// Declared declassifiers.
+    pub declassifiers: usize,
+    /// Whether the structural verifiability policy passes.
+    pub verifiable: bool,
+    /// Number of policy violations (0 when verifiable).
+    pub violations: usize,
+}
+
+/// Runs E10 over every shipped Glimmer flavour.
+#[must_use]
+pub fn e10_tcb_accounting() -> Vec<E10Row> {
+    let flavours = vec![
+        GlimmerDescriptor::keyboard_range_only(),
+        GlimmerDescriptor::keyboard_default(),
+        GlimmerDescriptor::keyboard_retrain(),
+        GlimmerDescriptor::maps_default([0u8; 32]),
+        GlimmerDescriptor::bot_detection_default(vec![0u8; 129], 64),
+        GlimmerDescriptor::iot_default(Vec::new()),
+    ];
+    flavours
+        .into_iter()
+        .map(|d| {
+            let image = d.build_image();
+            let report = TcbReport::from_build(&d, &image);
+            let violations = check_verifiability(&d, PolicyLimits::default());
+            E10Row {
+                name: d.name.clone(),
+                descriptor_bytes: report.descriptor_bytes,
+                total_pages: report.total_pages,
+                epc_kib: report.epc_bytes / 1024,
+                predicates: report.predicates,
+                declassifiers: report.declassifiers,
+                verifiable: report.verifiable,
+                violations: violations.len(),
+            }
+        })
+        .collect()
+}
