@@ -959,11 +959,11 @@ pub fn e8_glimmer_as_a_service(
     let mut endorsed = 0usize;
     let mut rejected = 0usize;
     for (i, device) in workload.devices.iter().enumerate() {
-        host.client_mut().install_mask(&masks[i]).unwrap();
         let offer = host.attestation_offer().unwrap();
         let (accept, mut session) =
             IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
         host.accept_device(&accept).unwrap();
+        host.install_mask(&masks[i]).unwrap();
         let contribution = Contribution {
             app_id: "iot-telemetry.example".to_string(),
             client_id: device.device_id,

@@ -284,8 +284,8 @@ impl Rig {
     }
 
     /// The hosting baseline the pool amortizes away: a freshly built,
-    /// provisioned enclave host for `device` alone, every round's mask
-    /// installed, the device attested and connected.
+    /// provisioned enclave host for `device` alone, the device attested and
+    /// connected, every round's mask bound to it.
     pub fn host_device(
         &self,
         device: usize,
@@ -302,13 +302,13 @@ impl Rig {
         host.client_mut()
             .install_service_key(&self.material.secret_bytes())
             .unwrap();
-        for round in &self.masks {
-            host.client_mut().install_mask(&round[device]).unwrap();
-        }
         let approved = host.measurement();
         let offer = host.attestation_offer().unwrap();
         let (accept, session) = IotDeviceSession::connect(&offer, avs, &approved, rng).unwrap();
         host.accept_device(&accept).unwrap();
+        for round in &self.masks {
+            host.install_mask(&round[device]).unwrap();
+        }
         (host, session)
     }
 

@@ -184,9 +184,7 @@ impl Request {
             }
             Request::InstallMask { session_id, mask } => {
                 enc.put_u64(*session_id);
-                enc.put_u64(mask.round);
-                enc.put_u64(mask.client_id);
-                enc.put_u64_vec(&mask.mask);
+                mask.encode(&mut enc);
                 MSG_INSTALL_MASK
             }
             Request::InstallMaskSealed {
@@ -245,11 +243,7 @@ impl Request {
             },
             MSG_INSTALL_MASK => Request::InstallMask {
                 session_id: dec.get_u64()?,
-                mask: MaskShare {
-                    round: dec.get_u64()?,
-                    client_id: dec.get_u64()?,
-                    mask: dec.get_u64_vec()?,
-                },
+                mask: MaskShare::decode(&mut dec)?,
             },
             MSG_INSTALL_MASK_SEALED => Request::InstallMaskSealed {
                 session_id: dec.get_u64()?,
@@ -285,12 +279,7 @@ impl Request {
                 session_id: dec.get_u64()?,
             },
             MSG_DRAIN => Request::Drain,
-            _ => {
-                return Err(WireError::UnexpectedEnd {
-                    needed: 1,
-                    remaining: 0,
-                })
-            }
+            other => return Err(WireError::UnknownTag(other)),
         };
         dec.finish()?;
         Ok(request)
@@ -381,12 +370,7 @@ impl Response {
                 code: dec.get_u16()?,
                 message: dec.get_str()?,
             },
-            _ => {
-                return Err(WireError::UnexpectedEnd {
-                    needed: 1,
-                    remaining: 0,
-                })
-            }
+            other => return Err(WireError::UnknownTag(other)),
         };
         dec.finish()?;
         Ok(response)
@@ -463,8 +447,14 @@ mod tests {
     #[test]
     fn unknown_message_types_are_rejected() {
         let frame = Frame::new(0x7777, Vec::new());
-        assert!(Request::from_frame(&frame).is_err());
-        assert!(Response::from_frame(&frame).is_err());
+        assert_eq!(
+            Request::from_frame(&frame),
+            Err(WireError::UnknownTag(0x7777))
+        );
+        assert_eq!(
+            Response::from_frame(&frame),
+            Err(WireError::UnknownTag(0x7777))
+        );
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use glimmer_crypto::drbg::Drbg;
 use glimmer_crypto::hkdf::derive_key_32;
 use glimmer_federated::fixed::{add_vectors, sub_vectors};
+use glimmer_wire::{Decoder, Encoder, WireCodec, WireError};
 
 /// One client's blinding mask for one aggregation round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,6 +45,22 @@ impl MaskShare {
     #[must_use]
     pub fn unblind(&self, blinded: &[u64]) -> Vec<u64> {
         sub_vectors(blinded, &self.mask)
+    }
+}
+
+impl WireCodec for MaskShare {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.round);
+        enc.put_u64(self.client_id);
+        enc.put_u64_vec(&self.mask);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(MaskShare {
+            round: dec.get_u64()?,
+            client_id: dec.get_u64()?,
+            mask: dec.get_u64_vec()?,
+        })
     }
 }
 

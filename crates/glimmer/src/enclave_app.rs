@@ -3,10 +3,14 @@
 //! This is the code that runs *inside* the (simulated) SGX enclave on the
 //! client device. It wires the three components of the paper's design —
 //! Validation, Blinding, Signing — behind a handful of ECALLs, plus the
-//! Section 4.1 extensions (attested channel, encrypted predicate, audited
-//! 1-bit verdicts). Everything in this file is part of the trusted computing
-//! base accounted for in Experiment E10; it deliberately avoids OCALLs so the
-//! Glimmer "runs mostly in isolation" as Section 3 requires.
+//! Section 4.1 extensions (attested service channel, encrypted predicate,
+//! audited 1-bit verdicts) and the Section 4.2 device sessions (one record
+//! per session; the only encrypted request path, whether the host serves
+//! one device or a pool's worth). Everything in this file is part of the
+//! trusted computing base accounted for in Experiment E10; it deliberately
+//! avoids OCALLs so the Glimmer "runs mostly in isolation" as Section 3
+//! requires. ARCHITECTURE.md, "The enclave program", groups the selectors
+//! by principal and lays out the state export.
 
 use crate::auditor::OutputAuditor;
 use crate::blinding::MaskShare;
@@ -25,7 +29,7 @@ use glimmer_crypto::schnorr::{SigningKey, VerifyingKey};
 use glimmer_federated::fixed::encode_weights;
 use glimmer_wire::{Decoder, Encoder, WireCodec, WireError};
 use sgx_sim::{EnclaveEnv, EnclaveProgram, SealPolicy, SealedBlob, TargetInfo};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Product id carried in the Glimmer enclave's attributes.
 pub const GLIMMER_ISV_PROD_ID: u16 = 0x6C17;
@@ -58,8 +62,9 @@ pub const SEALED_REJECTED_MARKER: &str = "[sealed-rejected]";
 /// Version tag leading every serialized enclave-state export; bumping it
 /// makes older sealed exports fail import (closed) instead of misparsing.
 /// (v3 replaced v2's per-session list of every request nonce by the
-/// fixed-size replay window.)
-const STATE_EXPORT_TAG: &str = "glimmer-enclave-state-v3";
+/// fixed-size replay window; v4 writes one section per session instead of
+/// four tables keyed by session id.)
+const STATE_EXPORT_TAG: &str = "glimmer-enclave-state-v4";
 
 /// Provisioning request: either fresh secret key bytes from the service, or a
 /// previously exported sealed blob to restore.
@@ -90,7 +95,7 @@ impl WireCodec for ProvisionRequest {
         match dec.get_u8()? {
             0 => Ok(ProvisionRequest::FreshKey(dec.get_bytes()?)),
             1 => Ok(ProvisionRequest::Sealed(dec.get_bytes()?)),
-            other => Err(WireError::InvalidBool(other)),
+            other => Err(WireError::UnknownTag(other.into())),
         }
     }
 }
@@ -100,14 +105,7 @@ impl WireCodec for ProvisionRequest {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaskDelivery {
     /// Plaintext mask share.
-    Plain {
-        /// The mask share.
-        round: u64,
-        /// Client the mask was issued to.
-        client_id: u64,
-        /// The additive mask values.
-        mask: Vec<u64>,
-    },
+    Plain(MaskShare),
     /// AEAD-encrypted mask share (nonce plus ciphertext of the plain encoding).
     Encrypted {
         /// AEAD nonce.
@@ -121,11 +119,7 @@ impl MaskDelivery {
     /// Builds a plaintext delivery from a mask share.
     #[must_use]
     pub fn plain(share: &MaskShare) -> Self {
-        MaskDelivery::Plain {
-            round: share.round,
-            client_id: share.client_id,
-            mask: share.mask.clone(),
-        }
+        MaskDelivery::Plain(share.clone())
     }
 
     /// Encrypts a mask share under a channel key (what the blinding service
@@ -142,20 +136,33 @@ impl MaskDelivery {
             ciphertext: key.seal(&nonce, b"glimmer-mask-v1", &plain),
         }
     }
+
+    /// The delivered share; an encrypted delivery is opened under the
+    /// service channel's keys.
+    fn open(self, channel: Option<&ChannelKeys>) -> Result<MaskShare, String> {
+        match self {
+            MaskDelivery::Plain(share) => Ok(share),
+            MaskDelivery::Encrypted { nonce, ciphertext } => {
+                let channel = channel.ok_or("encrypted mask requires an established channel")?;
+                let plain = channel
+                    .service_to_glimmer
+                    .open(&nonce, b"glimmer-mask-v1", &ciphertext)
+                    .map_err(|e| format!("{SEALED_REJECTED_MARKER} mask delivery rejected: {e}"))?;
+                match MaskDelivery::from_wire(&plain).map_err(|e| e.to_string())? {
+                    MaskDelivery::Plain(share) => Ok(share),
+                    MaskDelivery::Encrypted { .. } => Err("nested encrypted mask".to_string()),
+                }
+            }
+        }
+    }
 }
 
 impl WireCodec for MaskDelivery {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            MaskDelivery::Plain {
-                round,
-                client_id,
-                mask,
-            } => {
+            MaskDelivery::Plain(share) => {
                 enc.put_u8(0);
-                enc.put_u64(*round);
-                enc.put_u64(*client_id);
-                enc.put_u64_vec(mask);
+                share.encode(enc);
             }
             MaskDelivery::Encrypted { nonce, ciphertext } => {
                 enc.put_u8(1);
@@ -167,11 +174,7 @@ impl WireCodec for MaskDelivery {
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         match dec.get_u8()? {
-            0 => Ok(MaskDelivery::Plain {
-                round: dec.get_u64()?,
-                client_id: dec.get_u64()?,
-                mask: dec.get_u64_vec()?,
-            }),
+            0 => Ok(MaskDelivery::Plain(MaskShare::decode(dec)?)),
             1 => {
                 let raw = dec.get_raw(12)?;
                 let mut nonce = [0u8; 12];
@@ -181,7 +184,7 @@ impl WireCodec for MaskDelivery {
                     ciphertext: dec.get_bytes()?,
                 })
             }
-            other => Err(WireError::InvalidBool(other)),
+            other => Err(WireError::UnknownTag(other.into())),
         }
     }
 }
@@ -273,6 +276,28 @@ impl WireCodec for ChannelReportReply {
     }
 }
 
+/// Everything the enclave holds for one device session. The session table
+/// is the only structure keyed by session id, so closing a session is one
+/// `remove` and nothing of it can stay behind.
+#[derive(Default)]
+struct Session {
+    /// The handshake `SESSION_OPEN` started, until `SESSION_ACCEPT` consumes
+    /// it.
+    handshake: Option<GlimmerChannel>,
+    /// The keys `SESSION_ACCEPT` derived; the session is established once
+    /// they are there.
+    keys: Option<ChannelKeys>,
+    /// `(client, round)` of every share installed through this session.
+    /// The session may contribute as those clients — without the binding,
+    /// sessions sharing an enclave could claim each other's client ids and
+    /// consume each other's shares — and the shares are evicted with it:
+    /// an enclave serves an open-ended stream of sessions, so the mask
+    /// table would otherwise grow without bound, and a later session bound
+    /// to the same key must install a fresh share, not inherit a stale one.
+    masks: BTreeSet<(u64, u64)>,
+    replay: ReplayWindow,
+}
+
 /// The Glimmer enclave program.
 pub struct GlimmerEnclaveProgram {
     app_id: String,
@@ -285,13 +310,11 @@ pub struct GlimmerEnclaveProgram {
     service_key_secret: Option<Vec<u8>>,
     sealed_key: Option<SealedBlob>,
     masks: HashMap<(u64, u64), MaskShare>,
+    /// The service channel (Section 4.1's attested channel; the gateway's
+    /// tenant channel): a different principal from the device sessions.
     pending_channel: Option<GlimmerChannel>,
     channel: Option<ChannelKeys>,
-    pending_sessions: HashMap<u64, GlimmerChannel>,
-    sessions: HashMap<u64, ChannelKeys>,
-    session_clients: HashMap<u64, HashSet<u64>>,
-    session_masks: HashMap<u64, HashSet<(u64, u64)>>,
-    session_replay: HashMap<u64, ReplayWindow>,
+    sessions: HashMap<u64, Session>,
     confidential_detector: Option<BotDetector>,
     auditor: OutputAuditor,
     /// Reusable wire buffer for `PROCESS_BATCH` replies: reset (capacity
@@ -332,11 +355,7 @@ impl GlimmerEnclaveProgram {
             masks: HashMap::new(),
             pending_channel: None,
             channel: None,
-            pending_sessions: HashMap::new(),
             sessions: HashMap::new(),
-            session_clients: HashMap::new(),
-            session_masks: HashMap::new(),
-            session_replay: HashMap::new(),
             confidential_detector: None,
             auditor: OutputAuditor::new(descriptor.verdict_bit_budget),
             reply_scratch: Encoder::new(),
@@ -381,72 +400,23 @@ impl GlimmerEnclaveProgram {
     }
 
     fn install_mask(&mut self, delivery: MaskDelivery) -> Result<Vec<u8>, String> {
-        self.store_mask(delivery)?;
+        let share = delivery.open(self.channel.as_ref())?;
+        self.masks.insert((share.round, share.client_id), share);
         Ok(Vec::new())
-    }
-
-    /// Decodes a mask delivery and stores the share keyed by (round, client);
-    /// returns that key.
-    fn store_mask(&mut self, delivery: MaskDelivery) -> Result<(u64, u64), String> {
-        let (round, client_id, mask) = match delivery {
-            MaskDelivery::Plain {
-                round,
-                client_id,
-                mask,
-            } => (round, client_id, mask),
-            MaskDelivery::Encrypted { nonce, ciphertext } => {
-                let channel = self
-                    .channel
-                    .as_ref()
-                    .ok_or("encrypted mask requires an established channel")?;
-                let plain = channel
-                    .service_to_glimmer
-                    .open(&nonce, b"glimmer-mask-v1", &ciphertext)
-                    .map_err(|e| format!("{SEALED_REJECTED_MARKER} mask delivery rejected: {e}"))?;
-                match MaskDelivery::from_wire(&plain).map_err(|e| e.to_string())? {
-                    MaskDelivery::Plain {
-                        round,
-                        client_id,
-                        mask,
-                    } => (round, client_id, mask),
-                    MaskDelivery::Encrypted { .. } => {
-                        return Err("nested encrypted mask".to_string())
-                    }
-                }
-            }
-        };
-        self.masks.insert(
-            (round, client_id),
-            MaskShare {
-                round,
-                client_id,
-                mask,
-            },
-        );
-        Ok((round, client_id))
     }
 
     /// Installs a mask scoped to one session and records the binding: the
     /// session becomes authorized to contribute as the mask's client id.
-    /// Without this binding, co-located sessions on a pooled enclave could
-    /// claim each other's client ids and consume each other's mask shares.
     fn session_install_mask(&mut self, data: &[u8]) -> Result<Vec<u8>, String> {
         let request = SessionMaskRequest::from_wire(data).map_err(|e| e.to_string())?;
-        if !self.sessions.contains_key(&request.session_id)
-            && !self.pending_sessions.contains_key(&request.session_id)
-        {
-            return Err(format!("no such session {}", request.session_id));
-        }
+        let session = self
+            .sessions
+            .get_mut(&request.session_id)
+            .ok_or_else(|| format!("no such session {}", request.session_id))?;
         let delivery = MaskDelivery::from_wire(&request.delivery).map_err(|e| e.to_string())?;
-        let (round, client_id) = self.store_mask(delivery)?;
-        self.session_clients
-            .entry(request.session_id)
-            .or_default()
-            .insert(client_id);
-        self.session_masks
-            .entry(request.session_id)
-            .or_default()
-            .insert((round, client_id));
+        let share = delivery.open(self.channel.as_ref())?;
+        session.masks.insert((share.client_id, share.round));
+        self.masks.insert((share.round, share.client_id), share);
         Ok(Vec::new())
     }
 
@@ -518,7 +488,7 @@ impl GlimmerEnclaveProgram {
     }
 
     /// Starts a handshake and binds its DH value into a report targeted at
-    /// the quoting enclave. Shared by the single-channel and session paths.
+    /// the quoting enclave. Shared by the service channel and the sessions.
     fn make_channel_report(
         &self,
         env: &mut dyn EnclaveEnv,
@@ -552,46 +522,68 @@ impl GlimmerEnclaveProgram {
         Ok(reply.to_wire())
     }
 
+    /// Finishes a handshake. With an embedded service key the peer must
+    /// prove it is the service; without one (glimmer-as-a-service, Section
+    /// 4.2) the channel is one-way authenticated: the peer verified *us*
+    /// through attestation.
+    fn complete_handshake(
+        service_key: Option<&VerifyingKey>,
+        channel: GlimmerChannel,
+        accept: &ChannelAccept,
+    ) -> Result<ChannelKeys, String> {
+        match service_key {
+            Some(service_key) => channel.complete(accept, service_key),
+            None => channel.complete_unauthenticated(accept),
+        }
+        .map_err(|e| e.to_string())
+    }
+
     fn session_open(&mut self, env: &mut dyn EnclaveEnv, data: &[u8]) -> Result<Vec<u8>, String> {
         let request = SessionOpenRequest::from_wire(data).map_err(|e| e.to_string())?;
-        if self.sessions.contains_key(&request.session_id) {
-            return Err(format!(
-                "session {} already established",
-                request.session_id
-            ));
-        }
-        // Restarting an already-pending handshake replaces its state and
-        // does not grow the table, so it is exempt from the capacity guard.
-        if !self.pending_sessions.contains_key(&request.session_id)
-            && self.sessions.len() + self.pending_sessions.len() >= MAX_SESSIONS_PER_ENCLAVE
-        {
-            return Err(format!(
-                "session table full ({MAX_SESSIONS_PER_ENCLAVE} sessions)"
-            ));
+        match self.sessions.get(&request.session_id) {
+            Some(session) if session.keys.is_some() => {
+                return Err(format!(
+                    "session {} already established",
+                    request.session_id
+                ))
+            }
+            None if self.sessions.len() >= MAX_SESSIONS_PER_ENCLAVE => {
+                return Err(format!(
+                    "session table full ({MAX_SESSIONS_PER_ENCLAVE} sessions)"
+                ))
+            }
+            // Restarting an already-pending handshake replaces its state and
+            // does not grow the table, so it is exempt from the capacity guard.
+            _ => {}
         }
         let (channel, reply) = self.make_channel_report(env, request.qe_measurement)?;
-        // Re-opening a pending session restarts its handshake.
-        self.pending_sessions.insert(request.session_id, channel);
+        // A re-opened session keeps what was bound to it while pending.
+        let session = self.sessions.entry(request.session_id).or_default();
+        session.handshake = Some(channel);
         Ok(reply.to_wire())
     }
 
     fn session_accept(&mut self, data: &[u8]) -> Result<Vec<u8>, String> {
         let request = SessionAcceptRequest::from_wire(data).map_err(|e| e.to_string())?;
         let accept = ChannelAccept::from_wire(&request.accept).map_err(|e| e.to_string())?;
-        let channel = self
-            .pending_sessions
-            .remove(&request.session_id)
-            .ok_or_else(|| format!("no pending handshake for session {}", request.session_id))?;
-        // Like the single-channel glimmer-as-a-service path: the device
-        // authenticated *us* through attestation; with an embedded service
-        // key the peer must additionally prove it is the service.
-        let keys = match &self.service_verifying_key {
-            Some(service_key) => channel.complete(&accept, service_key),
-            None => channel.complete_unauthenticated(&accept),
+        let no_pending = || format!("no pending handshake for session {}", request.session_id);
+        let session = self
+            .sessions
+            .get_mut(&request.session_id)
+            .ok_or_else(no_pending)?;
+        let channel = session.handshake.take().ok_or_else(no_pending)?;
+        match Self::complete_handshake(self.service_verifying_key.as_ref(), channel, &accept) {
+            Ok(keys) => {
+                session.keys = Some(keys);
+                Ok(Vec::new())
+            }
+            // The handshake is consumed, so this session can never be
+            // established: it is closed, and the device opens a new one.
+            Err(e) => {
+                self.close_session(request.session_id);
+                Err(e)
+            }
         }
-        .map_err(|e| e.to_string())?;
-        self.sessions.insert(request.session_id, keys);
-        Ok(Vec::new())
     }
 
     fn session_close(&mut self, data: &[u8]) -> Result<Vec<u8>, String> {
@@ -600,33 +592,25 @@ impl GlimmerEnclaveProgram {
         }
         let mut id = [0u8; 8];
         id.copy_from_slice(data);
-        let session_id = u64::from_le_bytes(id);
-        self.drop_session_state(session_id);
+        self.close_session(u64::from_le_bytes(id));
         Ok(Vec::new())
     }
 
-    /// Erases every trace of one session: channel keys, client bindings,
-    /// replay window, and its masks. Shared by `SESSION_CLOSE` and the
-    /// state-import pruning path.
-    fn drop_session_state(&mut self, session_id: u64) {
-        self.pending_sessions.remove(&session_id);
-        self.sessions.remove(&session_id);
-        self.session_clients.remove(&session_id);
-        self.session_replay.remove(&session_id);
-        // Session-scoped masks die with the session: a pool slot serves an
-        // open-ended stream of sessions, so without eviction the mask table
-        // would grow without bound — and a later session re-bound to the
-        // same (round, client) must install a fresh share, not inherit a
-        // stale one.
-        if let Some(keys) = self.session_masks.remove(&session_id) {
-            for key in keys {
-                // A reconnected device may have the same (round, client) mask
-                // bound to its replacement session; only evict shares no live
-                // session still claims.
-                let still_bound = self.session_masks.values().any(|set| set.contains(&key));
-                if !still_bound {
-                    self.masks.remove(&key);
-                }
+    /// Erases a session: its record, and the shares bound to it.
+    fn close_session(&mut self, session_id: u64) {
+        if let Some(session) = self.sessions.remove(&session_id) {
+            self.evict_unbound(session.masks);
+        }
+    }
+
+    /// Evicts the shares of sessions that are gone. A reconnected device may
+    /// have the same mask bound to its replacement session; only shares no
+    /// remaining session claims are evicted.
+    fn evict_unbound(&mut self, bindings: impl IntoIterator<Item = (u64, u64)>) {
+        for binding in bindings {
+            if !self.sessions.values().any(|s| s.masks.contains(&binding)) {
+                let (client_id, round) = binding;
+                self.masks.remove(&(round, client_id));
             }
         }
     }
@@ -638,69 +622,54 @@ impl GlimmerEnclaveProgram {
     fn process_for_session(
         &mut self,
         env: &mut dyn EnclaveEnv,
-        keys: &ChannelKeys,
-        session_id: Option<u64>,
+        session: &mut Session,
+        session_id: u64,
         data: &[u8],
     ) -> Result<(Vec<u8>, bool), String> {
+        let keys = session
+            .keys
+            .as_ref()
+            .ok_or_else(|| format!("no such session {session_id}"))?;
         if data.len() < 12 {
             return Err("encrypted request too short".to_string());
         }
         let mut nonce = [0u8; 12];
         nonce.copy_from_slice(&data[..12]);
-        // Replay protection (pooled path): AEAD opening is stateless, so a
-        // replayed ciphertext would re-endorse the same contribution and
-        // burn the tenant's endorsement budget twice. The nonce is the
-        // device's request counter; refuse one the session's window has
-        // seen or has slid past (see `crate::replay`).
-        let counter = match session_id {
-            None => None,
-            Some(sid) => {
-                let counter =
-                    request_counter(&nonce).ok_or("request nonce is not a session counter")?;
-                let window = self.session_replay.get(&sid).copied().unwrap_or_default();
-                window.check(counter).map_err(|e| e.to_string())?;
-                if window.accepted() >= MAX_NONCES_PER_SESSION as u64 {
-                    return Err(format!(
-                        "session exceeded {MAX_NONCES_PER_SESSION} requests; reopen it"
-                    ));
-                }
-                Some((sid, counter))
-            }
-        };
+        // Replay protection: AEAD opening is stateless, so a replayed
+        // ciphertext would re-endorse the same contribution and burn the
+        // tenant's endorsement budget twice. The nonce is the device's
+        // request counter; refuse one the session's window has seen or has
+        // slid past (see `crate::replay`).
+        let counter = request_counter(&nonce).ok_or("request nonce is not a session counter")?;
+        session.replay.check(counter).map_err(|e| e.to_string())?;
+        if session.replay.accepted() >= MAX_NONCES_PER_SESSION as u64 {
+            return Err(format!(
+                "session exceeded {MAX_NONCES_PER_SESSION} requests; reopen it"
+            ));
+        }
         let plain = keys
             .service_to_glimmer
             .open(&nonce, b"glimmer-remote-request-v1", &data[12..])
             .map_err(|e| e.to_string())?;
         let request = ProcessRequest::from_wire(&plain).map_err(|e| e.to_string())?;
-        // On a pooled enclave many devices' masks coexist, so a session may
-        // only contribute as client ids that were bound to it via
+        // Many devices' masks coexist in one enclave, so a session may only
+        // contribute as client ids that were bound to it via
         // SESSION_INSTALL_MASK — otherwise one device could impersonate
-        // another and consume its mask share. The legacy single-channel path
-        // (session_id None) serves exactly one device and needs no binding.
-        let authorized = match session_id {
-            None => true,
-            Some(sid) => self
-                .session_clients
-                .get(&sid)
-                .is_some_and(|clients| clients.contains(&request.contribution.client_id)),
-        };
-        let response = if authorized {
+        // another and consume its mask share.
+        let client_id = request.contribution.client_id;
+        let bound = (client_id, u64::MIN)..=(client_id, u64::MAX);
+        let response = if session.masks.range(bound).next().is_some() {
             self.process_contribution(request)?
         } else {
             ProcessResponse::Rejected {
-                reason: format!(
-                    "session not authorized to contribute as client {}",
-                    request.contribution.client_id
-                ),
+                reason: format!("session not authorized to contribute as client {client_id}"),
             }
         };
         let endorsed = matches!(response, ProcessResponse::Endorsed(_));
         // Record the counter only now that the request was actually
         // processed: a corrupted ciphertext must not burn the counter of the
         // legitimate request the device will retransmit.
-        if let Some((sid, counter)) = counter {
-            self.session_replay.entry(sid).or_default().record(counter);
-        }
+        session.replay.record(counter);
         let mut reply_nonce = [0u8; 12];
         reply_nonce.copy_from_slice(&env.random_bytes(12));
         let ciphertext = keys.glimmer_to_service.seal(
@@ -743,38 +712,26 @@ impl GlimmerEnclaveProgram {
         // and the wire buffer itself stops growing once it has seen the
         // largest batch. (The final `to_vec` copy-out below still allocates
         // once per batch: the ecall interface returns an owned `Vec<u8>`.)
-        // The scratch is moved out for the loop because processing needs
-        // `&mut self`; there are no early returns between the take and the
-        // put-back.
+        // The scratch and the session table are moved out for the loop
+        // because processing needs `&mut self` beside them; there are no
+        // early returns between the takes and the put-backs.
         let mut scratch = std::mem::take(&mut self.reply_scratch);
+        let mut sessions = std::mem::take(&mut self.sessions);
         scratch.reset();
         scratch.put_varint(items.len() as u64);
-        // Clone each session's keys at most once per batch, not per item
-        // (the cache is a local, so borrowing from it is disjoint from the
-        // `&mut self` the processing call needs).
-        let mut key_cache: HashMap<u64, ChannelKeys> = HashMap::new();
         for item in items {
-            if let std::collections::hash_map::Entry::Vacant(slot) =
-                key_cache.entry(item.session_id)
-            {
-                if let Some(keys) = self.sessions.get(&item.session_id) {
-                    slot.insert(keys.clone());
+            let result = match sessions.get_mut(&item.session_id) {
+                Some(session) => {
+                    self.process_for_session(env, session, item.session_id, item.ciphertext)
                 }
-            }
-            let outcome = match key_cache.get(&item.session_id) {
-                Some(keys) => match self.process_for_session(
-                    env,
-                    keys,
-                    Some(item.session_id),
-                    item.ciphertext,
-                ) {
-                    Ok((ciphertext, endorsed)) => BatchOutcome::Reply {
-                        ciphertext,
-                        endorsed,
-                    },
-                    Err(reason) => BatchOutcome::Failed(reason),
+                None => Err(format!("no such session {}", item.session_id)),
+            };
+            let outcome = match result {
+                Ok((ciphertext, endorsed)) => BatchOutcome::Reply {
+                    ciphertext,
+                    endorsed,
                 },
-                None => BatchOutcome::Failed(format!("no such session {}", item.session_id)),
+                Err(reason) => BatchOutcome::Failed(reason),
             };
             BatchReplyItem {
                 session_id: item.session_id,
@@ -784,19 +741,29 @@ impl GlimmerEnclaveProgram {
         }
         let out = scratch.as_slice().to_vec();
         self.reply_scratch = scratch;
+        self.sessions = sessions;
         Ok(out)
     }
 
-    /// Serializes the enclave's full serving state. Every map is emitted in
-    /// sorted key order, so identical state always produces identical bytes
-    /// — the gateway's snapshot-determinism canary depends on this (std
+    /// Serializes the enclave's full serving state. The sessions and the
+    /// mask table are emitted in sorted key order (a session's bindings are
+    /// kept sorted), so identical state always produces identical bytes —
+    /// the gateway's snapshot-determinism canary depends on this (std
     /// `HashMap` iteration order varies between processes).
     ///
     /// Deliberately *not* exported: pending handshakes (their ephemeral DH
-    /// secrets must die with the process; devices simply reopen), the
-    /// confidential predicate (the tenant re-installs it over its channel),
-    /// and the reply scratch buffer.
+    /// secrets must die with the process; a pending session is written
+    /// without a channel and comes back closed — the device simply
+    /// reopens), the confidential predicate (the tenant re-installs it over
+    /// its channel), and the reply scratch buffer.
     fn encode_state(&self) -> Vec<u8> {
+        let put_keys = |enc: &mut Encoder, keys: Option<&ChannelKeys>| match keys {
+            Some(keys) => {
+                enc.put_bool(true);
+                enc.put_raw(&keys.export_bytes());
+            }
+            None => enc.put_bool(false),
+        };
         let mut enc = Encoder::new();
         enc.put_str(STATE_EXPORT_TAG);
         match &self.service_key_secret {
@@ -806,57 +773,25 @@ impl GlimmerEnclaveProgram {
             }
             None => enc.put_bool(false),
         }
-        match &self.channel {
-            Some(keys) => {
-                enc.put_bool(true);
-                enc.put_raw(&keys.export_bytes());
+        put_keys(&mut enc, self.channel.as_ref());
+        let mut sessions: Vec<(&u64, &Session)> = self.sessions.iter().collect();
+        sessions.sort_unstable_by_key(|(sid, _)| **sid);
+        enc.put_varint(sessions.len() as u64);
+        for (sid, session) in sessions {
+            enc.put_u64(*sid);
+            put_keys(&mut enc, session.keys.as_ref());
+            enc.put_varint(session.masks.len() as u64);
+            for (client_id, round) in &session.masks {
+                enc.put_u64(*client_id);
+                enc.put_u64(*round);
             }
-            None => enc.put_bool(false),
-        }
-        let mut session_ids: Vec<u64> = self.sessions.keys().copied().collect();
-        session_ids.sort_unstable();
-        enc.put_varint(session_ids.len() as u64);
-        for sid in &session_ids {
-            enc.put_u64(*sid);
-            enc.put_raw(&self.sessions[sid].export_bytes());
-        }
-        let mut client_ids: Vec<u64> = self.session_clients.keys().copied().collect();
-        client_ids.sort_unstable();
-        enc.put_varint(client_ids.len() as u64);
-        for sid in &client_ids {
-            enc.put_u64(*sid);
-            let mut clients: Vec<u64> = self.session_clients[sid].iter().copied().collect();
-            clients.sort_unstable();
-            enc.put_u64_vec(&clients);
-        }
-        let mut mask_sids: Vec<u64> = self.session_masks.keys().copied().collect();
-        mask_sids.sort_unstable();
-        enc.put_varint(mask_sids.len() as u64);
-        for sid in &mask_sids {
-            enc.put_u64(*sid);
-            let mut keys: Vec<(u64, u64)> = self.session_masks[sid].iter().copied().collect();
-            keys.sort_unstable();
-            enc.put_varint(keys.len() as u64);
-            for (round, client) in keys {
-                enc.put_u64(round);
-                enc.put_u64(client);
-            }
-        }
-        let mut replay_sids: Vec<u64> = self.session_replay.keys().copied().collect();
-        replay_sids.sort_unstable();
-        enc.put_varint(replay_sids.len() as u64);
-        for sid in &replay_sids {
-            enc.put_u64(*sid);
-            self.session_replay[sid].encode(&mut enc);
+            session.replay.encode(&mut enc);
         }
         let mut mask_keys: Vec<(u64, u64)> = self.masks.keys().copied().collect();
         mask_keys.sort_unstable();
         enc.put_varint(mask_keys.len() as u64);
         for key in &mask_keys {
-            let share = &self.masks[key];
-            enc.put_u64(share.round);
-            enc.put_u64(share.client_id);
-            enc.put_u64_vec(&share.mask);
+            self.masks[key].encode(&mut enc);
         }
         enc.put_u64(self.auditor.verdict_bits_released());
         enc.put_u64(self.auditor.frames_released());
@@ -925,9 +860,7 @@ impl GlimmerEnclaveProgram {
             || self.channel.is_some()
             || self.pending_channel.is_some()
             || !self.sessions.is_empty()
-            || !self.pending_sessions.is_empty()
             || !self.masks.is_empty()
-            || !self.session_replay.is_empty()
         {
             return Err("state import requires a freshly built enclave".to_string());
         }
@@ -935,33 +868,30 @@ impl GlimmerEnclaveProgram {
         let plain = env
             .unseal_expecting(&blob, &header)
             .map_err(|e| format!("{SEALED_REJECTED_MARKER} {e}"))?;
-        self.install_state(env, &plain)?;
-        // Prune session state the routing layer no longer routes: a session
-        // closed concurrently with the checkpoint barrier can be present in
-        // the sealed export but absent from the captured table. Keeping
-        // exactly the caller's live set erases those orphans' keys, replay
-        // windows, and masks instead of carrying them forever across restarts.
-        let live: HashSet<u64> = live_sessions.into_iter().collect();
-        let dead: Vec<u64> = self
-            .sessions
-            .keys()
-            .chain(self.session_clients.keys())
-            .chain(self.session_masks.keys())
-            .chain(self.session_replay.keys())
-            .filter(|sid| !live.contains(sid))
-            .copied()
-            .collect::<HashSet<u64>>()
-            .into_iter()
-            .collect();
-        for session_id in dead {
-            self.drop_session_state(session_id);
-        }
+        self.install_state(env, &plain, &live_sessions.into_iter().collect())?;
         Ok(Vec::new())
     }
 
-    /// Decodes and installs an unsealed state export.
-    fn install_state(&mut self, env: &mut dyn EnclaveEnv, bytes: &[u8]) -> Result<(), String> {
+    /// Decodes and installs an unsealed state export, keeping of its
+    /// sessions exactly those in `live`.
+    fn install_state(
+        &mut self,
+        env: &mut dyn EnclaveEnv,
+        bytes: &[u8],
+        live: &HashSet<u64>,
+    ) -> Result<(), String> {
         let w = |e: WireError| e.to_string();
+        let get_keys = |dec: &mut Decoder<'_>| -> Result<Option<ChannelKeys>, String> {
+            if !dec.get_bool().map_err(w)? {
+                return Ok(None);
+            }
+            let raw = dec
+                .get_raw(crate::channel::CHANNEL_KEYS_EXPORT_LEN)
+                .map_err(w)?;
+            ChannelKeys::from_export(&raw)
+                .map(Some)
+                .map_err(|e| e.to_string())
+        };
         let mut dec = Decoder::new(bytes);
         let tag = dec.get_str().map_err(w)?;
         if tag != STATE_EXPORT_TAG {
@@ -983,65 +913,47 @@ impl GlimmerEnclaveProgram {
             self.service_key_secret = Some(secret);
             self.sealed_key = Some(sealed);
         }
-        if dec.get_bool().map_err(w)? {
-            let raw = dec
-                .get_raw(crate::channel::CHANNEL_KEYS_EXPORT_LEN)
-                .map_err(w)?;
-            self.channel = Some(ChannelKeys::from_export(&raw).map_err(|e| e.to_string())?);
-        }
+        self.channel = get_keys(&mut dec)?;
+        // Prune session state the routing layer no longer routes: a session
+        // closed concurrently with the checkpoint barrier can be present in
+        // the sealed export but absent from the captured table, and one
+        // that was pending lost its handshake with the exporting process.
+        // Keeping exactly the caller's live set erases those orphans' keys,
+        // replay windows, and masks instead of carrying them forever across
+        // restarts.
+        let mut orphaned = Vec::new();
         let n = dec.get_varint().map_err(w)? as usize;
         for _ in 0..n {
             let sid = dec.get_u64().map_err(w)?;
-            let raw = dec
-                .get_raw(crate::channel::CHANNEL_KEYS_EXPORT_LEN)
-                .map_err(w)?;
-            self.sessions.insert(
-                sid,
-                ChannelKeys::from_export(&raw).map_err(|e| e.to_string())?,
-            );
-        }
-        let n = dec.get_varint().map_err(w)? as usize;
-        for _ in 0..n {
-            let sid = dec.get_u64().map_err(w)?;
-            let clients = dec.get_u64_vec().map_err(w)?;
-            self.session_clients
-                .insert(sid, clients.into_iter().collect());
-        }
-        let n = dec.get_varint().map_err(w)? as usize;
-        for _ in 0..n {
-            let sid = dec.get_u64().map_err(w)?;
-            let m = dec.get_varint().map_err(w)? as usize;
-            let mut keys = HashSet::with_capacity(m);
-            for _ in 0..m {
-                keys.insert((dec.get_u64().map_err(w)?, dec.get_u64().map_err(w)?));
+            let keys = get_keys(&mut dec)?;
+            let mut masks = BTreeSet::new();
+            for _ in 0..dec.get_varint().map_err(w)? {
+                masks.insert((dec.get_u64().map_err(w)?, dec.get_u64().map_err(w)?));
             }
-            self.session_masks.insert(sid, keys);
+            let replay = ReplayWindow::decode(&mut dec).map_err(w)?;
+            if keys.is_some() && live.contains(&sid) {
+                let session = Session {
+                    handshake: None,
+                    keys,
+                    masks,
+                    replay,
+                };
+                self.sessions.insert(sid, session);
+            } else {
+                orphaned.extend(masks);
+            }
         }
         let n = dec.get_varint().map_err(w)? as usize;
         for _ in 0..n {
-            let sid = dec.get_u64().map_err(w)?;
-            self.session_replay
-                .insert(sid, ReplayWindow::decode(&mut dec).map_err(w)?);
-        }
-        let n = dec.get_varint().map_err(w)? as usize;
-        for _ in 0..n {
-            let round = dec.get_u64().map_err(w)?;
-            let client_id = dec.get_u64().map_err(w)?;
-            let mask = dec.get_u64_vec().map_err(w)?;
-            self.masks.insert(
-                (round, client_id),
-                MaskShare {
-                    round,
-                    client_id,
-                    mask,
-                },
-            );
+            let share = MaskShare::decode(&mut dec).map_err(w)?;
+            self.masks.insert((share.round, share.client_id), share);
         }
         let bits = dec.get_u64().map_err(w)?;
         let released = dec.get_u64().map_err(w)?;
         let rejected = dec.get_u64().map_err(w)?;
         let state_epoch = dec.get_u64().map_err(w)?;
         dec.finish().map_err(w)?;
+        self.evict_unbound(orphaned);
         self.auditor.restore_counts(bits, released, rejected);
         // The imported epoch replaces ours wholesale: a restored enclave
         // continues the exporting incarnation's dirtiness clock, so a
@@ -1057,33 +969,9 @@ impl GlimmerEnclaveProgram {
             .pending_channel
             .take()
             .ok_or("no pending channel handshake")?;
-        // With an embedded service key the peer must prove it is the service;
-        // without one (glimmer-as-a-service, Section 4.2) the channel is
-        // one-way authenticated: the peer verified *us* through attestation.
-        let keys = match &self.service_verifying_key {
-            Some(service_key) => channel
-                .complete(&accept, service_key)
-                .map_err(|e| e.to_string())?,
-            None => channel
-                .complete_unauthenticated(&accept)
-                .map_err(|e| e.to_string())?,
-        };
-        self.channel = Some(keys);
+        let service_key = self.service_verifying_key.as_ref();
+        self.channel = Some(Self::complete_handshake(service_key, channel, &accept)?);
         Ok(Vec::new())
-    }
-
-    fn process_encrypted(
-        &mut self,
-        env: &mut dyn EnclaveEnv,
-        data: &[u8],
-    ) -> Result<Vec<u8>, String> {
-        let channel = self
-            .channel
-            .as_ref()
-            .ok_or("encrypted processing requires an established channel")?
-            .clone();
-        self.process_for_session(env, &channel, None, data)
-            .map(|(ciphertext, _endorsed)| ciphertext)
     }
 
     fn install_predicate(&mut self, data: &[u8]) -> Result<Vec<u8>, String> {
@@ -1126,7 +1014,7 @@ impl GlimmerEnclaveProgram {
             confidential_predicate: self.confidential_detector.is_some(),
             masks: self.masks.len() as u32,
             verdict_bits_released: self.auditor.verdict_bits_released(),
-            sessions: self.sessions.len() as u32,
+            sessions: self.sessions.values().filter(|s| s.keys.is_some()).count() as u32,
         }
         .to_wire()
     }
@@ -1165,7 +1053,6 @@ impl EnclaveProgram for GlimmerEnclaveProgram {
                 let request = ProcessRequest::from_wire(data).map_err(|e| e.to_string())?;
                 self.process_contribution(request).map(|r| r.to_wire())
             }
-            ecall::PROCESS_ENCRYPTED => self.process_encrypted(env, data),
             ecall::PROCESS_BATCH => self.process_batch(env, data),
             ecall::SESSION_INSTALL_MASK => self.session_install_mask(data),
             ecall::SESSION_OPEN => self.session_open(env, data),
@@ -1227,7 +1114,7 @@ mod tests {
             MaskDelivery::Encrypted { ciphertext, .. } => {
                 assert!(!ciphertext.windows(8).any(|w| w == 1u64.to_le_bytes()));
             }
-            MaskDelivery::Plain { .. } => panic!("expected encrypted"),
+            MaskDelivery::Plain(_) => panic!("expected encrypted"),
         }
         assert!(MaskDelivery::from_wire(&[7]).is_err());
     }

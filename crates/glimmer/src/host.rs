@@ -432,8 +432,7 @@ impl GlimmerClient {
 
     /// Installs a blinding mask share (plaintext delivery).
     pub fn install_mask(&mut self, mask: &MaskShare) -> Result<()> {
-        self.ecall(ecall::INSTALL_MASK, &MaskDelivery::plain(mask).to_wire())?;
-        Ok(())
+        self.install_mask_delivery(&MaskDelivery::plain(mask))
     }
 
     /// Installs a blinding mask share delivered encrypted under the attested
@@ -461,8 +460,14 @@ impl GlimmerClient {
     /// the service. The platform must already be provisioned for attestation.
     pub fn start_channel(&mut self) -> Result<ChannelOffer> {
         let target = self.platform.quoting_enclave_target();
-        let reply_bytes = self.ecall(ecall::CHANNEL_REPORT, target.measurement.as_bytes())?;
-        let reply = ChannelReportReply::from_wire(&reply_bytes)?;
+        let reply = self.ecall(ecall::CHANNEL_REPORT, target.measurement.as_bytes())?;
+        self.quote_offer(&reply)
+    }
+
+    /// Turns the enclave's handshake reply (DH value + report) into the
+    /// offer a peer verifies: the host has the report quoted.
+    fn quote_offer(&mut self, reply_bytes: &[u8]) -> Result<ChannelOffer> {
+        let reply = ChannelReportReply::from_wire(reply_bytes)?;
         let report = Report::from_bytes(&reply.report)?;
         let quote = self.platform.quote_report(&report)?;
         Ok(ChannelOffer {
@@ -484,30 +489,18 @@ impl GlimmerClient {
         Ok(())
     }
 
-    /// Forwards an encrypted `ProcessRequest` (glimmer-as-a-service) into the
-    /// enclave and returns the encrypted response, both opaque to this host.
-    pub fn process_encrypted(&mut self, request_ciphertext: &[u8]) -> Result<Vec<u8>> {
-        self.ecall(ecall::PROCESS_ENCRYPTED, request_ciphertext)
-    }
-
-    /// Opens a session-scoped attested channel (multi-tenant serving): the
-    /// enclave starts a handshake bound to `session_id` and the host quotes
-    /// the resulting report into an offer for the connecting device.
+    /// Opens a session-scoped attested channel (glimmer-as-a-service, one
+    /// device or many): the enclave starts a handshake bound to
+    /// `session_id` and the host quotes the resulting report into an offer
+    /// for the connecting device.
     pub fn open_session(&mut self, session_id: u64) -> Result<ChannelOffer> {
         let target = self.platform.quoting_enclave_target();
         let request = SessionOpenRequest {
             session_id,
             qe_measurement: target.measurement.0,
         };
-        let reply_bytes = self.ecall(ecall::SESSION_OPEN, &request.to_wire())?;
-        let reply = ChannelReportReply::from_wire(&reply_bytes)?;
-        let report = Report::from_bytes(&reply.report)?;
-        let quote = self.platform.quote_report(&report)?;
-        Ok(ChannelOffer {
-            app_id: self.descriptor.app_id.clone(),
-            glimmer_dh_public: reply.dh_public,
-            quote: quote.to_bytes(),
-        })
+        let reply = self.ecall(ecall::SESSION_OPEN, &request.to_wire())?;
+        self.quote_offer(&reply)
     }
 
     /// Completes a session-scoped handshake with the device's response.
@@ -774,10 +767,11 @@ mod tests {
     fn an_export_in_a_retired_format_is_refused_typed() {
         use sgx_sim::{EnclaveEnv, EnclaveProgram, Platform, SealPolicy, SgxError};
 
-        /// Stands in for the previous release: same measured image, same
-        /// platform, but its `EXPORT_STATE` writes the v2 layout (an empty
-        /// enclave's, which is all the layout test needs).
-        struct PreviousRelease;
+        /// Stands in for a previous release: same measured image, same
+        /// platform, but its `EXPORT_STATE` writes a retired layout (an
+        /// empty enclave's, which is all the layout test needs; v2 and v3
+        /// are both five tables and four counters when empty).
+        struct PreviousRelease(&'static str);
         const RETIRED_EXPORT_STATE: u16 = 16; // see `protocol::ecall`
         impl EnclaveProgram for PreviousRelease {
             fn handle_ecall(
@@ -787,7 +781,7 @@ mod tests {
                 header: &[u8],
             ) -> std::result::Result<Vec<u8>, String> {
                 let mut enc = Encoder::new();
-                enc.put_str("glimmer-enclave-state-v2");
+                enc.put_str(self.0);
                 enc.put_bool(false); // no service key
                 enc.put_bool(false); // no channel
                 for _empty_table in 0..5 {
@@ -805,29 +799,53 @@ mod tests {
         let seed = [58u8; 32];
         let descriptor = GlimmerDescriptor::keyboard_default();
         let header = b"snapshot-header-epoch-1";
-        let mut old_platform = Platform::new(PlatformConfig::default(), &mut Drbg::from_seed(seed));
-        let old_enclave = old_platform
-            .create_enclave(&descriptor.build_image(), Box::new(PreviousRelease))
-            .unwrap();
-        let sealed = old_platform
-            .ecall(old_enclave, RETIRED_EXPORT_STATE, header, &mut NoOcalls)
-            .unwrap();
+        for retired_tag in ["glimmer-enclave-state-v2", "glimmer-enclave-state-v3"] {
+            let mut old_platform =
+                Platform::new(PlatformConfig::default(), &mut Drbg::from_seed(seed));
+            let old_enclave = old_platform
+                .create_enclave(
+                    &descriptor.build_image(),
+                    Box::new(PreviousRelease(retired_tag)),
+                )
+                .unwrap();
+            let sealed = old_platform
+                .ecall(old_enclave, RETIRED_EXPORT_STATE, header, &mut NoOcalls)
+                .unwrap();
 
-        // Same machine, same measurement, same header: the blob unseals —
-        // and is then refused for its format, as a typed denial rather than
-        // a misparse or a string to match on.
-        let mut client = GlimmerClient::new(
-            descriptor,
-            PlatformConfig::default(),
-            &mut Drbg::from_seed(seed),
-        )
-        .unwrap();
-        assert!(matches!(
-            client.import_state(header, &sealed, &[]),
-            Err(GlimmerError::Sgx(SgxError::UnsealDenied(_)))
-        ));
-        // Nothing was installed by the refused import.
-        assert!(!client.status().unwrap().signing_key);
+            // Same machine, same measurement, same header: the blob unseals —
+            // and is then refused for its format, as a typed denial rather than
+            // a misparse or a string to match on.
+            let mut client = GlimmerClient::new(
+                descriptor.clone(),
+                PlatformConfig::default(),
+                &mut Drbg::from_seed(seed),
+            )
+            .unwrap();
+            assert!(
+                matches!(
+                    client.import_state(header, &sealed, &[]),
+                    Err(GlimmerError::Sgx(SgxError::UnsealDenied(_)))
+                ),
+                "{retired_tag}"
+            );
+            // Nothing was installed by the refused import.
+            assert!(!client.status().unwrap().signing_key);
+        }
+    }
+
+    #[test]
+    fn a_retired_selector_is_unknown_to_a_live_enclave() {
+        const RETIRED_PROCESS_ENCRYPTED: u16 = 10; // see `protocol::ecall`
+        let mut client = keyboard_client();
+        let refusal = client.ecall(RETIRED_PROCESS_ENCRYPTED, &[0u8; 64]);
+        assert!(
+            matches!(
+                &refusal,
+                Err(GlimmerError::Sgx(sgx_sim::SgxError::EnclaveAbort(msg)))
+                    if msg.contains("unknown ECALL selector 10")
+            ),
+            "{refusal:?}"
+        );
     }
 
     #[test]

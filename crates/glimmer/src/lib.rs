@@ -20,8 +20,19 @@
 //! covered by [`confidential`] (validation confidentiality via encrypted
 //! predicates), [`auditor`] (the runtime output auditor that bounds leakage
 //! to one bit), [`remote`] (Glimmer-as-a-service for TEE-less IoT
-//! devices) and [`replay`] (its constant-size replay protection). [`policy`] implements the verifiability/TCB accounting the paper
-//! argues makes Glimmers amenable to formal verification.
+//! devices: the device's side, and the smallest host) and [`replay`] (its
+//! constant-size replay protection). [`policy`] implements the
+//! verifiability/TCB accounting the paper argues makes Glimmers amenable to
+//! formal verification.
+//!
+//! The enclave program keeps three kinds of state apart, one per principal:
+//! the local path of Figure 3 (plaintext contributions, shares bound to no
+//! one), the *service* channel of Section 4.1 (encrypted predicate, one-bit
+//! verdicts, encrypted mask deliveries — also the gateway's tenant
+//! channel), and the *device* sessions of Section 4.2, one record each,
+//! which are the only encrypted request path: a per-device host and a
+//! pooled gateway differ in how many sessions they hold, not in which code
+//! serves them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,11 +29,11 @@ pub mod ecall {
     pub const INSTALL_MASK: u16 = 8;
     /// Return the Glimmer's status (provisioned flags) for diagnostics.
     pub const STATUS: u16 = 9;
-    /// Validate, blind, and sign a contribution delivered encrypted over the
-    /// attested channel (glimmer-as-a-service, Section 4.2).
-    pub const PROCESS_ENCRYPTED: u16 = 10;
-    /// Open a session-scoped attested channel handshake (multi-tenant
-    /// glimmer-as-a-service: one enclave, many concurrent device sessions).
+    // 10 was `PROCESS_ENCRYPTED`, Section 4.2's single implicit device
+    // channel: retired, not reused — a per-device host is one session and a
+    // `PROCESS_BATCH` of one.
+    /// Open a session-scoped attested channel handshake (glimmer-as-a-service,
+    /// Section 4.2: one enclave, one or many concurrent device sessions).
     pub const SESSION_OPEN: u16 = 11;
     /// Complete a session-scoped handshake with the device's response.
     pub const SESSION_ACCEPT: u16 = 12;
@@ -152,7 +152,7 @@ impl WireCodec for ContributionPayload {
             3 => Ok(ContributionPayload::IotReadings {
                 samples: dec.get_f64_vec()?,
             }),
-            other => Err(WireError::InvalidBool(other)),
+            other => Err(WireError::UnknownTag(other.into())),
         }
     }
 }
@@ -266,7 +266,7 @@ impl WireCodec for PrivateData {
                 }
                 Ok(PrivateData::BotSignals { signals })
             }
-            other => Err(WireError::InvalidBool(other)),
+            other => Err(WireError::UnknownTag(other.into())),
         }
     }
 }
@@ -484,7 +484,7 @@ impl WireCodec for ProcessResponse {
             0 => Ok(ProcessResponse::Rejected {
                 reason: dec.get_str()?,
             }),
-            other => Err(WireError::InvalidBool(other)),
+            other => Err(WireError::UnknownTag(other.into())),
         }
     }
 }
@@ -795,7 +795,7 @@ impl WireCodec for BatchReplyItem {
                 endorsed: dec.get_bool()?,
             },
             0 => BatchOutcome::Failed(dec.get_str()?),
-            other => return Err(WireError::InvalidBool(other)),
+            other => return Err(WireError::UnknownTag(other.into())),
         };
         Ok(BatchReplyItem {
             session_id,

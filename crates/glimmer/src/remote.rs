@@ -18,10 +18,21 @@
 //!    contribution back, which it forwards to the service.
 //!
 //! The remote host only ever sees ciphertext and the endorsed output.
+//!
+//! [`RemoteGlimmerHost`] is the smallest such host: one enclave serving one
+//! device at a time. It drives the same session table a pooled gateway
+//! does — each device is a session, each relayed request a `PROCESS_BATCH`
+//! of one — so the enclave's replay window, per-session request cap and
+//! client binding hold here exactly as they do there; there is no second,
+//! older device channel to keep in step.
 
+use crate::blinding::MaskShare;
 use crate::channel::{AttestedChannel, ChannelAccept, ChannelKeys, ChannelOffer};
 use crate::host::{GlimmerClient, GlimmerDescriptor};
-use crate::protocol::{Contribution, PrivateData, ProcessRequest, ProcessResponse};
+use crate::protocol::{
+    BatchItem, BatchOutcome, BatchRequest, Contribution, PrivateData, ProcessRequest,
+    ProcessResponse,
+};
 use crate::replay::request_nonce;
 use crate::{GlimmerError, Result};
 use glimmer_crypto::dh::DhGroup;
@@ -31,9 +42,11 @@ use glimmer_wire::WireCodec;
 use sgx_sim::{AttestationService, Measurement, PlatformConfig};
 
 /// A third-party machine hosting a Glimmer enclave on behalf of TEE-less
-/// devices.
+/// devices, one device at a time.
 pub struct RemoteGlimmerHost {
     client: GlimmerClient,
+    /// Session id of the device being served; 0 until the first offer.
+    session: u64,
 }
 
 // Hosts and device sessions are self-contained state machines, so serving
@@ -56,7 +69,7 @@ impl RemoteGlimmerHost {
     ) -> Result<Self> {
         let mut client = GlimmerClient::new(descriptor, platform_config, rng)?;
         client.provision_platform(avs);
-        Ok(RemoteGlimmerHost { client })
+        Ok(RemoteGlimmerHost { client, session: 0 })
     }
 
     /// The hosted Glimmer's published measurement.
@@ -65,7 +78,7 @@ impl RemoteGlimmerHost {
         self.client.measurement()
     }
 
-    /// Access to the underlying client runtime (key/mask provisioning).
+    /// Access to the underlying client runtime (key provisioning, status).
     pub fn client_mut(&mut self) -> &mut GlimmerClient {
         &mut self.client
     }
@@ -76,20 +89,48 @@ impl RemoteGlimmerHost {
         self.client.cost_report()
     }
 
-    /// Produces an attestation offer for a connecting device.
+    /// Produces an attestation offer for a connecting device. The device
+    /// gets a session of its own; the previous device's is closed, erasing
+    /// its keys, its replay window and the masks bound to it.
     pub fn attestation_offer(&mut self) -> Result<ChannelOffer> {
-        self.client.start_channel()
+        if self.session != 0 {
+            self.client.close_session(self.session)?;
+        }
+        self.session += 1;
+        self.client.open_session(self.session)
     }
 
     /// Completes the device's side of the handshake inside the enclave.
     pub fn accept_device(&mut self, accept: &ChannelAccept) -> Result<()> {
-        self.client.complete_channel(accept)
+        self.client.accept_session(self.session, accept)
+    }
+
+    /// Installs a blinding mask share for the connected device, which
+    /// authorizes it to contribute as the share's client id. Call after
+    /// [`Self::attestation_offer`]: the share is bound to that device's
+    /// session and evicted with it.
+    pub fn install_mask(&mut self, mask: &MaskShare) -> Result<()> {
+        self.client.install_session_mask(self.session, mask)
     }
 
     /// Relays an encrypted request from the device into the enclave and
-    /// returns the encrypted response. The host cannot read either.
+    /// returns the encrypted response. The host cannot read either. A
+    /// request the enclave refuses to open — undecryptable, replayed, from
+    /// a device whose session is gone — is a [`GlimmerError::Channel`].
     pub fn relay(&mut self, request_ciphertext: &[u8]) -> Result<Vec<u8>> {
-        self.client.process_encrypted(request_ciphertext)
+        let batch = BatchRequest {
+            items: vec![BatchItem {
+                session_id: self.session,
+                ciphertext: request_ciphertext.to_vec(),
+            }],
+        };
+        match self.client.process_batch(&batch)?.items.pop() {
+            Some(item) => match item.outcome {
+                BatchOutcome::Reply { ciphertext, .. } => Ok(ciphertext),
+                BatchOutcome::Failed(reason) => Err(GlimmerError::Channel(reason)),
+            },
+            None => Err(GlimmerError::Protocol("empty reply to a batch of one")),
+        }
     }
 }
 
@@ -179,7 +220,7 @@ impl IotDeviceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blinding::{BlindingService, MaskShare};
+    use crate::blinding::BlindingService;
     use crate::protocol::ContributionPayload;
     use crate::signing::ServiceKeyMaterial;
 
@@ -206,7 +247,6 @@ mod tests {
             .install_service_key(&material.secret_bytes())
             .unwrap();
         let masks = BlindingService::new([7u8; 32]).zero_sum_masks(1, &[100, 101], 4);
-        host.client_mut().install_mask(&masks[0]).unwrap();
 
         // Device connects after verifying attestation.
         let offer = host.attestation_offer().unwrap();
@@ -214,6 +254,7 @@ mod tests {
         let (accept, mut session) =
             IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
         host.accept_device(&accept).unwrap();
+        host.install_mask(&masks[0]).unwrap();
 
         // Device submits readings encrypted end-to-end.
         let contribution = Contribution {
@@ -264,19 +305,17 @@ mod tests {
         host.client_mut()
             .install_service_key(&material.secret_bytes())
             .unwrap();
-        host.client_mut()
-            .install_mask(&MaskShare {
-                round: 1,
-                client_id: 100,
-                mask: vec![0u64; 3],
-            })
-            .unwrap();
-
         let offer = host.attestation_offer().unwrap();
         let approved = host.measurement();
         let (accept, mut session) =
             IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
         host.accept_device(&accept).unwrap();
+        host.install_mask(&MaskShare {
+            round: 1,
+            client_id: 100,
+            mask: vec![0u64; 3],
+        })
+        .unwrap();
 
         let contribution = Contribution {
             app_id: "iot-telemetry.example".to_string(),
@@ -293,6 +332,111 @@ mod tests {
         assert!(
             matches!(response, ProcessResponse::Rejected { ref reason } if reason.contains("538"))
         );
+    }
+
+    /// Puts the next device on `host`: attested, accepted, and masked as
+    /// `client_id` for round 1.
+    fn connect_device(
+        host: &mut RemoteGlimmerHost,
+        avs: &AttestationService,
+        rng: &mut Drbg,
+        client_id: u64,
+    ) -> IotDeviceSession {
+        let offer = host.attestation_offer().unwrap();
+        let (accept, session) =
+            IotDeviceSession::connect(&offer, avs, &host.measurement(), rng).unwrap();
+        host.accept_device(&accept).unwrap();
+        host.install_mask(&MaskShare {
+            round: 1,
+            client_id,
+            mask: vec![0u64; 2],
+        })
+        .unwrap();
+        session
+    }
+
+    fn readings(client_id: u64) -> Contribution {
+        Contribution {
+            app_id: "iot-telemetry.example".to_string(),
+            client_id,
+            round: 1,
+            payload: ContributionPayload::IotReadings {
+                samples: vec![0.25, 0.75],
+            },
+        }
+    }
+
+    #[test]
+    fn a_relayed_ciphertext_is_endorsed_once() {
+        let (mut host, avs, mut rng) = setup();
+        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        host.client_mut()
+            .install_service_key(&material.secret_bytes())
+            .unwrap();
+        let mut session = connect_device(&mut host, &avs, &mut rng, 100);
+
+        // The untrusted host holds the ciphertext and can relay it again.
+        let request = session.encrypt_request(readings(100), PrivateData::None);
+        let first = host.relay(&request).unwrap();
+        let replayed = host.relay(&request);
+        assert!(
+            matches!(&replayed, Err(GlimmerError::Channel(reason)) if reason.contains("replay")),
+            "{replayed:?}"
+        );
+        let ProcessResponse::Endorsed(endorsed) = session.decrypt_response(&first).unwrap() else {
+            panic!("expected endorsement");
+        };
+        assert!(material.verifier().verify(&endorsed).is_ok());
+        // The refusal burned nothing: the device's next request is served.
+        let next = session.encrypt_request(readings(100), PrivateData::None);
+        assert!(host.relay(&next).is_ok());
+    }
+
+    #[test]
+    fn the_next_device_replaces_the_previous_one() {
+        let (mut host, avs, mut rng) = setup();
+        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        host.client_mut()
+            .install_service_key(&material.secret_bytes())
+            .unwrap();
+        let mut first = connect_device(&mut host, &avs, &mut rng, 100);
+        let request = first.encrypt_request(readings(100), PrivateData::None);
+        assert!(host.relay(&request).is_ok());
+
+        // One host, many devices in sequence (E8's loop): the second
+        // offer closes the first device's session, masks included.
+        let offer = host.attestation_offer().unwrap();
+        let status = host.client_mut().status().unwrap();
+        assert!(status.sessions <= 1, "{status:?}");
+        assert_eq!(status.masks, 0);
+        let stale = first.encrypt_request(readings(100), PrivateData::None);
+        assert!(host.relay(&stale).is_err());
+        let (accept, mut second) =
+            IotDeviceSession::connect(&offer, &avs, &host.measurement(), &mut rng).unwrap();
+        host.accept_device(&accept).unwrap();
+        assert!(host.relay(&stale).is_err());
+        assert_eq!(host.client_mut().status().unwrap().sessions, 1);
+
+        // The second device is bound to its own client id, not the first's.
+        host.install_mask(&MaskShare {
+            round: 1,
+            client_id: 101,
+            mask: vec![0u64; 2],
+        })
+        .unwrap();
+        let as_first = second.encrypt_request(readings(100), PrivateData::None);
+        let response = second
+            .decrypt_response(&host.relay(&as_first).unwrap())
+            .unwrap();
+        assert!(
+            matches!(&response, ProcessResponse::Rejected { reason } if reason.contains("not authorized")),
+            "{response:?}"
+        );
+        let as_itself = second.encrypt_request(readings(101), PrivateData::None);
+        let response = second
+            .decrypt_response(&host.relay(&as_itself).unwrap())
+            .unwrap();
+        assert!(matches!(response, ProcessResponse::Endorsed(_)));
     }
 
     #[test]

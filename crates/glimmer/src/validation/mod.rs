@@ -240,7 +240,7 @@ impl WireCodec for PredicateSpec {
                 }
                 Ok(PredicateSpec::AllOf(specs))
             }
-            other => Err(WireError::InvalidBool(other)),
+            other => Err(WireError::UnknownTag(other.into())),
         }
     }
 }

@@ -1,17 +1,25 @@
 //! Property-based tests for the Glimmer core: protocol round trips, the
-//! blinding zero-sum invariant, and auditor output bounds.
+//! blinding zero-sum invariant, auditor output bounds, and the enclave's
+//! session table leaving nothing behind.
 
 use glimmer_core::auditor::OutputAuditor;
-use glimmer_core::blinding::BlindingService;
+use glimmer_core::blinding::{BlindingService, MaskShare};
+use glimmer_core::channel::{ChannelAccept, ChannelOffer};
 use glimmer_core::confidential::BotVerdict;
+use glimmer_core::host::{GlimmerClient, GlimmerDescriptor};
 use glimmer_core::protocol::{
-    frame_type, Contribution, ContributionPayload, EndorsedContribution, PrivateData,
+    frame_type, BatchItem, BatchRequest, Contribution, ContributionPayload, EndorsedContribution,
+    PrivateData,
 };
+use glimmer_core::remote::IotDeviceSession;
 use glimmer_core::replay::{ReplayRefusal, ReplayWindow, REPLAY_WINDOW};
+use glimmer_core::signing::ServiceKeyMaterial;
 use glimmer_core::validation::{PredicateSpec, RangeCheck, ValidationPredicate};
+use glimmer_crypto::drbg::Drbg;
 use glimmer_federated::fixed::{add_vectors, decode_weights, encode_weights};
 use glimmer_wire::{Frame, WireCodec};
 use proptest::prelude::*;
+use sgx_sim::{AttestationService, PlatformConfig};
 
 fn arb_payload() -> impl Strategy<Value = ContributionPayload> {
     prop_oneof![
@@ -262,5 +270,104 @@ proptest! {
             prop_assert_eq!(window.check(counter), Err(ReplayRefusal::Replayed));
         }
         prop_assert_eq!(window.accepted(), len as u64);
+    }
+}
+
+// One record per session is the enclave's only per-session state, so a
+// closed session must leave nothing behind — whatever happened to it first.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Four session ids are opened, re-opened while pending, accepted (with
+    /// the device's answer or with garbage, which closes the session),
+    /// masked (three bindings, so two sessions share a `(round, client)`),
+    /// served and closed in a generated interleaving. Once all are closed
+    /// the sealed state is exactly as long as before the first opened, and
+    /// no session or mask is counted. The shim does not shrink: a failure
+    /// prints the step list, `(kind, slot, binding, garbage)`.
+    #[test]
+    fn closed_sessions_leave_nothing_behind(
+        steps in proptest::collection::vec((0u8..5, 0usize..4, 0usize..3, any::<bool>()), 1..64),
+    ) {
+        const BINDINGS: [(u64, u64); 3] = [(1, 100), (1, 101), (2, 100)];
+        let mut rng = Drbg::from_seed([81u8; 32]);
+        let mut avs = AttestationService::new([82u8; 32]);
+        let mut client = GlimmerClient::new(
+            GlimmerDescriptor::iot_default(Vec::new()),
+            PlatformConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
+        client.provision_platform(&mut avs);
+        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        client.install_service_key(&material.secret_bytes()).unwrap();
+        let approved = client.measurement();
+        let sealed_len = |client: &mut GlimmerClient| {
+            let (_, sealed) = client.export_state_if_newer(b"residue", None).unwrap();
+            sealed.unwrap().len()
+        };
+        let empty_len = sealed_len(&mut client);
+
+        // Per slot: the offer of its pending handshake, and the device
+        // whose answer the enclave accepted.
+        let mut offers: [Option<ChannelOffer>; 4] = Default::default();
+        let mut devices: [Option<IotDeviceSession>; 4] = Default::default();
+        for &(kind, slot, binding, garbage) in &steps {
+            let sid = slot as u64 + 1;
+            let (round, client_id) = BINDINGS[binding];
+            match kind {
+                // Refused once established; restarts a pending handshake.
+                0 => {
+                    if let Ok(offer) = client.open_session(sid) {
+                        offers[slot] = Some(offer);
+                    }
+                }
+                1 => {
+                    if let Some(offer) = offers[slot].take() {
+                        let (accept, device) =
+                            IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
+                        if garbage {
+                            let accept = ChannelAccept {
+                                service_dh_public: Vec::new(),
+                                ..accept
+                            };
+                            prop_assert!(client.accept_session(sid, &accept).is_err());
+                        } else {
+                            client.accept_session(sid, &accept).unwrap();
+                            devices[slot] = Some(device);
+                        }
+                    }
+                }
+                // Refused without a session, pending or established.
+                2 => {
+                    let mask = MaskShare { round, client_id, mask: vec![0; 2] };
+                    let _ = client.install_session_mask(sid, &mask);
+                }
+                3 => {
+                    if let Some(device) = devices[slot].as_mut() {
+                        let contribution = Contribution {
+                            app_id: "iot-telemetry.example".to_string(),
+                            client_id,
+                            round,
+                            payload: ContributionPayload::IotReadings { samples: vec![0.5, 0.5] },
+                        };
+                        let ciphertext = device.encrypt_request(contribution, PrivateData::None);
+                        let items = vec![BatchItem { session_id: sid, ciphertext }];
+                        client.process_batch(&BatchRequest { items }).unwrap();
+                    }
+                }
+                _ => {
+                    client.close_session(sid).unwrap();
+                    offers[slot] = None;
+                    devices[slot] = None;
+                }
+            }
+        }
+        for sid in 1..=4 {
+            client.close_session(sid).unwrap();
+        }
+        let status = client.status().unwrap();
+        prop_assert_eq!((status.sessions, status.masks), (0, 0), "steps: {:?}", steps);
+        prop_assert_eq!(sealed_len(&mut client), empty_len, "steps: {:?}", steps);
     }
 }

@@ -45,6 +45,8 @@ pub enum WireError {
     InvalidUtf8,
     /// A boolean byte was neither 0 nor 1.
     InvalidBool(u8),
+    /// An enum discriminant or message type no variant answers to.
+    UnknownTag(u16),
     /// The frame magic did not match.
     BadMagic,
     /// The frame version is not supported.
@@ -73,6 +75,7 @@ impl core::fmt::Display for WireError {
             WireError::VarintTooLong => write!(f, "varint longer than 10 bytes"),
             WireError::InvalidUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::InvalidBool(b) => write!(f, "invalid boolean byte: {b}"),
+            WireError::UnknownTag(tag) => write!(f, "unknown tag: {tag}"),
             WireError::BadMagic => write!(f, "bad frame magic"),
             WireError::UnsupportedVersion(v) => write!(f, "unsupported frame version: {v}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
@@ -188,6 +191,7 @@ mod tests {
             (WireError::VarintTooLong, "varint"),
             (WireError::InvalidUtf8, "UTF-8"),
             (WireError::InvalidBool(7), "7"),
+            (WireError::UnknownTag(0x7777), "unknown tag: 30583"),
             (WireError::BadMagic, "magic"),
             (WireError::UnsupportedVersion(9), "9"),
             (WireError::TrailingBytes(3), "3"),

@@ -39,13 +39,14 @@ fn main() {
 
     let mut present: Vec<u64> = Vec::new();
     for (i, device) in workload.devices.iter().enumerate() {
-        host.client_mut().install_mask(&masks[i]).unwrap();
         // The device verifies the host's attestation before sending anything.
         let offer = host.attestation_offer().unwrap();
         let approved = host.measurement();
         let (accept, mut session) =
             IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
         host.accept_device(&accept).unwrap();
+        // The device's blinding share is bound to its session on the host.
+        host.install_mask(&masks[i]).unwrap();
 
         let contribution = Contribution {
             app_id: "iot-telemetry.example".to_string(),

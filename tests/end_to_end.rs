@@ -257,11 +257,11 @@ fn iot_remote_glimmer_end_to_end() {
 
     let mut present = Vec::new();
     for (i, device) in workload.devices.iter().enumerate() {
-        host.client_mut().install_mask(&masks[i]).unwrap();
         let offer = host.attestation_offer().unwrap();
         let (accept, mut session) =
             IotDeviceSession::connect(&offer, &avs, &host.measurement(), &mut rng).unwrap();
         host.accept_device(&accept).unwrap();
+        host.install_mask(&masks[i]).unwrap();
         let contribution = Contribution {
             app_id: "iot-telemetry.example".to_string(),
             client_id: device.device_id,
