@@ -2,7 +2,7 @@
 //! on (the default `TelemetryConfig`) vs off, plus the fidelity bars: the
 //! lock-free histogram hot path allocates nothing, a `ManualClock`-driven
 //! sampled trace stamps all five pipeline stages deterministically, and
-//! the Prometheus-style text and JSON renderings round-trip to the same
+//! the Prometheus-style text exposition round-trips to the snapshot's
 //! samples.
 //!
 //! Run with `--smoke` for the fast CI configuration. Build with
@@ -77,7 +77,7 @@ fn main() {
     );
     assert!(
         r.round_trip_ok,
-        "regression: text and JSON expositions no longer parse to identical samples"
+        "regression: text exposition no longer round-trips to the snapshot's samples"
     );
     assert_eq!(
         r.accepted, r.requests as u64,
@@ -85,7 +85,7 @@ fn main() {
     );
     println!(
         "sampled trace carries all five stages with exact ManualClock timestamps; \
-         text and JSON expositions round-trip to identical samples (bars hold)"
+         text exposition round-trips to the snapshot's samples (bars hold)"
     );
 
     // The overhead bar: with the default sampling interval, full telemetry

@@ -333,7 +333,7 @@ mod tests {
         // stages with the exact injected timestamps, monotonically.
         assert!(report.trace_complete, "trace missing stages or timestamps");
         assert!(report.trace_monotonic);
-        // Text and JSON renderings parse back to the identical samples,
+        // The text rendering parses back to the snapshot's samples,
         // with the p50/p99 series present for ECALL and queue-wait.
         assert!(report.round_trip_ok);
         assert!(report.ecall_p99_nanos >= report.ecall_p50_nanos);

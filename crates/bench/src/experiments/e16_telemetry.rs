@@ -9,7 +9,7 @@ use std::time::Instant;
 /// The E16 telemetry-overhead report: one full-pipeline serving comparison
 /// (telemetry on vs telemetry off over bit-identical traffic) plus the
 /// layer-by-layer observability bars — allocation-free recording, a
-/// deterministic sampled trace, and round-tripping exposition formats.
+/// deterministic sampled trace, and a round-tripping text exposition.
 #[derive(Debug, Clone)]
 pub struct E16Report {
     /// Concurrent established sessions.
@@ -81,9 +81,9 @@ pub struct E16Report {
     pub trace_complete: bool,
     /// The same trace's stage timestamps were monotonically non-decreasing.
     pub trace_monotonic: bool,
-    /// The Prometheus-style text and JSON renderings parsed back to the
-    /// identical sample map (and to `samples()` itself), with the p50/p99
-    /// series present for both the ECALL and queue-wait histograms.
+    /// The Prometheus-style text exposition parsed back to the snapshot's
+    /// `samples()`, with the p50/p99 series present for both the ECALL and
+    /// queue-wait histograms.
     pub round_trip_ok: bool,
 }
 
@@ -99,7 +99,7 @@ pub struct E16Report {
 /// [`glimmer_gateway::Histogram::record`] loop (the allocation-free bar),
 /// a [`ManualClock`](glimmer_gateway::ManualClock)-driven gateway whose
 /// sampled trace must carry exact deterministic stage timestamps, and the
-/// exposition round-trip (text and JSON renderings parse to the same
+/// exposition round-trip (the text rendering parses back to the snapshot's
 /// samples). Allocation columns need `count-allocs`; without it they read
 /// zero and only the timing and fidelity fields are meaningful.
 #[must_use]
@@ -111,7 +111,7 @@ pub fn e16_telemetry(
     seed: [u8; 32],
 ) -> E16Report {
     use crate::alloc_track::AllocSnapshot;
-    use glimmer_gateway::telemetry::{parse_exposition, parse_json_samples};
+    use glimmer_gateway::telemetry::parse_exposition;
     use glimmer_gateway::{
         AdmitReason, Histogram, ManualClock, TelemetryConfig, TelemetrySnapshot, TraceStage,
     };
@@ -268,28 +268,21 @@ pub fn e16_telemetry(
         }
     };
 
-    // The exposition round-trip bar, on the real serving snapshot: both
-    // renderings must parse back to the identical sample map, and the
+    // The exposition round-trip bar, on the real serving snapshot: the text
+    // rendering must parse back to the snapshot's sample map, and the
     // quantile series dashboards key on must be present.
     let snapshot = on.snapshot.as_ref().expect("repeats >= 1");
-    let round_trip_ok = match (
-        parse_exposition(&snapshot.render_prometheus()),
-        parse_json_samples(&snapshot.render_json()),
-    ) {
-        (Ok(from_text), Ok(from_json)) => {
-            from_text == from_json
-                && from_text == snapshot.samples()
-                && [
-                    "glimmer_ecall_nanos_p50",
-                    "glimmer_ecall_nanos_p99",
-                    "glimmer_queue_wait_nanos_p50",
-                    "glimmer_queue_wait_nanos_p99",
-                ]
-                .iter()
-                .all(|key| from_text.contains_key(*key))
-        }
-        _ => false,
-    };
+    let round_trip_ok = parse_exposition(&snapshot.render_prometheus()).is_ok_and(|from_text| {
+        from_text == snapshot.samples()
+            && [
+                "glimmer_ecall_nanos_p50",
+                "glimmer_ecall_nanos_p99",
+                "glimmer_queue_wait_nanos_p50",
+                "glimmer_queue_wait_nanos_p99",
+            ]
+            .iter()
+            .all(|key| from_text.contains_key(*key))
+    });
     let accepted = snapshot
         .admission
         .iter()

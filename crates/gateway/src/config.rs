@@ -84,15 +84,6 @@ pub struct GatewayConfig {
     /// Most requests queued on one slot before submits are rejected with
     /// backpressure.
     pub max_queue_depth: usize,
-    /// Weight of one live session, in queued-request units, in the
-    /// queue-depth-aware placement score `open_session` minimizes
-    /// (`queue_depth + weight * active_sessions`). A bound-but-idle session
-    /// predicts future queue depth, so it counts as this many queued
-    /// requests when choosing the least-loaded slot; `0` places purely by
-    /// instantaneous queue depth. With idle queues any weight `>= 1`
-    /// reproduces the historical round-robin-by-session placement, which is
-    /// what keeps the E11/E12 cycle metrics stable.
-    pub placement_session_weight: usize,
     /// Pin each shard worker thread to a CPU core (`shard_id` modulo the
     /// detected core count) via [`crate::affinity::pin_to_core`]. Off by
     /// default: pinning trades scheduler freedom for lower run-to-run
@@ -116,7 +107,7 @@ pub struct GatewayConfig {
     pub stale_pending_after: Duration,
     /// How often the socket front door sweeps
     /// [`Gateway::evict_stale_pending`](crate::Gateway::evict_stale_pending)
-    /// on its timer wheel. `None` disables the sweep (an operator then owns
+    /// on an executor timer. `None` disables the sweep (an operator then owns
     /// eviction); defaults on, because an unswept network gateway leaks a
     /// session-quota unit for every handshake a device abandons. Drivers
     /// without the front door (in-process experiments, tests) are
@@ -201,7 +192,6 @@ impl Default for GatewayConfig {
             shards: 1,
             max_batch: 256,
             max_queue_depth: 1024,
-            placement_session_weight: 4,
             pin_cores: false,
             platform_config: PlatformConfig::default(),
             telemetry: TelemetryConfig::default(),
@@ -225,9 +215,6 @@ mod tests {
         assert_eq!(config.shards, 1);
         assert!(config.max_batch >= 1);
         assert!(config.max_queue_depth >= config.max_batch);
-        // Weight >= 1 keeps idle-queue placement identical to the
-        // pre-placement-policy round-robin-by-session behaviour.
-        assert!(config.placement_session_weight >= 1);
         // Core pinning is opt-in: default serving must not fight the
         // scheduler on shared hosts.
         assert!(!config.pin_cores);

@@ -13,8 +13,8 @@
 //!   `Completer::complete`; this front-end awaits the cell, the blocking
 //!   API parks its thread on it).
 //! * [`executor`] — a hand-rolled single-threaded future executor: slab of
-//!   session tasks, its own `RawWaker` vtable, and a parking readiness queue
-//!   wired to shard reply delivery.
+//!   session tasks, [`std::task::Wake`] wakers, an ordered deadline map, and
+//!   a parking readiness queue wired to shard reply delivery.
 //! * [`AsyncGateway`] — the `async fn` surface over [`Gateway`]:
 //!   `open_session`, `complete_session`, `install_mask`, `submit`,
 //!   `submit_many`, `drain_replies`, `close_session`. Each awaits a
@@ -128,7 +128,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Front-end mutexes (ready queue, completion cells) guard plain
 /// queue/cell state that is valid at every point a panic can unwind
 /// through, so the poison flag carries no information here — and honoring
-/// it would let one panicking session task cascade its failure into every
+/// it would let one panicking session task spread its failure into every
 /// other session sharing the executor (the exact outage the panic
 /// containment in [`executor`] exists to prevent).
 pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -305,15 +305,6 @@ impl AsyncGateway {
             }
         }
         Gateway::drain_finish(responses, first_error)
-    }
-
-    /// [`Gateway::telemetry`]: a point-in-time snapshot of every telemetry
-    /// series. Reads lock-free per-shard registries — no shard round-trip,
-    /// no parking — so a front-end task can serve a metrics scrape without
-    /// perturbing the pipeline it is measuring. `async` only for signature
-    /// symmetry with the rest of the front-end; it never awaits.
-    pub async fn drain_telemetry(&self) -> crate::telemetry::TelemetrySnapshot {
-        self.inner.telemetry()
     }
 
     /// [`Gateway::close_session`], awaiting the enclave-side key erase.

@@ -18,7 +18,7 @@
 //! Lock acquisitions recover from poisoning (the cell holds a plain
 //! value/waker pair with no invariant a mid-panic unwind can break): a task
 //! that panics while a shard worker is mid-`complete` must fail alone, not
-//! cascade a poison panic through every other session's completion cell.
+//! spread a poison panic through every other session's completion cell.
 
 use crate::error::{GatewayError, Result};
 use crate::frontend::lock_unpoisoned;

@@ -7,22 +7,23 @@
 //! * **Slab of tasks** — spawned futures live in a slot vector with a free
 //!   list; a [`TaskId`] is `(slot, generation)`, and the generation guards
 //!   against a stale waker reviving whatever task reused the slot.
-//! * **Own `RawWaker` vtable** — the waker is a hand-rolled
-//!   [`std::task::RawWakerVTable`] over an `Arc`'d wake handle (no `async` runtime
-//!   crates, no [`std::task::Wake`] indirection), so the crate stays
-//!   dependency-free and the whole wake path is a screenful of code.
+//! * **Plain wakers** — a task's waker is an `Arc`'d wake handle behind
+//!   [`std::task::Wake`]: no `async` runtime crates, no hand-written
+//!   vtable, and the whole wake path is a screenful of code.
 //! * **Readiness queue with parking** — wakes (typically delivered by shard
 //!   worker threads completing a command through the crate-internal
 //!   completion cells) push the task id onto a
 //!   mutex+condvar queue; [`SessionExecutor::run`] pops and polls in wake
 //!   order and parks the thread when nothing is runnable. No spinning.
-//! * **Hierarchical timer wheel** — [`SessionExecutor::sleep_until`] (and
+//! * **Ordered deadline map** — [`SessionExecutor::sleep_until`] (and
 //!   [`TimerHandle`]) registers deadlines against the executor's injected
 //!   [`Clock`]; the run loop fires due timers before each poll and bounds
 //!   its park by the nearest deadline. Idle-connection timeouts, periodic
-//!   stale-session eviction, and drain ticks all ride this wheel instead of
+//!   stale-session eviction, and drain ticks all ride this map instead of
 //!   spawning helper threads. A timer belongs to its [`Sleep`]: dropping
-//!   the `Sleep` cancels it, so the wheel holds exactly the live sleepers.
+//!   the `Sleep` cancels it, so the map holds exactly the live sleepers —
+//!   one per suspended connection plus the drainer and the sweeper, which
+//!   is why a `BTreeMap` is all the structure timers need.
 //! * **Pluggable park** — the `net` module's epoll reactor can replace the
 //!   condvar park (the crate-internal `SessionExecutor::attach_parker`,
 //!   used by `net::serve_on`): the executor then
@@ -61,13 +62,13 @@ use crate::clock::{Clock, SystemClock};
 use crate::frontend::lock_unpoisoned;
 use crate::telemetry::Telemetry;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
 /// Identifier of a spawned task: its slab slot plus the generation that was
@@ -95,7 +96,7 @@ pub(crate) trait Doorbell: Send + Sync {
 pub(crate) trait Parker {
     /// Parks until a wake arrives or `timeout` elapses (`None` = no bound),
     /// waking any tasks whose I/O became ready. Spurious returns are fine:
-    /// the run loop re-checks the ready queue and timer wheel every pass.
+    /// the run loop re-checks the ready queue and the timers every pass.
     fn park(&self, timeout: Option<Duration>);
 }
 
@@ -197,367 +198,76 @@ struct WakeHandle {
     ready: Arc<ReadyQueue>,
 }
 
-impl WakeHandle {
-    fn wake(&self) {
+impl Wake for WakeHandle {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
         self.ready.push(self.slot, self.generation);
     }
 }
 
-/// The hand-rolled `RawWaker` vtable over `Arc<WakeHandle>`.
-///
-/// This is one of the two corners of the crate that need `unsafe` (the
-/// other being the raw syscall shims): the vtable functions receive the
-/// type-erased `*const ()` the `Arc` was turned into
-/// and must reconstruct it. The invariants are the standard `Arc::into_raw`
-/// contract, kept locally checkable:
-///
-/// * `waker` creates the pointer with `Arc::into_raw`, so it is always a
-///   valid `Arc<WakeHandle>` allocation with at least one strong count.
-/// * `clone` bumps the strong count without taking ownership.
-/// * `wake` (by value) and `drop` each consume exactly one strong count via
-///   `Arc::from_raw`.
-/// * `wake_by_ref` only borrows, never consumes.
-#[allow(unsafe_code)]
-mod raw {
-    use super::WakeHandle;
-    use std::sync::Arc;
-    use std::task::{RawWaker, RawWakerVTable, Waker};
+/// Names one armed timer: its deadline and the sequence number it was
+/// armed under. Sequence numbers are never reused, so a key held past its
+/// timer's fire or cancel names nothing — it can never touch a later timer.
+type TimerKey = (u64, u64);
 
-    static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake_by_ref, drop_raw);
-
-    unsafe fn clone(data: *const ()) -> RawWaker {
-        // SAFETY: `data` came from `Arc::into_raw` (see module docs); bump
-        // the count to mint an independent handle without dropping ours.
-        unsafe { Arc::increment_strong_count(data.cast::<WakeHandle>()) };
-        RawWaker::new(data, &VTABLE)
-    }
-
-    unsafe fn wake(data: *const ()) {
-        // SAFETY: by-value wake consumes the waker's strong count.
-        let handle = unsafe { Arc::from_raw(data.cast::<WakeHandle>()) };
-        handle.wake();
-    }
-
-    unsafe fn wake_by_ref(data: *const ()) {
-        // SAFETY: borrow only; the waker keeps its strong count.
-        let handle = unsafe { &*data.cast::<WakeHandle>() };
-        handle.wake();
-    }
-
-    unsafe fn drop_raw(data: *const ()) {
-        // SAFETY: dropping the waker releases its strong count.
-        drop(unsafe { Arc::from_raw(data.cast::<WakeHandle>()) });
-    }
-
-    pub(super) fn waker(handle: Arc<WakeHandle>) -> Waker {
-        let raw = RawWaker::new(Arc::into_raw(handle).cast::<()>(), &VTABLE);
-        // SAFETY: the vtable upholds the RawWaker contract per module docs.
-        unsafe { Waker::from_raw(raw) }
-    }
-}
-
-/// Wheel granularity: one tick is `1 << TICK_SHIFT` nanoseconds (~1.05 ms).
-const TICK_SHIFT: u32 = 20;
-/// Slots per wheel level; each level covers 64x the span of the one below.
-const WHEEL_SLOTS: usize = 64;
-/// Wheel levels; together they cover `64^4` ticks (~4.9 hours). Deadlines
-/// beyond that wait in an overflow list and cascade in when the horizon
-/// advances far enough.
-const WHEEL_LEVELS: usize = 4;
-
-/// Names one armed timer: its slab index plus the generation that was live
-/// when it was armed. Firing or cancelling bumps the generation, so a key
-/// held past either names nothing — it can never touch the timer that
-/// later reuses the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TimerKey {
-    index: usize,
-    generation: u64,
-}
-
-/// Which bucket an armed timer's index sits in, and where in it — what
-/// makes cancellation O(1).
-#[derive(Debug, Clone, Copy)]
-struct Place {
-    /// `WHEEL_LEVELS` names the overflow list.
-    level: usize,
-    slot: usize,
-    position: usize,
-}
-
-/// One armed deadline.
-struct TimerEntry {
-    deadline_nanos: u64,
-    waker: Waker,
-    place: Place,
-}
-
-/// One slab slot of the wheel: the armed timer (if any) and the slot's
-/// current generation.
-struct TimerSlot {
-    generation: u64,
-    entry: Option<TimerEntry>,
-}
-
-/// The hierarchical timer wheel. Single-threaded (owned by the executor
-/// behind an `Rc<RefCell<..>>`); ticks are derived from the executor's
-/// injected [`Clock`], so a [`ManualClock`](crate::ManualClock) drives it
+/// The executor's armed timers, ordered by deadline with ties in arming
+/// order. Single-threaded (owned by the executor behind an
+/// `Rc<RefCell<..>>`); deadlines are readings of the executor's injected
+/// [`Clock`], so a [`ManualClock`](crate::ManualClock) drives them
 /// deterministically in tests.
 ///
-/// Armed timers live in a slab; the wheel's buckets hold slab indices. A
-/// timer leaves the wheel when it fires **or when its [`Sleep`] is dropped
-/// or resolves** ([`TimerWheel::cancel`]), so the population is exactly the
+/// A timer leaves the map when it fires **or when its [`Sleep`] is dropped
+/// or resolves** ([`Timers::cancel`]), so the population is exactly the
 /// live sleepers: a connection that suspends ten thousand times under a
 /// far-future idle deadline holds one entry, not ten thousand.
-///
-/// Firing is tick-granular: an entry fires when the wheel advances past its
-/// deadline's tick, so a fire may be up to one tick (~1 ms) early or — for
-/// an entry registered at an already-elapsed deadline — one tick late.
-/// [`Sleep`] re-checks the clock on wake and re-arms when the real deadline
-/// has not passed, so the wheel only ever schedules wake-ups; it never
-/// decides elapsed time itself.
-pub(crate) struct TimerWheel {
-    /// Clock reading at construction; tick 0.
-    origin_nanos: u64,
-    current_tick: u64,
-    timers: Vec<TimerSlot>,
-    free: Vec<usize>,
-    levels: Vec<Vec<Vec<usize>>>,
-    overflow: Vec<usize>,
-    /// Holds a bucket's indices while they are re-filed or fired; kept so
-    /// that reuses its capacity instead of allocating.
-    scratch: Vec<usize>,
-    len: usize,
+#[derive(Default)]
+struct Timers {
+    armed: BTreeMap<TimerKey, Waker>,
+    next_seq: u64,
 }
 
-impl TimerWheel {
-    fn new(origin_nanos: u64) -> Self {
-        TimerWheel {
-            origin_nanos,
-            current_tick: 0,
-            timers: Vec::new(),
-            free: Vec::new(),
-            levels: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            overflow: Vec::new(),
-            scratch: Vec::new(),
-            len: 0,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn tick_for(&self, nanos: u64) -> u64 {
-        nanos.saturating_sub(self.origin_nanos) >> TICK_SHIFT
-    }
-
+impl Timers {
     /// Arms a timer; the returned key cancels or re-wakers it.
     fn insert(&mut self, deadline_nanos: u64, waker: Waker) -> TimerKey {
-        let index = self.free.pop().unwrap_or_else(|| {
-            self.timers.push(TimerSlot {
-                generation: 0,
-                entry: None,
-            });
-            self.timers.len() - 1
-        });
-        let place = self.file(index, deadline_nanos);
-        self.timers[index].entry = Some(TimerEntry {
-            deadline_nanos,
-            waker,
-            place,
-        });
-        self.len += 1;
-        TimerKey {
-            index,
-            generation: self.timers[index].generation,
-        }
+        let key = (deadline_nanos, self.next_seq);
+        self.next_seq += 1;
+        self.armed.insert(key, waker);
+        key
     }
 
-    fn bucket(&mut self, level: usize, slot: usize) -> &mut Vec<usize> {
-        if level == WHEEL_LEVELS {
-            &mut self.overflow
-        } else {
-            &mut self.levels[level][slot]
-        }
-    }
-
-    /// Pushes timer `index` onto the bucket `deadline_nanos` belongs to, as
-    /// seen from the current tick, and says where that is.
-    fn file(&mut self, index: usize, deadline_nanos: u64) -> Place {
-        // An already-due deadline (the clock advanced between the caller's
-        // check and this insert) lands on the next tick instead of a slot
-        // the wheel has already passed and would never visit again.
-        let tick = self.tick_for(deadline_nanos).max(self.current_tick + 1);
-        let delta = tick - self.current_tick;
-        let mut level = 0;
-        let mut span = WHEEL_SLOTS as u64;
-        while level < WHEEL_LEVELS && delta >= span {
-            level += 1;
-            span = span.saturating_mul(WHEEL_SLOTS as u64);
-        }
-        let slot = if level == WHEEL_LEVELS {
-            0
-        } else {
-            ((tick >> (6 * level as u32)) % WHEEL_SLOTS as u64) as usize
-        };
-        let bucket = self.bucket(level, slot);
-        bucket.push(index);
-        Place {
-            level,
-            slot,
-            position: bucket.len() - 1,
-        }
-    }
-
-    /// The armed timer `key` names, unless it has fired or been cancelled.
-    fn armed(&mut self, key: TimerKey) -> Option<&mut TimerEntry> {
-        let slot = self.timers.get_mut(key.index)?;
-        if slot.generation != key.generation {
-            return None;
-        }
-        slot.entry.as_mut()
-    }
-
-    /// Disarms `key`'s timer and recycles its slab slot; a key whose timer
-    /// already fired (or was already cancelled) is a no-op. Nothing of the
-    /// timer stays behind: its bucket shrinks by one.
+    /// Disarms `key`'s timer; a key whose timer already fired (or was
+    /// already cancelled) is a no-op.
     fn cancel(&mut self, key: TimerKey) {
-        let Some(entry) = self.armed(key) else {
-            return;
-        };
-        let Place {
-            level,
-            slot,
-            position,
-        } = entry.place;
-        let bucket = self.bucket(level, slot);
-        bucket.swap_remove(position);
-        if let Some(&moved) = bucket.get(position) {
-            self.entry_mut(moved).place.position = position;
-        }
-        self.release(key.index);
+        self.armed.remove(&key);
     }
 
-    /// The entry of a timer index found in a bucket.
-    fn entry_mut(&mut self, index: usize) -> &mut TimerEntry {
-        self.timers[index]
-            .entry
-            .as_mut()
-            .expect("buckets hold armed timers only")
-    }
-
-    /// Empties slab slot `index` after its timer left its bucket; returns
-    /// the timer's waker.
-    fn release(&mut self, index: usize) -> Waker {
-        let slot = &mut self.timers[index];
-        let entry = slot.entry.take().expect("buckets hold armed timers only");
-        slot.generation += 1;
-        self.free.push(index);
-        self.len -= 1;
-        entry.waker
-    }
-
-    /// Earliest armed deadline, if any. A linear scan of the slab: it runs
-    /// once per executor park, and the slab is as long as the most sleepers
-    /// that were ever live at once (a thousand idle connections cost a
-    /// thousand comparisons).
+    /// Earliest armed deadline, if any.
     fn next_deadline(&self) -> Option<u64> {
-        self.timers
-            .iter()
-            .filter_map(|slot| slot.entry.as_ref())
-            .map(|entry| entry.deadline_nanos)
-            .min()
+        self.armed
+            .first_key_value()
+            .map(|(&(deadline, _), _)| deadline)
     }
 
-    /// Advances the wheel to `now`, waking every entry whose tick has been
-    /// reached (higher levels cascade down at their slot boundaries).
-    /// Returns the number of timers fired.
-    ///
-    /// Dead stretches are skipped in strides rather than tick-by-tick: the
-    /// wheel only ever needs to *visit* a tick that is the earliest
-    /// registered deadline (something fires there) or a level boundary
-    /// (higher-level entries redistribute there). A multi-hour manual-clock
-    /// jump therefore costs thousands of stops, not millions.
+    /// Wakes every timer whose deadline `now_nanos` has reached, in deadline
+    /// order with ties in arming order. Returns the number of timers fired.
     fn advance(&mut self, now_nanos: u64) -> u64 {
-        let target = self.tick_for(now_nanos);
-        let mut fired = 0u64;
-        while self.current_tick < target {
-            let Some(min_deadline) = self.next_deadline() else {
-                self.current_tick = target;
+        let mut fired = 0;
+        while let Some(entry) = self.armed.first_entry() {
+            if entry.key().0 > now_nanos {
                 break;
-            };
-            // An insert clamped past its (already-elapsed) deadline sits a
-            // tick or two after `tick_for(min_deadline)`; bounding the
-            // stride by `current + 1` walks those few ticks one at a time.
-            let due_tick = self.tick_for(min_deadline).max(self.current_tick + 1);
-            let next_boundary = (self.current_tick / WHEEL_SLOTS as u64 + 1) * WHEEL_SLOTS as u64;
-            let tick = due_tick.min(next_boundary).min(target);
-            self.current_tick = tick;
-            // Cascade top-down at each crossed boundary, so redistributed
-            // entries land in their final slot before the level-0 drain
-            // below reaches it.
-            if tick.is_multiple_of((WHEEL_SLOTS as u64).pow(WHEEL_LEVELS as u32)) {
-                self.cascade(WHEEL_LEVELS, 0);
             }
-            for level in (1..WHEEL_LEVELS).rev() {
-                if tick.is_multiple_of((WHEEL_SLOTS as u64).pow(level as u32)) {
-                    let slot = ((tick >> (6 * level as u32)) % WHEEL_SLOTS as u64) as usize;
-                    self.cascade(level, slot);
-                }
-            }
-            // Fire the tick's bucket in filing order.
-            let slot = (tick % WHEEL_SLOTS as u64) as usize;
-            let mut due = self.take_bucket(0, slot);
-            for index in due.drain(..) {
-                self.release(index).wake();
-                fired += 1;
-            }
-            self.scratch = due;
+            entry.remove().wake();
+            fired += 1;
         }
         fired
     }
-
-    /// Re-files every timer of one bucket from the current tick.
-    fn cascade(&mut self, level: usize, slot: usize) {
-        let mut moving = self.take_bucket(level, slot);
-        for index in moving.drain(..) {
-            let deadline_nanos = self.entry_mut(index).deadline_nanos;
-            let place = self.file(index, deadline_nanos);
-            self.entry_mut(index).place = place;
-        }
-        self.scratch = moving;
-    }
-
-    /// Moves a bucket's indices into the scratch list (both keep their
-    /// capacity) and lends it out; the caller hands it back emptied.
-    fn take_bucket(&mut self, level: usize, slot: usize) -> Vec<usize> {
-        let mut taken = std::mem::take(&mut self.scratch);
-        taken.append(self.bucket(level, slot));
-        taken
-    }
-
-    /// Heap the wheel holds, in entries: the tests' measure of "suspending
-    /// again does not grow the wheel".
-    #[cfg(test)]
-    pub(crate) fn allocated_entries(&self) -> usize {
-        self.timers.capacity()
-            + self.free.capacity()
-            + self.overflow.capacity()
-            + self.scratch.capacity()
-            + self
-                .levels
-                .iter()
-                .flatten()
-                .map(Vec::capacity)
-                .sum::<usize>()
-    }
 }
 
-/// A clone-able handle for registering deadlines on the executor's timer
-/// wheel from inside tasks (not `Send`: it stays on the executor thread,
+/// A clone-able handle for registering deadlines on the executor's timers
+/// from inside tasks (not `Send`: it stays on the executor thread,
 /// like the tasks themselves).
 ///
 /// Obtained from [`SessionExecutor::timer`]. Deadlines are absolute
@@ -566,7 +276,7 @@ impl TimerWheel {
 /// [`ManualClock`](crate::ManualClock) in tests.
 #[derive(Clone)]
 pub struct TimerHandle {
-    wheel: Rc<RefCell<TimerWheel>>,
+    timers: Rc<RefCell<Timers>>,
     clock: Arc<dyn Clock>,
 }
 
@@ -577,10 +287,10 @@ impl TimerHandle {
         self.clock.now_nanos()
     }
 
-    /// Timers currently armed on the wheel: one per pending [`Sleep`].
+    /// Timers currently armed: one per pending [`Sleep`].
     #[must_use]
     pub fn armed(&self) -> usize {
-        self.wheel.borrow().len
+        self.timers.borrow().armed.len()
     }
 
     /// Resolves once the executor clock reaches `deadline_nanos` (an
@@ -588,7 +298,7 @@ impl TimerHandle {
     #[must_use]
     pub fn sleep_until(&self, deadline_nanos: u64) -> Sleep {
         Sleep {
-            wheel: Rc::clone(&self.wheel),
+            timers: Rc::clone(&self.timers),
             clock: Arc::clone(&self.clock),
             deadline_nanos,
             key: None,
@@ -604,11 +314,6 @@ impl TimerHandle {
                 .saturating_add(duration.as_nanos() as u64),
         )
     }
-
-    #[cfg(test)]
-    pub(crate) fn allocated_entries(&self) -> usize {
-        self.wheel.borrow().allocated_entries()
-    }
 }
 
 impl core::fmt::Debug for TimerHandle {
@@ -623,13 +328,12 @@ impl core::fmt::Debug for TimerHandle {
 /// [`SessionExecutor::sleep_until`]: pending until the executor clock
 /// reaches the deadline.
 ///
-/// A pending `Sleep` owns at most one timer on the wheel. Polling it again
-/// keeps that timer (swapping in the new waker only if it would wake a
-/// different task), a tick-early fire re-arms it, and **dropping it —
-/// resolved or not — cancels it**: a `Sleep` that lost a race against
-/// socket readiness leaves nothing on the wheel.
+/// A pending `Sleep` owns at most one armed timer. Polling it again keeps
+/// that timer (swapping in the new waker only if it would wake a different
+/// task), and **dropping it — resolved or not — cancels it**: a `Sleep`
+/// that lost a race against socket readiness leaves nothing behind.
 pub struct Sleep {
-    wheel: Rc<RefCell<TimerWheel>>,
+    timers: Rc<RefCell<Timers>>,
     clock: Arc<dyn Clock>,
     deadline_nanos: u64,
     key: Option<TimerKey>,
@@ -640,20 +344,16 @@ impl Future for Sleep {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let mut wheel = this.wheel.borrow_mut();
+        let mut timers = this.timers.borrow_mut();
         if this.clock.now_nanos() >= this.deadline_nanos {
             if let Some(key) = this.key.take() {
-                wheel.cancel(key);
+                timers.cancel(key);
             }
             return Poll::Ready(());
         }
-        match this.key.and_then(|key| wheel.armed(key)) {
-            Some(entry) => {
-                if !entry.waker.will_wake(cx.waker()) {
-                    entry.waker = cx.waker().clone();
-                }
-            }
-            None => this.key = Some(wheel.insert(this.deadline_nanos, cx.waker().clone())),
+        match this.key.and_then(|key| timers.armed.get_mut(&key)) {
+            Some(waker) => waker.clone_from(cx.waker()),
+            None => this.key = Some(timers.insert(this.deadline_nanos, cx.waker().clone())),
         }
         Poll::Pending
     }
@@ -662,7 +362,7 @@ impl Future for Sleep {
 impl Drop for Sleep {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
-            self.wheel.borrow_mut().cancel(key);
+            self.timers.borrow_mut().cancel(key);
         }
     }
 }
@@ -676,15 +376,18 @@ impl core::fmt::Debug for Sleep {
     }
 }
 
-/// One slab slot: the task's future (while alive) and the slot's current
-/// generation. The waker is created once per spawn and cloned per poll.
+/// A spawned task's future, boxed and pinned for the slab.
+type TaskFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// One slab slot: the live task (its future and the waker created for it at
+/// spawn; taken out for the duration of a poll) and the slot's current
+/// generation.
 struct Slot {
-    future: Option<Pin<Box<dyn Future<Output = ()>>>>,
+    task: Option<(TaskFuture, Waker)>,
     generation: u64,
-    waker: Option<Waker>,
 }
 
-/// Upper bound on a timer-driven park. The wheel's deadlines are readings
+/// Upper bound on a timer-driven park. Timer deadlines are readings
 /// of an *injected* clock that real time may not track (a `ManualClock`
 /// advanced by a test thread, a lagging replay clock), so the executor
 /// never trusts a deadline to convert into a wall-clock wait: it parks at
@@ -727,7 +430,7 @@ pub struct SessionExecutor {
     ready: Arc<ReadyQueue>,
     polls: u64,
     clock: Arc<dyn Clock>,
-    timers: Rc<RefCell<TimerWheel>>,
+    timers: Rc<RefCell<Timers>>,
     parker: Option<Rc<dyn Parker>>,
     panicked: u64,
     injected: InjectedTasks,
@@ -735,7 +438,7 @@ pub struct SessionExecutor {
 
 /// Futures handed to the executor by a [`Spawner`], adopted before the
 /// next poll.
-type InjectedTasks = Rc<RefCell<Vec<Pin<Box<dyn Future<Output = ()>>>>>>;
+type InjectedTasks = Rc<RefCell<Vec<TaskFuture>>>;
 
 /// A task-side spawn handle: lets a running task (the front door's accept
 /// loop) hand new tasks to its own executor.
@@ -772,12 +475,11 @@ impl SessionExecutor {
         Self::with_clock(Arc::new(SystemClock::new()))
     }
 
-    /// Creates an executor whose timer wheel reads `clock` — inject the
+    /// Creates an executor whose timers read `clock` — inject the
     /// gateway's [`ManualClock`](crate::ManualClock) to drive timeouts and
     /// eviction deterministically in tests.
     #[must_use]
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        let origin = clock.now_nanos();
         SessionExecutor {
             slots: Vec::new(),
             free: Vec::new(),
@@ -791,7 +493,7 @@ impl SessionExecutor {
             }),
             polls: 0,
             clock,
-            timers: Rc::new(RefCell::new(TimerWheel::new(origin))),
+            timers: Rc::default(),
             parker: None,
             panicked: 0,
             injected: Rc::new(RefCell::new(Vec::new())),
@@ -805,21 +507,20 @@ impl SessionExecutor {
             Some(slot) => slot,
             None => {
                 self.slots.push(Slot {
-                    future: None,
+                    task: None,
                     generation: 0,
-                    waker: None,
                 });
                 self.slots.len() - 1
             }
         };
         let generation = self.slots[slot].generation;
         let id = TaskId { slot, generation };
-        self.slots[slot].future = Some(Box::pin(future));
-        self.slots[slot].waker = Some(raw::waker(Arc::new(WakeHandle {
+        let waker = Waker::from(Arc::new(WakeHandle {
             slot,
             generation,
             ready: Arc::clone(&self.ready),
-        })));
+        }));
+        self.slots[slot].task = Some((Box::pin(future), waker));
         self.live += 1;
         self.ready.push(slot, generation);
         id
@@ -851,11 +552,11 @@ impl SessionExecutor {
         self.panicked
     }
 
-    /// A handle for registering timer-wheel deadlines from inside tasks.
+    /// A handle for registering timer deadlines from inside tasks.
     #[must_use]
     pub fn timer(&self) -> TimerHandle {
         TimerHandle {
-            wheel: Rc::clone(&self.timers),
+            timers: Rc::clone(&self.timers),
             clock: Arc::clone(&self.clock),
         }
     }
@@ -867,7 +568,7 @@ impl SessionExecutor {
         self.timer().sleep_until(deadline_nanos)
     }
 
-    /// The executor's injected clock (shared with its timer wheel).
+    /// The executor's injected clock (shared with its timers).
     #[must_use]
     pub fn clock(&self) -> Arc<dyn Clock> {
         Arc::clone(&self.clock)
@@ -950,7 +651,7 @@ impl SessionExecutor {
 
     /// Wakes every timer whose deadline the clock has passed.
     fn fire_due_timers(&mut self, hub: Option<&Telemetry>) {
-        if self.timers.borrow().is_empty() {
+        if self.timers.borrow().armed.is_empty() {
             return;
         }
         let fired = self.timers.borrow_mut().advance(self.clock.now_nanos());
@@ -962,7 +663,7 @@ impl SessionExecutor {
     }
 
     /// Parks until a wake arrives, bounding the wait by the nearest timer
-    /// deadline (and by [`MAX_TIMER_PARK`], since wheel deadlines are in
+    /// deadline (and by [`MAX_TIMER_PARK`], since timer deadlines are in
     /// injected-clock time that real time need not track).
     fn park(&self) {
         let timeout = self.timers.borrow().next_deadline().map(|deadline| {
@@ -990,23 +691,9 @@ impl SessionExecutor {
         if entry.generation != generation {
             return;
         }
-        let Some(mut future) = entry.future.take() else {
+        let Some((mut future, waker)) = entry.task.take() else {
             // Duplicate wake for a task that completed this generation.
             return;
-        };
-        let waker = match entry.waker.clone() {
-            Some(waker) => waker,
-            None => {
-                // Self-heal a missing cached waker (an executor bug, not a
-                // task bug) rather than panicking the whole front end.
-                let waker = raw::waker(Arc::new(WakeHandle {
-                    slot,
-                    generation,
-                    ready: Arc::clone(&self.ready),
-                }));
-                entry.waker = Some(waker.clone());
-                waker
-            }
         };
         self.polls += 1;
         let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1014,9 +701,7 @@ impl SessionExecutor {
         }));
         match poll {
             Ok(Poll::Ready(())) => self.retire(slot),
-            Ok(Poll::Pending) => {
-                self.slots[slot].future = Some(future);
-            }
+            Ok(Poll::Pending) => self.slots[slot].task = Some((future, waker)),
             Err(_panic) => {
                 // Contain the panic to this task: drop its future (closing
                 // any completers it held — each resolves its awaiter to
@@ -1036,7 +721,6 @@ impl SessionExecutor {
     fn retire(&mut self, slot: usize) {
         let entry = &mut self.slots[slot];
         entry.generation += 1;
-        entry.waker = None;
         self.free.push(slot);
         self.live -= 1;
     }
@@ -1285,32 +969,6 @@ mod tests {
         assert_eq!(*order.borrow(), vec!["early", "mid", "late"]);
     }
 
-    #[test]
-    fn timer_wheel_cascades_across_levels() {
-        // Drive the wheel directly (no executor) across a level-1 boundary
-        // and into the overflow horizon.
-        let clock = ManualClock::new();
-        let mut wheel = TimerWheel::new(clock.now_nanos());
-        let (waker, fired) = counting_waker();
-        let tick = 1u64 << TICK_SHIFT;
-        // One near deadline (level 0), one past the level-0 span (level 1),
-        // one past the whole wheel horizon (overflow).
-        wheel.insert(2 * tick, waker.clone());
-        wheel.insert(100 * tick, waker.clone());
-        let horizon = (WHEEL_SLOTS as u64).pow(WHEEL_LEVELS as u32);
-        wheel.insert((horizon + 10) * tick, waker.clone());
-        assert_eq!(wheel.len, 3);
-        assert_eq!(wheel.next_deadline(), Some(2 * tick));
-
-        assert_eq!(wheel.advance(3 * tick), 1);
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert_eq!(wheel.advance(101 * tick), 1);
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
-        assert_eq!(wheel.advance((horizon + 11) * tick), 1);
-        assert_eq!(fired.load(Ordering::SeqCst), 3);
-        assert!(wheel.is_empty());
-    }
-
     /// A waker that counts its wakes.
     fn counting_waker() -> (Waker, Arc<std::sync::atomic::AtomicUsize>) {
         struct Count(Arc<std::sync::atomic::AtomicUsize>);
@@ -1324,17 +982,59 @@ mod tests {
     }
 
     #[test]
+    fn a_timer_fires_at_its_deadline_and_not_a_nanosecond_before() {
+        let mut timers = Timers::default();
+        let (waker, wakes) = counting_waker();
+        let deadline = Duration::from_millis(7).as_nanos() as u64 + 123;
+        timers.insert(deadline, waker);
+        assert_eq!(timers.next_deadline(), Some(deadline));
+        assert_eq!(timers.advance(deadline - 1), 0);
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
+        assert_eq!(timers.advance(deadline), 1);
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+        assert_eq!(timers.advance(deadline + 1), 0);
+        assert_eq!(timers.next_deadline(), None);
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order_with_ties_in_arming_order() {
+        struct Label(&'static str, Arc<Mutex<Vec<&'static str>>>);
+        impl std::task::Wake for Label {
+            fn wake(self: Arc<Self>) {
+                self.1.lock().unwrap().push(self.0);
+            }
+        }
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let label = |name| Waker::from(Arc::new(Label(name, Arc::clone(&order))));
+        let mut timers = Timers::default();
+        let six_hours = Duration::from_secs(6 * 3600).as_nanos() as u64;
+        // Armed out of deadline order; three share the nearest deadline.
+        timers.insert(2 * six_hours, label("twelve hours"));
+        timers.insert(1_000, label("first"));
+        timers.insert(six_hours, label("six hours"));
+        timers.insert(1_000, label("second"));
+        timers.insert(1_000, label("third"));
+        assert_eq!(timers.next_deadline(), Some(1_000));
+
+        assert_eq!(timers.advance(1_000), 3);
+        assert_eq!(*order.lock().unwrap(), ["first", "second", "third"]);
+        // One clock jump past both far deadlines.
+        assert_eq!(timers.advance(3 * six_hours), 2);
+        assert_eq!(order.lock().unwrap()[3..], ["six hours", "twelve hours"]);
+        assert!(timers.armed.is_empty());
+    }
+
+    #[test]
     fn a_cancelled_timer_never_wakes_and_leaves_nothing_behind() {
         let clock = Arc::new(ManualClock::new());
         let executor = SessionExecutor::with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
         let timer = executor.timer();
         let (waker, wakes) = counting_waker();
         let mut cx = Context::from_waker(&waker);
-        let tick = 1u64 << TICK_SHIFT;
+        let ms = |n: u64| Duration::from_millis(n).as_nanos() as u64;
 
-        // One per level, and one past the horizon.
-        let horizon = (WHEEL_SLOTS as u64).pow(WHEEL_LEVELS as u32);
-        let deadlines = [5, 100, 5_000, 300_000, horizon + 10].map(|t| t * tick);
+        // From milliseconds to most of a day out.
+        let deadlines = [5, 100, 5_000, 300_000, 80_000_000].map(ms);
         let mut sleeps: Vec<Sleep> = deadlines.iter().map(|&d| timer.sleep_until(d)).collect();
         for sleep in &mut sleeps {
             assert!(Pin::new(sleep).poll(&mut cx).is_pending());
@@ -1346,46 +1046,78 @@ mod tests {
         }
         assert_eq!(timer.armed(), 5);
 
-        // Dropping cancels: middle first, so a swap-remove has to patch up
-        // a moved neighbour's position somewhere along the way.
+        // Dropping cancels.
         let keep = sleeps.remove(1);
         drop(sleeps);
         assert_eq!(timer.armed(), 1);
-        assert_eq!(timer.wheel.borrow().next_deadline(), Some(100 * tick));
+        assert_eq!(timer.timers.borrow().next_deadline(), Some(ms(100)));
 
         // Run the clock past every deadline: only the survivor fires.
-        clock.advance(Duration::from_nanos((horizon + 20) * tick));
-        assert_eq!(timer.wheel.borrow_mut().advance(clock.now_nanos()), 1);
+        clock.advance(Duration::from_millis(80_000_020));
+        assert_eq!(timer.timers.borrow_mut().advance(clock.now_nanos()), 1);
         assert_eq!(wakes.load(Ordering::SeqCst), 1);
         assert_eq!(timer.armed(), 0);
         // The fired timer's key is stale: dropping its Sleep must not
-        // cancel whoever reuses the slab slot.
-        let mut reuse = timer.sleep_until(clock.now_nanos() + 50 * tick);
-        assert!(Pin::new(&mut reuse).poll(&mut cx).is_pending());
+        // cancel a timer armed since.
+        let mut later = timer.sleep_until(clock.now_nanos() + ms(50));
+        assert!(Pin::new(&mut later).poll(&mut cx).is_pending());
         drop(keep);
         assert_eq!(timer.armed(), 1);
     }
 
     #[test]
     fn cancelling_keeps_bucket_neighbours_reachable() {
-        // Many timers in one bucket, cancelled in an arbitrary order: every
-        // survivor must still be cancellable and must still fire.
-        let clock = ManualClock::new();
-        let mut wheel = TimerWheel::new(clock.now_nanos());
+        // Many timers at one deadline, cancelled in an arbitrary order:
+        // every survivor must still be cancellable and must still fire.
+        let mut timers = Timers::default();
         let (waker, wakes) = counting_waker();
-        let tick = 1u64 << TICK_SHIFT;
+        let deadline = Duration::from_millis(7).as_nanos() as u64;
         let keys: Vec<TimerKey> = (0..32)
-            .map(|_| wheel.insert(7 * tick, waker.clone()))
+            .map(|_| timers.insert(deadline, waker.clone()))
             .collect();
         for &i in &[0usize, 31, 5, 17, 16, 1, 30, 9] {
-            wheel.cancel(keys[i]);
-            wheel.cancel(keys[i]); // twice is a no-op
+            timers.cancel(keys[i]);
+            timers.cancel(keys[i]); // twice is a no-op
         }
-        assert_eq!(wheel.len, 24);
-        assert_eq!(wheel.advance(8 * tick), 24);
+        assert_eq!(timers.armed.len(), 24);
+        assert_eq!(timers.advance(deadline), 24);
         assert_eq!(wakes.load(Ordering::SeqCst), 24);
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.next_deadline(), None);
+        assert!(timers.armed.is_empty());
+        assert_eq!(timers.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_waker_outlives_its_task_and_its_executor() {
+        // The task's waker is handed to another thread — what a pending
+        // completion does with it — and used only after the task has
+        // finished and the executor is gone.
+        let (send, recv) = std::sync::mpsc::channel::<Waker>();
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let waker = recv.recv().expect("the task sends its waker");
+            wait.recv().expect("the executor is dropped first");
+            waker.wake_by_ref();
+            let clone = waker.clone();
+            waker.wake();
+            drop(clone);
+        });
+        let mut executor = SessionExecutor::new();
+        executor.spawn(std::future::poll_fn(move |cx| {
+            send.send(cx.waker().clone()).expect("holder is listening");
+            Poll::Ready(())
+        }));
+        executor.run();
+        assert_eq!(executor.live_tasks(), 0);
+        drop(executor);
+        go.send(()).expect("holder is waiting");
+        holder.join().expect("late wakes must not panic");
+
+        // The late wakes went to the dropped executor's queue: a fresh one
+        // polls exactly what is spawned on it.
+        let mut fresh = SessionExecutor::new();
+        fresh.spawn(async {});
+        fresh.run();
+        assert_eq!((fresh.polls(), fresh.wakeups()), (1, 1));
     }
 
     /// Resolves on its second poll, waking itself in between: one
@@ -1440,20 +1172,15 @@ mod tests {
                         other: YieldOnce(false),
                     };
                     std::future::poll_fn(|cx| Pin::new(&mut suspend).poll(cx)).await;
-                    // After one full cycle every list the wheel uses has
-                    // its capacity; the sleep is still armed here.
+                    // The sleep is still armed here.
                     if cycle == 1 || cycle == 9_999 {
-                        observed
-                            .borrow_mut()
-                            .push((timer.armed(), timer.allocated_entries()));
+                        observed.borrow_mut().push(timer.armed());
                     }
                 }
             });
         }
         executor.run();
-        let observed = observed.borrow();
-        assert_eq!(observed[0].0, 1, "one live sleeper, one timer");
-        assert_eq!(*observed, vec![observed[0]; 2], "the wheel grew");
+        assert_eq!(*observed.borrow(), [1, 1], "one live sleeper, one timer");
         assert_eq!(timer.armed(), 0);
         // Nothing ever fired: the clock never moved.
         assert_eq!(clock.now_nanos(), 0);

@@ -402,17 +402,22 @@ impl Gateway {
             .clone())
     }
 
+    /// Weight of one live session, in queued-request units, in the score
+    /// [`Gateway::least_loaded_slot`] minimizes. With idle queues any weight
+    /// `>= 1` reproduces round-robin-by-session placement, which is what
+    /// keeps the E11/E12 cycle metrics stable.
+    const PLACEMENT_SESSION_WEIGHT: usize = 4;
+
     /// Queue-depth-aware placement: scores every slot of the tenant as
-    /// `queue_depth + session_weight * active_sessions` and picks the
-    /// minimum (ties: fewest sessions, then lowest slot id).
+    /// `queue_depth + PLACEMENT_SESSION_WEIGHT * active_sessions` and picks
+    /// the minimum (ties: fewest sessions, then lowest slot id).
     ///
     /// Counting live queue depth — not just session count — is what keeps a
     /// hot tenant from skewing one shard: slots map statically to shards, so
     /// steering new sessions away from deep queues flattens the E12
-    /// critical-path metric. Sessions still weigh in (at
-    /// [`crate::GatewayConfig::placement_session_weight`] queued-request
-    /// units each) because a bound-but-idle session predicts future load.
-    fn least_loaded_slot(meta: &TenantMeta, session_weight: usize) -> usize {
+    /// critical-path metric. Sessions still weigh in because a
+    /// bound-but-idle session predicts future load.
+    fn least_loaded_slot(meta: &TenantMeta) -> usize {
         meta.slots
             .iter()
             .enumerate()
@@ -420,7 +425,7 @@ impl Gateway {
                 let sessions = info.gauges.active_sessions.load(Ordering::SeqCst);
                 let depth = info.gauges.queue_depth.load(Ordering::SeqCst);
                 (
-                    depth.saturating_add(session_weight.saturating_mul(sessions)),
+                    depth.saturating_add(Self::PLACEMENT_SESSION_WEIGHT.saturating_mul(sessions)),
                     sessions,
                     *id,
                 )
@@ -449,7 +454,7 @@ impl Gateway {
             self.shared.telemetry.admit_reject(&err, 1, None);
             return Err(err);
         }
-        let slot_id = Self::least_loaded_slot(meta, self.shared.config.placement_session_weight);
+        let slot_id = Self::least_loaded_slot(meta);
         let info = &meta.slots[slot_id];
         info.gauges.active_sessions.fetch_add(1, Ordering::SeqCst);
         let session_id = self
@@ -2356,8 +2361,7 @@ impl Gateway {
     /// sampled traces, and the rejection journal. Reads the per-shard
     /// registries without any worker round-trip, so it is safe to call from
     /// a scrape loop at any frequency; render it with
-    /// [`TelemetrySnapshot::render_prometheus`] or
-    /// [`TelemetrySnapshot::render_json`].
+    /// [`TelemetrySnapshot::render_prometheus`].
     #[must_use]
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.shared.telemetry.snapshot()

@@ -38,8 +38,8 @@
 //!   typed admission accept/reject counters, live per-shard queue-depth
 //!   gauges, sampled per-request traces driven by the injected [`Clock`]
 //!   (deterministic under [`ManualClock`]), and a bounded rejection
-//!   journal — exported as a [`TelemetrySnapshot`] with Prometheus-style
-//!   text and JSON renderings. No payload data ever enters telemetry.
+//!   journal — exported as a [`TelemetrySnapshot`] with a Prometheus-style
+//!   text rendering. No payload data ever enters telemetry.
 //! * **Live rebalancing** ([`rebalance`]) — online slot migration between
 //!   shards: a per-slot quiesce (one slot pauses, the fleet keeps serving),
 //!   a sealed export at the handoff point, transfer of the live slot —
@@ -67,9 +67,8 @@
 //! own gateway), and the only per-request fact the gateway learns is the
 //! public one-bit endorsed/failed outcome it needs for quota accounting.
 
-// `deny`, not `forbid`: the async front-end's hand-rolled `RawWaker` vtable
-// ([`frontend::executor`]), the raw `sched_setaffinity` syscall behind core
-// pinning ([`affinity`]), and the raw `epoll`/`eventfd` syscalls behind the
+// `deny`, not `forbid`: the raw `sched_setaffinity` syscall behind core
+// pinning ([`affinity`]) and the raw `epoll`/`eventfd` syscalls behind the
 // socket front door's reactor ([`net`]) are necessarily `unsafe` and carry
 // scoped `allow`s with their invariants documented; everything else stays
 // safe.

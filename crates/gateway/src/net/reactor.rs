@@ -15,7 +15,7 @@
 //!   is still observed, so no wake can be lost between `try_pop` and
 //!   `epoll_wait`.
 //! * [`Reactor`] itself is the [`Parker`]: when the executor has nothing
-//!   runnable it parks in `epoll_wait`, bounded by the nearest timer-wheel
+//!   runnable it parks in `epoll_wait`, bounded by the nearest timer
 //!   deadline, and readiness events wake the owning tasks directly.
 
 use super::sys;

@@ -27,10 +27,10 @@
 //!   its lock.
 //!
 //! A [`TelemetrySnapshot`] renders as Prometheus-style text exposition
-//! ([`TelemetrySnapshot::render_prometheus`]) and as JSON
-//! ([`TelemetrySnapshot::render_json`]); [`parse_exposition`] and
-//! [`parse_json_samples`] read both back into the same canonical sample
-//! map, which is how the round-trip is tested end to end.
+//! ([`TelemetrySnapshot::render_prometheus`]); [`parse_exposition`] reads
+//! it back into the snapshot's canonical sample map, which is how the
+//! round-trip is tested end to end. Traces and events are public fields of
+//! the snapshot.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -688,7 +688,7 @@ impl Telemetry {
         }
     }
 
-    /// Counts `n` timer-wheel entries fired by the session executor.
+    /// Counts `n` timers fired by the session executor.
     pub(crate) fn record_timer_fires(&self, n: u64) {
         if self.enabled {
             self.executor_timer_fires.fetch_add(n, Ordering::Relaxed);
@@ -1055,7 +1055,7 @@ pub struct TelemetrySnapshot {
     pub net_frame_errors: u64,
     /// Connections closed by the idle-deadline timer.
     pub net_idle_timeouts: u64,
-    /// Timer-wheel entries fired by the session executor.
+    /// Timers fired by the session executor.
     pub executor_timer_fires: u64,
     /// Stale pending sessions reclaimed by eviction.
     pub sessions_evicted: u64,
@@ -1101,9 +1101,9 @@ impl TelemetrySnapshot {
     }
 
     /// Every numeric sample in render order, keyed by canonical
-    /// (quote-free) name: `glimmer_admission_total{reason=accepted}`. Both
-    /// the Prometheus and JSON renderers derive from this list, which is
-    /// what makes the formats round-trip-equivalent by construction.
+    /// (quote-free) name: `glimmer_admission_total{reason=accepted}`. The
+    /// Prometheus renderer derives from this list, which is what makes
+    /// [`parse_exposition`] round-trip to [`TelemetrySnapshot::samples`].
     #[must_use]
     pub fn sample_lines(&self) -> Vec<(String, u64)> {
         let mut lines = Vec::new();
@@ -1230,66 +1230,6 @@ impl TelemetrySnapshot {
         }
         out
     }
-
-    /// Renders the snapshot as JSON: the canonical sample map plus the
-    /// trace spans and rejection events.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"samples\": {");
-        let lines = self.sample_lines();
-        for (i, (key, value)) in lines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, key);
-            out.push_str(": ");
-            out.push_str(&value.to_string());
-        }
-        out.push_str("\n  },\n  \"traces\": [");
-        for (i, span) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"trace_id\": {}, \"session_id\": {}, \"stages\": {{",
-                span.trace_id, span.session_id
-            ));
-            let mut first = true;
-            for stage in TraceStage::ALL {
-                if let Some(stamp) = span.stage(stage) {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    first = false;
-                    push_json_string(&mut out, stage.label());
-                    out.push_str(&format!(": {stamp}"));
-                }
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n  ],\n  \"events\": [");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"at_nanos\": {}, \"reason\": ",
-                event.at_nanos
-            ));
-            push_json_string(&mut out, event.reason.label());
-            if let Some(tenant) = &event.tenant {
-                out.push_str(", \"tenant\": ");
-                push_json_string(&mut out, tenant);
-            }
-            if let Some(session) = event.session_id {
-                out.push_str(&format!(", \"session_id\": {session}"));
-            }
-            out.push_str(&format!(", \"count\": {}}}", event.count));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
 }
 
 /// Re-quotes a canonical sample key for Prometheus output:
@@ -1310,21 +1250,6 @@ fn quote_labels(key: &str) -> String {
         .collect::<Vec<_>>()
         .join(",");
     format!("{name}{{{labels}}}")
-}
-
-/// Appends a JSON string literal (escaping backslash, quote, and control
-/// characters — everything telemetry labels can contain).
-fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses Prometheus-style text exposition back into the canonical sample
@@ -1349,92 +1274,6 @@ pub fn parse_exposition(text: &str) -> Result<BTreeMap<String, u64>, String> {
         samples.insert(key.replace('"', ""), value);
     }
     Ok(samples)
-}
-
-/// Parses the `"samples"` object out of [`TelemetrySnapshot::render_json`]
-/// output into the canonical sample map. A minimal hand-rolled scanner —
-/// the workspace is dependency-free by design — that understands exactly
-/// the string-key / unsigned-integer-value shape the renderer emits.
-///
-/// # Errors
-/// Returns a description of the first structural problem.
-pub fn parse_json_samples(text: &str) -> Result<BTreeMap<String, u64>, String> {
-    let start = text
-        .find("\"samples\"")
-        .ok_or_else(|| "no \"samples\" key in JSON".to_string())?;
-    let rest = &text[start + "\"samples\"".len()..];
-    let brace = rest
-        .find('{')
-        .ok_or_else(|| "no object after \"samples\"".to_string())?;
-    let mut chars = rest[brace + 1..].char_indices().peekable();
-    let body = &rest[brace + 1..];
-    let mut samples = BTreeMap::new();
-    loop {
-        // Skip whitespace and separators to the next key or the end brace.
-        let key_start = loop {
-            match chars.next() {
-                None => return Err("unterminated samples object".to_string()),
-                Some((_, c)) if c.is_whitespace() || c == ',' => {}
-                Some((_, '}')) => return Ok(samples),
-                Some((i, '"')) => break i + 1,
-                Some((i, c)) => return Err(format!("unexpected {c:?} at samples offset {i}")),
-            }
-        };
-        let mut key = String::new();
-        loop {
-            match chars.next() {
-                None => return Err("unterminated JSON string".to_string()),
-                Some((_, '"')) => break,
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => key.push('"'),
-                    Some((_, '\\')) => key.push('\\'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let (_, d) = chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16 + d.to_digit(16).ok_or("bad \\u escape digit")?;
-                        }
-                        key.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                    }
-                    other => return Err(format!("unsupported escape {other:?}")),
-                },
-                Some((_, c)) => key.push(c),
-            }
-        }
-        let _ = key_start; // offsets only matter for error messages above
-                           // Expect `: <integer>`.
-        loop {
-            match chars.next() {
-                None => return Err("missing value after key".to_string()),
-                Some((_, c)) if c.is_whitespace() => {}
-                Some((_, ':')) => break,
-                Some((i, c)) => return Err(format!("expected ':' got {c:?} at offset {i}")),
-            }
-        }
-        let mut digits = String::new();
-        let value = loop {
-            match chars.peek() {
-                None => return Err("unterminated value".to_string()),
-                Some(&(_, c)) if c.is_ascii_digit() => {
-                    digits.push(c);
-                    chars.next();
-                }
-                Some(&(_, c)) if c.is_whitespace() && digits.is_empty() => {
-                    chars.next();
-                }
-                Some(&(i, c)) => {
-                    if digits.is_empty() {
-                        return Err(format!("expected digits got {c:?} at offset {i}"));
-                    }
-                    break digits
-                        .parse::<u64>()
-                        .map_err(|_| format!("sample value out of range: {digits}"))?;
-                }
-            }
-        };
-        let _ = body;
-        samples.insert(key, value);
-    }
 }
 
 #[cfg(test)]
@@ -1650,7 +1489,7 @@ mod tests {
     }
 
     #[test]
-    fn exposition_and_json_round_trip_to_identical_samples() {
+    fn exposition_round_trips_to_the_snapshots_samples() {
         let (clock, hub) = test_hub(2, 1);
         hub.admit_accept(41);
         hub.admit_reject(
@@ -1676,10 +1515,7 @@ mod tests {
         let snap = hub.snapshot();
 
         let prom = snap.render_prometheus();
-        let json = snap.render_json();
         let from_prom = parse_exposition(&prom).expect("exposition parses");
-        let from_json = parse_json_samples(&json).expect("JSON parses");
-        assert_eq!(from_prom, from_json);
         assert_eq!(from_prom, snap.samples());
         assert_eq!(
             from_prom["glimmer_admission_total{reason=accepted}"], 41,
@@ -1703,20 +1539,21 @@ mod tests {
         assert_eq!(from_prom["glimmer_delta_checkpoint_nanos_count"], 1);
         assert_eq!(from_prom["glimmer_delta_checkpoint_nanos_sum"], 50_000);
         assert_eq!(from_prom["glimmer_checkpoint_nanos_count"], 1);
-        // The rendered forms carry the quoted/structured variants.
+        // The rendered form carries the quoted variants.
         assert!(prom.contains("glimmer_admission_total{reason=\"accepted\"} 41"));
         assert!(prom.contains("glimmer_queue_wait_nanos_bucket{le=\"+Inf\"} 2"));
-        assert!(json.contains("\"tenant\": \"iot-telemetry.example\""));
-        assert!(json.contains("\"reply_delivered\": 99"));
+        // Events and traces are read off the snapshot itself.
+        assert_eq!(
+            snap.events[0].tenant.as_deref(),
+            Some("iot-telemetry.example")
+        );
+        assert_eq!(snap.traces[0].stage(TraceStage::ReplyDelivered), Some(99));
     }
 
     #[test]
     fn malformed_inputs_are_rejected_with_context() {
         assert!(parse_exposition("metric_without_value").is_err());
         assert!(parse_exposition("metric abc").is_err());
-        assert!(parse_json_samples("{}").is_err());
-        assert!(parse_json_samples("{\"samples\": {\"k\": }}").is_err());
-        assert!(parse_json_samples("{\"samples\": {\"k\" 1}}").is_err());
         // Comments, blanks and trailing sections are fine.
         let ok = parse_exposition("# c\n\nm 3\n").unwrap();
         assert_eq!(ok["m"], 3);

@@ -44,7 +44,6 @@ pub fn config(shards: usize) -> GatewayConfig {
         shards,
         max_batch: 64,
         max_queue_depth: 256,
-        placement_session_weight: 4,
         platform_config: PlatformConfig::default(),
         ..GatewayConfig::default()
     }

@@ -3,7 +3,7 @@
 //!
 //! `gateway_service` drives the pool in-process; this example puts the
 //! socket layer in between. `net::serve` binds a listener and runs the
-//! whole edge — epoll reactor, frame codec, timer wheel — on ONE
+//! whole edge — epoll reactor, frame codec, timers — on ONE
 //! front-door thread, while each device talks framed `glimmer_wire`
 //! messages over its own `TcpStream` via `GatewayClient`. The trust
 //! boundary is unchanged: the front door relays sealed bytes it cannot
