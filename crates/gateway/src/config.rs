@@ -168,9 +168,12 @@ pub struct NetConfig {
     /// direction) this long, measured on the executor clock. `None` trusts
     /// clients to hang up; the default does not.
     pub idle_timeout: Option<Duration>,
-    /// Cadence of the server's periodic reply drain. `None` drains only on
-    /// explicit client `Drain` requests — the deterministic mode E19's
-    /// bit-identical comparison uses.
+    /// Cadence of the server's periodic reply drain, measured on the
+    /// executor clock from the start of one sweep to the start of the
+    /// next. A sweep that takes longer than the interval is followed at
+    /// once by exactly one sweep: the ticks it overran are skipped, not
+    /// replayed. `None` drains only on explicit client `Drain` requests —
+    /// the deterministic mode E19's bit-identical comparison uses.
     pub drain_interval: Option<Duration>,
 }
 

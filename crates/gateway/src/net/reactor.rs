@@ -160,16 +160,8 @@ impl Reactor {
     /// Waits for readiness up to `timeout`, draining the doorbell and
     /// waking every task whose armed fd fired.
     pub(crate) fn poll_io(&self, timeout: Option<Duration>) {
-        let timeout_ms = match timeout {
-            // Round up so a 100µs timer bound doesn't become a busy loop
-            // of zero-timeout epoll_waits.
-            Some(t) => i64::try_from(t.as_millis())
-                .unwrap_or(i64::MAX)
-                .clamp(1, 60_000) as i32,
-            None => -1,
-        };
         let mut events = [sys::EpollEvent::zeroed(); 64];
-        let n = match sys::epoll_wait(self.epfd, &mut events, timeout_ms) {
+        let n = match sys::epoll_wait(self.epfd, &mut events, epoll_timeout_ms(timeout)) {
             Ok(n) => n,
             Err(_) => return,
         };
@@ -195,6 +187,18 @@ impl Reactor {
     }
 }
 
+/// `epoll_wait`'s millisecond timeout for a park bounded by `timeout`
+/// (`-1`, wait for an event, when unbounded). Rounded **up**, so a
+/// deadline 1.9 ms away parks once for 2 ms rather than waking at 1 ms
+/// with nothing due and parking again, and so a sub-millisecond bound is
+/// never a zero-timeout busy loop; clamped to `[1 ms, 60 s]`.
+fn epoll_timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        Some(t) => t.as_nanos().div_ceil(1_000_000).clamp(1, 60_000) as i32,
+        None => -1,
+    }
+}
+
 impl Parker for Reactor {
     fn park(&self, timeout: Option<Duration>) {
         self.poll_io(timeout);
@@ -209,5 +213,23 @@ impl Drop for Reactor {
         self.notifier.active.store(false, Ordering::Release);
         sys::close(self.notifier.wakefd);
         sys::close(self.epfd);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::epoll_timeout_ms;
+    use std::time::Duration;
+
+    #[test]
+    fn park_timeouts_round_up_to_whole_milliseconds_within_the_clamp() {
+        let ms = |t: Duration| epoll_timeout_ms(Some(t));
+        assert_eq!(ms(Duration::from_nanos(1)), 1);
+        assert_eq!(ms(Duration::from_micros(999)), 1);
+        assert_eq!(ms(Duration::from_millis(1)), 1);
+        assert_eq!(ms(Duration::from_micros(1_900)), 2);
+        assert_eq!(ms(Duration::from_secs(61)), 60_000);
+        assert_eq!(ms(Duration::ZERO), 1);
+        assert_eq!(epoll_timeout_ms(None), -1);
     }
 }

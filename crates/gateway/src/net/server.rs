@@ -14,15 +14,20 @@
 //!   fires first.
 //! * **drainer** (optional) — sweeps [`AsyncGateway::drain_replies`] every
 //!   [`NetConfig::drain_interval`](crate::NetConfig) and routes each reply
-//!   to the connection *owning* its session. Clients can also trigger the
-//!   same sweep with an explicit `Drain` request — with the periodic
-//!   drainer disabled that makes the global drain order client-controlled
-//!   and reproducible.
+//!   to the connection *owning* its session. The interval runs start to
+//!   start: a sweep that overran it is followed at once, by exactly one
+//!   sweep (missed ticks are skipped, not replayed), so under load the
+//!   shard worker is never left idle behind a sweep that already took
+//!   longer than the interval. Clients can also trigger the same sweep
+//!   with an explicit `Drain` request — with the periodic drainer
+//!   disabled that makes the global drain order client-controlled and
+//!   reproducible.
 //! * **sweeper** (optional) — calls
 //!   [`Gateway::evict_stale_pending`](crate::Gateway::evict_stale_pending)
 //!   every [`GatewayConfig::evict_stale_period`](crate::GatewayConfig) on
-//!   the executor's timers, so abandoned handshakes stop pinning
-//!   session quota without any operator cron job.
+//!   the executor's timers (same start-to-start schedule as the drainer),
+//!   so abandoned handshakes stop pinning session quota without any
+//!   operator cron job.
 //!
 //! # Ownership and isolation
 //!
@@ -363,10 +368,23 @@ mod imp {
         });
         executor.spawn(accept_loop(Rc::clone(&ctx), listener));
         if let Some(interval) = ctx.net.drain_interval {
-            executor.spawn(drain_loop(Rc::clone(&ctx), interval));
+            let ctx = Rc::clone(&ctx);
+            executor.spawn(async move {
+                periodic(&ctx.timer, &ctx.shutdown, interval, || route_drain(&ctx)).await;
+            });
         }
         if let Some((period, age)) = ctx.stale {
-            executor.spawn(evict_loop(Rc::clone(&ctx), period, age));
+            let ctx = Rc::clone(&ctx);
+            executor.spawn(async move {
+                let ctx: &ServerCtx = &ctx;
+                periodic(&ctx.timer, &ctx.shutdown, period, move || async move {
+                    // The sweep blocks briefly per evicted session (shard
+                    // round-trips); abandoned handshakes are rare enough that
+                    // this stays invisible next to a single enclave batch.
+                    let _ = ctx.frontend.gateway().evict_stale_pending(age);
+                })
+                .await;
+            });
         }
         Ok(shutdown)
     }
@@ -780,41 +798,41 @@ mod imp {
         routed
     }
 
-    async fn drain_loop(ctx: Rc<ServerCtx>, interval: Duration) {
-        let shutdown_slot = ctx.shutdown.alloc_slot();
-        while !ctx.shutdown.is_stopped() {
+    /// Awaits `tick()` every `interval` on the executor clock until
+    /// shutdown, **start to start**: the first tick is due one interval
+    /// after the call, and each next one `interval` after the previous tick
+    /// *started* (`next = started + interval`, never `next += interval`).
+    /// A tick that overran its interval is therefore followed at once by
+    /// exactly one tick, and the ticks it overran are skipped, not
+    /// replayed. On a [`ManualClock`](crate::ManualClock) a tick that does
+    /// not move the clock is scheduled exactly as end-to-start would be.
+    pub(super) async fn periodic<F, Fut>(
+        timer: &TimerHandle,
+        shutdown: &ShutdownSignal,
+        interval: Duration,
+        mut tick: F,
+    ) where
+        F: FnMut() -> Fut,
+        Fut: Future,
+    {
+        let interval = u64::try_from(interval.as_nanos()).unwrap_or(u64::MAX);
+        let shutdown_slot = shutdown.alloc_slot();
+        let mut due = timer.now_nanos().saturating_add(interval);
+        while !shutdown.is_stopped() {
             SleepOrStop {
-                shutdown: &ctx.shutdown,
+                shutdown,
                 shutdown_slot,
-                sleep: ctx.timer.sleep(interval),
+                sleep: timer.sleep_until(due),
             }
             .await;
-            if ctx.shutdown.is_stopped() {
+            if shutdown.is_stopped() {
                 break;
             }
-            let _ = route_drain(&ctx).await;
+            let started = timer.now_nanos();
+            tick().await;
+            due = started.saturating_add(interval);
         }
-        ctx.shutdown.free_slot(shutdown_slot);
-    }
-
-    async fn evict_loop(ctx: Rc<ServerCtx>, period: Duration, age: Duration) {
-        let shutdown_slot = ctx.shutdown.alloc_slot();
-        while !ctx.shutdown.is_stopped() {
-            SleepOrStop {
-                shutdown: &ctx.shutdown,
-                shutdown_slot,
-                sleep: ctx.timer.sleep(period),
-            }
-            .await;
-            if ctx.shutdown.is_stopped() {
-                break;
-            }
-            // The sweep itself blocks briefly per evicted session (shard
-            // round-trips); abandoned handshakes are rare enough that this
-            // stays invisible next to a single enclave batch.
-            let _ = ctx.frontend.gateway().evict_stale_pending(age);
-        }
-        ctx.shutdown.free_slot(shutdown_slot);
+        shutdown.free_slot(shutdown_slot);
     }
 }
 
@@ -824,20 +842,217 @@ mod imp {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod tests {
-    use super::serve_on;
+    use super::imp::periodic;
+    use super::{serve_on, ShutdownSignal};
     use crate::frontend::completion::completion_pair;
     use crate::frontend::{AsyncGateway, SessionExecutor};
-    use crate::net::GatewayClient;
+    use crate::net::{ClientError, GatewayClient};
     use crate::{Clock, Gateway, GatewayConfig, ManualClock, NetConfig, TenantConfig};
     use glimmer_core::host::GlimmerDescriptor;
+    use glimmer_core::protocol::{Contribution, ContributionPayload, PrivateData};
+    use glimmer_core::remote::IotDeviceSession;
     use glimmer_core::signing::ServiceKeyMaterial;
     use glimmer_crypto::drbg::Drbg;
     use sgx_sim::AttestationService;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::net::TcpListener;
     use std::rc::Rc;
     use std::sync::{mpsc, Arc};
+    use std::task::Poll;
     use std::time::Duration;
+
+    const IOT: &str = "iot-telemetry.example";
+
+    /// Suspends the calling task once, queued behind whatever is runnable.
+    async fn yield_now() {
+        let mut yielded = false;
+        std::future::poll_fn(|cx| {
+            if yielded {
+                return Poll::Ready(());
+            }
+            yielded = true;
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        })
+        .await;
+    }
+
+    /// The drainer's and sweeper's schedule, on a `ManualClock`. A driver
+    /// task steps the clock 1 ms at a time and yields twice per step, so a
+    /// tick that falls due runs before the next step and reads exactly the
+    /// clock value that made it due. The second tick stands in for a long
+    /// sweep by moving the clock three intervals; the fourth stops the loop.
+    #[test]
+    fn periodic_ticks_run_start_to_start_and_skip_what_an_overrun_missed() {
+        let interval = Duration::from_millis(10);
+        let i = interval.as_nanos() as u64;
+        let clock = Arc::new(ManualClock::new());
+        let mut executor = SessionExecutor::with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
+        let timer = executor.timer();
+        let shutdown = ShutdownSignal::new();
+        let starts = Rc::new(RefCell::new(Vec::new()));
+        let returned = Rc::new(Cell::new(false));
+        let t0 = clock.now_nanos();
+        {
+            let (timer, shutdown, clock) =
+                (timer.clone(), Arc::clone(&shutdown), Arc::clone(&clock));
+            let (starts, returned) = (Rc::clone(&starts), Rc::clone(&returned));
+            executor.spawn(async move {
+                periodic(&timer, &shutdown, interval, || {
+                    let mut starts = starts.borrow_mut();
+                    starts.push(clock.now_nanos());
+                    match starts.len() {
+                        2 => clock.advance(3 * interval),
+                        4 => shutdown.stop(),
+                        _ => {}
+                    }
+                    std::future::ready(())
+                })
+                .await;
+                returned.set(true);
+            });
+        }
+        {
+            let (shutdown, clock) = (Arc::clone(&shutdown), Arc::clone(&clock));
+            executor.spawn(async move {
+                for _ in 0..1_000 {
+                    if shutdown.is_stopped() {
+                        return;
+                    }
+                    clock.advance(Duration::from_millis(1));
+                    yield_now().await;
+                    yield_now().await;
+                }
+                // Never reached when the loop stops itself; a broken loop
+                // fails the assertions below instead of hanging the run.
+                shutdown.stop();
+            });
+        }
+        executor.run();
+
+        // First tick one interval in, not before; the overrunning second
+        // tick is followed by one tick at once (no clock movement between
+        // them), and the ticks due at t0 + 3I and t0 + 4I are skipped: the
+        // fourth is due one interval after the third *started*.
+        assert_eq!(
+            *starts.borrow(),
+            [t0 + i, t0 + 2 * i, t0 + 5 * i, t0 + 6 * i]
+        );
+        // Stopping during a tick ends the loop, leaving no timer armed.
+        assert!(returned.get());
+        assert_eq!(timer.armed(), 0);
+    }
+
+    /// The default drainer over a real socket, on a `ManualClock` with a
+    /// 10 ms interval: a submitted request is answered by the first
+    /// periodic sweep, at `start + 10 ms` and not a nanosecond before, and
+    /// by that sweep alone.
+    #[test]
+    fn the_periodic_drainer_replies_at_its_first_tick_and_not_before() {
+        let interval = Duration::from_millis(10);
+        let mut rng = Drbg::from_seed([93u8; 32]);
+        let mut avs = AttestationService::new([94u8; 32]);
+        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        let clock = Arc::new(ManualClock::new());
+        let gateway = Gateway::with_clock(
+            GatewayConfig {
+                slots_per_tenant: 1,
+                evict_stale_period: None,
+                net: NetConfig {
+                    idle_timeout: None,
+                    drain_interval: Some(interval),
+                    ..NetConfig::default()
+                },
+                ..GatewayConfig::default()
+            },
+            vec![TenantConfig::new(
+                IOT,
+                GlimmerDescriptor::iot_default(Vec::new()),
+                material.secret_bytes(),
+            )],
+            &mut avs,
+            &mut rng,
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        )
+        .unwrap();
+        let approved = gateway.measurement(IOT).unwrap();
+        let telemetry = gateway.telemetry_handle();
+        let sweeps = || telemetry.snapshot().shard_drain_sweeps;
+
+        let start = clock.now_nanos();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (shutdown_tx, shutdown_rx) = mpsc::channel();
+        let server = {
+            let clock = Arc::clone(&clock) as Arc<dyn Clock>;
+            std::thread::spawn(move || {
+                let mut executor = SessionExecutor::with_clock(clock);
+                let frontend = AsyncGateway::new(gateway);
+                let shutdown = serve_on(&mut executor, frontend, listener, None).unwrap();
+                shutdown_tx.send(shutdown).unwrap();
+                executor.run();
+            })
+        };
+        let shutdown = shutdown_rx.recv().unwrap();
+
+        let mut client = GatewayClient::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let (session_id, offer) = client.open_session(IOT).unwrap();
+        let (accept, mut device) =
+            IotDeviceSession::connect(&offer, &avs, &approved, &mut rng).unwrap();
+        client.complete_session(session_id, &accept).unwrap();
+        let contribution = Contribution {
+            app_id: IOT.to_string(),
+            client_id: 0,
+            round: 0,
+            payload: ContributionPayload::IotReadings {
+                samples: vec![0.25; 4],
+            },
+        };
+        client
+            .submit(
+                session_id,
+                device.encrypt_request(contribution, PrivateData::None),
+            )
+            .unwrap();
+        // Every exchange so far was a request and its ack: no sweep yet.
+        assert_eq!(sweeps(), [0]);
+
+        // One nanosecond short of the first tick. The 100 ms read spans
+        // several of the executor's bounded parks, each of which re-reads
+        // the clock.
+        let silent = |client: &mut GatewayClient| {
+            client
+                .set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            let outcome = client.next_reply();
+            assert!(
+                matches!(outcome, Err(ClientError::Io(_))),
+                "expected no reply, got {outcome:?}"
+            );
+        };
+        clock.advance(interval - Duration::from_nanos(1));
+        silent(&mut client);
+        assert_eq!(sweeps(), [0]);
+
+        // At the tick: one sweep, and the reply it routed.
+        clock.advance(Duration::from_nanos(1));
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let envelope = client.next_reply().unwrap();
+        assert_eq!((envelope.session_id, envelope.drain_seq), (session_id, 0));
+        assert_eq!(sweeps(), [1]);
+        // And nothing after it while the clock stands at start + interval.
+        silent(&mut client);
+        assert_eq!(sweeps(), [1]);
+        assert_eq!(clock.now_nanos(), start + interval.as_nanos() as u64);
+
+        shutdown.stop();
+        server.join().unwrap();
+    }
 
     /// One real connection suspends and resumes ten thousand times under an
     /// idle deadline that never comes (the benchmark's shape: run length
