@@ -69,12 +69,7 @@ struct Setup {
 fn setup(sessions: usize, slots: usize, shards: usize, seeds: (u8, u8, u8)) -> Setup {
     let (rig, mut rng) = steady_rig(sessions, seeds.0, seeds.1);
     let mut avs = rig::attestation([seeds.2; 32]);
-    let gateway = rig.gateway(
-        steady_config(&rig, slots, shards),
-        &mut avs,
-        &mut rng,
-        Arc::new(SystemClock::new()),
-    );
+    let gateway = rig.gateway(steady_config(&rig, slots, shards), &mut avs, &mut rng);
     let established = rig.connect(&gateway, &avs, &mut rng);
     Setup {
         rig,
@@ -445,7 +440,7 @@ fn bench_gateway_net(c: &mut Criterion) {
         config.evict_stale_period = None;
         config.net.idle_timeout = None;
         config.net.drain_interval = None;
-        let gateway = rig.gateway(config, &mut avs, &mut rng, Arc::new(SystemClock::new()));
+        let gateway = rig.gateway(config, &mut avs, &mut rng);
         let approved = gateway.measurement(rig::APP).unwrap();
         let server = glimmer_gateway::net::serve(AsyncGateway::new(gateway), None).unwrap();
         let mut conns = Vec::with_capacity(SESSIONS);

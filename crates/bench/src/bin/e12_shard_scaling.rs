@@ -2,7 +2,7 @@
 //!
 //! Run with `--smoke` for the fast CI configuration.
 
-use glimmer_bench::{e12_pinning_variance, e12_shard_scaling};
+use glimmer_bench::e12_shard_scaling;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -58,40 +58,4 @@ fn main() {
     println!("(total cycles are bit-identical across rows: sharding moves work, never changes");
     println!(" it. 'critical cyc' is the busiest shard — the deterministic serving makespan —");
     println!(" and the wall-clock column shows the same scaling on multicore hosts.)");
-
-    // Satellite: serve-time variance with shard workers pinned to cores
-    // (`GatewayConfig::pin_cores`) vs the scheduler's default placement.
-    let shards = *shard_counts.last().unwrap();
-    let pin_repeats = if smoke { 3 } else { 7 };
-    let v = e12_pinning_variance(
-        shards,
-        slots,
-        sessions_per_slot,
-        requests,
-        pin_repeats,
-        [42u8; 32],
-    );
-    println!(
-        "pinning variance ({} shards, {} repeats/mode): unpinned {:.2} ms ±{:.2} (CV {:.1}%), \
-         pinned {:.2} ms ±{:.2} (CV {:.1}%), {} of {} workers pinned",
-        v.shards,
-        v.repeats,
-        v.unpinned_mean_ms,
-        v.unpinned_stddev_ms,
-        v.unpinned_cv * 100.0,
-        v.pinned_mean_ms,
-        v.pinned_stddev_ms,
-        v.pinned_cv * 100.0,
-        v.pinned_workers,
-        v.shards
-    );
-    assert!(
-        v.cycles_identical,
-        "regression: core pinning changed the simulated critical path \
-         (it may move workers, never work)"
-    );
-    println!(
-        "critical-path cycles are bit-identical across pinned and unpinned repeats — pinning \
-         moves workers, never work (wall-clock variance is host-dependent and report-only)"
-    );
 }

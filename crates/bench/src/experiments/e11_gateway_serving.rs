@@ -3,8 +3,6 @@
 use crate::rig::{self, Rig};
 use glimmer_core::protocol::ProcessResponse;
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::SystemClock;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One row of the E11 gateway-serving comparison.
@@ -102,12 +100,7 @@ pub fn e11_gateway_serving(
     let pool_build_start = Instant::now();
     // Deterministic single-shard mode: E11's cycle metric must stay
     // reproducible run-to-run (E12 is the shard-scaling experiment).
-    let gateway = rig.gateway(
-        rig.config(slots, 1),
-        &mut avs,
-        &mut rng,
-        Arc::new(SystemClock::new()),
-    );
+    let gateway = rig.gateway(rig.config(slots, 1), &mut avs, &mut rng);
     let pool_build_elapsed = pool_build_start.elapsed().as_secs_f64();
 
     let pooled_start = Instant::now();

@@ -1,9 +1,7 @@
-//! E12: shard-per-core scaling, and its core-pinning satellite.
+//! E12: shard-per-core scaling.
 
 use crate::rig::{self, Rig};
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::SystemClock;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One row of the E12 shard-scaling experiment.
@@ -65,12 +63,7 @@ pub fn e12_shard_scaling(
         // difference between rows is the runtime's doing.
         let mut rng = rng.clone();
         let mut avs = rig::attestation([18u8; 32]);
-        let gateway = rig.gateway(
-            rig.config(slots, shards),
-            &mut avs,
-            &mut rng,
-            Arc::new(SystemClock::new()),
-        );
+        let gateway = rig.gateway(rig.config(slots, shards), &mut avs, &mut rng);
         let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
 
         // Pre-encrypt every request so the timed region measures gateway
@@ -108,116 +101,4 @@ pub fn e12_shard_scaling(
         });
     }
     rows
-}
-
-/// Serve-time variance with and without core pinning (the E12 satellite).
-#[derive(Debug, Clone)]
-pub struct E12PinningVariance {
-    /// Timed repeats per mode.
-    pub repeats: usize,
-    /// Shard workers per gateway.
-    pub shards: usize,
-    /// Workers that actually landed on their requested core in pinned mode
-    /// (0 on hosts where affinity is unsupported — the report says so).
-    pub pinned_workers: usize,
-    /// Mean serve wall-clock ms, `pin_cores: false`.
-    pub unpinned_mean_ms: f64,
-    /// Sample standard deviation, `pin_cores: false`.
-    pub unpinned_stddev_ms: f64,
-    /// Coefficient of variation (stddev/mean), `pin_cores: false`.
-    pub unpinned_cv: f64,
-    /// Mean serve wall-clock ms, `pin_cores: true`.
-    pub pinned_mean_ms: f64,
-    /// Sample standard deviation, `pin_cores: true`.
-    pub pinned_stddev_ms: f64,
-    /// Coefficient of variation, `pin_cores: true`.
-    pub pinned_cv: f64,
-    /// Simulated critical-path cycles were bit-identical across every
-    /// repeat of both modes: pinning changes *where* workers run, never
-    /// what they compute.
-    pub cycles_identical: bool,
-}
-
-/// Runs the E12 pinning satellite: the same shard-per-core workload served
-/// `repeats` times with `pin_cores: false` and `repeats` times with
-/// `pin_cores: true`, reporting wall-clock mean/stddev/CV per mode.
-///
-/// Report-only: whether pinning tightens the distribution depends on host
-/// load and core count, so no wall-clock ordering is asserted. What *is*
-/// deterministic — and checked by the E12 binary — is that the simulated
-/// critical path is bit-identical across modes.
-#[must_use]
-pub fn e12_pinning_variance(
-    shards: usize,
-    slots: usize,
-    sessions_per_slot: usize,
-    requests_per_session: usize,
-    repeats: usize,
-    seed: [u8; 32],
-) -> E12PinningVariance {
-    let sessions = slots * sessions_per_slot;
-    let mut rng = Drbg::from_seed(seed);
-    let rig = Rig::uniform(sessions, requests_per_session, 0.3, [32u8; 32], &mut rng);
-
-    // One timed serve of the bit-identical workload; returns wall seconds,
-    // the deterministic critical path, and how many workers reported a
-    // successful pin.
-    let run_once = |pin_cores: bool| -> (f64, u64, usize) {
-        let mut rng = rng.clone();
-        let mut avs = rig::attestation([18u8; 32]);
-        let mut config = rig.config(slots, shards);
-        config.pin_cores = pin_cores;
-        let gateway = rig.gateway(config, &mut avs, &mut rng, Arc::new(SystemClock::new()));
-        let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
-        let encrypted = rig.encrypt(&mut device_sessions, rig.schedule(0..requests_per_session));
-
-        let serve_start = Instant::now();
-        for (sid, ciphertext) in encrypted {
-            gateway.submit(sid, ciphertext).unwrap();
-        }
-        gateway.drain_all().unwrap();
-        let serve_elapsed = serve_start.elapsed().as_secs_f64();
-        let critical = gateway.stats().critical_path_drain_cycles();
-        (serve_elapsed, critical, gateway.pinned_workers())
-    };
-
-    let stats_of = |samples: &[f64]| -> (f64, f64, f64) {
-        let n = samples.len().max(1) as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0).max(1.0);
-        let stddev = var.sqrt();
-        (mean * 1e3, stddev * 1e3, stddev / mean.max(1e-12))
-    };
-
-    let repeats = repeats.max(2);
-    let mut unpinned = Vec::with_capacity(repeats);
-    let mut pinned = Vec::with_capacity(repeats);
-    let mut cycles: Vec<u64> = Vec::with_capacity(repeats * 2);
-    let mut pinned_workers = 0usize;
-    // Interleave modes so slow drift (thermal, background load) hits both
-    // distributions equally instead of biasing whichever ran second.
-    for _ in 0..repeats {
-        let (s, c, _) = run_once(false);
-        unpinned.push(s);
-        cycles.push(c);
-        let (s, c, p) = run_once(true);
-        pinned.push(s);
-        cycles.push(c);
-        pinned_workers = p;
-    }
-    let (unpinned_mean_ms, unpinned_stddev_ms, unpinned_cv) = stats_of(&unpinned);
-    let (pinned_mean_ms, pinned_stddev_ms, pinned_cv) = stats_of(&pinned);
-
-    E12PinningVariance {
-        repeats,
-        shards,
-        pinned_workers,
-        unpinned_mean_ms,
-        unpinned_stddev_ms,
-        unpinned_cv,
-        pinned_mean_ms,
-        pinned_stddev_ms,
-        pinned_cv,
-        cycles_identical: cycles.windows(2).all(|w| w[0] == w[1]),
-    }
 }

@@ -2,9 +2,7 @@
 
 use crate::rig::{self, Rig};
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::SystemClock;
 use glimmer_wire::Encoder;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One row of the E13 batched-hot-path experiment: identical traffic served
@@ -90,12 +88,7 @@ pub fn e13_batched_hot_path(
         let mut avs = rig::attestation([19u8; 32]);
         // The determinism bar: cycles must be bit-identical, so E13 always
         // runs the single-shard deterministic mode.
-        let gateway = rig.gateway(
-            rig.config(slots, 1),
-            &mut avs,
-            &mut rng,
-            Arc::new(SystemClock::new()),
-        );
+        let gateway = rig.gateway(rig.config(slots, 1), &mut avs, &mut rng);
         let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
 
         // Pre-encrypt the whole schedule, in schedule order for every row

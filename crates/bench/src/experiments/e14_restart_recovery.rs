@@ -2,8 +2,6 @@
 
 use crate::rig::{self, Rig};
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::SystemClock;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One row of the E14 restart-recovery experiment.
@@ -83,7 +81,6 @@ pub fn e14_restart_recovery(
         rig.config(slots, 1),
         &mut avs,
         &mut Drbg::from_seed(machine_seed),
-        Arc::new(SystemClock::new()),
     );
     let mut original_sessions = rig.connect(&gateway, &avs, &mut rng);
     let pre_endorsed = rig::endorsed(&rig.serve(
@@ -100,7 +97,6 @@ pub fn e14_restart_recovery(
         rig.config(slots, 1),
         &mut avs,
         &mut Drbg::from_seed([74u8; 32]),
-        Arc::new(SystemClock::new()),
     );
     let mut cold_sessions = rig.connect(&cold, &avs, &mut rng);
     let cold_rebuild_ms = cold_start.elapsed().as_secs_f64() * 1e3;

@@ -2,7 +2,6 @@
 
 use crate::rig::{self, Rig};
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::SystemClock;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -144,7 +143,7 @@ pub fn e16_telemetry(
             let mut avs = rig::attestation([19u8; 32]);
             let mut config = rig.config(slots, 1);
             config.telemetry = telemetry;
-            let gateway = rig.gateway(config, &mut avs, &mut rng, Arc::new(SystemClock::new()));
+            let gateway = rig.gateway(config, &mut avs, &mut rng);
             let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
             let encrypted =
                 rig.encrypt(&mut device_sessions, rig.schedule(0..requests_per_session));
@@ -242,7 +241,8 @@ pub fn e16_telemetry(
         let clock = Arc::new(ManualClock::new());
         let mut config = rig.config(1, 1);
         config.telemetry.trace_sample_interval = 1;
-        let gateway = rig.gateway(config, &mut avs, &mut rng, clock.clone());
+        config.clock = clock.clone();
+        let gateway = rig.gateway(config, &mut avs, &mut rng);
         let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
         let (sid, ciphertext) = rig.encrypt(&mut device_sessions, [(0, 0)]).remove(0);
         clock.advance_nanos(1_000);

@@ -3,8 +3,10 @@
 use crate::rig::{self, Rig};
 use glimmer_core::remote::IotDeviceSession;
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::SystemClock;
-use std::sync::Arc;
+use glimmer_gateway::{
+    CrashHooks, CrashPoint, Gateway, GatewayConfig, ManualClock, SnapshotChain, TenantQuota,
+};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// The E18 result: incremental + streamed checkpoints.
@@ -60,19 +62,19 @@ pub struct E18Result {
 /// not the pool size.
 ///
 /// Phase 2 re-captures the same gateway with a full
-/// [`glimmer_gateway::Gateway::checkpoint`], driving
-/// `overlap_requests` live requests through the gateway from inside the
-/// [`glimmer_gateway::CrashPoint::MidStreamExport`] hook — each one
-/// submitted and drained while the capture is mid-flight, proving
-/// housekeeping no longer stops the world.
+/// [`glimmer_gateway::Gateway::checkpoint`], parking it at
+/// [`CrashPoint::MidStreamExport`] for `overlap_requests` laps (at most
+/// one per slot) — in each lap one live request is submitted and drained
+/// while the capture is mid-flight, proving housekeeping no longer stops
+/// the world.
 ///
 /// Phase 3 (bit-identity) runs two identically-seeded fixtures on a
-/// [`glimmer_gateway::ManualClock`]: run A checkpoints base + delta, run B
-/// takes full snapshots at the same two points, both crash, and run A
-/// restores through [`glimmer_gateway::Gateway::restore_chain_with_hooks`]
-/// while run B restores from the full snapshot (the empty chain). A fresh checkpoint from
-/// either restored gateway must be byte-for-byte identical, and both must
-/// serve the remaining workload identically.
+/// [`ManualClock`]: run A checkpoints base + delta, run B takes full
+/// snapshots at the same two points, both crash, and run A restores
+/// through [`Gateway::restore_chain`] while run B restores from the full
+/// snapshot (the empty chain), each handed its run's config and clock. A
+/// fresh checkpoint from either restored gateway must be byte-for-byte
+/// identical, and both must serve the remaining workload identically.
 #[must_use]
 pub fn e18_incremental_checkpoint(
     slots: usize,
@@ -82,13 +84,11 @@ pub fn e18_incremental_checkpoint(
     overlap_requests: usize,
     seed: [u8; 32],
 ) -> E18Result {
-    use glimmer_gateway::{
-        CrashHooks, CrashPoint, Gateway, ManualClock, NoCrash, SnapshotChain, TenantQuota,
-    };
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-
     assert!(dirty >= 1 && dirty <= slots, "dirty must be in 1..=slots");
+    assert!(
+        overlap_requests <= slots,
+        "a capture parks at most once per slot"
+    );
     let total_rounds = 2 + overlap_requests;
     let mut rng = Drbg::from_seed(seed);
     let rig = Rig::generate(
@@ -101,11 +101,14 @@ pub fn e18_incremental_checkpoint(
         &mut rng,
     );
     let mut avs = rig::attestation([82u8; 32]);
+    let overlap = Arc::new(ServeDuringCapture::default());
     let gateway = rig.gateway(
-        rig.config(slots, 4),
+        GatewayConfig {
+            crash_hooks: overlap.clone(),
+            ..rig.config(slots, 4)
+        },
         &mut avs,
         &mut Drbg::from_seed([83u8; 32]),
-        Arc::new(SystemClock::new()),
     );
     let mut sessions = rig.connect(&gateway, &avs, &mut rng);
     // Round 0 for every device: every slot ends up dirty and stateful.
@@ -150,51 +153,32 @@ pub fn e18_incremental_checkpoint(
         .count();
     let skipped_slots = slots - dirty_slots;
 
-    // --- Streamed capture with live traffic from inside the hook. ---
-    struct ServeDuringCapture<'a> {
-        rig: &'a Rig,
-        gateway: &'a Gateway,
-        // (dense device index, sid, device session, next round) for the
-        // device the hook keeps serving; rounds_left bounds the traffic.
-        lane: Mutex<(usize, u64, IotDeviceSession, usize, usize)>,
-        served: AtomicU64,
-    }
-    impl CrashHooks for ServeDuringCapture<'_> {
-        fn reached(&self, point: CrashPoint) -> bool {
-            if point == CrashPoint::MidStreamExport {
-                let mut lane = self.lane.lock().unwrap();
-                let (device, sid, ref mut session, ref mut round, ref mut left) = *lane;
-                if *left > 0 {
-                    *left -= 1;
-                    let request = self.rig.request(session, device, *round);
-                    *round += 1;
-                    self.gateway.submit(sid, request).unwrap();
-                    let endorsed = rig::endorsed(&self.gateway.drain_all().unwrap());
-                    self.served.fetch_add(endorsed as u64, Ordering::Relaxed);
-                }
-            }
-            false // observe, never crash
-        }
-    }
+    // --- Streamed capture with live traffic while it is parked. ---
     // Device 0 already served rounds 0 and 1; its masks run to
-    // `total_rounds`, leaving exactly `overlap_requests` rounds for the
-    // hook to burn mid-capture.
-    let (sid0, session0) = sessions.swap_remove(0);
-    let hooks = ServeDuringCapture {
-        rig: &rig,
-        gateway: &gateway,
-        lane: Mutex::new((0, sid0, session0, 2, overlap_requests)),
-        served: AtomicU64::new(0),
-    };
+    // `total_rounds`, leaving exactly `overlap_requests` rounds to serve
+    // mid-capture.
+    let (sid0, mut session0) = sessions.swap_remove(0);
+    overlap.state.lock().unwrap().0 = overlap_requests;
     let start = Instant::now();
-    let streamed = gateway.checkpoint_with_hooks(&hooks).unwrap();
+    let (streamed, served_during_capture) = std::thread::scope(|scope| {
+        let capture = scope.spawn(|| gateway.checkpoint());
+        let mut served = 0u64;
+        for round in 2..total_rounds {
+            overlap.lap(|| {
+                gateway
+                    .submit(sid0, rig.request(&mut session0, 0, round))
+                    .unwrap();
+                served += rig::endorsed(&gateway.drain_all().unwrap()) as u64;
+            });
+        }
+        (capture.join().unwrap().unwrap(), served)
+    });
     let streamed_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         streamed.tenants[0].slots.len(),
         slots,
         "streamed capture must cover the whole pool"
     );
-    let served_during_capture = hooks.served.load(Ordering::Relaxed);
     let telemetry = gateway.telemetry();
     drop(gateway);
 
@@ -213,17 +197,17 @@ pub fn e18_incremental_checkpoint(
         // One deterministic pre-crash run: serve round 0 everywhere, hand
         // the gateway to `ops` for its two checkpoint calls (serving the
         // dirtying round between them), and return everything the restore
-        // needs. Identical seeds make run A and run B the same machine.
+        // needs, its config (and so its clock) included. Identical seeds
+        // make run A and run B the same machine.
         type CheckpointOps<'o> = dyn FnMut(&Gateway, &mut dyn FnMut(&Gateway)) + 'o;
         let run = |ops: &mut CheckpointOps<'_>| {
-            let clock = Arc::new(ManualClock::new());
+            let config = GatewayConfig {
+                clock: Arc::new(ManualClock::new()),
+                ..fixture.config(4, 1)
+            };
             let mut avs = rig::attestation([86u8; 32]);
-            let gateway = fixture.gateway(
-                fixture.config(4, 1),
-                &mut avs,
-                &mut Drbg::from_seed([88u8; 32]),
-                clock.clone(),
-            );
+            let gateway =
+                fixture.gateway(config.clone(), &mut avs, &mut Drbg::from_seed([88u8; 32]));
             let mut device_sessions =
                 fixture.connect(&gateway, &avs, &mut Drbg::from_seed([87u8; 32]));
             fixture.serve(&gateway, &mut device_sessions, (0..4).map(|i| (i, 0)));
@@ -233,7 +217,7 @@ pub fn e18_incremental_checkpoint(
                 fixture.serve(gateway, &mut device_sessions, (0..2).map(|i| (i, 1)));
             });
             drop(gateway);
-            (avs, clock, device_sessions)
+            (avs, config, device_sessions)
         };
         // Post-restore tail: devices 2.. still owe round 1.
         let tail = |gateway: &Gateway,
@@ -249,7 +233,7 @@ pub fn e18_incremental_checkpoint(
         // Run A: base + delta.
         let mut base_a = None;
         let mut delta_a = None;
-        let (mut avs_a, clock_a, mut sessions_a) = run(&mut |gateway, dirty_round| {
+        let (mut avs_a, config_a, mut sessions_a) = run(&mut |gateway, dirty_round| {
             let base = gateway.checkpoint().unwrap();
             dirty_round(gateway);
             delta_a = Some(gateway.checkpoint_delta(&base.chain_base()).unwrap());
@@ -258,7 +242,7 @@ pub fn e18_incremental_checkpoint(
         // Run B: full snapshots at the same two points (same epoch
         // sequence).
         let mut full_b = None;
-        let (mut avs_b, clock_b, mut sessions_b) = run(&mut |gateway, dirty_round| {
+        let (mut avs_b, config_b, mut sessions_b) = run(&mut |gateway, dirty_round| {
             let _ = gateway.checkpoint().unwrap();
             dirty_round(gateway);
             full_b = Some(gateway.checkpoint().unwrap());
@@ -266,8 +250,8 @@ pub fn e18_incremental_checkpoint(
 
         let base_a = base_a.unwrap();
         let delta_a = delta_a.unwrap();
-        let restored_a = Gateway::restore_chain_with_hooks(
-            fixture.config(4, 1),
+        let restored_a = Gateway::restore_chain(
+            config_a,
             fixture.tenants(TenantQuota::default()),
             SnapshotChain {
                 base: &base_a,
@@ -275,12 +259,10 @@ pub fn e18_incremental_checkpoint(
             },
             &mut avs_a,
             &mut Drbg::from_seed([88u8; 32]),
-            clock_a,
-            &NoCrash,
         )
         .unwrap();
-        let restored_b = Gateway::restore_chain_with_hooks(
-            fixture.config(4, 1),
+        let restored_b = Gateway::restore_chain(
+            config_b,
             fixture.tenants(TenantQuota::default()),
             SnapshotChain {
                 base: &full_b.unwrap(),
@@ -288,8 +270,6 @@ pub fn e18_incremental_checkpoint(
             },
             &mut avs_b,
             &mut Drbg::from_seed([88u8; 32]),
-            clock_b,
-            &NoCrash,
         )
         .unwrap();
         let identical = restored_a.checkpoint().unwrap().to_bytes()
@@ -322,5 +302,43 @@ pub fn e18_incremental_checkpoint(
         telemetry_slots_skipped: telemetry.checkpoint_slots_skipped,
         chain_restore_identical,
         chain_tail_identical,
+    }
+}
+
+/// The ratio gateway's crash plan: it parks a full capture at
+/// [`CrashPoint::MidStreamExport`] once per lap the driver has asked for,
+/// and never crashes. No worker is paused at that point, so the driver
+/// serves live traffic while the capture is parked.
+#[derive(Debug, Default)]
+struct ServeDuringCapture {
+    /// `(laps left, parked)`.
+    state: Mutex<(usize, bool)>,
+    turn: Condvar,
+}
+
+impl ServeDuringCapture {
+    /// Waits for the capture to park, runs `serve`, and lets the capture
+    /// go on to its next slot.
+    fn lap(&self, serve: impl FnOnce()) {
+        let state = self.state.lock().unwrap();
+        drop(self.turn.wait_while(state, |(_, parked)| !*parked).unwrap());
+        serve();
+        let mut state = self.state.lock().unwrap();
+        *state = (state.0 - 1, false);
+        self.turn.notify_all();
+    }
+}
+
+impl CrashHooks for ServeDuringCapture {
+    fn reached(&self, point: CrashPoint) -> bool {
+        if point == CrashPoint::MidStreamExport {
+            let mut state = self.state.lock().unwrap();
+            if state.0 > 0 {
+                state.1 = true;
+                self.turn.notify_all();
+                drop(self.turn.wait_while(state, |(_, parked)| *parked).unwrap());
+            }
+        }
+        false
     }
 }

@@ -4,8 +4,6 @@ use crate::rig::{self, Rig};
 use glimmer_core::protocol::ProcessResponse;
 use glimmer_core::remote::IotDeviceSession;
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::SystemClock;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// E20 result: live rebalancing recovers a deliberately skewed fleet.
@@ -86,12 +84,7 @@ pub fn e20_live_rebalance(
     let build = || {
         let mut rng = rng.clone();
         let mut avs = rig::attestation([20u8; 32]);
-        let gateway = rig.gateway(
-            rig.config(slots, shards),
-            &mut avs,
-            &mut rng,
-            Arc::new(SystemClock::new()),
-        );
+        let gateway = rig.gateway(rig.config(slots, shards), &mut avs, &mut rng);
         let mut device_sessions = rig.connect(&gateway, &avs, &mut rng);
         let encrypted = rig.encrypt(&mut device_sessions, rig.schedule(0..requests_per_session));
         (gateway, device_sessions, encrypted)

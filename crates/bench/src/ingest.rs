@@ -211,14 +211,14 @@ impl ReplayHarness {
         let mut avs = rig::attestation([91u8; 32]);
         let mut config = rigs[0].config(slots_per_tenant, shards);
         config.max_queue_depth = max_queue_depth;
-        let gateway = Gateway::with_clock(
+        config.clock = Arc::clone(&clock);
+        let gateway = Gateway::new(
             config,
             rigs.iter()
                 .flat_map(|rig| rig.tenants(TenantQuota::default()))
                 .collect(),
             &mut avs,
             &mut rng,
-            Arc::clone(&clock),
         )
         .unwrap();
         let sessions: Vec<Sessions> = rigs

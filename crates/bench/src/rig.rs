@@ -23,7 +23,7 @@ use glimmer_core::protocol::{
 use glimmer_core::remote::{IotDeviceSession, RemoteGlimmerHost};
 use glimmer_core::signing::ServiceKeyMaterial;
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::{Clock, Gateway, GatewayConfig, GatewayResponse, TenantConfig, TenantQuota};
+use glimmer_gateway::{Gateway, GatewayConfig, GatewayResponse, TenantConfig, TenantQuota};
 use glimmer_workloads::gateway::{
     DeviceTraffic, GatewayTrafficWorkload, SessionStream, TenantTraffic, TenantTrafficSpec,
     TrafficEvent,
@@ -31,7 +31,6 @@ use glimmer_workloads::gateway::{
 use glimmer_workloads::iot::DeviceBehaviour;
 use sgx_sim::{AttestationService, PlatformConfig};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// The tenant every single-tenant serving experiment runs.
 pub const APP: &str = "iot-telemetry.example";
@@ -215,25 +214,16 @@ impl Rig {
         vec![tenant]
     }
 
-    /// Builds the tenant's gateway on `clock`. `rng` stands in for the
-    /// machine identity: a restore reproduces the platforms from the same
-    /// seed.
+    /// Builds the tenant's gateway. `rng` stands in for the machine
+    /// identity: a restore reproduces the platforms from the same seed.
     #[must_use]
     pub fn gateway(
         &self,
         config: GatewayConfig,
         avs: &mut AttestationService,
         rng: &mut Drbg,
-        clock: Arc<dyn Clock>,
     ) -> Gateway {
-        Gateway::with_clock(
-            config,
-            self.tenants(TenantQuota::default()),
-            avs,
-            rng,
-            clock,
-        )
-        .unwrap()
+        Gateway::new(config, self.tenants(TenantQuota::default()), avs, rng).unwrap()
     }
 
     /// Connects every device, device-major: open, handshake, complete and

@@ -83,18 +83,21 @@
 //!
 //! # Crash-fault injection
 //!
-//! The checkpoint/restore paths are threaded with labelled [`CrashPoint`]s,
-//! reported to an injected [`CrashHooks`] — the same injection pattern as
-//! [`crate::Clock`]/[`crate::ManualClock`]. Production uses the no-op
-//! [`NoCrash`]; the crash-matrix test kills the gateway at every labelled
-//! point and asserts each snapshot either restores bit-identically or is
-//! rejected with a typed error.
+//! The checkpoint, restore and migration paths are threaded with labelled
+//! [`CrashPoint`]s, reported to the [`CrashHooks`] installed once in
+//! [`GatewayConfig::crash_hooks`](crate::GatewayConfig::crash_hooks) — the
+//! field beside [`GatewayConfig::clock`](crate::GatewayConfig::clock), and
+//! the same injection pattern. Production uses the no-op [`NoCrash`]; the
+//! crash matrices install one [`CrashAt`], arm it before the verb they want
+//! to kill, and assert each snapshot either restores bit-identically or is
+//! rejected with a typed error. No verb takes an injection argument.
 
 use crate::error::{GatewayError, Result};
 use crate::stats::{SlotStats, TenantStats};
 use glimmer_wire::snapshot::{self, SnapshotFrame};
 use glimmer_wire::{Decoder, Encoder};
 use sgx_sim::Measurement;
+use std::sync::Mutex;
 
 /// Snapshot-frame kind tag for a full gateway snapshot.
 pub const GATEWAY_SNAPSHOT_KIND: u16 = 1;
@@ -156,10 +159,10 @@ impl CrashPoint {
         CrashPoint::MidMigrationImport,
     ];
 
-    /// The migration-only crash points ([`Gateway::migrate_slot_with_hooks`]
-    /// is the only code that reaches them).
+    /// The migration-only crash points ([`Gateway::migrate_slot`] is the
+    /// only code that reaches them).
     ///
-    /// [`Gateway::migrate_slot_with_hooks`]: crate::Gateway::migrate_slot_with_hooks
+    /// [`Gateway::migrate_slot`]: crate::Gateway::migrate_slot
     pub const MIGRATION: [CrashPoint; 3] = [
         CrashPoint::MidMigrationExport,
         CrashPoint::SlotHandedOff,
@@ -183,11 +186,11 @@ impl core::fmt::Display for CrashPoint {
     }
 }
 
-/// Injected crash decisions, mirroring the [`crate::Clock`] pattern:
-/// production passes the no-op [`NoCrash`], deterministic tests pass
-/// [`CrashAt`] (or their own implementation) to kill the gateway at an
-/// exact labelled point.
-pub trait CrashHooks: Send + Sync {
+/// Injected crash decisions, mirroring the [`crate::Clock`] pattern: the
+/// gateway asks the plan in its config. Production keeps the no-op
+/// [`NoCrash`]; deterministic tests install [`CrashAt`] (or their own
+/// implementation) to kill the gateway at an exact labelled point.
+pub trait CrashHooks: Send + Sync + core::fmt::Debug {
     /// Called when execution reaches `point`; returning `true` makes the
     /// surrounding operation abort with
     /// [`crate::GatewayError::CrashInjected`] — the deterministic stand-in
@@ -205,13 +208,65 @@ impl CrashHooks for NoCrash {
     }
 }
 
-/// Test hooks that crash at exactly one labelled point.
-#[derive(Debug, Clone, Copy)]
-pub struct CrashAt(pub CrashPoint);
+/// Test hooks that crash at one labelled point while armed, and never
+/// while disarmed (the default). Arming goes through `&self`, so a test
+/// keeps an `Arc` of the plan its gateway holds and re-aims it between
+/// steps.
+///
+/// # Examples
+///
+/// ```
+/// use glimmer_core::host::GlimmerDescriptor;
+/// use glimmer_core::signing::ServiceKeyMaterial;
+/// use glimmer_crypto::drbg::Drbg;
+/// use glimmer_gateway::{CrashAt, CrashPoint, Gateway, GatewayConfig, GatewayError, TenantConfig};
+/// use sgx_sim::AttestationService;
+/// use std::sync::Arc;
+///
+/// let mut rng = Drbg::from_seed([4u8; 32]);
+/// let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+/// let plan = Arc::new(CrashAt::default());
+/// let config = GatewayConfig {
+///     slots_per_tenant: 1,
+///     crash_hooks: plan.clone(),
+///     ..GatewayConfig::default()
+/// };
+/// let tenant = TenantConfig::new(
+///     "maps.example",
+///     GlimmerDescriptor::iot_default(Vec::new()),
+///     material.secret_bytes(),
+/// );
+/// let mut avs = AttestationService::new([5u8; 32]);
+/// let gateway = Gateway::new(config, vec![tenant], &mut avs, &mut rng).unwrap();
+///
+/// plan.arm(CrashPoint::SnapshotAssembled);
+/// assert_eq!(
+///     gateway.checkpoint().unwrap_err(),
+///     GatewayError::CrashInjected(CrashPoint::SnapshotAssembled)
+/// );
+/// plan.disarm();
+/// assert!(gateway.checkpoint().is_ok());
+/// ```
+#[derive(Debug, Default)]
+pub struct CrashAt {
+    armed: Mutex<Option<CrashPoint>>,
+}
+
+impl CrashAt {
+    /// Crash at `point` from now on, replacing any earlier target.
+    pub fn arm(&self, point: CrashPoint) {
+        *self.armed.lock().expect("crash plan poisoned") = Some(point);
+    }
+
+    /// Stop crashing.
+    pub fn disarm(&self) {
+        *self.armed.lock().expect("crash plan poisoned") = None;
+    }
+}
 
 impl CrashHooks for CrashAt {
     fn reached(&self, point: CrashPoint) -> bool {
-        point == self.0
+        *self.armed.lock().expect("crash plan poisoned") == Some(point)
     }
 }
 
@@ -1027,12 +1082,17 @@ mod tests {
 
     #[test]
     fn crash_points_display_and_hooks() {
+        let plan = CrashAt::default();
         for point in CrashPoint::ALL {
             assert!(!point.to_string().is_empty());
             assert!(!NoCrash.reached(point));
-            assert!(CrashAt(point).reached(point));
+            assert!(!plan.reached(point));
+            plan.arm(point);
+            assert!(plan.reached(point));
+            plan.disarm();
         }
-        assert!(!CrashAt(CrashPoint::MidRestore).reached(CrashPoint::BeforeRestore));
+        plan.arm(CrashPoint::MidRestore);
+        assert!(!plan.reached(CrashPoint::BeforeRestore));
         // The migration-only points are a subset of ALL (the restore
         // matrix filters them out; the rebalance matrix iterates them).
         for point in CrashPoint::MIGRATION {

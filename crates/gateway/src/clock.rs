@@ -2,9 +2,10 @@
 //!
 //! The gateway's only time-dependent policy is stale-pending eviction
 //! ([`crate::Gateway::evict_stale_pending`]). Reading wall time directly made
-//! that policy untestable without sleeping; instead the gateway reads a
-//! [`Clock`], so production uses the monotonic [`SystemClock`] and tests use
-//! a [`ManualClock`] they can advance deterministically.
+//! that policy untestable without sleeping; instead the gateway reads the
+//! [`Clock`] in [`GatewayConfig::clock`](crate::GatewayConfig::clock), so
+//! production uses the monotonic [`SystemClock`] and tests use a
+//! [`ManualClock`] they can advance deterministically.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -13,7 +14,7 @@ use std::time::Instant;
 ///
 /// Implementations must be monotonic (never decrease) and cheap to read; the
 /// gateway samples the clock on every session open.
-pub trait Clock: Send + Sync {
+pub trait Clock: Send + Sync + core::fmt::Debug {
     /// Nanoseconds elapsed since the clock's origin.
     fn now_nanos(&self) -> u64;
 }

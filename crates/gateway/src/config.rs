@@ -1,8 +1,11 @@
 //! Gateway and tenant configuration.
 
+use crate::checkpoint::{CrashHooks, NoCrash};
+use crate::clock::{Clock, SystemClock};
 use crate::telemetry::TelemetryConfig;
 use glimmer_core::host::GlimmerDescriptor;
 use sgx_sim::PlatformConfig;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Limits a tenant buys when it enrolls with the gateway.
@@ -84,15 +87,6 @@ pub struct GatewayConfig {
     /// Most requests queued on one slot before submits are rejected with
     /// backpressure.
     pub max_queue_depth: usize,
-    /// Pin each shard worker thread to a CPU core (`shard_id` modulo the
-    /// detected core count) via [`crate::affinity::pin_to_core`]. Off by
-    /// default: pinning trades scheduler freedom for lower run-to-run
-    /// variance in drain latency, which only pays when the host actually
-    /// dedicates cores to the gateway. A no-op (every worker keeps the
-    /// default mask) on non-Linux targets or when the kernel rejects the
-    /// mask; [`crate::gateway::Gateway::pinned_workers`] reports how many
-    /// workers the kernel accepted.
-    pub pin_cores: bool,
     /// Platform parameters for every pool slot.
     pub platform_config: PlatformConfig,
     /// Observability knobs: metrics, trace sampling, and the rejection
@@ -121,6 +115,19 @@ pub struct GatewayConfig {
     /// Only read by an operator-driven `Rebalancer` loop; the gateway
     /// itself never migrates a slot unprompted.
     pub rebalance: RebalanceConfig,
+    /// The time source behind every time-dependent decision: stale-pending
+    /// eviction, session, trace and checkpoint stamps, and the front door's
+    /// executor timers. Defaults to a [`SystemClock`]; deterministic tests
+    /// install a [`ManualClock`](crate::ManualClock) and keep an `Arc` of it
+    /// to advance. A restore handed this config reads the same clock.
+    pub clock: Arc<dyn Clock>,
+    /// The crash-fault plan, asked at every labelled
+    /// [`CrashPoint`](crate::CrashPoint) on the checkpoint, restore and
+    /// migration paths (never on the serving path). Defaults to the no-op
+    /// [`NoCrash`]; the fault matrices install a
+    /// [`CrashAt`](crate::CrashAt), keep an `Arc` of it, and arm it between
+    /// steps. The shard workers reach it through the gateway's shared state.
+    pub crash_hooks: Arc<dyn CrashHooks>,
 }
 
 /// Knobs for the [`crate::rebalance::Rebalancer`]'s migration planner.
@@ -195,13 +202,14 @@ impl Default for GatewayConfig {
             shards: 1,
             max_batch: 256,
             max_queue_depth: 1024,
-            pin_cores: false,
             platform_config: PlatformConfig::default(),
             telemetry: TelemetryConfig::default(),
             stale_pending_after: Duration::from_secs(30),
             evict_stale_period: Some(Duration::from_secs(5)),
             net: NetConfig::default(),
             rebalance: RebalanceConfig::default(),
+            clock: Arc::new(SystemClock::new()),
+            crash_hooks: Arc::new(NoCrash),
         }
     }
 }
@@ -218,9 +226,10 @@ mod tests {
         assert_eq!(config.shards, 1);
         assert!(config.max_batch >= 1);
         assert!(config.max_queue_depth >= config.max_batch);
-        // Core pinning is opt-in: default serving must not fight the
-        // scheduler on shared hosts.
-        assert!(!config.pin_cores);
+        // Production never crashes on purpose.
+        assert!(crate::CrashPoint::ALL
+            .into_iter()
+            .all(|point| !config.crash_hooks.reached(point)));
         // Telemetry ships on, with sampled (not exhaustive) tracing.
         assert!(config.telemetry.enabled);
         assert!(config.telemetry.trace_sample_interval > 1);

@@ -1,11 +1,9 @@
 //! The gateway facade: admission, routing, and batched serving.
 
 use crate::checkpoint::{
-    ChainBase, CrashHooks, CrashPoint, DeltaSlot, DeltaTenant, GatewayDelta, GatewaySnapshot,
-    NoCrash, SessionRecord, SlotSnapshot, SnapshotChain, TenantSnapshot, GATEWAY_DELTA_KIND,
-    GATEWAY_SNAPSHOT_KIND,
+    ChainBase, CrashPoint, DeltaSlot, DeltaTenant, GatewayDelta, GatewaySnapshot, SessionRecord,
+    SlotSnapshot, SnapshotChain, TenantSnapshot, GATEWAY_DELTA_KIND, GATEWAY_SNAPSHOT_KIND,
 };
-use crate::clock::{Clock, SystemClock};
 use crate::config::{GatewayConfig, TenantConfig, TenantQuota};
 use crate::error::{GatewayError, QuotaResource, Result};
 use crate::frontend::completion::{completion_pair, Completer, Completion};
@@ -92,8 +90,8 @@ impl core::fmt::Debug for Gateway {
 }
 
 /// One tenant's pool, ready for the runtime — either freshly provisioned
-/// ([`Gateway::with_clock`]) or rebuilt from sealed checkpoint state
-/// ([`Gateway::restore_chain_with_hooks`]).
+/// ([`Gateway::new`]) or rebuilt from sealed checkpoint state
+/// ([`Gateway::restore_chain`]).
 struct TenantBuild {
     name: Arc<str>,
     quota: TenantQuota,
@@ -116,10 +114,10 @@ struct Capture {
     sessions: Vec<SessionRecord>,
 }
 
-/// Reports `point` to the injected hooks; a hook that fires aborts the
+/// Reports `point` to the config's crash plan; a plan that fires aborts the
 /// surrounding operation with [`GatewayError::CrashInjected`].
-fn crash_at(hooks: &dyn CrashHooks, point: CrashPoint) -> Result<()> {
-    if hooks.reached(point) {
+fn crash_at(config: &GatewayConfig, point: CrashPoint) -> Result<()> {
+    if config.crash_hooks.reached(point) {
         Err(GatewayError::CrashInjected(point))
     } else {
         Ok(())
@@ -142,24 +140,14 @@ fn sorted_unique(mut tenants: Vec<TenantConfig>) -> Result<Vec<TenantConfig>> {
 impl Gateway {
     /// Builds the gateway: creates and provisions `slots_per_tenant` enclaves
     /// for every tenant up front, then spawns the shard workers and hands
-    /// each its share of the slots. Uses the production [`SystemClock`].
+    /// each its share of the slots. Time and injected faults come from the
+    /// config's [`clock`](GatewayConfig::clock) and
+    /// [`crash_hooks`](GatewayConfig::crash_hooks).
     pub fn new(
         config: GatewayConfig,
         tenants: Vec<TenantConfig>,
         avs: &mut AttestationService,
         rng: &mut Drbg,
-    ) -> Result<Self> {
-        Self::with_clock(config, tenants, avs, rng, Arc::new(SystemClock::new()))
-    }
-
-    /// [`Gateway::new`] with an injected [`Clock`] (deterministic
-    /// stale-pending eviction under test).
-    pub fn with_clock(
-        config: GatewayConfig,
-        tenants: Vec<TenantConfig>,
-        avs: &mut AttestationService,
-        rng: &mut Drbg,
-        clock: Arc<dyn Clock>,
     ) -> Result<Self> {
         let tenants = sorted_unique(tenants)?;
         let mut builds = Vec::with_capacity(tenants.len());
@@ -180,16 +168,15 @@ impl Gateway {
                 slots: pool.slots,
             });
         }
-        Self::assemble(config, clock, builds, SessionTable::new(), 0, 0)
+        Self::assemble(config, builds, SessionTable::new(), 0, 0)
     }
 
-    /// Final construction step shared by [`Gateway::with_clock`] and
-    /// [`Gateway::restore_chain_with_hooks`]: distributes the (provisioned or
+    /// Final construction step shared by [`Gateway::new`] and
+    /// [`Gateway::restore_chain`]: distributes the (provisioned or
     /// restored) pool slots round-robin over the shard workers, recomputes
     /// the session gauges from the table, and spawns the runtime.
     fn assemble(
         config: GatewayConfig,
-        clock: Arc<dyn Clock>,
         builds: Vec<TenantBuild>,
         table: SessionTable,
         checkpoint_epoch: u64,
@@ -247,24 +234,17 @@ impl Gateway {
         let shared = Arc::new(Shared {
             telemetry: Arc::new(Telemetry::new(
                 &config.telemetry,
-                Arc::clone(&clock),
+                Arc::clone(&config.clock),
                 shards,
             )),
             config,
-            clock,
             tenants: metas,
             table: Mutex::new(table),
             submit_commands: AtomicU64::new(submit_commands),
             checkpoint_epoch: AtomicU64::new(checkpoint_epoch),
             barrier: AtomicU8::new(crate::runtime::BARRIER_IDLE),
-            pinned_workers: AtomicUsize::new(0),
             migration: Mutex::new(()),
         });
-
-        // Shard-to-core assignment for `pin_cores`: round-robin over the
-        // detected core count, so surplus shards share cores instead of
-        // failing to pin.
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
         // All shard channels exist before any worker spawns: every worker
         // holds senders to every shard, which is what lets a tombstoned
@@ -289,21 +269,9 @@ impl Gateway {
                 senders: senders.clone(),
                 scratch: Default::default(),
             };
-            let pin_core = worker.shared.config.pin_cores.then_some(shard_id % cores);
-            let pin_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("gateway-shard-{shard_id}"))
-                .spawn(move || {
-                    // Pin before the first receive so any synchronous
-                    // command round-trip observes the final pinned count.
-                    if let Some(core) = pin_core {
-                        if crate::affinity::pin_to_core(core) {
-                            pin_shared.pinned_workers.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                    drop(pin_shared);
-                    worker.run()
-                })
+                .spawn(move || worker.run())
                 .map_err(|_| GatewayError::RuntimeUnavailable)?;
             workers.push(handle);
         }
@@ -319,16 +287,6 @@ impl Gateway {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.senders.len()
-    }
-
-    /// Workers the kernel accepted a `pin_cores` affinity mask for: `0`
-    /// when `GatewayConfig::pin_cores` is off or pinning is unsupported,
-    /// up to [`Gateway::shard_count`] otherwise. Workers pin before their
-    /// first command receive, so the count is final once any synchronous
-    /// call (e.g. [`Gateway::stats`]) has round-tripped the shards.
-    #[must_use]
-    pub fn pinned_workers(&self) -> usize {
-        self.shared.pinned_workers.load(Ordering::SeqCst)
     }
 
     /// Every pool slot's live load — current owning shard and queued
@@ -466,7 +424,7 @@ impl Gateway {
                 meta.name.clone(),
                 tenant_idx,
                 slot_id,
-                self.shared.clock.now_nanos(),
+                self.shared.config.clock.now_nanos(),
             );
         Ok((session_id, tenant_idx, slot_id))
     }
@@ -1362,12 +1320,12 @@ impl Gateway {
     }
 
     /// Closes every session still pending after `older_than` (per the
-    /// gateway's injected [`Clock`]) and returns the evicted ids. Without
-    /// this, a client that requests handshake offers and never completes
-    /// them would pin its tenant's session quota forever; operators call
-    /// this on a timer.
+    /// config's [`clock`](GatewayConfig::clock)) and returns the evicted
+    /// ids. Without this, a client that requests handshake offers and never
+    /// completes them would pin its tenant's session quota forever;
+    /// operators call this on a timer.
     pub fn evict_stale_pending(&self, older_than: std::time::Duration) -> Vec<u64> {
-        let now = self.shared.clock.now_nanos();
+        let now = self.shared.config.clock.now_nanos();
         let stale = self
             .shared
             .table
@@ -1388,20 +1346,15 @@ impl Gateway {
         evicted
     }
 
-    /// The configuration this gateway was built with (eviction periods,
-    /// shard/batch limits, the front door's [`NetConfig`](crate::NetConfig)).
+    /// The configuration this gateway was built with: eviction periods,
+    /// shard/batch limits, the front door's [`NetConfig`](crate::NetConfig),
+    /// and the [`clock`](GatewayConfig::clock) that a
+    /// [`SessionExecutor`](crate::frontend::SessionExecutor) shares so
+    /// front-end timers and the gateway's staleness decisions read one time
+    /// source.
     #[must_use]
-    pub fn config(&self) -> &crate::GatewayConfig {
+    pub fn config(&self) -> &GatewayConfig {
         &self.shared.config
-    }
-
-    /// The gateway's injected [`Clock`] — share it with a
-    /// [`SessionExecutor`](crate::frontend::SessionExecutor) so front-end
-    /// timers (idle deadlines, eviction periods) and the gateway's own
-    /// staleness decisions read the same time source.
-    #[must_use]
-    pub fn clock_handle(&self) -> Arc<dyn Clock> {
-        Arc::clone(&self.shared.clock)
     }
 
     /// Captures a crash-consistent checkpoint of the serving gateway:
@@ -1442,7 +1395,10 @@ impl Gateway {
     /// one of the slots; [`GatewayError::RuntimeUnavailable`] when a shard
     /// worker is gone; and enclave export failures as
     /// [`GatewayError::Glimmer`]. A failed checkpoint releases its paused
-    /// worker untouched.
+    /// worker untouched. The config's
+    /// [`crash_hooks`](GatewayConfig::crash_hooks) see every capture-side
+    /// [`CrashPoint`]; a crash injected there fails the same way, with
+    /// [`GatewayError::CrashInjected`].
     ///
     /// # Examples
     ///
@@ -1496,28 +1452,7 @@ impl Gateway {
     /// assert_eq!(restored.tenant_names(), vec!["maps.example".to_string()]);
     /// ```
     pub fn checkpoint(&self) -> Result<GatewaySnapshot> {
-        self.checkpoint_with_hooks(&NoCrash)
-    }
-
-    /// An alias of [`Gateway::checkpoint`], which already captures slot at
-    /// a time. It exists only because `benchmark/src/probes.rs:531` calls
-    /// it and the frozen benchmark may not be edited; call
-    /// [`Gateway::checkpoint`].
-    #[doc(hidden)]
-    pub fn checkpoint_streamed(&self) -> Result<GatewaySnapshot> {
-        self.checkpoint()
-    }
-
-    /// [`Gateway::checkpoint`] with injected [`CrashHooks`] — the
-    /// crash-fault-injection harness kills the checkpoint at any labelled
-    /// capture-side [`CrashPoint`]; an aborted checkpoint releases its
-    /// claims and returns [`GatewayError::CrashInjected`]. The
-    /// [`CrashPoint::MidStreamExport`] hook fires after each slot's export
-    /// barrier releases — no worker is paused there, so a harness may drive
-    /// live traffic from inside the hook to exercise capture/serving
-    /// overlap.
-    pub fn checkpoint_with_hooks(&self, hooks: &dyn CrashHooks) -> Result<GatewaySnapshot> {
-        let capture = self.capture(None, hooks)?;
+        let capture = self.capture(None)?;
         let tenants = capture
             .tenants
             .into_iter()
@@ -1549,6 +1484,15 @@ impl Gateway {
         })
     }
 
+    /// An alias of [`Gateway::checkpoint`], which already captures slot at
+    /// a time. It exists only because `benchmark/src/probes.rs:531` calls
+    /// it and the frozen benchmark may not be edited; call
+    /// [`Gateway::checkpoint`].
+    #[doc(hidden)]
+    pub fn checkpoint_streamed(&self) -> Result<GatewaySnapshot> {
+        self.checkpoint()
+    }
+
     /// Captures an **incremental** checkpoint against `base`: only slots
     /// whose dirty-epoch advanced past the base frame re-run their
     /// state-export ECALL; clean slots are skipped entirely — no barrier,
@@ -1571,21 +1515,11 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Same surface as [`Gateway::checkpoint`].
-    pub fn checkpoint_delta(&self, base: &ChainBase) -> Result<GatewayDelta> {
-        self.checkpoint_delta_with_hooks(base, &NoCrash)
-    }
-
-    /// [`Gateway::checkpoint_delta`] with injected [`CrashHooks`] (the same
-    /// capture-side points as [`Gateway::checkpoint_with_hooks`];
-    /// [`CrashPoint::MidStreamExport`] fires only after a barriered export,
+    /// Same surface as [`Gateway::checkpoint`], crash points included
+    /// ([`CrashPoint::MidStreamExport`] fires only after a barriered export,
     /// never for a slot skipped on the clean fast path).
-    pub fn checkpoint_delta_with_hooks(
-        &self,
-        base: &ChainBase,
-        hooks: &dyn CrashHooks,
-    ) -> Result<GatewayDelta> {
-        let capture = self.capture(Some(base), hooks)?;
+    pub fn checkpoint_delta(&self, base: &ChainBase) -> Result<GatewayDelta> {
+        let capture = self.capture(Some(base))?;
         Ok(GatewayDelta {
             epoch: capture.epoch,
             created_at_nanos: capture.created_at_nanos,
@@ -1606,17 +1540,17 @@ impl Gateway {
     /// and is force-sealed under the plain snapshot header; `Some(base)` is
     /// a delta — slots still at the base's dirty-epoch are skipped, and
     /// fresh seals bind to `delta header ‖ base header`.
-    fn capture(&self, base: Option<&ChainBase>, hooks: &dyn CrashHooks) -> Result<Capture> {
-        let crash = |point| crash_at(hooks, point);
+    fn capture(&self, base: Option<&ChainBase>) -> Result<Capture> {
+        let crash = |point| crash_at(&self.shared.config, point);
         crash(CrashPoint::BeforeCheckpoint)?;
-        let checkpoint_start_nanos = self.shared.clock.now_nanos();
+        let checkpoint_start_nanos = self.shared.config.clock.now_nanos();
         // One capture at a time, and none once a shutdown has begun. The
         // claim is mutual exclusion only — no worker pauses under it for
         // longer than its own slot's export — and the guard releases on
         // every exit path, including injected crashes and export failures.
         let _barrier = BarrierGuard::acquire(&self.shared, BarrierOp::Checkpoint)?;
         let epoch = self.shared.checkpoint_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let created_at_nanos = self.shared.clock.now_nanos();
+        let created_at_nanos = self.shared.config.clock.now_nanos();
         let sealing_header = Arc::new(match base {
             None => {
                 glimmer_wire::snapshot::header_bytes(GATEWAY_SNAPSHOT_KIND, epoch, created_at_nanos)
@@ -1731,6 +1665,7 @@ impl Gateway {
         telemetry.count_checkpoint_slots(exported_slots, skipped_slots);
         let elapsed = self
             .shared
+            .config
             .clock
             .now_nanos()
             .saturating_sub(checkpoint_start_nanos);
@@ -1849,30 +1784,18 @@ impl Gateway {
     /// holds the gateway-wide barrier (a capture claims it for its whole
     /// walk, not just while it is on this slot);
     /// [`GatewayError::Glimmer`] when the
-    /// handoff seal fails — in every error case the slot is still (or
-    /// again) owned by its source shard and keeps serving.
+    /// handoff seal fails; [`GatewayError::CrashInjected`] when the config's
+    /// [`crash_hooks`](GatewayConfig::crash_hooks) fire at one of
+    /// [`CrashPoint::MIGRATION`]. In every error case the slot is still (or
+    /// again) owned by its source shard, with its queue intact, and keeps
+    /// serving: no endorsement is lost or duplicated.
     pub fn migrate_slot(
         &self,
         tenant: &str,
         slot_id: usize,
         target_shard: usize,
     ) -> Result<MigrationReport> {
-        self.migrate_slot_with_hooks(tenant, slot_id, target_shard, &NoCrash)
-    }
-
-    /// [`Gateway::migrate_slot`] with injected [`CrashHooks`] — the
-    /// migration arm of the crash-fault-injection matrix. Every injected
-    /// crash fails closed back to the source shard: the slot ends the call
-    /// owned by its original worker with its queue intact, so no
-    /// endorsement is lost or duplicated.
-    pub fn migrate_slot_with_hooks(
-        &self,
-        tenant: &str,
-        slot_id: usize,
-        target_shard: usize,
-        hooks: &dyn CrashHooks,
-    ) -> Result<MigrationReport> {
-        let crash = |point| crash_at(hooks, point);
+        let crash = |point| crash_at(&self.shared.config, point);
         if target_shard >= self.senders.len() {
             return Err(GatewayError::UnknownShard {
                 shard: target_shard,
@@ -1887,7 +1810,7 @@ impl Gateway {
                 tenant: tenant.to_string(),
                 slot: slot_id,
             })?;
-        let start_nanos = self.shared.clock.now_nanos();
+        let start_nanos = self.shared.config.clock.now_nanos();
         // Slot first, fleet second: a capture does the mirror image (fleet
         // barrier first, then each slot's claim as it reaches it), so with
         // SeqCst on both sides at least one of two racing coordinators
@@ -1927,7 +1850,7 @@ impl Gateway {
         let header = Arc::new(glimmer_wire::snapshot::header_bytes(
             GATEWAY_SNAPSHOT_KIND,
             self.shared.checkpoint_epoch.load(Ordering::SeqCst),
-            self.shared.clock.now_nanos(),
+            self.shared.config.clock.now_nanos(),
         ));
         let (ready_tx, ready_rx) = channel();
         let (go_tx, go_rx) = channel();
@@ -2010,7 +1933,12 @@ impl Gateway {
         let (fence_tx, fenced) = completion_pair();
         self.send(from_shard, ShardCommand::Fence { reply: fence_tx })?;
         fenced.wait()?;
-        let duration_nanos = self.shared.clock.now_nanos().saturating_sub(start_nanos);
+        let duration_nanos = self
+            .shared
+            .config
+            .clock
+            .now_nanos()
+            .saturating_sub(start_nanos);
         self.shared.telemetry.record_migration(duration_nanos);
         Ok(MigrationReport {
             tenant: tenant.to_string(),
@@ -2063,7 +1991,16 @@ impl Gateway {
     /// cross-measurement sealed state ([`GatewayError::SealedBlobRejected`]).
     /// Even a delta whose chain metadata was forged consistently fails
     /// closed: its sealed blobs are AAD-bound to the true base header inside
-    /// the enclave, so the unseal itself refuses.
+    /// the enclave, so the unseal itself refuses. A crash the config's
+    /// [`crash_hooks`](GatewayConfig::crash_hooks) inject at
+    /// [`CrashPoint::BeforeRestore`] or [`CrashPoint::MidRestore`] fails
+    /// with [`GatewayError::CrashInjected`] and leaves the chain untouched
+    /// for a retry.
+    ///
+    /// The restored gateway reads the config's
+    /// [`clock`](GatewayConfig::clock), so handing it the config the
+    /// crashed incarnation was built with keeps one time source across the
+    /// restart.
     ///
     /// # Examples
     ///
@@ -2076,30 +2013,7 @@ impl Gateway {
         avs: &mut AttestationService,
         rng: &mut Drbg,
     ) -> Result<Self> {
-        Self::restore_chain_with_hooks(
-            config,
-            tenants,
-            chain,
-            avs,
-            rng,
-            Arc::new(SystemClock::new()),
-            &NoCrash,
-        )
-    }
-
-    /// [`Gateway::restore_chain`] with an injected [`Clock`] and injected
-    /// [`CrashHooks`] (the crash-fault-injection harness; production uses
-    /// [`NoCrash`]).
-    pub fn restore_chain_with_hooks(
-        config: GatewayConfig,
-        tenants: Vec<TenantConfig>,
-        chain: SnapshotChain<'_>,
-        avs: &mut AttestationService,
-        rng: &mut Drbg,
-        clock: Arc<dyn Clock>,
-        hooks: &dyn CrashHooks,
-    ) -> Result<Self> {
-        let crash = |point| crash_at(hooks, point);
+        let clock = Arc::clone(&config.clock);
         let restore_start_nanos = clock.now_nanos();
         let SnapshotChain { base, deltas } = chain;
         // Validate every chain link fail-closed before touching anything.
@@ -2112,7 +2026,7 @@ impl Gateway {
             prev_epoch = delta.epoch;
             prev_header = delta.header_bytes();
         }
-        crash(CrashPoint::BeforeRestore)?;
+        crash_at(&config, CrashPoint::BeforeRestore)?;
         // The cheap mutable state comes wholesale from the chain's last
         // frame — which is the base itself when the chain is empty.
         let last = deltas.last();
@@ -2257,7 +2171,7 @@ impl Gateway {
                 slots,
             });
             if tenant_idx == 0 {
-                crash(CrashPoint::MidRestore)?;
+                crash_at(&config, CrashPoint::MidRestore)?;
             }
         }
 
@@ -2277,14 +2191,7 @@ impl Gateway {
             )
         });
         let table = SessionTable::restore(entries, next_session_id);
-        let gateway = Self::assemble(
-            config,
-            Arc::clone(&clock),
-            builds,
-            table,
-            epoch,
-            submit_commands,
-        )?;
+        let gateway = Self::assemble(config, builds, table, epoch, submit_commands)?;
         // The restore-duration histogram lives in the *new* incarnation's
         // hub: the whole rebuild (validation, per-slot IMPORT_STATE ECALLs,
         // table re-seat, worker spawn) is one observation.

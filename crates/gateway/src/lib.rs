@@ -67,15 +67,13 @@
 //! own gateway), and the only per-request fact the gateway learns is the
 //! public one-bit endorsed/failed outcome it needs for quota accounting.
 
-// `deny`, not `forbid`: the raw `sched_setaffinity` syscall behind core
-// pinning ([`affinity`]) and the raw `epoll`/`eventfd` syscalls behind the
+// `deny`, not `forbid`: the raw `epoll`/`eventfd` syscalls behind the
 // socket front door's reactor ([`net`]) are necessarily `unsafe` and carry
 // scoped `allow`s with their invariants documented; everything else stays
 // safe.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod affinity;
 pub mod checkpoint;
 pub mod clock;
 pub mod config;
@@ -90,7 +88,6 @@ pub mod session;
 pub mod stats;
 pub mod telemetry;
 
-pub use affinity::{pin_to_core, pinning_supported};
 pub use checkpoint::{
     ChainBase, CrashAt, CrashHooks, CrashPoint, DeltaSlot, DeltaTenant, GatewayDelta,
     GatewaySnapshot, NoCrash, SessionRecord, SlotSnapshot, SnapshotChain, TenantSnapshot,

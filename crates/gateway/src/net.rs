@@ -12,9 +12,8 @@
 //!   operation plus an explicit `Drain`, and server-pushed reply frames
 //!   carrying the global drain sequence so a socket client can reconstruct
 //!   the exact drain order an in-process driver would have seen.
-//! * **Reactor** ([`serve`]) — a raw-syscall `epoll` readiness loop (see
-//!   [`crate::affinity`] for the no-dependency syscall discipline) that
-//!   doubles as the [`SessionExecutor`]'s parker: when no task is
+//! * **Reactor** ([`serve`]) — a raw-syscall `epoll` readiness loop (no
+//!   libc: the workspace takes no external dependencies) that doubles as the [`SessionExecutor`]'s parker: when no task is
 //!   runnable the executor parks *in* `epoll_wait`, and cross-thread wakes
 //!   from shard workers ring an `eventfd` doorbell registered in the same
 //!   epoll set. One thread, all connections, no polling loops.

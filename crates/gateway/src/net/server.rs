@@ -186,7 +186,8 @@ pub fn serve(
     let thread = std::thread::Builder::new()
         .name("glimmer-frontdoor".to_string())
         .spawn(move || {
-            let mut executor = SessionExecutor::with_clock(frontend.gateway().clock_handle());
+            let clock = Arc::clone(&frontend.gateway().config().clock);
+            let mut executor = SessionExecutor::with_clock(clock);
             executor.attach_telemetry(frontend.gateway().telemetry_handle());
             match serve_on(&mut executor, frontend, listener, unrouted) {
                 Ok(shutdown) => {
@@ -954,7 +955,7 @@ mod tests {
         let mut avs = AttestationService::new([94u8; 32]);
         let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
         let clock = Arc::new(ManualClock::new());
-        let gateway = Gateway::with_clock(
+        let gateway = Gateway::new(
             GatewayConfig {
                 slots_per_tenant: 1,
                 evict_stale_period: None,
@@ -963,6 +964,7 @@ mod tests {
                     drain_interval: Some(interval),
                     ..NetConfig::default()
                 },
+                clock: clock.clone(),
                 ..GatewayConfig::default()
             },
             vec![TenantConfig::new(
@@ -972,7 +974,6 @@ mod tests {
             )],
             &mut avs,
             &mut rng,
-            Arc::clone(&clock) as Arc<dyn Clock>,
         )
         .unwrap();
         let approved = gateway.measurement(IOT).unwrap();
@@ -1065,7 +1066,7 @@ mod tests {
         let mut avs = AttestationService::new([92u8; 32]);
         let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
         let clock = Arc::new(ManualClock::new());
-        let gateway = Gateway::with_clock(
+        let gateway = Gateway::new(
             GatewayConfig {
                 slots_per_tenant: 1,
                 evict_stale_period: None,
@@ -1074,6 +1075,7 @@ mod tests {
                     drain_interval: None,
                     ..NetConfig::default()
                 },
+                clock: clock.clone(),
                 ..GatewayConfig::default()
             },
             vec![TenantConfig::new(
@@ -1083,7 +1085,6 @@ mod tests {
             )],
             &mut avs,
             &mut rng,
-            Arc::clone(&clock) as Arc<dyn Clock>,
         )
         .unwrap();
 

@@ -1,7 +1,7 @@
 //! Raw `epoll(7)`/`eventfd(2)` syscall shim for the readiness reactor.
 //!
-//! Same discipline as [`crate::affinity`]: the workspace takes no external
-//! dependencies, so on Linux the reactor issues raw syscalls (no libc).
+//! The workspace takes no external dependencies, so on Linux the reactor
+//! issues raw syscalls (no libc).
 //! This module only exists on Linux x86_64/aarch64 — [`super::supported`]
 //! reports `false` everywhere else and the reactor refuses to construct,
 //! so nothing here gates compilation on other targets.

@@ -26,7 +26,6 @@
 //! pre-runtime gateway's serial drain order exactly, which is what keeps
 //! E11's deterministic cycle metric stable.
 
-use crate::clock::Clock;
 use crate::config::{GatewayConfig, TenantQuota};
 use crate::error::{GatewayError, Result};
 use crate::frontend::completion::Completer;
@@ -174,7 +173,6 @@ pub(crate) struct TenantMeta {
 /// State shared between the routing layer and every shard worker.
 pub(crate) struct Shared {
     pub(crate) config: GatewayConfig,
-    pub(crate) clock: Arc<dyn Clock>,
     /// Tenants in deterministic (name) order; `tenant_idx` indexes here.
     pub(crate) tenants: Vec<TenantMeta>,
     pub(crate) table: Mutex<SessionTable>,
@@ -196,10 +194,6 @@ pub(crate) struct Shared {
     /// the routing side, per-shard histogram registries written only by the
     /// owning worker, the sampled trace ring, and the rejection journal.
     pub(crate) telemetry: Arc<Telemetry>,
-    /// Workers the kernel accepted a `pin_cores` affinity mask for. Each
-    /// worker pins (or fails to) before its first command receive, so any
-    /// synchronous round-trip through a shard observes the final count.
-    pub(crate) pinned_workers: AtomicUsize,
     /// Serializes migration coordinators. Two concurrent migrations in
     /// opposite directions would deadlock (each source worker pauses at its
     /// handoff barrier while the other migration's import waits on it), so

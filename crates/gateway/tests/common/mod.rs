@@ -1,7 +1,9 @@
 //! The fixture the two gateway fault matrices (`restore.rs`, `rebalance.rs`)
 //! stand on: the E11-style two-tenant workload served by a gateway on a
 //! [`ManualClock`], every device connected and every request pre-encrypted,
-//! parameterised on the shard count and the seed byte the matrix runs on.
+//! parameterised on the gateway config and the seed byte the matrix runs on.
+//! Plus [`Hold`], the rendezvous every `BarrierConflict` regression uses to
+//! park one operation at a [`CrashPoint`] while it races another.
 
 // Each test binary uses its own subset of this module.
 #![allow(dead_code)]
@@ -12,11 +14,11 @@ use glimmer_core::protocol::{BatchOutcome, Contribution, ContributionPayload, Pr
 use glimmer_core::remote::IotDeviceSession;
 use glimmer_core::signing::ServiceKeyMaterial;
 use glimmer_crypto::drbg::Drbg;
-use glimmer_gateway::{Gateway, GatewayConfig, ManualClock, TenantConfig};
+use glimmer_gateway::{CrashHooks, CrashPoint, Gateway, GatewayConfig, ManualClock, TenantConfig};
 use glimmer_workloads::gateway::{GatewayTrafficWorkload, TenantTrafficSpec};
 use sgx_sim::{AttestationService, PlatformConfig};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 pub const IOT: &str = "iot-telemetry.example";
 pub const KEYBOARD: &str = "nextwordpredictive.com";
@@ -38,6 +40,7 @@ pub const fn seed(base: u8, stream: u8) -> [u8; 32] {
     [base + stream; 32]
 }
 
+/// The matrices' gateway shape on a fresh [`ManualClock`] that never moves.
 pub fn config(shards: usize) -> GatewayConfig {
     GatewayConfig {
         slots_per_tenant: 2,
@@ -45,6 +48,7 @@ pub fn config(shards: usize) -> GatewayConfig {
         max_batch: 64,
         max_queue_depth: 256,
         platform_config: PlatformConfig::default(),
+        clock: Arc::new(ManualClock::new()),
         ..GatewayConfig::default()
     }
 }
@@ -108,21 +112,21 @@ pub struct Event {
 pub struct Fixture {
     pub gateway: Gateway,
     pub avs: AttestationService,
-    pub clock: Arc<ManualClock>,
+    /// The config the gateway was built with, clock and crash plan
+    /// included; a restore of this fixture is handed the same one.
+    pub config: GatewayConfig,
     pub devices: Vec<Device>,
     pub events: Vec<Event>,
 }
 
-pub fn build_fixture(shards: usize, base: u8) -> Fixture {
+pub fn build_fixture(config: GatewayConfig, base: u8) -> Fixture {
     let workload = workload(base);
     let mut avs = AttestationService::new(seed(base, AVS));
-    let clock = Arc::new(ManualClock::new());
-    let gateway = Gateway::with_clock(
-        config(shards),
+    let gateway = Gateway::new(
+        config.clone(),
         tenant_configs(base),
         &mut avs,
         &mut Drbg::from_seed(seed(base, GATEWAY)),
-        clock.clone(),
     )
     .unwrap();
 
@@ -180,10 +184,86 @@ pub fn build_fixture(shards: usize, base: u8) -> Fixture {
     Fixture {
         gateway,
         avs,
-        clock,
+        config,
         devices,
         events,
     }
+}
+
+/// A crash plan that parks the gateway the first time it reaches one
+/// [`CrashPoint`], holding every claim the operation owns there, until the
+/// test thread has raced its other operation and calls [`Hold::release`].
+/// Later firings do not park. Released, the operation goes on, or fails
+/// there with `CrashInjected` if the hold was built by [`Hold::crash_at`].
+#[derive(Debug)]
+pub struct Hold {
+    point: CrashPoint,
+    crash: bool,
+    /// `(parked, released)`.
+    state: Mutex<(bool, bool)>,
+    turn: Condvar,
+}
+
+impl Hold {
+    /// Parks at `point`, then lets the operation complete.
+    pub fn at(point: CrashPoint) -> Arc<Self> {
+        Self::new(point, false)
+    }
+
+    /// Parks at `point`, then crashes the operation there.
+    pub fn crash_at(point: CrashPoint) -> Arc<Self> {
+        Self::new(point, true)
+    }
+
+    fn new(point: CrashPoint, crash: bool) -> Arc<Self> {
+        Arc::new(Hold {
+            point,
+            crash,
+            state: Mutex::new((false, false)),
+            turn: Condvar::new(),
+        })
+    }
+
+    /// Blocks until the gateway is parked at the point.
+    pub fn wait_parked(&self) {
+        let state = self.state.lock().unwrap();
+        drop(self.turn.wait_while(state, |(parked, _)| !*parked).unwrap());
+    }
+
+    /// Lets the parked operation go on.
+    pub fn release(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.turn.notify_all();
+    }
+}
+
+impl CrashHooks for Hold {
+    fn reached(&self, point: CrashPoint) -> bool {
+        if point != self.point {
+            return false;
+        }
+        let mut state = self.state.lock().unwrap();
+        if !state.1 {
+            state.0 = true;
+            self.turn.notify_all();
+            drop(
+                self.turn
+                    .wait_while(state, |(_, released)| !*released)
+                    .unwrap(),
+            );
+        }
+        self.crash
+    }
+}
+
+/// The shard that owns `tenant`'s pool slot `slot_id` right now.
+pub fn shard_of(gateway: &Gateway, tenant: &str, slot_id: usize) -> usize {
+    gateway
+        .slot_loads()
+        .into_iter()
+        .find(|l| &*l.tenant == tenant && l.slot_id == slot_id)
+        .expect("slot exists")
+        .shard
 }
 
 /// One decrypted reply, in drain order: (session id, tenant label, decrypted

@@ -5,6 +5,9 @@
 //! (checkpoint, shutdown) conflict with a typed error instead of
 //! deadlocking the shard workers.
 
+mod common;
+
+use common::Hold;
 use glimmer_core::blinding::BlindingService;
 use glimmer_core::host::GlimmerDescriptor;
 use glimmer_core::protocol::{BatchOutcome, Contribution, ContributionPayload, PrivateData};
@@ -13,34 +16,32 @@ use glimmer_core::signing::ServiceKeyMaterial;
 use glimmer_crypto::drbg::Drbg;
 use glimmer_gateway::frontend::{AsyncGateway, SessionExecutor};
 use glimmer_gateway::{
-    BarrierOp, CrashHooks, CrashPoint, Gateway, GatewayConfig, GatewayError, TenantConfig,
+    BarrierOp, CrashAt, CrashPoint, Gateway, GatewayConfig, GatewayError, TenantConfig,
 };
 use sgx_sim::AttestationService;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const IOT: &str = "iot-telemetry.example";
 const KEYBOARD: &str = "nextwordpredictive.com";
 const IOT_DIM: usize = 4;
 const KB_DIM: usize = 8;
 
-fn build_gateway(
-    shards: usize,
-    slots_per_tenant: usize,
-    avs: &mut AttestationService,
-    rng: &mut Drbg,
-) -> Gateway {
+fn config(shards: usize, slots_per_tenant: usize) -> GatewayConfig {
+    GatewayConfig {
+        slots_per_tenant,
+        shards,
+        ..GatewayConfig::default()
+    }
+}
+
+fn build_gateway(config: GatewayConfig, avs: &mut AttestationService, rng: &mut Drbg) -> Gateway {
     let iot_material = ServiceKeyMaterial::generate(rng).unwrap();
     let kb_material = ServiceKeyMaterial::generate(rng).unwrap();
     Gateway::new(
-        GatewayConfig {
-            slots_per_tenant,
-            shards,
-            ..GatewayConfig::default()
-        },
+        config,
         vec![
             TenantConfig::new(
                 IOT,
@@ -95,7 +96,7 @@ fn async_sessions_mixed_with_blocking_submitters_lose_and_leak_nothing() {
 
     let mut rng = Drbg::from_seed([90u8; 32]);
     let mut avs = AttestationService::new([91u8; 32]);
-    let gateway = Arc::new(build_gateway(2, 2, &mut avs, &mut rng));
+    let gateway = Arc::new(build_gateway(config(2, 2), &mut avs, &mut rng));
 
     // --- Blocking side: establish keyboard sessions up front. ---
     let kb_clients: Vec<u64> = (0..BLOCKING_SESSIONS as u64).collect();
@@ -271,7 +272,7 @@ fn panicking_task_among_healthy_sessions_poisons_nothing() {
 
     let mut rng = Drbg::from_seed([101u8; 32]);
     let mut avs = AttestationService::new([102u8; 32]);
-    let gateway = Arc::new(build_gateway(2, 2, &mut avs, &mut rng));
+    let gateway = Arc::new(build_gateway(config(2, 2), &mut avs, &mut rng));
     let frontend = AsyncGateway::from_arc(Arc::clone(&gateway));
     let clients: Vec<u64> = (0..SESSIONS as u64).collect();
     let blinding = BlindingService::new([103u8; 32]);
@@ -350,26 +351,6 @@ fn panicking_task_among_healthy_sessions_poisons_nothing() {
         .unwrap();
 }
 
-/// Holds a checkpoint open mid-capture (its first slot exported, the
-/// gateway-wide claim and that slot's claim still held) until released, so
-/// the test can deterministically overlap a second whole-gateway operation.
-struct HoldAtQuiesce {
-    entered: Sender<()>,
-    release: Mutex<Receiver<()>>,
-}
-
-impl CrashHooks for HoldAtQuiesce {
-    fn reached(&self, point: CrashPoint) -> bool {
-        // Only the first firing holds: the receiver errors immediately on
-        // later ones, once the test has dropped its release sender.
-        if point == CrashPoint::MidStreamExport {
-            let _ = self.entered.send(());
-            let _ = self.release.lock().unwrap().recv();
-        }
-        false
-    }
-}
-
 /// Regression test for the capture-overlap race: two concurrent checkpoints
 /// used to interleave their two-phase worker barriers and deadlock (each
 /// worker paused for a different checkpoint, each checkpoint waiting for
@@ -381,20 +362,20 @@ fn overlapping_checkpoints_fail_typed_instead_of_deadlocking() {
     let mut rng = Drbg::from_seed([95u8; 32]);
     let mut avs = AttestationService::new([96u8; 32]);
     // Two shards: the shape where interleaved barriers actually deadlocked.
-    let gateway = build_gateway(2, 2, &mut avs, &mut rng);
-
-    let (entered_tx, entered_rx) = channel();
-    let (release_tx, release_rx) = channel();
-    let hooks = HoldAtQuiesce {
-        entered: entered_tx,
-        release: Mutex::new(release_rx),
+    // The first checkpoint parks mid-capture (its first slot exported, the
+    // gateway-wide claim and that slot's claim still held).
+    let hold = Hold::at(CrashPoint::MidStreamExport);
+    let config = GatewayConfig {
+        crash_hooks: hold.clone(),
+        ..config(2, 2)
     };
+    let gateway = build_gateway(config, &mut avs, &mut rng);
 
     std::thread::scope(|scope| {
-        let first = scope.spawn(|| gateway.checkpoint_with_hooks(&hooks));
+        let first = scope.spawn(|| gateway.checkpoint());
         // Wait until the first checkpoint provably holds the barrier (it is
         // between two slots' exports), then race a second one against it.
-        entered_rx.recv().unwrap();
+        hold.wait_parked();
         let conflict = gateway.checkpoint().expect_err("overlap must be refused");
         assert_eq!(
             conflict,
@@ -403,7 +384,7 @@ fn overlapping_checkpoints_fail_typed_instead_of_deadlocking() {
                 requested: BarrierOp::Checkpoint,
             }
         );
-        drop(release_tx);
+        hold.release();
         let snapshot = first.join().unwrap().expect("winner completes normally");
         assert_eq!(snapshot.tenants.len(), 2);
     });
@@ -422,15 +403,20 @@ fn overlapping_checkpoints_fail_typed_instead_of_deadlocking() {
 fn crashed_checkpoint_releases_the_barrier() {
     let mut rng = Drbg::from_seed([97u8; 32]);
     let mut avs = AttestationService::new([98u8; 32]);
-    let gateway = build_gateway(2, 1, &mut avs, &mut rng);
+    let crash = Arc::new(CrashAt::default());
+    let config = GatewayConfig {
+        crash_hooks: crash.clone(),
+        ..config(2, 1)
+    };
+    let gateway = build_gateway(config, &mut avs, &mut rng);
     for point in [
         CrashPoint::BeforeCheckpoint,
         CrashPoint::MidStreamExport,
         CrashPoint::SnapshotAssembled,
     ] {
-        let err = gateway
-            .checkpoint_with_hooks(&glimmer_gateway::CrashAt(point))
-            .expect_err("injected crash");
+        crash.arm(point);
+        let err = gateway.checkpoint().expect_err("injected crash");
+        crash.disarm();
         assert_eq!(err, GatewayError::CrashInjected(point));
         gateway
             .checkpoint()
@@ -446,7 +432,7 @@ fn crashed_checkpoint_releases_the_barrier() {
 fn async_drain_on_idle_gateway_resolves_and_ownership_round_trips() {
     let mut rng = Drbg::from_seed([99u8; 32]);
     let mut avs = AttestationService::new([100u8; 32]);
-    let frontend = AsyncGateway::new(build_gateway(1, 1, &mut avs, &mut rng));
+    let frontend = AsyncGateway::new(build_gateway(config(1, 1), &mut avs, &mut rng));
 
     let outcome = Rc::new(RefCell::new(None));
     let mut executor = SessionExecutor::new();

@@ -29,12 +29,7 @@ const KEYBOARD: &str = "nextwordpredictive.com";
 const IOT_DIM: usize = 4;
 const KB_DIM: usize = 8;
 
-fn build_gateway(
-    config: GatewayConfig,
-    avs: &mut AttestationService,
-    rng: &mut Drbg,
-    clock: Option<Arc<ManualClock>>,
-) -> Gateway {
+fn build_gateway(config: GatewayConfig, avs: &mut AttestationService, rng: &mut Drbg) -> Gateway {
     let iot_material = ServiceKeyMaterial::generate(rng).unwrap();
     let kb_material = ServiceKeyMaterial::generate(rng).unwrap();
     let tenants = vec![
@@ -49,10 +44,7 @@ fn build_gateway(
             kb_material.secret_bytes(),
         ),
     ];
-    match clock {
-        Some(clock) => Gateway::with_clock(config, tenants, avs, rng, clock).unwrap(),
-        None => Gateway::new(config, tenants, avs, rng).unwrap(),
-    }
+    Gateway::new(config, tenants, avs, rng).unwrap()
 }
 
 fn contribution(tenant: &str, client_id: u64, round: u64) -> Contribution {
@@ -111,7 +103,6 @@ fn sixty_four_socket_connections_mixed_with_blocking_drivers() {
         },
         &mut avs,
         &mut rng,
-        None,
     ));
     let avs = Arc::new(avs);
     let approved_iot = Arc::new(gateway.measurement(IOT).unwrap());
@@ -303,7 +294,7 @@ fn sessions_are_invisible_to_other_connections() {
     }
     let mut rng = Drbg::from_seed([66u8; 32]);
     let mut avs = AttestationService::new([67u8; 32]);
-    let gateway = build_gateway(GatewayConfig::default(), &mut avs, &mut rng, None);
+    let gateway = build_gateway(GatewayConfig::default(), &mut avs, &mut rng);
     let server = net::serve(AsyncGateway::new(gateway), None).unwrap();
 
     let mut owner = GatewayClient::connect(server.addr()).unwrap();
@@ -353,12 +344,11 @@ fn manual_clock_server(
 ) {
     let mut rng = Drbg::from_seed([68u8; 32]);
     let mut avs = AttestationService::new([69u8; 32]);
-    let gateway = Arc::new(build_gateway(
-        config,
-        &mut avs,
-        &mut rng,
-        Some(Arc::clone(&clock)),
-    ));
+    let config = GatewayConfig {
+        clock: clock.clone(),
+        ..config
+    };
+    let gateway = Arc::new(build_gateway(config, &mut avs, &mut rng));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let frontend = AsyncGateway::from_arc(Arc::clone(&gateway));

@@ -15,12 +15,11 @@ mod common;
 use common::*;
 use glimmer_core::protocol::BatchOutcome;
 use glimmer_gateway::{
-    plan_rebalance, BarrierOp, ChainBase, CrashAt, CrashHooks, CrashPoint, Gateway, GatewayConfig,
-    GatewayError, RebalanceConfig, Rebalancer, SlotLoad,
+    plan_rebalance, BarrierOp, CrashAt, CrashHooks, CrashPoint, GatewayConfig, GatewayError,
+    RebalanceConfig, Rebalancer, SlotLoad,
 };
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The seed byte this matrix runs on.
 const SEED: u8 = 70;
@@ -30,20 +29,23 @@ fn config(shards: usize) -> GatewayConfig {
 }
 
 fn build_fixture(shards: usize) -> Fixture {
-    common::build_fixture(shards, SEED)
+    common::build_fixture(config(shards), SEED)
+}
+
+/// A two-shard fixture whose gateway reports its crash points to
+/// `crash_hooks`.
+fn planned_fixture(crash_hooks: Arc<dyn CrashHooks>) -> Fixture {
+    common::build_fixture(
+        GatewayConfig {
+            crash_hooks,
+            ..config(2)
+        },
+        SEED,
+    )
 }
 
 fn submit_rounds(fixture: &Fixture, rounds: std::ops::Range<usize>) -> Vec<RespRec> {
     common::submit_rounds(&fixture.devices, &fixture.events, &fixture.gateway, rounds)
-}
-
-fn shard_of(gateway: &Gateway, tenant: &str, slot_id: usize) -> usize {
-    gateway
-        .slot_loads()
-        .into_iter()
-        .find(|l| &*l.tenant == tenant && l.slot_id == slot_id)
-        .expect("slot exists")
-        .shard
 }
 
 // ---------------------------------------------------------------------------
@@ -217,15 +219,16 @@ fn migration_crash_matrix_fails_closed_to_the_source_shard() {
     );
 
     for point in CrashPoint::MIGRATION {
-        let fixture = build_fixture(2);
+        let crash = Arc::new(CrashAt::default());
+        let fixture = planned_fixture(crash.clone());
         let gateway = &fixture.gateway;
         let mut records = submit_rounds(&fixture, 0..PRE_ROUNDS);
 
         let from = shard_of(gateway, IOT, 0);
         let queued_before = gateway.queued(IOT).unwrap();
-        let err = gateway
-            .migrate_slot_with_hooks(IOT, 0, 1 - from, &CrashAt(point))
-            .unwrap_err();
+        crash.arm(point);
+        let err = gateway.migrate_slot(IOT, 0, 1 - from).unwrap_err();
+        crash.disarm();
         assert_eq!(err, GatewayError::CrashInjected(point));
 
         // Fail-closed: the slot is still (or again) owned by its source
@@ -294,44 +297,31 @@ fn migrated_run_is_bit_identical_to_the_single_shard_baseline() {
 // BarrierConflict: slot-level claims, both directions
 // ---------------------------------------------------------------------------
 
-/// Hooks that, the first time a capture holds a slot's claim
-/// (`MidStreamExport` fires with the claim still live), race migrations
-/// against it and record the errors. Never actually crashes.
-struct MigrateDuringStream<'a> {
-    gateway: &'a Gateway,
-    fired: AtomicBool,
-    seen: Mutex<Vec<GatewayError>>,
-}
-
-impl CrashHooks for MigrateDuringStream<'_> {
-    fn reached(&self, point: CrashPoint) -> bool {
-        if point == CrashPoint::MidStreamExport && !self.fired.swap(true, Ordering::SeqCst) {
-            // The capture walks (tenant, slot) in order, so the first
-            // firing holds (IOT, 0)'s claim: a migration of that exact
-            // slot loses on the slot-level claim...
-            let same_slot = self.gateway.migrate_slot(IOT, 0, 1).unwrap_err();
-            // ...and a migration of any *other* slot loses on the
-            // fleet-wide barrier the capture holds for mutual exclusion.
-            let other_slot = self.gateway.migrate_slot(KEYBOARD, 1, 0).unwrap_err();
-            self.seen.lock().unwrap().extend([same_slot, other_slot]);
-        }
-        false
-    }
-}
-
 #[test]
 fn streamed_capture_mid_slot_refuses_a_racing_migration() {
-    let fixture = build_fixture(2);
+    // The capture parks the first time it holds a slot's claim
+    // (`MidStreamExport` fires with the claim still live) while migrations
+    // race it.
+    let hold = Hold::at(CrashPoint::MidStreamExport);
+    let fixture = planned_fixture(hold.clone());
     submit_rounds(&fixture, 0..PRE_ROUNDS);
-    let hooks = MigrateDuringStream {
-        gateway: &fixture.gateway,
-        fired: AtomicBool::new(false),
-        seen: Mutex::new(Vec::new()),
-    };
-    // The capture itself must succeed — the losing migration backed off
-    // without disturbing it.
-    fixture.gateway.checkpoint_with_hooks(&hooks).unwrap();
-    let seen = hooks.seen.into_inner().unwrap();
+    let gateway = &fixture.gateway;
+    let seen = std::thread::scope(|scope| {
+        let capture = scope.spawn(|| gateway.checkpoint());
+        hold.wait_parked();
+        // The capture walks (tenant, slot) in order, so the first firing
+        // holds (IOT, 0)'s claim: a migration of that exact slot loses on
+        // the slot-level claim...
+        let same_slot = gateway.migrate_slot(IOT, 0, 1).unwrap_err();
+        // ...and a migration of any *other* slot loses on the fleet-wide
+        // barrier the capture holds for mutual exclusion.
+        let other_slot = gateway.migrate_slot(KEYBOARD, 1, 0).unwrap_err();
+        hold.release();
+        // The capture itself must succeed — the losing migration backed
+        // off without disturbing it.
+        capture.join().unwrap().unwrap();
+        vec![same_slot, other_slot]
+    });
     assert_eq!(seen.len(), 2, "both racing migrations must have run");
     for err in &seen {
         assert_eq!(
@@ -347,53 +337,35 @@ fn streamed_capture_mid_slot_refuses_a_racing_migration() {
     fixture.gateway.migrate_slot(IOT, 0, 1 - from).unwrap();
 }
 
-/// Hooks that, with a migration mid-flight (`SlotHandedOff`: the slot is
-/// in transit, its source worker paused), race captures and a second
-/// migration against the held slot claim, then crash the migration to
-/// exercise the fail-closed unwind.
-struct CaptureDuringMigration<'a> {
-    gateway: &'a Gateway,
-    /// A chain base older than the fixture's traffic.
-    base: ChainBase,
-    seen: Mutex<Vec<GatewayError>>,
-}
-
-impl CrashHooks for CaptureDuringMigration<'_> {
-    fn reached(&self, point: CrashPoint) -> bool {
-        if point != CrashPoint::SlotHandedOff {
-            return false;
-        }
-        // Delta capture: (IOT, 0) served traffic since the base, so it
-        // needs the export barrier, and loses on the slot's claim.
-        let delta = self.gateway.checkpoint_delta(&self.base).unwrap_err();
-        // Full checkpoint: reaches (IOT, 0) first and loses on its claim,
-        // before any command is sent to the slot's parked source worker.
-        let full = self.gateway.checkpoint().unwrap_err();
-        // A second migration of the same slot loses on the claim too.
-        let remigrate = self.gateway.migrate_slot(IOT, 0, 1).unwrap_err();
-        self.seen.lock().unwrap().extend([delta, full, remigrate]);
-        true
-    }
-}
-
 #[test]
 fn mid_flight_migration_refuses_captures_and_fails_closed() {
-    let fixture = build_fixture(2);
+    // The migration parks mid-flight (`SlotHandedOff`: the slot is in
+    // transit, its source worker paused) while captures and a second
+    // migration race the held slot claim, then crashes there to exercise
+    // the fail-closed unwind.
+    let hold = Hold::crash_at(CrashPoint::SlotHandedOff);
+    let fixture = planned_fixture(hold.clone());
+    // A chain base older than the fixture's traffic.
     let base = fixture.gateway.checkpoint().unwrap().chain_base();
     submit_rounds(&fixture, 0..PRE_ROUNDS);
     let from = shard_of(&fixture.gateway, IOT, 0);
-    let hooks = CaptureDuringMigration {
-        gateway: &fixture.gateway,
-        base,
-        seen: Mutex::new(Vec::new()),
-    };
-    let err = fixture
-        .gateway
-        .migrate_slot_with_hooks(IOT, 0, 1 - from, &hooks)
-        .unwrap_err();
-    assert_eq!(err, GatewayError::CrashInjected(CrashPoint::SlotHandedOff));
-
-    let seen = hooks.seen.into_inner().unwrap();
+    let gateway = &fixture.gateway;
+    let seen = std::thread::scope(|scope| {
+        let migration = scope.spawn(|| gateway.migrate_slot(IOT, 0, 1 - from));
+        hold.wait_parked();
+        // Delta capture: (IOT, 0) served traffic since the base, so it
+        // needs the export barrier, and loses on the slot's claim.
+        let delta = gateway.checkpoint_delta(&base).unwrap_err();
+        // Full checkpoint: reaches (IOT, 0) first and loses on its claim,
+        // before any command is sent to the slot's parked source worker.
+        let full = gateway.checkpoint().unwrap_err();
+        // A second migration of the same slot loses on the claim too.
+        let remigrate = gateway.migrate_slot(IOT, 0, 1).unwrap_err();
+        hold.release();
+        let err = migration.join().unwrap().unwrap_err();
+        assert_eq!(err, GatewayError::CrashInjected(CrashPoint::SlotHandedOff));
+        vec![delta, full, remigrate]
+    });
     assert_eq!(seen.len(), 3);
     for (err, requested) in seen.iter().zip([
         BarrierOp::Checkpoint,

@@ -20,8 +20,9 @@ use glimmer_core::remote::IotDeviceSession;
 use glimmer_core::signing::ServiceKeyMaterial;
 use glimmer_crypto::drbg::Drbg;
 use glimmer_gateway::{
-    Clock, CrashAt, CrashHooks, CrashPoint, Gateway, GatewayConfig, GatewayDelta, GatewayError,
-    GatewaySnapshot, ManualClock, NoCrash, QuotaResource, SnapshotChain, TenantConfig, TenantQuota,
+    CrashAt, CrashPoint, Gateway, GatewayConfig, GatewayDelta, GatewayError, GatewaySnapshot,
+    ManualClock, QuotaResource, SnapshotChain, TelemetryConfig, TenantConfig, TenantQuota,
+    TraceStage,
 };
 use glimmer_workloads::gateway::GatewayTrafficWorkload;
 use proptest::prelude::*;
@@ -49,7 +50,7 @@ fn workload() -> GatewayTrafficWorkload {
 }
 
 fn build_fixture() -> Fixture {
-    common::build_fixture(1, SEED)
+    common::build_fixture(config(), SEED)
 }
 
 /// A full-snapshot restore through the one restore entry: the empty chain.
@@ -59,10 +60,8 @@ fn restore_full(
     snapshot: &GatewaySnapshot,
     avs: &mut AttestationService,
     rng: &mut Drbg,
-    clock: Arc<dyn Clock>,
-    hooks: &dyn CrashHooks,
 ) -> Result<Gateway, GatewayError> {
-    Gateway::restore_chain_with_hooks(
+    Gateway::restore_chain(
         config,
         tenants,
         SnapshotChain {
@@ -71,8 +70,6 @@ fn restore_full(
         },
         avs,
         rng,
-        clock,
-        hooks,
     )
 }
 
@@ -93,7 +90,12 @@ fn run_uninterrupted() -> Vec<RespRec> {
 /// `point`, restores from the surviving snapshot bytes, and serves the rest.
 /// Returns the full decrypted reply sequence and the snapshot bytes.
 fn run_with_crash_at(point: CrashPoint) -> (Vec<RespRec>, Vec<u8>) {
-    let mut fixture = build_fixture();
+    let crash = Arc::new(CrashAt::default());
+    let config = GatewayConfig {
+        crash_hooks: crash.clone(),
+        ..config()
+    };
+    let mut fixture = common::build_fixture(config, SEED);
     let gateway = fixture.gateway;
     let mut records = submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
 
@@ -110,10 +112,12 @@ fn run_with_crash_at(point: CrashPoint) -> (Vec<RespRec>, Vec<u8>) {
         // its export barrier — a delta over a clean pool skips every slot
         // and never reaches `MidStreamExport`.
         gateway.open_session(IOT).unwrap();
-        let full = gateway.checkpoint_with_hooks(&CrashAt(point)).unwrap_err();
+        crash.arm(point);
+        let full = gateway.checkpoint().unwrap_err();
         let delta = gateway
-            .checkpoint_delta_with_hooks(&persisted.chain_base(), &CrashAt(point))
+            .checkpoint_delta(&persisted.chain_base())
             .unwrap_err();
+        crash.disarm();
         for err in [full, delta] {
             assert_eq!(err, GatewayError::CrashInjected(point));
         }
@@ -130,26 +134,24 @@ fn run_with_crash_at(point: CrashPoint) -> (Vec<RespRec>, Vec<u8>) {
         // The first restore attempt dies at the labelled point; the snapshot
         // is untouched, so a clean retry (fresh machine-identity rng in its
         // original state) must succeed.
+        crash.arm(point);
         let err = restore_full(
-            config(),
+            fixture.config.clone(),
             tenant_configs(),
             &snapshot,
             &mut fixture.avs,
             &mut Drbg::from_seed(GW_SEED),
-            fixture.clock.clone(),
-            &CrashAt(point),
         )
         .unwrap_err();
         assert_eq!(err, GatewayError::CrashInjected(point));
+        crash.disarm();
     }
     let restored = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap();
 
@@ -213,6 +215,112 @@ fn crash_matrix_restores_bit_identically_at_every_point() {
     }
 }
 
+/// One crash plan, installed once in the config, reaches every verb of two
+/// incarnations: the capture verbs and `migrate_slot` of the first, and the
+/// restore that builds the second from the same config. Each armed point
+/// fails typed, and disarming the same `Arc` lets the next call through.
+#[test]
+fn one_crash_plan_reaches_every_verb_across_two_incarnations() {
+    const CAPTURE: [CrashPoint; 3] = [
+        CrashPoint::BeforeCheckpoint,
+        CrashPoint::MidStreamExport,
+        CrashPoint::SnapshotAssembled,
+    ];
+    let crash = Arc::new(CrashAt::default());
+    let clock = Arc::new(ManualClock::new());
+    let config = GatewayConfig {
+        crash_hooks: crash.clone(),
+        clock: clock.clone(),
+        telemetry: TelemetryConfig {
+            trace_sample_interval: 1,
+            ..TelemetryConfig::default()
+        },
+        ..common::config(2)
+    };
+    let mut fixture = common::build_fixture(config, SEED);
+    let gateway = fixture.gateway;
+    submit_rounds(&fixture.devices, &fixture.events, &gateway, 0..PRE_ROUNDS);
+    let base = gateway.checkpoint().unwrap().chain_base();
+    // A pending handshake dirties a slot, so the delta reaches
+    // `MidStreamExport` through that slot's export barrier.
+    gateway.open_session(IOT).unwrap();
+
+    for point in CAPTURE {
+        crash.arm(point);
+        assert_eq!(
+            gateway.checkpoint().unwrap_err(),
+            GatewayError::CrashInjected(point)
+        );
+        assert_eq!(
+            gateway.checkpoint_delta(&base).unwrap_err(),
+            GatewayError::CrashInjected(point)
+        );
+        crash.disarm();
+        gateway.checkpoint().unwrap();
+        gateway.checkpoint_delta(&base).unwrap();
+    }
+    for point in CrashPoint::MIGRATION {
+        let from = shard_of(&gateway, IOT, 0);
+        crash.arm(point);
+        assert_eq!(
+            gateway.migrate_slot(IOT, 0, 1 - from).unwrap_err(),
+            GatewayError::CrashInjected(point)
+        );
+        assert_eq!(shard_of(&gateway, IOT, 0), from);
+        crash.disarm();
+        assert_eq!(
+            gateway.migrate_slot(IOT, 0, 1 - from).unwrap().to_shard,
+            1 - from
+        );
+    }
+    let snapshot = gateway.checkpoint().unwrap();
+    drop(gateway);
+
+    // The second incarnation is built from the same config, plan included.
+    crash.arm(CrashPoint::BeforeRestore);
+    let err = restore_full(
+        fixture.config.clone(),
+        tenant_configs(),
+        &snapshot,
+        &mut fixture.avs,
+        &mut Drbg::from_seed(GW_SEED),
+    )
+    .unwrap_err();
+    assert_eq!(err, GatewayError::CrashInjected(CrashPoint::BeforeRestore));
+    crash.disarm();
+    let restored = restore_full(
+        fixture.config.clone(),
+        tenant_configs(),
+        &snapshot,
+        &mut fixture.avs,
+        &mut Drbg::from_seed(GW_SEED),
+    )
+    .unwrap();
+
+    // The retry serves, on the config's clock: every stage of every trace
+    // is stamped with the manual time.
+    clock.advance_nanos(7_000);
+    let tail = submit_rounds(
+        &fixture.devices,
+        &fixture.events,
+        &restored,
+        PRE_ROUNDS..ROUNDS,
+    );
+    assert!(tail.iter().any(|(_, _, d)| d.contains("Endorsed")));
+    let telemetry = restored.telemetry();
+    let traces: Vec<_> = telemetry
+        .traces
+        .iter()
+        .filter(|t| t.trace_id != 0)
+        .collect();
+    assert!(!traces.is_empty());
+    for trace in traces {
+        for stage in TraceStage::ALL {
+            assert_eq!(trace.stage(stage), Some(7_000), "{stage:?}");
+        }
+    }
+}
+
 #[test]
 fn snapshot_determinism_canary() {
     // The non-determinism canary: the same scenario, run twice from
@@ -261,13 +369,11 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
     let mid = tampered.tenants[0].slots[0].sealed_state.len() / 2;
     tampered.tenants[0].slots[0].sealed_state[mid] ^= 0x01;
     let err = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &tampered,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap_err();
     assert_eq!(
@@ -279,13 +385,11 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
 
     // Restoring on a different machine (different fuse secrets): rejected.
     let err = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed([7u8; 32]),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SealedBlobRejected { .. }));
@@ -301,13 +405,11 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
         snap.measurement = tenant.descriptor.measurement();
     }
     let err = restore_full(
-        config(),
+        fixture.config.clone(),
         v2_tenants,
         &forged,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SealedBlobRejected { .. }));
@@ -319,20 +421,18 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
         tenant.descriptor.version += 1;
     }
     let err = restore_full(
-        config(),
+        fixture.config.clone(),
         v2_only,
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SnapshotMismatch { .. }));
 
     // Config drift: a different pool width is refused before any enclave
     // work.
-    let mut wide = config();
+    let mut wide = fixture.config.clone();
     wide.slots_per_tenant = 3;
     let err = restore_full(
         wide,
@@ -340,8 +440,6 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SnapshotMismatch { .. }));
@@ -354,13 +452,11 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
         bogus.sessions.push(forged_record);
     }
     let err = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &bogus,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap_err();
     assert!(matches!(err, GatewayError::SnapshotMismatch { .. }));
@@ -385,13 +481,11 @@ fn sealed_state_cannot_be_spliced_across_snapshots() {
     let mut spliced = epoch2.clone();
     spliced.tenants[0].slots[0].sealed_state = epoch1.tenants[0].slots[0].sealed_state.clone();
     let err = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &spliced,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap_err();
     assert_eq!(
@@ -403,13 +497,11 @@ fn sealed_state_cannot_be_spliced_across_snapshots() {
 
     // The unspliced epoch-2 snapshot still restores.
     let restored = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &epoch2,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap();
     assert_eq!(restored.live_sessions(), fixture.devices.len());
@@ -428,13 +520,11 @@ fn restore_prunes_sessions_missing_from_the_captured_table() {
     // not in the captured table.
     let dropped = snapshot.sessions.remove(0);
     let restored = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap();
 
@@ -481,13 +571,11 @@ fn replayed_requests_stay_rejected_across_restarts() {
     drop(gateway);
 
     let restored = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &snapshot,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap();
 
@@ -542,13 +630,11 @@ fn endorsement_budget_survives_restarts() {
         ..config()
     };
     let mut avs = AttestationService::new([61u8; 32]);
-    let clock = Arc::new(ManualClock::new());
-    let gateway = Gateway::with_clock(
+    let gateway = Gateway::new(
         small_config.clone(),
         tenants(),
         &mut avs,
         &mut Drbg::from_seed([62u8; 32]),
-        clock.clone(),
     )
     .unwrap();
 
@@ -589,8 +675,6 @@ fn endorsement_budget_survives_restarts() {
         &snapshot,
         &mut avs,
         &mut Drbg::from_seed([62u8; 32]),
-        clock,
-        &NoCrash,
     )
     .unwrap();
 
@@ -620,13 +704,11 @@ fn streamed_checkpoint_matches_quiesced_capture_and_restores() {
     drop(gateway);
 
     let restored = restore_full(
-        config(),
+        fixture.config.clone(),
         tenant_configs(),
         &streamed,
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap();
     records.extend(submit_rounds(
@@ -681,8 +763,8 @@ fn delta_chain_restore_is_bit_identical_to_full_snapshot_restore() {
 
     // Restore run A from base + delta, run B from the equivalent full
     // snapshot.
-    let restored_a = Gateway::restore_chain_with_hooks(
-        config(),
+    let restored_a = Gateway::restore_chain(
+        fa.config.clone(),
         tenant_configs(),
         SnapshotChain {
             base: &base,
@@ -690,18 +772,14 @@ fn delta_chain_restore_is_bit_identical_to_full_snapshot_restore() {
         },
         &mut fa.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fa.clock.clone(),
-        &NoCrash,
     )
     .unwrap();
     let restored_b = restore_full(
-        config(),
+        fb.config.clone(),
         tenant_configs(),
         &full,
         &mut fb.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fb.clock.clone(),
-        &NoCrash,
     )
     .unwrap();
 
@@ -776,8 +854,8 @@ fn replay_windows_ride_the_delta_chain_and_stay_constant_size() {
     let (base, deltas) = chain_fixture();
     let mut fixture = build_fixture();
     drop(fixture.gateway);
-    let restored = Gateway::restore_chain_with_hooks(
-        config(),
+    let restored = Gateway::restore_chain(
+        fixture.config.clone(),
         tenant_configs(),
         SnapshotChain {
             base,
@@ -785,8 +863,6 @@ fn replay_windows_ride_the_delta_chain_and_stay_constant_size() {
         },
         &mut fixture.avs,
         &mut Drbg::from_seed(GW_SEED),
-        fixture.clock.clone(),
-        &NoCrash,
     )
     .unwrap();
     // The fixture's devices hold the same keys as the ones that built the
@@ -824,9 +900,8 @@ fn delta_chains_fail_closed_with_typed_errors() {
         panic!("chain fixture must hold three deltas");
     };
     let mut avs = AttestationService::new(AVS_SEED);
-    let clock = Arc::new(ManualClock::new());
     let mut restore = |chain: Vec<GatewayDelta>| {
-        Gateway::restore_chain_with_hooks(
+        Gateway::restore_chain(
             config(),
             tenant_configs(),
             SnapshotChain {
@@ -835,8 +910,6 @@ fn delta_chains_fail_closed_with_typed_errors() {
             },
             &mut avs,
             &mut Drbg::from_seed(GW_SEED),
-            clock.clone(),
-            &NoCrash,
         )
     };
 
@@ -888,13 +961,11 @@ fn delta_chains_fail_closed_with_typed_errors() {
     let foreign = {
         let workload = workload();
         let mut f_avs = AttestationService::new(AVS_SEED);
-        let f_clock = Arc::new(ManualClock::new());
-        let f_gateway = Gateway::with_clock(
+        let f_gateway = Gateway::new(
             config(),
             tenant_configs(),
             &mut f_avs,
             &mut Drbg::from_seed([73u8; 32]),
-            f_clock,
         )
         .unwrap();
         let mut dev_rng = Drbg::from_seed(DEV_SEED);
@@ -986,14 +1057,12 @@ proptest! {
         let chain: Vec<GatewayDelta> =
             picks.iter().map(|&i| deltas[i].clone()).collect();
         let mut avs = AttestationService::new(AVS_SEED);
-        let err = Gateway::restore_chain_with_hooks(
+        let err = Gateway::restore_chain(
             config(),
             tenant_configs(),
             SnapshotChain { base, deltas: &chain },
             &mut avs,
             &mut Drbg::from_seed(GW_SEED),
-            Arc::new(ManualClock::new()),
-            &NoCrash,
         )
         .unwrap_err();
         prop_assert!(matches!(err, GatewayError::SnapshotChainBroken { .. }));

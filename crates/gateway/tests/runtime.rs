@@ -608,17 +608,17 @@ fn one_request_is_admitted_identically_by_every_submit_verb() {
                 material.secret_bytes(),
             );
             tenant.quota.max_queued = max_queued;
-            let gateway = Gateway::with_clock(
+            let gateway = Gateway::new(
                 GatewayConfig {
                     slots_per_tenant: 1,
                     shards: 1,
                     max_queue_depth,
+                    clock: Arc::new(ManualClock::new()),
                     ..GatewayConfig::default()
                 },
                 vec![tenant],
                 &mut avs,
                 &mut rng,
-                Arc::new(ManualClock::new()),
             )
             .unwrap();
             let approved = gateway.measurement(IOT).unwrap();
@@ -795,75 +795,16 @@ fn sharding_changes_who_computes_not_what() {
 }
 
 #[test]
-fn core_pinning_is_opt_in_honestly_reported_and_serving_neutral() {
-    const ROUNDS: usize = 2;
-    let run = |pin_cores: bool| {
-        let mut s = setup_with(GatewayConfig {
-            slots_per_tenant: 2,
-            shards: 2,
-            pin_cores,
-            ..GatewayConfig::default()
-        });
-        let mut devices = connect_devices(&mut s, 3, ROUNDS);
-        for round in 0..ROUNDS {
-            for device in &mut devices {
-                let request = device.session.encrypt_request(
-                    contribution(device.tenant, device.client_id, round as u64),
-                    PrivateData::None,
-                );
-                s.gateway.submit(device.session_id, request).unwrap();
-            }
-        }
-        let mut outcomes: Vec<(u64, String, bool)> = s
-            .gateway
-            .drain_all()
-            .unwrap()
-            .into_iter()
-            .map(|r| {
-                let endorsed = matches!(r.outcome, BatchOutcome::Reply { endorsed: true, .. });
-                (r.session_id, r.tenant.to_string(), endorsed)
-            })
-            .collect();
-        outcomes.sort();
-        // `stats` round-trips every shard, so each worker is past its
-        // pre-receive pinning attempt and the count is final.
-        let cycles = s.gateway.stats().total_drain_cycles();
-        (outcomes, cycles, s.gateway.pinned_workers())
-    };
-
-    let (unpinned_outcomes, unpinned_cycles, unpinned_count) = run(false);
-    // Off by default means exactly zero affinity calls succeed.
-    assert_eq!(unpinned_count, 0);
-
-    let (pinned_outcomes, pinned_cycles, pinned_count) = run(true);
-    assert!(pinned_count <= 2);
-    if glimmer_gateway::pinning_supported() {
-        // A scratch-thread probe tells us whether this host's cpuset allows
-        // pinning at all; if it does, every worker must have pinned (all
-        // target cores exist: shard_id modulo the detected core count).
-        let probe = std::thread::spawn(|| glimmer_gateway::pin_to_core(0))
-            .join()
-            .unwrap();
-        if probe {
-            assert_eq!(pinned_count, 2, "pinning supported but workers not pinned");
-        }
-    } else {
-        assert_eq!(pinned_count, 0);
-    }
-
-    // Pinning relocates work, it must never change it.
-    assert_eq!(unpinned_outcomes, pinned_outcomes);
-    assert_eq!(unpinned_cycles, pinned_cycles);
-}
-
-#[test]
 fn eviction_follows_the_injected_clock() {
     let clock = Arc::new(ManualClock::new());
     let mut rng = Drbg::from_seed([83u8; 32]);
     let mut avs = AttestationService::new([84u8; 32]);
     let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
-    let gateway = Gateway::with_clock(
-        GatewayConfig::default(),
+    let gateway = Gateway::new(
+        GatewayConfig {
+            clock: clock.clone(),
+            ..GatewayConfig::default()
+        },
         vec![TenantConfig::new(
             IOT,
             GlimmerDescriptor::iot_default(Vec::new()),
@@ -871,7 +812,6 @@ fn eviction_follows_the_injected_clock() {
         )],
         &mut avs,
         &mut rng,
-        clock.clone(),
     )
     .unwrap();
 

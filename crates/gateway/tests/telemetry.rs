@@ -33,11 +33,12 @@ fn setup(telemetry: TelemetryConfig) -> Setup {
     let mut avs = AttestationService::new([91u8; 32]);
     let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
     let clock = Arc::new(ManualClock::new());
-    let gateway = Gateway::with_clock(
+    let gateway = Gateway::new(
         GatewayConfig {
             slots_per_tenant: 1,
             shards: 1,
             telemetry,
+            clock: clock.clone(),
             ..GatewayConfig::default()
         },
         vec![TenantConfig::new(
@@ -47,7 +48,6 @@ fn setup(telemetry: TelemetryConfig) -> Setup {
         )],
         &mut avs,
         &mut rng,
-        Arc::clone(&clock) as Arc<dyn glimmer_gateway::Clock>,
     )
     .unwrap();
     Setup {
