@@ -5,6 +5,7 @@ use glimmer_crypto::chacha20::ChaCha20;
 use glimmer_crypto::dh::{DhGroup, DhKeyPair, GroupId};
 use glimmer_crypto::drbg::Drbg;
 use glimmer_crypto::hmac::hmac_sha256;
+use glimmer_crypto::poly1305::poly1305;
 use glimmer_crypto::schnorr::SigningKey;
 use glimmer_crypto::sha256::sha256;
 use std::time::Duration;
@@ -45,9 +46,17 @@ fn bench_cipher(c: &mut Criterion) {
                 buf
             })
         });
+        group.bench_with_input(BenchmarkId::new("poly1305", size), &data, |b, d| {
+            b.iter(|| poly1305(&key, d))
+        });
         group.bench_with_input(BenchmarkId::new("aead_seal", size), &data, |b, d| {
             let k = AeadKey::from_master(&[1u8; 32]);
             b.iter(|| k.seal(&nonce, b"aad", d))
+        });
+        group.bench_with_input(BenchmarkId::new("aead_open", size), &data, |b, d| {
+            let k = AeadKey::from_master(&[1u8; 32]);
+            let sealed = k.seal(&nonce, b"aad", d);
+            b.iter(|| k.open(&nonce, b"aad", &sealed).unwrap())
         });
     }
     group.finish();

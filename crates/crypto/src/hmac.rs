@@ -1,8 +1,9 @@
 //! HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
 //!
-//! HMAC is used for sealed-storage integrity, simulated platform attestation
-//! signatures (standing in for EPID, see `sgx-sim`), and as the MAC half of the
-//! encrypt-then-MAC AEAD.
+//! HMAC is the PRF under HKDF (and so under every sealing and channel key),
+//! the simulated platform attestation signatures (standing in for EPID, see
+//! `sgx-sim`), the bot detector's verdict MAC, and Schnorr's deterministic
+//! nonce. The AEAD's MAC is Poly1305 (see [`crate::aead`]).
 
 use crate::ct::ct_eq;
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};

@@ -23,9 +23,10 @@
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104).
 //! * [`mod@hkdf`] — HKDF extract/expand (RFC 5869).
-//! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439, without Poly1305).
-//! * [`aead`] — encrypt-then-MAC authenticated encryption built from
-//!   ChaCha20 + HMAC-SHA-256.
+//! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439 §2.3–2.4).
+//! * [`mod@poly1305`] — the Poly1305 one-time authenticator (RFC 8439 §2.5).
+//! * [`aead`] — nonce-misuse-resistant authenticated encryption: ChaCha20
+//!   and Poly1305 in the SIV mode (not RFC 8439's AEAD; see the module).
 //! * [`drbg`] — a deterministic random bit generator built on ChaCha20.
 //! * [`bignum`] — arbitrary-precision unsigned integers.
 //! * [`montgomery`] — cached Montgomery arithmetic, the windowed
@@ -46,6 +47,7 @@ pub mod drbg;
 pub mod hkdf;
 pub mod hmac;
 pub mod montgomery;
+pub mod poly1305;
 pub mod schnorr;
 pub mod sha256;
 
@@ -56,6 +58,7 @@ pub use dh::{DhGroup, DhKeyPair, DhPublic, DhSecret};
 pub use drbg::Drbg;
 pub use hkdf::{hkdf, hkdf_expand, hkdf_extract};
 pub use hmac::{hmac_sha256, HmacSha256};
+pub use poly1305::{poly1305, Poly1305};
 pub use schnorr::{Signature, SigningKey, VerifyingKey};
 pub use sha256::{sha256, Sha256};
 

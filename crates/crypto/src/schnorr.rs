@@ -20,7 +20,7 @@
 use crate::bignum::BigUint;
 use crate::dh::{DhGroup, GroupId};
 use crate::drbg::Drbg;
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::sha256::Sha256;
 use crate::CryptoError;
 
@@ -142,10 +142,10 @@ impl SigningKey {
         let key_bytes = self.secret_bytes();
         let mut counter = 0u8;
         let k = loop {
-            let mut input = Vec::with_capacity(message.len() + 1);
-            input.extend_from_slice(message);
-            input.push(counter);
-            let digest = hmac_sha256(&key_bytes, &input);
+            let mut mac = HmacSha256::new(&key_bytes);
+            mac.update(message);
+            mac.update(&[counter]);
+            let digest = mac.finalize();
             // Widen the nonce beyond 256 bits by expanding twice, so the
             // reduction mod q is statistically close to uniform.
             let digest2 = hmac_sha256(&key_bytes, &digest);

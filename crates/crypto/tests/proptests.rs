@@ -9,6 +9,7 @@ use glimmer_crypto::drbg::Drbg;
 use glimmer_crypto::hkdf::hkdf_expand;
 use glimmer_crypto::hmac::hmac_sha256;
 use glimmer_crypto::montgomery::MontgomeryCtx;
+use glimmer_crypto::poly1305::{poly1305, Poly1305};
 use glimmer_crypto::sha256::{sha256, Sha256};
 use proptest::prelude::*;
 
@@ -179,5 +180,75 @@ proptest! {
         let expected = a.mod_mul(&b, p).unwrap();
         prop_assert_eq!(ctx.mod_mul(&a, &b).unwrap(), expected.clone());
         prop_assert_eq!(group.mul(&a, &b).unwrap(), expected);
+    }
+}
+
+/// Poly1305 straight from RFC 8439 §2.5's definition, on `BigUint`: clamp
+/// `r`, accumulate `(acc + block ‖ 0x01) * r mod 2^130 - 5`, add `s`, keep
+/// the low 128 bits.
+fn poly1305_reference(key: &[u8; 32], message: &[u8]) -> [u8; 16] {
+    let le = |bytes: &[u8]| {
+        let be: Vec<u8> = bytes.iter().rev().copied().collect();
+        BigUint::from_bytes_be(&be)
+    };
+    let mut r = [0u8; 16];
+    r.copy_from_slice(&key[..16]);
+    for i in [3, 7, 11, 15] {
+        r[i] &= 0x0f;
+    }
+    for i in [4, 8, 12] {
+        r[i] &= 0xfc;
+    }
+    let (r, s) = (le(&r), le(&key[16..]));
+    let p = BigUint::one().shl(130).sub(&BigUint::from_u64(5));
+    let mut acc = BigUint::zero();
+    for chunk in message.chunks(16) {
+        let mut block = chunk.to_vec();
+        block.push(1);
+        acc = acc.add(&le(&block)).mod_mul(&r, &p).unwrap();
+    }
+    let tag = acc.add(&s).rem(&BigUint::one().shl(128)).unwrap();
+    let mut out = [0u8; 16];
+    for (o, b) in out.iter_mut().zip(tag.to_bytes_be_padded(16).iter().rev()) {
+        *o = *b;
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn poly1305_matches_a_bignum_reference_and_splits_freely(
+        // Random, all-ones, and r = 1 (under which two all-ones blocks sum
+        // to p + 3, so the final subtraction fires).
+        key in (0u8..3, any::<[u8; 32]>()).prop_map(|(shape, mut key)| match shape {
+            0 => key,
+            1 => [0xff; 32],
+            _ => {
+                key[..16].copy_from_slice(&1u128.to_le_bytes());
+                key
+            }
+        }),
+        message in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..=80),
+            proptest::collection::vec(any::<u8>(), 4097),
+            (0usize..=80).prop_map(|len| vec![0xff; len]),
+            (1usize..=3).prop_map(|blocks| vec![0xff; 16 * blocks]),
+        ],
+        cut_a in any::<usize>(),
+        cut_b in any::<usize>(),
+    ) {
+        let tag = poly1305(&key, &message);
+        prop_assert_eq!(tag, poly1305_reference(&key, &message));
+        let (lo, hi) = {
+            let (a, b) = (cut_a % (message.len() + 1), cut_b % (message.len() + 1));
+            (a.min(b), a.max(b))
+        };
+        let mut mac = Poly1305::new(&key);
+        mac.update(&message[..lo]);
+        mac.update(&message[lo..hi]);
+        mac.update(&message[hi..]);
+        prop_assert_eq!(mac.finalize(), tag);
     }
 }
