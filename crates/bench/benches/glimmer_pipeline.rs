@@ -1,10 +1,13 @@
 //! End-to-end Glimmer pipeline benchmark: validate + blind + sign + verify
-//! (the headline E5 numbers).
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+//! (the headline E5 numbers), and the endorsement signature on its own at
+//! the gateway benchmark's bulk size.
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use glimmer_core::blinding::BlindingService;
 use glimmer_core::host::{GlimmerClient, GlimmerDescriptor};
-use glimmer_core::protocol::{Contribution, ContributionPayload, PrivateData, ProcessResponse};
-use glimmer_core::signing::ServiceKeyMaterial;
+use glimmer_core::protocol::{
+    Contribution, ContributionPayload, EndorsedContribution, PrivateData, ProcessResponse,
+};
+use glimmer_core::signing::{sign_endorsement, signing_key_from_secret, ServiceKeyMaterial};
 use glimmer_crypto::drbg::Drbg;
 use sgx_sim::PlatformConfig;
 use std::time::Duration;
@@ -53,9 +56,36 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 32 KiB endorsement signed (inside the enclave) and verified (at the
+/// service), apart from validation, blinding and the ecall.
+fn bench_endorse(c: &mut Criterion) {
+    const BULK: usize = 32 * 1024;
+    let mut group = c.benchmark_group("endorse");
+    group.throughput(Throughput::Bytes(BULK as u64));
+    let material = ServiceKeyMaterial::generate(&mut Drbg::from_seed([8u8; 32])).unwrap();
+    let key = signing_key_from_secret(&material.secret_bytes()).unwrap();
+    let verifier = material.verifier();
+    let mut endorsed = EndorsedContribution {
+        app_id: "nextwordpredictive.com".to_string(),
+        client_id: 7,
+        round: 3,
+        released_payload: vec![0xA5; BULK],
+        blinded: true,
+        signature: Vec::new(),
+    };
+    group.bench_function("sign_32KiB", |b| {
+        b.iter(|| sign_endorsement(&key, black_box(&endorsed)).unwrap())
+    });
+    endorsed.signature = sign_endorsement(&key, &endorsed).unwrap();
+    group.bench_function("verify_32KiB", |b| {
+        b.iter(|| verifier.verify(black_box(&endorsed)).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_pipeline
+    targets = bench_pipeline, bench_endorse
 }
 criterion_main!(benches);

@@ -240,6 +240,21 @@ impl VerifyingKey {
             Err(CryptoError::VerificationFailed)
         }
     }
+
+    /// Parses a signature serialized by [`Signature::to_bytes`] and
+    /// verifies it over `message`.
+    ///
+    /// A signature whose group tag is not this key's group fails, even
+    /// when its scalars would verify: otherwise a signature re-tagged for
+    /// a wider group, with both scalars zero-padded, would be a second
+    /// valid encoding of the same signature.
+    pub fn verify_bytes(&self, message: &[u8], signature: &[u8]) -> Result<(), CryptoError> {
+        let (group_id, signature) = Signature::from_bytes(signature)?;
+        if group_id != self.group_id {
+            return Err(CryptoError::VerificationFailed);
+        }
+        self.verify(message, &signature)
+    }
 }
 
 /// Fiat-Shamir challenge: `H(group_tag || r || message) mod q`.

@@ -23,7 +23,7 @@ use crate::{GlimmerError, Result};
 use glimmer_crypto::aead::AeadKey;
 use glimmer_crypto::dh::{DhGroup, DhKeyPair, DhPublic};
 use glimmer_crypto::drbg::Drbg;
-use glimmer_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use glimmer_crypto::schnorr::{SigningKey, VerifyingKey};
 use glimmer_crypto::sha256::sha256_concat;
 use glimmer_wire::{Decoder, Encoder, WireCodec, WireError};
 use sgx_sim::{AttestationService, Measurement, Quote};
@@ -214,14 +214,13 @@ impl GlimmerChannel {
         accept: &ChannelAccept,
         service_verifying_key: &VerifyingKey,
     ) -> Result<ChannelKeys> {
-        let (_, signature) = Signature::from_bytes(&accept.signature)?;
         let transcript = transcript(
             &self.app_id,
             &self.public_bytes(),
             &accept.service_dh_public,
         );
         service_verifying_key
-            .verify(&transcript, &signature)
+            .verify_bytes(&transcript, &accept.signature)
             .map_err(|_| {
                 GlimmerError::Channel("service handshake signature invalid".to_string())
             })?;
@@ -467,6 +466,32 @@ mod tests {
         assert!(glimmer
             .complete(&rogue_accept, s.service_key.verifying_key())
             .is_err());
+    }
+
+    #[test]
+    fn glimmer_rejects_a_service_signature_retagged_for_another_group() {
+        let mut s = setup();
+        let mut glimmer_rng = Drbg::from_seed([81u8; 32]);
+        let glimmer = GlimmerChannel::start("botcheck", &mut glimmer_rng).unwrap();
+        let offer = ChannelOffer {
+            app_id: "botcheck".to_string(),
+            glimmer_dh_public: glimmer.public_bytes(),
+            quote: make_quote(&s, glimmer.report_data()),
+        };
+        let (mut accept, _) = AttestedChannel::respond(
+            &offer,
+            &s.avs,
+            &s.glimmer_measurement,
+            &s.service_key,
+            &mut s.rng,
+        )
+        .unwrap();
+        // The genuine signature, re-encoded: same scalars, another tag.
+        accept.signature = crate::signing::retagged_as_modp2048(&accept.signature);
+        assert!(matches!(
+            glimmer.complete(&accept, s.service_key.verifying_key()),
+            Err(GlimmerError::Channel(_))
+        ));
     }
 
     #[test]

@@ -435,9 +435,9 @@ impl GlimmerEnclaveProgram {
         // 2. Blinding (only for private payloads).
         let is_private = contribution.payload.requires_blinding();
         let (released_payload, blinded) = if is_private {
-            let values: Vec<f64> = match &contribution.payload {
-                crate::protocol::ContributionPayload::ModelUpdate { weights } => weights.clone(),
-                crate::protocol::ContributionPayload::IotReadings { samples } => samples.clone(),
+            let values: &[f64] = match &contribution.payload {
+                crate::protocol::ContributionPayload::ModelUpdate { weights } => weights,
+                crate::protocol::ContributionPayload::IotReadings { samples } => samples,
                 crate::protocol::ContributionPayload::Photo { .. } => unreachable!(),
             };
             let Some(mask) = self
@@ -456,7 +456,7 @@ impl GlimmerEnclaveProgram {
                     reason: "blinding mask dimension mismatch".to_string(),
                 });
             }
-            let blinded_vec = mask.blind(&encode_weights(&values));
+            let blinded_vec = mask.blind(&encode_weights(values));
             let mut enc = Encoder::new();
             enc.put_u64_vec(&blinded_vec);
             (enc.into_bytes(), true)

@@ -5,6 +5,7 @@
 //! boundary is one of the types defined here, encoded with `glimmer-wire` so
 //! that the runtime auditor and the service can parse it unambiguously.
 
+use glimmer_crypto::sha256::sha256;
 use glimmer_wire::{Decoder, Encoder, WireCodec, WireError};
 
 /// ECALL selectors understood by the Glimmer enclave program.
@@ -383,17 +384,32 @@ pub struct EndorsedContribution {
 }
 
 impl EndorsedContribution {
-    /// The byte string covered by the endorsement signature.
+    /// The one encoding of what an endorsement binds, and the input to
+    /// [`EndorsedContribution::digest`]: each of the domain tag
+    /// `"glimmer-endorsement-v2"`, `app_id` and `released_payload` as an
+    /// LEB128 length then its bytes, `client_id` and `round` as
+    /// little-endian `u64`s, and `blinded` as one byte (0 or 1), in the
+    /// order tag, app, client, round, blinded, payload. The signature is
+    /// not part of it. Bump the tag's version with any change here.
     #[must_use]
     pub fn signed_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        enc.put_str("glimmer-endorsement-v1");
+        enc.put_str("glimmer-endorsement-v2");
         enc.put_str(&self.app_id);
         enc.put_u64(self.client_id);
         enc.put_u64(self.round);
         enc.put_bool(self.blinded);
         enc.put_bytes(&self.released_payload);
         enc.into_bytes()
+    }
+
+    /// What the endorsement signature covers: SHA-256 over
+    /// [`EndorsedContribution::signed_bytes`]. Signing this 32-byte
+    /// prehash rather than the encoding itself means a payload of any size
+    /// is hashed once per signature and once per verification.
+    #[must_use]
+    pub fn digest(&self) -> [u8; 32] {
+        sha256(&self.signed_bytes())
     }
 
     /// Decodes the released payload as a blinded fixed-point vector.
@@ -958,6 +974,40 @@ mod tests {
         for v in [pass, fail, partial] {
             assert_eq!(ValidationVerdict::from_wire(&v.to_wire()).unwrap(), v);
         }
+    }
+
+    /// The digest of one fixed endorsement, computed apart from this crate
+    /// over the documented v2 encoding (the 200-byte payload takes a
+    /// two-byte LEB128 length):
+    ///
+    /// ```text
+    /// python3 -c 'import hashlib, struct
+    /// lp = lambda b: (bytes([len(b)]) if len(b) < 128 else bytes([len(b) & 0x7f | 0x80, len(b) >> 7])) + b
+    /// m = (lp(b"glimmer-endorsement-v2") + lp(b"keyboard") + struct.pack("<QQ", 11, 4)
+    ///      + b"\x01" + lp(bytes(range(200))))
+    /// print(hashlib.sha256(m).hexdigest())'
+    /// ```
+    ///
+    /// A failure here means the signed encoding changed: bump its tag.
+    #[test]
+    fn endorsement_digest_known_answer() {
+        let endorsed = EndorsedContribution {
+            app_id: "keyboard".to_string(),
+            client_id: 11,
+            round: 4,
+            released_payload: (0..200u8).collect(),
+            blinded: true,
+            signature: vec![0xAA; 257],
+        };
+        let hex: String = endorsed
+            .digest()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "dd3e89cd6a2349a26e5dda6d96a5b3c36d4565144c746af1627d674e26a494fd"
+        );
     }
 
     #[test]
