@@ -10,15 +10,17 @@
 //!
 //! * `completion` (crate-internal) — the waker-notified completion cells
 //!   every command type answers through (the shard worker calls one
-//!   `Completer::complete`; this front-end awaits the cell, the blocking
-//!   API parks its thread on it).
+//!   `Completer::complete`; this front-end awaits the cell), and the one
+//!   thread-parking `block_on` the blocking API runs its verbs under.
 //! * [`executor`] — a hand-rolled single-threaded future executor: slab of
 //!   session tasks, [`std::task::Wake`] wakers, an ordered deadline map, and
 //!   a parking readiness queue wired to shard reply delivery.
 //! * [`AsyncGateway`] — the `async fn` surface over [`Gateway`]:
 //!   `open_session`, `complete_session`, `install_mask`, `submit`,
-//!   `submit_many`, `drain_replies`, `close_session`. Each awaits a
-//!   completion instead of parking, so one [`SessionExecutor`] thread keeps
+//!   `submit_many`, `drain_replies`, `close_session`. Every gateway verb is
+//!   written once, as a crate-private `async` body: `AsyncGateway` awaits
+//!   it and the blocking `Gateway` method `block_on`s it. Awaiting parks
+//!   the task, not the thread, so one [`SessionExecutor`] thread keeps
 //!   thousands of handshakes and drains in flight at once.
 //!
 //! # Task lifecycle
@@ -138,11 +140,14 @@ pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The non-blocking `async fn` surface over a [`Gateway`].
 ///
 /// Cheap to clone (an `Arc` around the gateway): spawn one clone into every
-/// session task. All admission control, quota accounting, and typed errors
-/// are exactly the blocking API's — the only difference is that replies
-/// arrive as waker-notified completions instead of parking the calling
-/// thread, so the futures are driven by a [`SessionExecutor`] (or any other
-/// executor; they are ordinary `std` futures — but read the module's
+/// session task. Each reply-bearing method awaits the very `async` body the
+/// blocking [`Gateway`] verb of the same name runs under a thread-parking
+/// `block_on`, so admission control, quota accounting, rollback and typed
+/// errors (the `# Errors` of each `Gateway` verb) are the blocking API's by
+/// construction. The only difference is that replies arrive as
+/// waker-notified completions instead of parking the calling thread, so the
+/// futures are driven by a [`SessionExecutor`] (or any other executor; they
+/// are ordinary `std` futures — but read the module's
 /// [Cancellation](self#cancellation) notes before embedding them in a
 /// `select!` or timeout).
 ///
@@ -197,124 +202,63 @@ impl AsyncGateway {
     }
 
     /// [`Gateway::open_session`], awaiting the attestation offer instead of
-    /// parking the thread.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gateway::open_session`]'s, including the rolled-back
-    /// admission reservation on every *returned* error. Dropping the future
-    /// mid-await is not an error return and does not roll back — see the
-    /// module's [Cancellation](self#cancellation) section.
+    /// parking the thread. Dropping the future mid-await does not roll the
+    /// admission back — see the module's [Cancellation](self#cancellation)
+    /// section.
     pub async fn open_session(&self, tenant: &str) -> Result<(u64, ChannelOffer)> {
-        let (session_id, tenant_idx, slot_id, completion) =
-            self.inner.open_session_begin(tenant)?;
-        let outcome = completion.await.and_then(|result| result);
-        self.inner
-            .open_session_settle(session_id, tenant_idx, slot_id, outcome)
+        self.inner.open_session_async(tenant).await
     }
 
     /// [`Gateway::complete_session`], awaiting the enclave's handshake
     /// acceptance.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gateway::complete_session`]'s; a failed completion tears
-    /// the pending session down so the device can retry with a fresh open.
     pub async fn complete_session(&self, session_id: u64, accept: &ChannelAccept) -> Result<()> {
-        let (entry, completion) = self.inner.complete_session_begin(session_id, accept)?;
-        let outcome = completion.await.and_then(|result| result);
-        self.inner
-            .complete_session_settle(session_id, &entry, outcome)
+        self.inner.complete_session_async(session_id, accept).await
     }
 
     /// [`Gateway::install_mask`], awaiting the enclave's confirmation.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gateway::install_mask`]'s.
     pub async fn install_mask(&self, session_id: u64, mask: &MaskShare) -> Result<()> {
-        self.install_mask_delivery(session_id, MaskDelivery::plain(mask))
+        self.inner
+            .install_mask_async(session_id, MaskDelivery::plain(mask))
             .await
     }
 
     /// [`Gateway::install_mask_encrypted`], awaiting the enclave's
     /// confirmation.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gateway::install_mask_encrypted`]'s, including the typed
-    /// [`SealedBlobRejected`](crate::GatewayError::SealedBlobRejected) on an
-    /// AEAD refusal.
     pub async fn install_mask_encrypted(
         &self,
         session_id: u64,
         nonce: [u8; 12],
         ciphertext: Vec<u8>,
     ) -> Result<()> {
-        self.install_mask_delivery(session_id, MaskDelivery::Encrypted { nonce, ciphertext })
+        self.inner
+            .install_mask_async(session_id, MaskDelivery::Encrypted { nonce, ciphertext })
             .await
-    }
-
-    async fn install_mask_delivery(&self, session_id: u64, delivery: MaskDelivery) -> Result<()> {
-        let (tenant, completion) = self.inner.install_mask_begin(session_id, delivery)?;
-        let outcome = completion.await.and_then(|result| result);
-        Gateway::install_mask_settle(&tenant, outcome)
     }
 
     /// [`Gateway::submit`]. Admission control is synchronous (atomic gauges,
     /// typed rejections) and enqueueing is fire-and-forget, so this never
     /// parks — it is `async` only so session tasks compose it with the
     /// awaiting calls.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gateway::submit`]'s.
     pub async fn submit(&self, session_id: u64, ciphertext: Vec<u8>) -> Result<()> {
         self.inner.submit(session_id, ciphertext)
     }
 
     /// [`Gateway::submit_many`]: one session's request stream admitted as
     /// one atomic group. Never parks, like [`AsyncGateway::submit`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gateway::submit_many`]'s — all-or-nothing per group.
     pub async fn submit_many(&self, session_id: u64, ciphertexts: Vec<Vec<u8>>) -> Result<()> {
         self.inner.submit_many(session_id, ciphertexts)
     }
 
     /// [`Gateway::drain`], awaiting every shard's sweep instead of parking:
-    /// the drain command fans out to all shards at once, the completions
-    /// are awaited in shard order, and aggregation (including the
-    /// errors-only-when-nothing-drained policy) matches the blocking path
-    /// exactly — at `shards: 1` the reply sequence is bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gateway::drain`]'s: an error surfaces only when no shard
-    /// produced any response.
+    /// the drain command fans out to all shards at once and the reports are
+    /// awaited and folded in shard order, so at `shards: 1` the reply
+    /// sequence is bit-identical to the blocking path's.
     pub async fn drain_replies(&self) -> Result<Vec<GatewayResponse>> {
-        let (pending, mut first_error) = self.inner.drain_begin();
-        let mut responses = Vec::new();
-        for completion in pending {
-            match completion.await {
-                Ok(report) => Gateway::fold_drain_report(report, &mut responses, &mut first_error),
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        Gateway::drain_finish(responses, first_error)
+        self.inner.drain_async().await
     }
 
     /// [`Gateway::close_session`], awaiting the enclave-side key erase.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gateway::close_session`]'s.
     pub async fn close_session(&self, session_id: u64) -> Result<()> {
-        let (tenant_idx, completion) = self.inner.close_session_begin(session_id)?;
-        let outcome = completion.await.and_then(|result| result);
-        self.inner.close_session_settle(tenant_idx, outcome)
+        self.inner.close_session_async(session_id).await
     }
 }

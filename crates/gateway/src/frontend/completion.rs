@@ -6,7 +6,7 @@
 //! whoever holds the matching [`Completion`]. An async caller awaits it as
 //! a future, so one front-end thread can have thousands of commands in
 //! flight — one per session task; a blocking caller parks its own thread in
-//! [`Completion::wait`], which is `block_on` for that one future.
+//! [`block_on`] over the same future, or over a verb's whole `async` body.
 //!
 //! The pair is deliberately tiny: a mutex-guarded `Option<T>` plus an
 //! `Option<Waker>`. A dropped-without-delivering [`Completer`] (the worker
@@ -101,7 +101,7 @@ pub(crate) struct Completion<T> {
     state: Arc<Mutex<State<T>>>,
 }
 
-/// Wakes a thread parked in [`Completion::wait`].
+/// Wakes a thread parked in [`block_on`].
 struct Unpark(Thread);
 
 impl Wake for Unpark {
@@ -110,18 +110,18 @@ impl Wake for Unpark {
     }
 }
 
-impl<T> Completion<T> {
-    /// Blocks the calling thread until the reply is delivered (or the
-    /// command is abandoned): polls with a waker that unparks this thread
-    /// and parks between polls, so a spurious unpark just polls again.
-    pub(crate) fn wait(mut self) -> Result<T> {
-        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
-        let mut cx = Context::from_waker(&waker);
-        loop {
-            match Pin::new(&mut self).poll(&mut cx) {
-                Poll::Ready(outcome) => return outcome,
-                Poll::Pending => std::thread::park(),
-            }
+/// Runs `future` to completion on the calling thread: polls with a waker
+/// that unparks this thread and parks between polls, so a spurious unpark
+/// just polls again. The blocking gateway verbs are this over the same
+/// `async` bodies the async front-end awaits.
+pub(crate) fn block_on<F: Future>(future: F) -> F::Output {
+    let mut future = std::pin::pin!(future);
+    let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        match future.as_mut().poll(&mut cx) {
+            Poll::Ready(output) => return output,
+            Poll::Pending => std::thread::park(),
         }
     }
 }
@@ -200,7 +200,7 @@ mod tests {
     fn wait_returns_a_value_delivered_before_it() {
         let (completer, completion) = completion_pair::<u32>();
         completer.complete(11);
-        assert_eq!(completion.wait(), Ok(11));
+        assert_eq!(block_on(completion), Ok(11));
     }
 
     #[test]
@@ -208,7 +208,7 @@ mod tests {
         let (completer, completion) = completion_pair::<u32>();
         let state = Arc::clone(&completion.state);
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(move || completion.wait());
+            let waiter = scope.spawn(move || block_on(completion));
             // The waiter registers its waker under the cell lock right
             // before it parks; deliver only once that has happened.
             while lock_unpoisoned(&state).waker.is_none() {
@@ -223,7 +223,7 @@ mod tests {
     fn wait_on_a_dropped_completer_is_runtime_unavailable() {
         let (completer, completion) = completion_pair::<u32>();
         drop(completer);
-        assert_eq!(completion.wait(), Err(GatewayError::RuntimeUnavailable));
+        assert_eq!(block_on(completion), Err(GatewayError::RuntimeUnavailable));
     }
 
     #[test]
@@ -233,7 +233,7 @@ mod tests {
         let returned = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
-                let outcome = completion.wait();
+                let outcome = block_on(completion);
                 returned.store(true, std::sync::atomic::Ordering::SeqCst);
                 outcome
             });
@@ -256,6 +256,37 @@ mod tests {
             assert!(!returned.load(std::sync::atomic::Ordering::SeqCst));
             completer.complete(17);
             assert_eq!(waiter.join().unwrap(), Ok(17));
+        });
+    }
+
+    /// The shape of every blocking verb: one `block_on` over a body that
+    /// awaits one reply, then another, each parking the thread between
+    /// polls until a second thread delivers it.
+    #[test]
+    fn block_on_an_async_body_that_awaits_two_completions_in_sequence() {
+        let (first_completer, first) = completion_pair::<u32>();
+        let (second_completer, second) = completion_pair::<u32>();
+        let first_state = Arc::clone(&first.state);
+        let second_state = Arc::clone(&second.state);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(move || {
+                block_on(async move {
+                    let a = first.await?;
+                    let b = second.await?;
+                    Ok::<_, GatewayError>(a * 10 + b)
+                })
+            });
+            while lock_unpoisoned(&first_state).waker.is_none() {
+                std::thread::yield_now();
+            }
+            // The body has not reached its second await yet.
+            assert!(lock_unpoisoned(&second_state).waker.is_none());
+            first_completer.complete(4);
+            while lock_unpoisoned(&second_state).waker.is_none() {
+                std::thread::yield_now();
+            }
+            second_completer.complete(2);
+            assert_eq!(waiter.join().unwrap(), Ok(42));
         });
     }
 }

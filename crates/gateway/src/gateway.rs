@@ -6,13 +6,12 @@ use crate::checkpoint::{
 };
 use crate::config::{GatewayConfig, TenantConfig, TenantQuota};
 use crate::error::{GatewayError, QuotaResource, Result};
-use crate::frontend::completion::{completion_pair, Completer, Completion};
+use crate::frontend::completion::{block_on, completion_pair, Completer, Completion};
 use crate::pool::{PoolSlot, SlotRestore, TenantPool};
 use crate::rebalance::{MigrationReport, SlotLoad};
 use crate::runtime::{
-    BarrierGuard, BarrierOp, ShardCommand, ShardDrainReport, ShardWorker, Shared, SlotClaim,
-    SlotEntry, SlotExport, SlotGauges, SlotInfo, TenantCounters, TenantMeta, WorkerSlot,
-    BARRIER_IDLE,
+    BarrierGuard, BarrierOp, ShardCommand, ShardWorker, Shared, SlotClaim, SlotEntry, SlotExport,
+    SlotGauges, SlotInfo, TenantCounters, TenantMeta, WorkerSlot, BARRIER_IDLE,
 };
 use crate::session::{SessionEntry, SessionState, SessionTable};
 use crate::stats::GatewayStats;
@@ -336,9 +335,7 @@ impl Gateway {
     }
 
     /// Routes one reply-bearing command to the worker that owns `info`'s
-    /// slot right now, and returns the completion its reply arrives in —
-    /// awaited by the async front-end, [`Completion::wait`]ed on by the
-    /// blocking verbs.
+    /// slot right now, and returns the completion its reply arrives in.
     fn request<T>(
         &self,
         info: &SlotInfo,
@@ -348,6 +345,16 @@ impl Gateway {
         let (completer, completion) = completion_pair();
         self.send(shard, command(slot, completer))?;
         Ok(completion)
+    }
+
+    /// [`Gateway::request`] with its reply awaited: a failed send and a
+    /// failed enclave call come back alike, as the command's error.
+    async fn call<T>(
+        &self,
+        info: &SlotInfo,
+        command: impl FnOnce(usize, Completer<Result<T>>) -> ShardCommand,
+    ) -> Result<T> {
+        self.request(info, command)?.await?
     }
 
     fn session_entry(&self, session_id: u64) -> Result<SessionEntry> {
@@ -392,11 +399,26 @@ impl Gateway {
             .expect("tenant pool always has at least one slot")
     }
 
-    /// Admission, placement, and table insert for a new session — the
-    /// front-end-independent first half of an open. Returns the routing
-    /// triple `(session_id, tenant_idx, slot_id)` the enclave command and
-    /// its settle step need.
-    fn open_session_admit(&self, tenant: &str) -> Result<(u64, usize, usize)> {
+    /// Opens a device session for `tenant`: admits it against the session
+    /// quota, pins it to the least-loaded pool slot, and returns the
+    /// attestation offer the device verifies.
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError::UnknownTenant`] for an unenrolled tenant,
+    /// [`GatewayError::QuotaExceeded`] when the tenant's session quota is
+    /// full, [`GatewayError::RuntimeUnavailable`] when the owning shard
+    /// worker is gone, and any enclave-side failure as
+    /// [`GatewayError::Glimmer`]. On every error the admission reservation
+    /// is rolled back.
+    pub fn open_session(&self, tenant: &str) -> Result<(u64, ChannelOffer)> {
+        block_on(self.open_session_async(tenant))
+    }
+
+    /// The one body of [`Gateway::open_session`] and its async twin:
+    /// admission, placement and table insert, the enclave offer, then the
+    /// commit or the rollback.
+    pub(crate) async fn open_session_async(&self, tenant: &str) -> Result<(u64, ChannelOffer)> {
         let tenant_idx = self.shared.tenant_idx(tenant)?;
         let meta = &self.shared.tenants[tenant_idx];
         // Reserve a session-quota slot first; roll back on any failure so a
@@ -426,137 +448,84 @@ impl Gateway {
                 slot_id,
                 self.shared.config.clock.now_nanos(),
             );
-        Ok((session_id, tenant_idx, slot_id))
-    }
-
-    /// Undoes [`Gateway::open_session_admit`] after the enclave side failed.
-    fn open_session_rollback(&self, session_id: u64, tenant_idx: usize, slot_id: usize) {
-        let meta = &self.shared.tenants[tenant_idx];
-        // Roll the reservation back only if this thread actually removed
-        // the entry: a concurrent close/eviction that beat us here already
-        // ran the gauge rollback, and decrementing twice would wrap the
-        // unsigned gauges.
-        let removed = self
-            .shared
-            .table
-            .lock()
-            .expect("session table poisoned")
-            .close(session_id)
-            .is_ok();
-        if removed {
-            meta.slots[slot_id]
-                .gauges
-                .active_sessions
-                .fetch_sub(1, Ordering::SeqCst);
-            meta.live_sessions.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Outcome handling shared by the blocking and async front-ends: commit
-    /// the open on success, roll back admission on failure.
-    pub(crate) fn open_session_settle(
-        &self,
-        session_id: u64,
-        tenant_idx: usize,
-        slot_id: usize,
-        outcome: Result<ChannelOffer>,
-    ) -> Result<(u64, ChannelOffer)> {
-        match outcome {
+        let offer = self
+            .call(info, |slot, reply| ShardCommand::OpenSession {
+                slot,
+                session_id,
+                reply,
+            })
+            .await;
+        match offer {
             Ok(offer) => {
-                self.shared.tenants[tenant_idx]
-                    .counters
-                    .sessions_opened
-                    .fetch_add(1, Ordering::SeqCst);
+                meta.counters.sessions_opened.fetch_add(1, Ordering::SeqCst);
                 Ok((session_id, offer))
             }
             Err(e) => {
-                self.open_session_rollback(session_id, tenant_idx, slot_id);
+                // Roll the reservation back only if this call actually
+                // removed the entry: a concurrent close/eviction that beat
+                // us here already ran the gauge rollback, and decrementing
+                // twice would wrap the unsigned gauges.
+                let removed = self
+                    .shared
+                    .table
+                    .lock()
+                    .expect("session table poisoned")
+                    .close(session_id)
+                    .is_ok();
+                if removed {
+                    info.gauges.active_sessions.fetch_sub(1, Ordering::SeqCst);
+                    meta.live_sessions.fetch_sub(1, Ordering::SeqCst);
+                }
                 Err(e)
             }
         }
     }
 
-    /// Opens a device session for `tenant`: admits it against the session
-    /// quota, pins it to the least-loaded pool slot, and returns the
-    /// attestation offer the device verifies.
+    /// Completes a session's attested handshake with the device's response.
     ///
     /// # Errors
     ///
-    /// [`GatewayError::UnknownTenant`] for an unenrolled tenant,
-    /// [`GatewayError::QuotaExceeded`] when the tenant's session quota is
-    /// full, [`GatewayError::RuntimeUnavailable`] when the owning shard
-    /// worker is gone, and any enclave-side failure as
-    /// [`GatewayError::Glimmer`]. On every error the admission reservation
-    /// is rolled back.
-    pub fn open_session(&self, tenant: &str) -> Result<(u64, ChannelOffer)> {
-        let (session_id, tenant_idx, slot_id, completion) = self.open_session_begin(tenant)?;
-        let outcome = completion.wait().and_then(|result| result);
-        self.open_session_settle(session_id, tenant_idx, slot_id, outcome)
+    /// [`GatewayError::UnknownSession`] for a dead id,
+    /// [`GatewayError::SessionAlreadyEstablished`] for a duplicate
+    /// completion, [`GatewayError::RuntimeUnavailable`] when the shard
+    /// worker is gone, and enclave rejections as [`GatewayError::Glimmer`].
+    /// A failed completion tears the pending session down (the enclave
+    /// consumed the handshake), so the device retries with a fresh
+    /// [`Gateway::open_session`].
+    pub fn complete_session(&self, session_id: u64, accept: &ChannelAccept) -> Result<()> {
+        block_on(self.complete_session_async(session_id, accept))
     }
 
-    /// First half of [`Gateway::open_session`]: admits and sends the enclave
-    /// command. The caller waits on (or awaits) the completion and passes
-    /// its outcome to [`Gateway::open_session_settle`] —
-    /// [`AsyncGateway`](crate::frontend::AsyncGateway) owns the awaiting
-    /// pairing.
-    pub(crate) fn open_session_begin(
+    /// The one body of [`Gateway::complete_session`] and its async twin:
+    /// the route and state check, the enclave accept, then the establish —
+    /// or, on any failure, the pending session's teardown.
+    pub(crate) async fn complete_session_async(
         &self,
-        tenant: &str,
-    ) -> Result<(u64, usize, usize, Completion<Result<ChannelOffer>>)> {
-        let (session_id, tenant_idx, slot_id) = self.open_session_admit(tenant)?;
-        let info = &self.shared.tenants[tenant_idx].slots[slot_id];
-        match self.request(info, |slot, reply| ShardCommand::OpenSession {
-            slot,
-            session_id,
-            reply,
-        }) {
-            Ok(completion) => Ok((session_id, tenant_idx, slot_id, completion)),
-            Err(e) => {
-                self.open_session_rollback(session_id, tenant_idx, slot_id);
-                Err(e)
-            }
-        }
-    }
-
-    /// Route lookup + state check for a handshake completion, shared by
-    /// both front-ends.
-    fn complete_session_route(&self, session_id: u64) -> Result<SessionEntry> {
+        session_id: u64,
+        accept: &ChannelAccept,
+    ) -> Result<()> {
         let entry = self.session_entry(session_id)?;
         if entry.state == SessionState::Established {
             return Err(GatewayError::SessionAlreadyEstablished(session_id));
         }
-        Ok(entry)
-    }
-
-    /// Outcome handling shared by the blocking and async front-ends: on
-    /// enclave success, mark the table entry established (cleaning up the
-    /// eviction race); on failure, tear the wedged pending session down.
-    ///
-    /// The failure and race cleanups inside perform a blocking enclave
-    /// close: they park until the owning shard worker reaches the command —
-    /// behind whatever that shard already has queued, which on a loaded
-    /// gateway can include whole drain sweeps. An async caller's executor
-    /// thread stalls for that backlog when it hits one of these paths. That
-    /// is a deliberate trade: they only run when a handshake actually
-    /// failed or lost an eviction race — error paths, not steady-state
-    /// serving — and the alternative (fire-and-forget cleanup) would leave
-    /// the enclave's session table silently divergent on exactly the paths
-    /// where consistency matters most.
-    pub(crate) fn complete_session_settle(
-        &self,
-        session_id: u64,
-        entry: &SessionEntry,
-        outcome: Result<()>,
-    ) -> Result<()> {
-        if let Err(e) = outcome {
-            // The enclave consumed the pending handshake, so this session id
-            // can never complete; tear it down instead of leaving a wedged
-            // Pending entry pinning the slot and the tenant's session quota.
-            // The device retries by opening a fresh session. Only a session
-            // that is STILL pending is torn down: if a concurrent duplicate
-            // completion won the race and established it, this loser's error
-            // must not destroy the now-valid session.
-            self.close_session_if_pending(session_id);
+        let info = &self.shared.tenants[entry.tenant_idx].slots[entry.slot];
+        let accepted = self
+            .call(info, |slot, reply| ShardCommand::AcceptSession {
+                slot,
+                session_id,
+                accept: accept.clone(),
+                reply,
+            })
+            .await;
+        if let Err(e) = accepted {
+            // The enclave consumed the pending handshake (or never got it),
+            // so this session id can never complete; tear it down instead of
+            // leaving a wedged Pending entry pinning the slot and the
+            // tenant's session quota. The device retries by opening a fresh
+            // session. Only a session that is STILL pending is torn down: if
+            // a concurrent duplicate completion won the race and established
+            // it, this loser's error must not destroy the now-valid session.
+            self.close_session_if_pending(session_id).await;
             return Err(e);
         }
         let established = self
@@ -573,53 +542,9 @@ impl Gateway {
             // route this id again, so erase the keys the enclave just
             // installed rather than leaking the session in the slot forever.
             // Gauges were already rolled back by whoever removed the entry.
-            let info = &self.shared.tenants[entry.tenant_idx].slots[entry.slot];
-            if let Ok(completion) = self.enclave_close(info, session_id) {
-                let _ = completion.wait();
-            }
+            let _ = self.enclave_close(info, session_id).await;
         }
         established
-    }
-
-    /// Completes a session's attested handshake with the device's response.
-    ///
-    /// # Errors
-    ///
-    /// [`GatewayError::UnknownSession`] for a dead id,
-    /// [`GatewayError::SessionAlreadyEstablished`] for a duplicate
-    /// completion, [`GatewayError::RuntimeUnavailable`] when the shard
-    /// worker is gone, and enclave rejections as [`GatewayError::Glimmer`].
-    /// A failed completion tears the pending session down (the enclave
-    /// consumed the handshake), so the device retries with a fresh
-    /// [`Gateway::open_session`].
-    pub fn complete_session(&self, session_id: u64, accept: &ChannelAccept) -> Result<()> {
-        let (entry, completion) = self.complete_session_begin(session_id, accept)?;
-        let outcome = completion.wait().and_then(|result| result);
-        self.complete_session_settle(session_id, &entry, outcome)
-    }
-
-    /// First half of [`Gateway::complete_session`]; the caller waits on (or
-    /// awaits) the completion and settles through
-    /// [`Gateway::complete_session_settle`].
-    pub(crate) fn complete_session_begin(
-        &self,
-        session_id: u64,
-        accept: &ChannelAccept,
-    ) -> Result<(SessionEntry, Completion<Result<()>>)> {
-        let entry = self.complete_session_route(session_id)?;
-        let info = &self.shared.tenants[entry.tenant_idx].slots[entry.slot];
-        match self.request(info, |slot, reply| ShardCommand::AcceptSession {
-            slot,
-            session_id,
-            accept: accept.clone(),
-            reply,
-        }) {
-            Ok(completion) => Ok((entry, completion)),
-            Err(e) => {
-                let _ = self.complete_session_settle(session_id, &entry, Err(e.clone()));
-                Err(e)
-            }
-        }
     }
 
     /// Closes a session: erases its channel keys inside the enclave and
@@ -633,74 +558,49 @@ impl Gateway {
     /// table entry and its quota reservation are released even when the
     /// enclave-side erase fails.
     pub fn close_session(&self, session_id: u64) -> Result<()> {
-        let (tenant_idx, completion) = self.close_session_begin(session_id)?;
-        let outcome = completion.wait().and_then(|result| result);
-        self.close_session_settle(tenant_idx, outcome)
+        block_on(self.close_session_async(session_id))
     }
 
-    /// First half of [`Gateway::close_session`]: removes the table entry,
-    /// rolls the gauges back, and sends the enclave close. The caller waits
-    /// on (or awaits) the completion and settles through
-    /// [`Gateway::close_session_settle`].
-    pub(crate) fn close_session_begin(
-        &self,
-        session_id: u64,
-    ) -> Result<(usize, Completion<Result<()>>)> {
+    /// The one body of [`Gateway::close_session`] and its async twin.
+    pub(crate) async fn close_session_async(&self, session_id: u64) -> Result<()> {
         let entry = self
             .shared
             .table
             .lock()
             .expect("session table poisoned")
             .close(session_id)?;
-        Ok((
-            entry.tenant_idx,
-            self.close_removed_begin(session_id, &entry)?,
-        ))
+        self.close_removed(session_id, &entry).await
     }
 
-    /// Gauge rollback + enclave close command for an entry already removed
-    /// from the session table.
-    fn close_removed_begin(
-        &self,
-        session_id: u64,
-        entry: &SessionEntry,
-    ) -> Result<Completion<Result<()>>> {
+    /// Releases an entry already removed from the session table: rolls its
+    /// gauges back, erases the session inside the enclave, and counts the
+    /// close once the enclave confirms it.
+    async fn close_removed(&self, session_id: u64, entry: &SessionEntry) -> Result<()> {
         let meta = &self.shared.tenants[entry.tenant_idx];
         let info = &meta.slots[entry.slot];
         info.gauges.active_sessions.fetch_sub(1, Ordering::SeqCst);
         meta.live_sessions.fetch_sub(1, Ordering::SeqCst);
-        self.enclave_close(info, session_id)
+        self.enclave_close(info, session_id).await?;
+        meta.counters.sessions_closed.fetch_add(1, Ordering::SeqCst);
+        Ok(())
     }
 
-    /// Sends the enclave-side close (key erase, queued-item discard) for a
-    /// session the routing layer no longer routes.
-    fn enclave_close(&self, info: &SlotInfo, session_id: u64) -> Result<Completion<Result<()>>> {
-        self.request(info, |slot, reply| ShardCommand::CloseSession {
+    /// The enclave-side close (key erase, queued-item discard) of a session
+    /// the routing layer no longer routes.
+    async fn enclave_close(&self, info: &SlotInfo, session_id: u64) -> Result<()> {
+        self.call(info, |slot, reply| ShardCommand::CloseSession {
             slot,
             session_id,
             reply,
         })
-    }
-
-    /// Outcome handling for a close: count it on success.
-    pub(crate) fn close_session_settle(
-        &self,
-        tenant_idx: usize,
-        outcome: Result<()>,
-    ) -> Result<()> {
-        outcome?;
-        self.shared.tenants[tenant_idx]
-            .counters
-            .sessions_closed
-            .fetch_add(1, Ordering::SeqCst);
-        Ok(())
+        .await
     }
 
     /// Tears the session down only if it is still pending — the
     /// check-and-remove happens under one table lock, so it can never race a
     /// concurrent establishment into closing an established session. Returns
     /// whether the session was actually removed.
-    fn close_session_if_pending(&self, session_id: u64) -> bool {
+    async fn close_session_if_pending(&self, session_id: u64) -> bool {
         let entry = {
             let mut table = self.shared.table.lock().expect("session table poisoned");
             match table.get(session_id) {
@@ -711,10 +611,7 @@ impl Gateway {
         let Some(entry) = entry else {
             return false;
         };
-        if let Ok(completion) = self.close_removed_begin(session_id, &entry) {
-            let outcome = completion.wait().and_then(|result| result);
-            let _ = self.close_session_settle(entry.tenant_idx, outcome);
-        }
+        let _ = self.close_removed(session_id, &entry).await;
         true
     }
 
@@ -733,7 +630,7 @@ impl Gateway {
     /// [`Gateway::install_mask_encrypted`], which keep mask values sealed
     /// end-to-end between the tenant and the enclave.
     pub fn install_mask(&self, session_id: u64, mask: &MaskShare) -> Result<()> {
-        self.install_mask_delivery(session_id, MaskDelivery::plain(mask))
+        block_on(self.install_mask_async(session_id, MaskDelivery::plain(mask)))
     }
 
     /// Installs a session-bound mask from an AEAD-encrypted delivery sealed
@@ -745,47 +642,35 @@ impl Gateway {
         nonce: [u8; 12],
         ciphertext: Vec<u8>,
     ) -> Result<()> {
-        self.install_mask_delivery(session_id, MaskDelivery::Encrypted { nonce, ciphertext })
+        block_on(self.install_mask_async(session_id, MaskDelivery::Encrypted { nonce, ciphertext }))
     }
 
-    /// Maps an enclave AEAD refusal of a sealed mask delivery (tampered
-    /// ciphertext, wrong slot's channel key, replayed nonce) to the typed,
-    /// tenant-labelled rejection instead of a stringly enclave abort.
-    pub(crate) fn install_mask_settle(tenant: &Arc<str>, outcome: Result<()>) -> Result<()> {
-        outcome.map_err(|e| match e {
-            GatewayError::Glimmer(GlimmerError::Sgx(SgxError::UnsealDenied(_))) => {
-                GatewayError::SealedBlobRejected {
-                    tenant: tenant.clone(),
-                }
-            }
-            other => other,
-        })
-    }
-
-    fn install_mask_delivery(&self, session_id: u64, delivery: MaskDelivery) -> Result<()> {
-        let (tenant, completion) = self.install_mask_begin(session_id, delivery)?;
-        let outcome = completion.wait().and_then(|result| result);
-        Self::install_mask_settle(&tenant, outcome)
-    }
-
-    /// First half of [`Gateway::install_mask`] /
-    /// [`Gateway::install_mask_encrypted`]: routes the delivery; the caller
-    /// waits on (or awaits) the completion and settles through
-    /// [`Gateway::install_mask_settle`] with the returned tenant label.
-    pub(crate) fn install_mask_begin(
+    /// The one body of both mask verbs and their async twins. An enclave
+    /// AEAD refusal of a sealed delivery (tampered ciphertext, wrong slot's
+    /// channel key, replayed nonce) maps to the typed, tenant-labelled
+    /// rejection instead of a stringly enclave abort.
+    pub(crate) async fn install_mask_async(
         &self,
         session_id: u64,
         delivery: MaskDelivery,
-    ) -> Result<(Arc<str>, Completion<Result<()>>)> {
+    ) -> Result<()> {
         let entry = self.session_entry(session_id)?;
         let info = &self.shared.tenants[entry.tenant_idx].slots[entry.slot];
-        let completion = self.request(info, |slot, reply| ShardCommand::InstallMask {
+        self.call(info, |slot, reply| ShardCommand::InstallMask {
             slot,
             session_id,
             delivery,
             reply,
-        })?;
-        Ok((entry.tenant, completion))
+        })
+        .await
+        .map_err(|e| match e {
+            GatewayError::Glimmer(GlimmerError::Sgx(SgxError::UnsealDenied(_))) => {
+                GatewayError::SealedBlobRejected {
+                    tenant: entry.tenant,
+                }
+            }
+            other => other,
+        })
     }
 
     /// The pool slot a session is pinned to — the tenant needs it to seal
@@ -823,11 +708,12 @@ impl Gateway {
     /// Once completed, the tenant can seal mask deliveries to that slot.
     pub fn tenant_channel_offer(&self, tenant: &str, slot: usize) -> Result<ChannelOffer> {
         let info = self.tenant_slot(tenant, slot)?;
-        self.request(info, |slot, reply| ShardCommand::TenantChannelOffer {
-            slot,
-            reply,
-        })?
-        .wait()?
+        block_on(
+            self.call(info, |slot, reply| ShardCommand::TenantChannelOffer {
+                slot,
+                reply,
+            }),
+        )
     }
 
     /// Completes the attested tenant channel on one pool slot.
@@ -838,12 +724,13 @@ impl Gateway {
         accept: &ChannelAccept,
     ) -> Result<()> {
         let info = self.tenant_slot(tenant, slot)?;
-        self.request(info, |slot, reply| ShardCommand::TenantChannelComplete {
-            slot,
-            accept: accept.clone(),
-            reply,
-        })?
-        .wait()?
+        block_on(
+            self.call(info, |slot, reply| ShardCommand::TenantChannelComplete {
+                slot,
+                accept: accept.clone(),
+                reply,
+            }),
+        )
     }
 
     /// Reserve-then-check admission for a group of `n` requests bound for
@@ -1224,64 +1111,52 @@ impl Gateway {
     /// The first error is reported only after the sweep, and only if no
     /// responses were produced at all.
     pub fn drain(&self) -> Result<Vec<GatewayResponse>> {
-        // Fan out first so every shard drains in parallel, then gather in
-        // shard order. A dead shard contributes an error, never an abort:
-        // the healthy shards' replies must still be gathered and returned.
-        let (pending, mut first_error) = self.drain_begin();
+        block_on(self.drain_async())
+    }
+
+    /// The one body of [`Gateway::drain`] and
+    /// [`AsyncGateway::drain_replies`](crate::frontend::AsyncGateway::drain_replies).
+    pub(crate) async fn drain_async(&self) -> Result<Vec<GatewayResponse>> {
+        // A dead shard contributes an error, never an abort: the healthy
+        // shards' replies must still be gathered and returned.
         let mut responses = Vec::new();
-        for completion in pending {
-            match completion.wait() {
-                Ok(report) => Self::fold_drain_report(report, &mut responses, &mut first_error),
+        let mut first_error = None;
+        for report in self.fan_out(|reply| ShardCommand::Drain { reply }).await {
+            match report {
+                Ok(report) => {
+                    responses.extend(report.responses);
+                    first_error = first_error.or(report.first_error);
+                }
                 Err(e) => {
                     first_error.get_or_insert(e);
                 }
             }
         }
-        Self::drain_finish(responses, first_error)
-    }
-
-    /// Merges one shard's drain report into the sweep's aggregation.
-    pub(crate) fn fold_drain_report(
-        report: ShardDrainReport,
-        responses: &mut Vec<GatewayResponse>,
-        first_error: &mut Option<GatewayError>,
-    ) {
-        responses.extend(report.responses);
-        if let Some(e) = report.first_error {
-            first_error.get_or_insert(e);
-        }
-    }
-
-    /// Finishes a sweep with the drain error policy: an error surfaces only
-    /// when no responses were produced at all.
-    pub(crate) fn drain_finish(
-        responses: Vec<GatewayResponse>,
-        first_error: Option<GatewayError>,
-    ) -> Result<Vec<GatewayResponse>> {
         match first_error {
             Some(e) if responses.is_empty() => Err(e),
             _ => Ok(responses),
         }
     }
 
-    /// First half of [`Gateway::drain`]: fans the drain command out to
-    /// every shard. The caller waits on (or awaits) the completions in
-    /// shard order — so both front-ends aggregate in exactly the same
-    /// order — and folds them with [`Gateway::fold_drain_report`] /
-    /// [`Gateway::drain_finish`].
-    pub(crate) fn drain_begin(&self) -> (Vec<Completion<ShardDrainReport>>, Option<GatewayError>) {
-        let mut pending = Vec::with_capacity(self.senders.len());
-        let mut first_error: Option<GatewayError> = None;
-        for shard in 0..self.senders.len() {
-            let (completer, completion) = completion_pair();
-            match self.send(shard, ShardCommand::Drain { reply: completer }) {
-                Ok(()) => pending.push(completion),
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
+    /// Sends one command to every shard at once, so they all work in
+    /// parallel, then awaits the replies in shard order — the order every
+    /// aggregation over them keeps. A shard whose worker is gone answers
+    /// with the error in its place.
+    async fn fan_out<T>(&self, command: impl Fn(Completer<T>) -> ShardCommand) -> Vec<Result<T>> {
+        let pending: Vec<Result<Completion<T>>> = (0..self.senders.len())
+            .map(|shard| {
+                let (completer, completion) = completion_pair();
+                self.send(shard, command(completer)).map(|()| completion)
+            })
+            .collect();
+        let mut replies = Vec::with_capacity(pending.len());
+        for completion in pending {
+            replies.push(match completion {
+                Ok(completion) => completion.await,
+                Err(e) => Err(e),
+            });
         }
-        (pending, first_error)
+        replies
     }
 
     /// Drains repeatedly until every queue is empty (bounded by queue sizes
@@ -1325,6 +1200,16 @@ impl Gateway {
     /// completes them would pin its tenant's session quota forever;
     /// operators call this on a timer.
     pub fn evict_stale_pending(&self, older_than: std::time::Duration) -> Vec<u64> {
+        block_on(self.evict_stale_pending_async(older_than))
+    }
+
+    /// The one body of [`Gateway::evict_stale_pending`]. The socket
+    /// server's sweeper awaits it, so a close queued behind a busy shard
+    /// parks the sweeper task, never the executor thread.
+    pub(crate) async fn evict_stale_pending_async(
+        &self,
+        older_than: std::time::Duration,
+    ) -> Vec<u64> {
         let now = self.shared.config.clock.now_nanos();
         let stale = self
             .shared
@@ -1336,10 +1221,12 @@ impl Gateway {
         // between the snapshot and this loop. Each teardown therefore
         // re-checks pending-ness under the table lock, so a session that
         // just established is spared (and not reported as evicted).
-        let evicted: Vec<u64> = stale
-            .into_iter()
-            .filter(|&session_id| self.close_session_if_pending(session_id))
-            .collect();
+        let mut evicted = Vec::new();
+        for session_id in stale {
+            if self.close_session_if_pending(session_id).await {
+                evicted.push(session_id);
+            }
+        }
         self.shared
             .telemetry
             .record_sessions_evicted(evicted.len() as u64);
@@ -1757,7 +1644,7 @@ impl Gateway {
         // its keys in the export; orphaned keys are pruned at restore).
         self.capture_slot_sessions(tenant_idx, slot_id, sessions);
         let _ = go_tx.send(true);
-        reply.wait()?
+        block_on(reply)?
     }
 
     /// Live-migrates one tenant pool slot to `target_shard` while the rest
@@ -1881,7 +1768,7 @@ impl Gateway {
         if go_tx.send(true).is_err() {
             return Err(GatewayError::RuntimeUnavailable);
         }
-        let package = match reply.wait()? {
+        let package = match block_on(reply)? {
             Ok(package) => package,
             Err(e) => {
                 // The export failed inside the worker; the slot never left.
@@ -1919,7 +1806,7 @@ impl Gateway {
             self.shared.telemetry.record_migration_aborted();
             return Err(GatewayError::RuntimeUnavailable);
         }
-        let new_idx = imported.wait()?;
+        let new_idx = block_on(imported)?;
         // Commit: one SeqCst store retargets every future routing read.
         // From here the migration is irrevocable.
         info.set_location(target_shard, new_idx);
@@ -1932,7 +1819,7 @@ impl Gateway {
         // answered — before the migration call returns.
         let (fence_tx, fenced) = completion_pair();
         self.send(from_shard, ShardCommand::Fence { reply: fence_tx })?;
-        fenced.wait()?;
+        block_on(fenced)?;
         let duration_nanos = self
             .shared
             .config
@@ -2242,21 +2129,8 @@ impl Gateway {
                 .tenants
                 .push((meta.name.to_string(), meta.counters.snapshot()));
         }
-        let mut pending = Vec::with_capacity(self.senders.len());
-        for shard in 0..self.senders.len() {
-            let (reply, rows) = completion_pair();
-            if self
-                .send(shard, ShardCommand::CollectStats { reply })
-                .is_ok()
-            {
-                pending.push(rows);
-            }
-        }
-        for rows in pending {
-            if let Ok(rows) = rows.wait() {
-                stats.slots.extend(rows);
-            }
-        }
+        let rows = block_on(self.fan_out(|reply| ShardCommand::CollectStats { reply }));
+        stats.slots.extend(rows.into_iter().flatten().flatten());
         stats
             .slots
             .sort_by(|a, b| (&a.tenant, a.slot).cmp(&(&b.tenant, b.slot)));

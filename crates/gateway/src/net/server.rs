@@ -22,12 +22,14 @@
 //!   with an explicit `Drain` request — with the periodic drainer
 //!   disabled that makes the global drain order client-controlled and
 //!   reproducible.
-//! * **sweeper** (optional) — calls
+//! * **sweeper** (optional) — awaits the body of
 //!   [`Gateway::evict_stale_pending`](crate::Gateway::evict_stale_pending)
 //!   every [`GatewayConfig::evict_stale_period`](crate::GatewayConfig) on
 //!   the executor's timers (same start-to-start schedule as the drainer),
 //!   so abandoned handshakes stop pinning session quota without any
-//!   operator cron job.
+//!   operator cron job. An eviction's enclave close queued behind a busy
+//!   shard parks the sweeper task only; every other connection keeps
+//!   being served.
 //!
 //! # Ownership and isolation
 //!
@@ -379,10 +381,7 @@ mod imp {
             executor.spawn(async move {
                 let ctx: &ServerCtx = &ctx;
                 periodic(&ctx.timer, &ctx.shutdown, period, move || async move {
-                    // The sweep blocks briefly per evicted session (shard
-                    // round-trips); abandoned handshakes are rare enough that
-                    // this stays invisible next to a single enclave batch.
-                    let _ = ctx.frontend.gateway().evict_stale_pending(age);
+                    ctx.frontend.gateway().evict_stale_pending_async(age).await;
                 })
                 .await;
             });

@@ -3,9 +3,13 @@
 //! submit → drain → close) concurrently with in-process blocking drivers
 //! sharing the same pool — no reply is lost, duplicated, or routed across
 //! a connection/tenant boundary — plus connection-level session ownership,
-//! `ManualClock`-driven idle timeouts and stale-handshake eviction, and
-//! proptests over the length-prefixed frame codec.
+//! `ManualClock`-driven idle timeouts and stale-handshake eviction (one
+//! sweep stuck behind a frozen shard included), and proptests over the
+//! length-prefixed frame codec.
 
+mod common;
+
+use common::{shard_of, Hold};
 use glimmer_core::blinding::BlindingService;
 use glimmer_core::host::GlimmerDescriptor;
 use glimmer_core::protocol::{
@@ -17,7 +21,7 @@ use glimmer_crypto::drbg::Drbg;
 use glimmer_gateway::frontend::{AsyncGateway, SessionExecutor};
 use glimmer_gateway::net::proto::{CODE_GATEWAY, CODE_NOT_OWNER};
 use glimmer_gateway::net::{self, ClientError, GatewayClient};
-use glimmer_gateway::{Gateway, GatewayConfig, ManualClock, NetConfig, TenantConfig};
+use glimmer_gateway::{CrashPoint, Gateway, GatewayConfig, ManualClock, NetConfig, TenantConfig};
 use sgx_sim::AttestationService;
 use std::collections::HashMap;
 use std::net::TcpListener;
@@ -480,6 +484,76 @@ fn abandoned_handshakes_are_reclaimed_without_operator_polling() {
             ..
         }
     ));
+    stop();
+}
+
+/// A stale-handshake sweep whose enclave close is queued behind a frozen
+/// shard parks the sweeper task, not the front door: a request that needs
+/// only the other shard still gets its reply over the socket. The freeze
+/// is a slot migration held at [`CrashPoint::MidMigrationExport`], whose
+/// source worker waits at the handoff barrier until the hold lets go.
+#[test]
+fn a_sweep_stuck_behind_a_frozen_shard_leaves_the_front_door_serving() {
+    if !net::supported() {
+        return;
+    }
+    let clock = Arc::new(ManualClock::new());
+    let hold = Hold::at(CrashPoint::MidMigrationExport);
+    let (gateway, _avs, addr, stop) = manual_clock_server(
+        GatewayConfig {
+            shards: 2,
+            slots_per_tenant: 1,
+            stale_pending_after: Duration::from_secs(30),
+            evict_stale_period: Some(Duration::from_secs(1)),
+            crash_hooks: Arc::clone(&hold) as _,
+            net: NetConfig {
+                idle_timeout: None,
+                drain_interval: None,
+                ..NetConfig::default()
+            },
+            ..GatewayConfig::default()
+        },
+        Arc::clone(&clock),
+    );
+    let frozen = shard_of(&gateway, IOT, 0);
+    assert_ne!(frozen, shard_of(&gateway, KEYBOARD, 0));
+
+    let mut client = GatewayClient::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // A handshake left pending on the slot whose shard is about to freeze.
+    let (_abandoned, _offer) = client.open_session(IOT).unwrap();
+    let migration = std::thread::spawn({
+        let gateway = Arc::clone(&gateway);
+        move || gateway.migrate_slot(IOT, 0, 1 - frozen)
+    });
+    hold.wait_parked();
+
+    // The sweep removes the pending row, then queues its enclave close
+    // behind the paused source worker.
+    clock.advance(Duration::from_secs(31));
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while gateway.live_sessions() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "stale-handshake sweep never fired"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Bounded, so a front door parked behind the frozen shard fails the
+    // test rather than hanging it: the hold is released either way.
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let served = client.open_session(KEYBOARD);
+    hold.release();
+    migration.join().unwrap().unwrap();
+    assert!(
+        served.is_ok(),
+        "no reply while the sweep waited on a frozen shard: {served:?}"
+    );
     stop();
 }
 

@@ -29,7 +29,7 @@ use glimmer_crypto::schnorr::{SigningKey, VerifyingKey};
 use glimmer_federated::fixed::encode_weights;
 use glimmer_wire::{Decoder, Encoder, WireCodec, WireError};
 use sgx_sim::{EnclaveEnv, EnclaveProgram, SealPolicy, SealedBlob, TargetInfo};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Product id carried in the Glimmer enclave's attributes.
 pub const GLIMMER_ISV_PROD_ID: u16 = 0x6C17;
@@ -309,12 +309,12 @@ pub struct GlimmerEnclaveProgram {
     /// and a restored enclave re-derives the signing key from it.
     service_key_secret: Option<Vec<u8>>,
     sealed_key: Option<SealedBlob>,
-    masks: HashMap<(u64, u64), MaskShare>,
+    masks: BTreeMap<(u64, u64), MaskShare>,
     /// The service channel (Section 4.1's attested channel; the gateway's
     /// tenant channel): a different principal from the device sessions.
     pending_channel: Option<GlimmerChannel>,
     channel: Option<ChannelKeys>,
-    sessions: HashMap<u64, Session>,
+    sessions: BTreeMap<u64, Session>,
     confidential_detector: Option<BotDetector>,
     auditor: OutputAuditor,
     /// Reusable wire buffer for `PROCESS_BATCH` replies: reset (capacity
@@ -352,10 +352,10 @@ impl GlimmerEnclaveProgram {
             signing_key: None,
             service_key_secret: None,
             sealed_key: None,
-            masks: HashMap::new(),
+            masks: BTreeMap::new(),
             pending_channel: None,
             channel: None,
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             confidential_detector: None,
             auditor: OutputAuditor::new(descriptor.verdict_bit_budget),
             reply_scratch: Encoder::new(),
@@ -746,10 +746,9 @@ impl GlimmerEnclaveProgram {
     }
 
     /// Serializes the enclave's full serving state. The sessions and the
-    /// mask table are emitted in sorted key order (a session's bindings are
-    /// kept sorted), so identical state always produces identical bytes —
-    /// the gateway's snapshot-determinism canary depends on this (std
-    /// `HashMap` iteration order varies between processes).
+    /// mask table are ordered maps and a session's bindings an ordered set,
+    /// so identical state always produces identical bytes — the gateway's
+    /// snapshot-determinism canary depends on this.
     ///
     /// Deliberately *not* exported: pending handshakes (their ephemeral DH
     /// secrets must die with the process; a pending session is written
@@ -774,10 +773,8 @@ impl GlimmerEnclaveProgram {
             None => enc.put_bool(false),
         }
         put_keys(&mut enc, self.channel.as_ref());
-        let mut sessions: Vec<(&u64, &Session)> = self.sessions.iter().collect();
-        sessions.sort_unstable_by_key(|(sid, _)| **sid);
-        enc.put_varint(sessions.len() as u64);
-        for (sid, session) in sessions {
+        enc.put_varint(self.sessions.len() as u64);
+        for (sid, session) in &self.sessions {
             enc.put_u64(*sid);
             put_keys(&mut enc, session.keys.as_ref());
             enc.put_varint(session.masks.len() as u64);
@@ -787,11 +784,9 @@ impl GlimmerEnclaveProgram {
             }
             session.replay.encode(&mut enc);
         }
-        let mut mask_keys: Vec<(u64, u64)> = self.masks.keys().copied().collect();
-        mask_keys.sort_unstable();
-        enc.put_varint(mask_keys.len() as u64);
-        for key in &mask_keys {
-            self.masks[key].encode(&mut enc);
+        enc.put_varint(self.masks.len() as u64);
+        for mask in self.masks.values() {
+            mask.encode(&mut enc);
         }
         enc.put_u64(self.auditor.verdict_bits_released());
         enc.put_u64(self.auditor.frames_released());
