@@ -15,23 +15,17 @@
 //! per-session `submit_many` — the batched paths pay the admission atomics
 //! and the shard-queue command once per group (E13 is the deterministic
 //! counterpart).
-//! `gateway_ingest/*` covers the replay path: chunked scenario-file loading
-//! at 1 vs 4 readers, and end-to-end replay through a live gateway on the
-//! per-record vs batched-per-shard admission paths (E17 is the
-//! deterministic counterpart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use glimmer_bench::rig::{self, Rig, Sessions};
-use glimmer_bench::{ingest, IngestConfig, IngestMode, Pacing, ReplayHarness};
 use glimmer_core::protocol::BatchOutcome;
 use glimmer_core::remote::IotDeviceSession;
 use glimmer_crypto::drbg::Drbg;
 use glimmer_gateway::frontend::{AsyncGateway, SessionExecutor};
 use glimmer_gateway::net::GatewayClient;
-use glimmer_gateway::{Gateway, GatewayConfig, SystemClock};
+use glimmer_gateway::{Gateway, GatewayConfig};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -317,94 +311,6 @@ fn bench_async_frontend(c: &mut Criterion) {
     group.finish();
 }
 
-/// `gateway_ingest/*`: the replay path. `load/R` measures the chunked
-/// scenario loader (generate once, load per iteration with R readers;
-/// throughput is records/s — on a multicore host 4 readers parse
-/// concurrently). `ingest_*` replays a small steady scenario through a
-/// live single-shard gateway, per-record `submit` vs `submit_batch`
-/// grouped per shard. Replaying consumes per-device rounds, so each
-/// iteration builds a fresh harness; that build cost is identical across
-/// the two modes, so the delta between them is still the admission
-/// paths' — E17 is the precise (isolated-region) instrument.
-fn bench_replay_ingest(c: &mut Criterion) {
-    use glimmer_workloads::replay::{
-        generate_scenario_file, load_chunks, FileSource, ScenarioMix, ScenarioSpec, CHUNK_EXCESS,
-    };
-
-    let mut group = c.benchmark_group("gateway_ingest");
-
-    // Loader: one on-disk scenario, loaded per iteration.
-    let spec = ScenarioSpec {
-        tenants: 4,
-        devices_per_tenant: 10_000,
-        records: 60_000,
-        mix: ScenarioMix::Diurnal { period: 8_000 },
-        seed: 45,
-    };
-    let path = std::env::temp_dir().join(format!(
-        "glimmer-bench-ingest-{}.scenario",
-        std::process::id()
-    ));
-    let info = generate_scenario_file(&path, &spec).unwrap();
-    {
-        let source = FileSource::open(&path).unwrap();
-        for &readers in &[1usize, 4] {
-            group.throughput(Throughput::Elements(info.records));
-            group.bench_with_input(
-                BenchmarkId::new("load", readers),
-                &readers,
-                |b, &readers| {
-                    b.iter(|| {
-                        let loads = load_chunks(&source, readers, CHUNK_EXCESS).unwrap();
-                        let total: u64 = loads.iter().map(|l| l.summary.records).sum();
-                        assert_eq!(total, info.records, "loader lost records");
-                        total
-                    })
-                },
-            );
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-
-    // End-to-end replay: admission path comparison over identical records.
-    let serve_spec = ScenarioSpec {
-        tenants: 2,
-        devices_per_tenant: 16,
-        records: 128,
-        mix: ScenarioMix::Steady,
-        seed: 46,
-    };
-    let records = serve_spec.records_vec();
-    for (name, mode) in [
-        ("ingest_per_record", IngestMode::PerRecord),
-        ("ingest_batched", IngestMode::BatchedPerShard),
-    ] {
-        let config = IngestConfig {
-            mode,
-            window: 32,
-            max_in_flight: 256,
-            pacing: Pacing::Unpaced,
-        };
-        group.throughput(Throughput::Elements(records.len() as u64));
-        group.bench_function(BenchmarkId::new(name, records.len()), |b| {
-            b.iter(|| {
-                let mut harness = ReplayHarness::build(
-                    &records,
-                    2,
-                    1,
-                    2,
-                    rig::DIM,
-                    1024,
-                    [47u8; 32],
-                    Arc::new(SystemClock::new()),
-                );
-                ingest(&mut harness, &records, &config).unwrap().endorsed()
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The socket front door against the in-process blocking driver at equal
 /// traffic: what one submit+drain round costs once a real loopback TCP hop
 /// (framing, epoll wakeups, one front-door thread) sits between the
@@ -489,6 +395,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_serving, bench_shard_scaling, bench_batched_submission, bench_async_frontend,
-        bench_replay_ingest, bench_gateway_net
+        bench_gateway_net
 }
 criterion_main!(benches);

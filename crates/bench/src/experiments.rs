@@ -1,4 +1,4 @@
-//! The E1–E20 experiment implementations.
+//! The E1–E16 and E18–E20 experiment implementations.
 //!
 //! Every experiment is a pure function of its configuration and seed, so the
 //! binaries, the Criterion benches, and the integration tests can all run the
@@ -10,7 +10,6 @@ mod e13_batched_hot_path;
 mod e14_restart_recovery;
 mod e15_async_frontend;
 mod e16_telemetry;
-mod e17_replay_ingest;
 mod e18_incremental_checkpoint;
 mod e19_socket_frontdoor;
 mod e20_live_rebalance;
@@ -22,7 +21,6 @@ pub use e13_batched_hot_path::*;
 pub use e14_restart_recovery::*;
 pub use e15_async_frontend::*;
 pub use e16_telemetry::*;
-pub use e17_replay_ingest::*;
 pub use e18_incremental_checkpoint::*;
 pub use e19_socket_frontdoor::*;
 pub use e20_live_rebalance::*;
@@ -350,49 +348,6 @@ mod tests {
             assert_eq!(report.allocs_per_req_on, 0.0);
             assert_eq!(report.allocs_per_req_off, 0.0);
         }
-    }
-
-    #[test]
-    fn e17_replay_ingest_is_exact_and_bit_identical() {
-        let result = e17_replay_ingest(4_000, &[1, 4], 1, 6, 3, SEED);
-        assert_eq!(result.parse_records, 4_000);
-        assert!(result.parse_bytes > 0);
-        assert_eq!(result.loader_rows.len(), 2);
-        for row in &result.loader_rows {
-            assert_eq!(row.records, 4_000);
-            assert!(
-                row.exactly_once,
-                "readers={} lost or duplicated",
-                row.readers
-            );
-        }
-        // The chunk partition's critical path shrinks with reader count —
-        // the deterministic speedup bar holds even on a single-core host.
-        let four = &result.loader_rows[1];
-        assert_eq!(four.readers, 4);
-        assert!(
-            four.det_speedup >= 2.0,
-            "4-reader critical path speedup {:.2} < 2",
-            four.det_speedup
-        );
-        // End-to-end: the replayed file drives the gateway to the exact
-        // same response stream as the in-process per-record baseline.
-        assert_eq!(result.serve_records, 36);
-        // The harness provisions sessions only for devices the scenario
-        // actually names, so the count is bounded by (not necessarily
-        // equal to) tenants × devices_per_tenant.
-        assert!(result.serve_sessions > 0 && result.serve_sessions <= 12);
-        assert!(result.bit_identical, "replay diverged from baseline");
-        assert_eq!(result.replay_endorsed, result.baseline_endorsed);
-        assert!(result.replay_endorsed > 0, "honest records must endorse");
-        assert_eq!(result.parse_errors, 0);
-        // Loader accounting surfaced through the telemetry hub.
-        assert_eq!(result.telemetry_ingest_parsed, 36);
-        assert_eq!(result.telemetry_ingest_parse_errors, 0);
-        assert_eq!(
-            result.telemetry_ingest_quota_rejected,
-            result.quota_rejected
-        );
     }
 
     #[test]

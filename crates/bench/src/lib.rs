@@ -8,14 +8,13 @@
 //! hosts), E12 (shard-per-core scaling), E13 (the batched,
 //! allocation-lean hot path), E14 (restart recovery: cold rebuild vs
 //! sealed checkpoint restore), E15 (the async session front-end), E16
-//! (telemetry overhead and fidelity), E17 (million-device replay
-//! ingest), E18 (incremental + streamed checkpoints), E19 (the socket
-//! front door) and E20 (live slot rebalancing) — and implements each one
-//! as a reusable function plus a binary that prints the corresponding
-//! table. The serving experiments, the gateway benches and the replay
-//! harness share one fixture, [`rig`]. The Criterion benches under
-//! `benches/` cover the micro-benchmarks (crypto, enclave transitions,
-//! blinding, validation, end-to-end pipeline).
+//! (telemetry overhead and fidelity), E18 (incremental + streamed
+//! checkpoints), E19 (the socket front door) and E20 (live slot
+//! rebalancing) — and implements each one as a reusable function plus a
+//! binary that prints the corresponding table. The serving experiments and
+//! the gateway benches share one fixture, [`rig`]. The Criterion benches
+//! under `benches/` cover the micro-benchmarks (crypto, enclave
+//! transitions, blinding, validation, end-to-end pipeline).
 
 // `deny`, not `forbid`: the opt-in `count-allocs` feature installs a
 // counting global allocator, whose `GlobalAlloc` impl is necessarily
@@ -24,10 +23,8 @@
 
 pub mod alloc_track;
 pub mod experiments;
-pub mod ingest;
 pub mod report;
 pub mod rig;
 
 pub use experiments::*;
-pub use ingest::{ingest, IngestConfig, IngestMode, IngestReport, Pacing, ReplayHarness};
 pub use report::BenchReport;

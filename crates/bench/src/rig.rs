@@ -1,5 +1,5 @@
-//! The one fixture the serving experiments (E11–E20), the gateway benches
-//! and [`crate::ingest::ReplayHarness`] stand on.
+//! The one fixture the serving experiments (E11–E16, E18–E20) and the
+//! gateway benches stand on.
 //!
 //! A [`Rig`] is one tenant's side of a serving run: its planned traffic,
 //! its endorsement key, and the zero-sum masks of every round. From that it

@@ -679,8 +679,8 @@ impl Gateway {
         Ok(self.session_entry(session_id)?.slot)
     }
 
-    /// The shard worker that owns a session's slot. Batch producers (the
-    /// replay ingest driver) group a submission window by this key so each
+    /// The shard worker that owns a session's slot. A batch producer can
+    /// group a submission window by this key so each
     /// [`Gateway::submit_batch`] call lands on one shard — one
     /// `SubmitMany` command instead of a cross-shard scatter.
     pub fn session_shard(&self, session_id: u64) -> Result<usize> {

@@ -276,6 +276,7 @@ mod imp {
         ReplyEnvelope, Request, Response, CODE_GATEWAY, CODE_NOT_OWNER, CODE_PROTOCOL,
     };
     use super::super::reactor::{Interest, Reactor};
+    use super::super::sys;
     use super::{NetError, ShutdownSignal};
     use crate::config::NetConfig;
     use crate::frontend::{AsyncGateway, SessionExecutor, Sleep, Spawner, TimerHandle};
@@ -337,6 +338,12 @@ mod imp {
         telemetry: Arc<Telemetry>,
     }
 
+    /// The listener's accept backlog. `TcpListener::bind` listens with 128,
+    /// and one front-door thread facing a connection storm fills that, so
+    /// the kernel drops SYNs that each wait out a 1 s retransmit. The
+    /// kernel clamps this to `net.core.somaxconn`.
+    pub(super) const ACCEPT_BACKLOG: i32 = 4096;
+
     pub(super) fn serve_on(
         executor: &mut SessionExecutor,
         frontend: AsyncGateway,
@@ -344,6 +351,7 @@ mod imp {
         unrouted: Option<mpsc::Sender<GatewayResponse>>,
     ) -> Result<Arc<ShutdownSignal>, NetError> {
         listener.set_nonblocking(true)?;
+        sys::listen(listener.as_raw_fd(), ACCEPT_BACKLOG)?;
         let reactor = Rc::new(Reactor::new()?);
         executor.attach_parker(
             Rc::clone(&reactor) as Rc<dyn crate::frontend::executor::Parker>,
@@ -842,7 +850,8 @@ mod imp {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod tests {
-    use super::imp::periodic;
+    use super::super::sys;
+    use super::imp::{periodic, ACCEPT_BACKLOG};
     use super::{serve_on, ShutdownSignal};
     use crate::frontend::completion::completion_pair;
     use crate::frontend::{AsyncGateway, SessionExecutor};
@@ -856,6 +865,7 @@ mod tests {
     use sgx_sim::AttestationService;
     use std::cell::{Cell, RefCell};
     use std::net::TcpListener;
+    use std::os::unix::io::AsRawFd;
     use std::rc::Rc;
     use std::sync::{mpsc, Arc};
     use std::task::Poll;
@@ -1130,5 +1140,43 @@ mod tests {
         // The suspended connection's idle timer, and nothing else (no
         // drainer, no sweeper configured).
         assert_eq!(*observed.borrow(), [1, 1]);
+    }
+
+    /// `serve_on` widens the backlog of the listener it is handed: a
+    /// connection storm past std's 128 queues instead of losing SYNs. The
+    /// clone shares the listener's socket, so it reads the served backlog.
+    #[test]
+    fn serve_on_listens_with_the_full_accept_backlog() {
+        let mut rng = Drbg::from_seed([95u8; 32]);
+        let mut avs = AttestationService::new([96u8; 32]);
+        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        let gateway = Gateway::new(
+            GatewayConfig {
+                slots_per_tenant: 1,
+                ..GatewayConfig::default()
+            },
+            vec![TenantConfig::new(
+                IOT,
+                GlimmerDescriptor::iot_default(Vec::new()),
+                material.secret_bytes(),
+            )],
+            &mut avs,
+            &mut rng,
+        )
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let probe = listener.try_clone().unwrap();
+        let mut executor = SessionExecutor::new();
+        let _shutdown =
+            serve_on(&mut executor, AsyncGateway::new(gateway), listener, None).unwrap();
+
+        let somaxconn: u32 = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
+        let expected = somaxconn.min(ACCEPT_BACKLOG as u32);
+        let backlog = sys::listen_backlog(probe.as_raw_fd()).unwrap();
+        assert!(backlog >= expected, "backlog {backlog} < {expected}");
     }
 }

@@ -1,4 +1,4 @@
-//! Raw `epoll(7)`/`eventfd(2)` syscall shim for the readiness reactor.
+//! Raw `epoll(7)`/`eventfd(2)`/`listen(2)` syscall shim for the front door.
 //!
 //! The workspace takes no external dependencies, so on Linux the reactor
 //! issues raw syscalls (no libc).
@@ -163,6 +163,40 @@ pub(crate) fn eventfd_drain(fd: i32) {
     );
 }
 
+/// Sets a socket's accept backlog (`listen(2)`). On a socket that already
+/// listens, Linux only replaces the backlog, clamped to
+/// `net.core.somaxconn`.
+pub(crate) fn listen(fd: i32, backlog: i32) -> io::Result<()> {
+    check(imp::syscall(
+        imp::SYS_LISTEN,
+        [i64::from(fd), i64::from(backlog), 0, 0, 0, 0],
+    ))
+    .map(|_| ())
+}
+
+/// A listening socket's accept backlog, as `getsockopt(SOL_TCP, TCP_INFO)`
+/// reports it: `tcpi_sacked`, the sixth `u32` after the eight single-byte
+/// fields that open `struct tcp_info`.
+#[cfg(test)]
+pub(crate) fn listen_backlog(fd: i32) -> io::Result<u32> {
+    const SOL_TCP: i64 = 6;
+    const TCP_INFO: i64 = 11;
+    let mut info = [0u32; 8];
+    let mut len = core::mem::size_of_val(&info) as u32;
+    check(imp::syscall(
+        imp::SYS_GETSOCKOPT,
+        [
+            i64::from(fd),
+            SOL_TCP,
+            TCP_INFO,
+            info.as_mut_ptr() as i64,
+            core::ptr::addr_of_mut!(len) as i64,
+            0,
+        ],
+    ))?;
+    Ok(info[7])
+}
+
 /// Closes a reactor-owned fd.
 pub(crate) fn close(fd: i32) {
     let _ = imp::syscall(imp::SYS_CLOSE, [i64::from(fd), 0, 0, 0, 0, 0]);
@@ -174,7 +208,8 @@ pub(crate) fn close(fd: i32) {
 /// * Every pointer argument passed by the wrappers above points to a live
 ///   local or caller-owned buffer whose length is passed alongside it, per
 ///   each syscall's documented contract; the kernel writes only within
-///   those bounds (`epoll_wait` event arrays, the eventfd read buffer).
+///   those bounds (`epoll_wait` event arrays, the eventfd read buffer,
+///   the `getsockopt` value and its length).
 /// * The inline asm clobbers are exactly the Linux syscall ABI's
 ///   (`rcx`/`r11` on x86_64; `x8` plus argument registers on aarch64), and
 ///   no Rust state is live across the instruction beyond the declared
@@ -191,6 +226,10 @@ mod imp {
     pub(super) const SYS_WRITE: i64 = 1;
     #[cfg(target_arch = "x86_64")]
     pub(super) const SYS_CLOSE: i64 = 3;
+    #[cfg(target_arch = "x86_64")]
+    pub(super) const SYS_LISTEN: i64 = 50;
+    #[cfg(all(test, target_arch = "x86_64"))]
+    pub(super) const SYS_GETSOCKOPT: i64 = 55;
     #[cfg(target_arch = "x86_64")]
     const SYS_EPOLL_WAIT: i64 = 232;
     #[cfg(target_arch = "x86_64")]
@@ -214,6 +253,10 @@ mod imp {
     pub(super) const SYS_READ: i64 = 63;
     #[cfg(target_arch = "aarch64")]
     pub(super) const SYS_WRITE: i64 = 64;
+    #[cfg(target_arch = "aarch64")]
+    pub(super) const SYS_LISTEN: i64 = 201;
+    #[cfg(all(test, target_arch = "aarch64"))]
+    pub(super) const SYS_GETSOCKOPT: i64 = 209;
 
     #[cfg(target_arch = "x86_64")]
     pub(super) fn syscall(nr: i64, args: [i64; 6]) -> i64 {

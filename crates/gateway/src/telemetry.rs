@@ -570,9 +570,6 @@ pub struct Telemetry {
     traces: TraceRing,
     events: Mutex<std::collections::VecDeque<TelemetryEvent>>,
     event_capacity: usize,
-    ingest_parsed: AtomicU64,
-    ingest_parse_errors: AtomicU64,
-    ingest_quota_rejected: AtomicU64,
     net_connections_accepted: AtomicU64,
     net_connections_closed: AtomicU64,
     net_frames_in: AtomicU64,
@@ -627,9 +624,6 @@ impl Telemetry {
                 0
             })),
             event_capacity: if enabled { config.event_capacity } else { 0 },
-            ingest_parsed: AtomicU64::new(0),
-            ingest_parse_errors: AtomicU64::new(0),
-            ingest_quota_rejected: AtomicU64::new(0),
             net_connections_accepted: AtomicU64::new(0),
             net_connections_closed: AtomicU64::new(0),
             net_frames_in: AtomicU64::new(0),
@@ -699,34 +693,6 @@ impl Telemetry {
     pub(crate) fn record_sessions_evicted(&self, n: u64) {
         if self.enabled {
             self.sessions_evicted.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts `n` replay-ingest records parsed from a scenario source.
-    ///
-    /// Public (unlike the serving-path recorders) because the ingest driver
-    /// lives outside this crate: a replay run mirrors its loader and
-    /// admission accounting into the hub so recorded traffic is observable
-    /// exactly like live traffic.
-    pub fn record_ingest_parsed(&self, n: u64) {
-        if self.enabled {
-            self.ingest_parsed.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts `n` malformed scenario lines the replay loader rejected
-    /// (counted, never dropped silently).
-    pub fn record_ingest_parse_errors(&self, n: u64) {
-        if self.enabled {
-            self.ingest_parse_errors.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts `n` replayed requests terminally rejected by quota/admission
-    /// during ingest (after any backpressure retry).
-    pub fn record_ingest_quota_rejected(&self, n: u64) {
-        if self.enabled {
-            self.ingest_quota_rejected.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -959,9 +925,6 @@ impl Telemetry {
                 .iter()
                 .cloned()
                 .collect(),
-            ingest_parsed: self.ingest_parsed.load(Ordering::Relaxed),
-            ingest_parse_errors: self.ingest_parse_errors.load(Ordering::Relaxed),
-            ingest_quota_rejected: self.ingest_quota_rejected.load(Ordering::Relaxed),
             checkpoint_slots_exported: self.checkpoint_slots_exported.load(Ordering::Relaxed),
             checkpoint_slots_skipped: self.checkpoint_slots_skipped.load(Ordering::Relaxed),
             net_connections_accepted: self.net_connections_accepted.load(Ordering::Relaxed),
@@ -1031,13 +994,6 @@ pub struct TelemetrySnapshot {
     pub traces: Vec<TraceSpan>,
     /// Recent admission rejections, oldest first.
     pub events: Vec<TelemetryEvent>,
-    /// Replay-ingest records parsed from scenario sources.
-    pub ingest_parsed: u64,
-    /// Malformed scenario lines the replay loader rejected.
-    pub ingest_parse_errors: u64,
-    /// Replayed requests terminally rejected by quota/admission during
-    /// ingest.
-    pub ingest_quota_rejected: u64,
     /// Pool slots whose checkpoint capture paid an state-export ECALL.
     pub checkpoint_slots_exported: u64,
     /// Pool slots a delta checkpoint proved clean and skipped (no barrier,
@@ -1120,16 +1076,6 @@ impl TelemetrySnapshot {
             lines.push((
                 format!("glimmer_shard_drain_sweeps_total{{shard={shard}}}"),
                 sweeps,
-            ));
-        }
-        for (outcome, count) in [
-            ("parsed", self.ingest_parsed),
-            ("parse_error", self.ingest_parse_errors),
-            ("quota_rejected", self.ingest_quota_rejected),
-        ] {
-            lines.push((
-                format!("glimmer_ingest_records_total{{outcome={outcome}}}"),
-                count,
             ));
         }
         for (outcome, count) in [

@@ -18,9 +18,6 @@
 //! * [`iot`] — sensor streams from well-behaved and faulty/malicious devices.
 //! * [`gateway`] — interleaved multi-tenant traffic for the gateway serving
 //!   experiments.
-//! * [`replay`] — recorded-traffic scenario files (compact line format,
-//!   deterministic generator) and the chunked parallel loader that replays
-//!   them at full hardware speed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +28,6 @@ pub mod gateway;
 pub mod iot;
 pub mod keyboard;
 pub mod photos;
-pub mod replay;
 
 pub use adversary::{AdversaryMix, ClientRole};
 pub use botsignals::{BotSignalWorkload, Session, SessionKind};
@@ -41,7 +37,3 @@ pub use gateway::{
 pub use iot::{IotWorkload, SensorTrace};
 pub use keyboard::{KeyboardWorkload, KeyboardWorkloadConfig, UserTrace};
 pub use photos::{PhotoContribution, PhotoWorkload};
-pub use replay::{
-    ChunkLoad, ChunkSource, ChunkSpan, FileSource, ParseSummary, RecordError, ReplayRecord,
-    ScenarioFileInfo, ScenarioMix, ScenarioSpec,
-};
