@@ -10,11 +10,11 @@ use crate::frontend::completion::{block_on, completion_pair, Completer, Completi
 use crate::pool::{PoolSlot, SlotRestore, TenantPool};
 use crate::rebalance::{MigrationReport, SlotLoad};
 use crate::runtime::{
-    BarrierGuard, BarrierOp, ShardCommand, ShardWorker, Shared, SlotClaim, SlotEntry, SlotExport,
-    SlotGauges, SlotInfo, TenantCounters, TenantMeta, WorkerSlot, BARRIER_IDLE,
+    BarrierGuard, BarrierOp, ShardCommand, ShardWorker, Shared, SlotClaim, SlotEntry, SlotGauges,
+    SlotInfo, TenantCounters, TenantMeta, WorkerSlot, BARRIER_IDLE,
 };
 use crate::session::{SessionEntry, SessionState, SessionTable};
-use crate::stats::GatewayStats;
+use crate::stats::{GatewayStats, SlotStats, SlotStatsRow};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use glimmer_core::blinding::MaskShare;
 use glimmer_core::channel::{ChannelAccept, ChannelOffer};
@@ -111,6 +111,28 @@ struct Capture {
     tenants: Vec<DeltaTenant>,
     /// Established sessions, in session-id order.
     sessions: Vec<SessionRecord>,
+}
+
+/// One slot's reply to its export barrier ([`Gateway::export_slot_barrier`]).
+struct SlotExport {
+    dirty_epoch: u64,
+    state_epoch: u64,
+    /// `None` when the enclave skipped the seal (state unchanged since the
+    /// caller's `known_state_epoch`).
+    sealed_state: Option<Vec<u8>>,
+    stats: SlotStats,
+}
+
+/// What a source worker hands the migration coordinator at its handoff
+/// barrier ([`Gateway::migrate_slot`]).
+struct MigrationPackage {
+    /// The live slot itself: enclave handle, queued items, stats, gauges.
+    worker: Box<WorkerSlot>,
+    /// Crash-recovery artifact: the slot's enclave state sealed at the
+    /// handoff point (AAD-bound to the migration header).
+    sealed_state: Vec<u8>,
+    /// The enclave's state epoch inside `sealed_state`.
+    state_epoch: u64,
 }
 
 /// Reports `point` to the config's crash plan; a plan that fires aborts the
@@ -334,27 +356,38 @@ impl Gateway {
             .map_err(|_| GatewayError::RuntimeUnavailable)
     }
 
-    /// Routes one reply-bearing command to the worker that owns `info`'s
-    /// slot right now, and returns the completion its reply arrives in.
-    fn request<T>(
+    /// Sends `op` to the worker that owns `info`'s slot right now, and
+    /// returns the completion its reply arrives in. The worker runs `op`
+    /// with the slot's worker-local index and the reply's completer.
+    fn on_slot<T: Send + 'static>(
         &self,
         info: &SlotInfo,
-        command: impl FnOnce(usize, Completer<T>) -> ShardCommand,
+        op: impl FnOnce(&mut ShardWorker, usize, Completer<T>) + Send + 'static,
     ) -> Result<Completion<T>> {
         let (shard, slot) = info.location();
-        let (completer, completion) = completion_pair();
-        self.send(shard, command(slot, completer))?;
+        let (reply, completion) = completion_pair();
+        let op = Box::new(move |worker: &mut ShardWorker, slot| op(worker, slot, reply));
+        self.send(shard, ShardCommand::OnSlot { slot, op })?;
         Ok(completion)
     }
 
-    /// [`Gateway::request`] with its reply awaited: a failed send and a
-    /// failed enclave call come back alike, as the command's error.
-    async fn call<T>(
+    /// The worker side of every enclave verb, written once: mark the slot
+    /// dirty (before the call, so a failing call dirties it too), run
+    /// `call` against the slot and its tenant, and answer with the result.
+    /// A failed send and a failed enclave call come back alike, as the
+    /// verb's error.
+    async fn enclave<T: Send + 'static>(
         &self,
         info: &SlotInfo,
-        command: impl FnOnce(usize, Completer<Result<T>>) -> ShardCommand,
+        call: impl FnOnce(&mut WorkerSlot, &TenantMeta) -> glimmer_core::Result<T> + Send + 'static,
     ) -> Result<T> {
-        self.request(info, command)?.await?
+        self.on_slot(info, move |worker, slot, reply| {
+            let ws = ShardWorker::occupied_at(&mut worker.slots[slot]);
+            ws.mark_dirty();
+            let tenant = &worker.shared.tenants[ws.tenant_idx];
+            reply.complete(call(ws, tenant).map_err(GatewayError::Glimmer));
+        })?
+        .await?
     }
 
     fn session_entry(&self, session_id: u64) -> Result<SessionEntry> {
@@ -449,10 +482,8 @@ impl Gateway {
                 self.shared.config.clock.now_nanos(),
             );
         let offer = self
-            .call(info, |slot, reply| ShardCommand::OpenSession {
-                slot,
-                session_id,
-                reply,
+            .enclave(info, move |ws, _| {
+                ws.slot.client_mut().open_session(session_id)
             })
             .await;
         match offer {
@@ -509,12 +540,10 @@ impl Gateway {
             return Err(GatewayError::SessionAlreadyEstablished(session_id));
         }
         let info = &self.shared.tenants[entry.tenant_idx].slots[entry.slot];
+        let accept = accept.clone();
         let accepted = self
-            .call(info, |slot, reply| ShardCommand::AcceptSession {
-                slot,
-                session_id,
-                accept: accept.clone(),
-                reply,
+            .enclave(info, move |ws, _| {
+                ws.slot.client_mut().accept_session(session_id, &accept)
             })
             .await;
         if let Err(e) = accepted {
@@ -588,10 +617,16 @@ impl Gateway {
     /// The enclave-side close (key erase, queued-item discard) of a session
     /// the routing layer no longer routes.
     async fn enclave_close(&self, info: &SlotInfo, session_id: u64) -> Result<()> {
-        self.call(info, |slot, reply| ShardCommand::CloseSession {
-            slot,
-            session_id,
-            reply,
+        self.enclave(info, move |ws, tenant| {
+            let dropped = ws.slot.discard_session_items(session_id);
+            ws.gauges.queue_depth.fetch_sub(dropped, Ordering::SeqCst);
+            tenant.queued.fetch_sub(dropped, Ordering::SeqCst);
+            ws.slot.client_mut().close_session(session_id)?;
+            tenant
+                .counters
+                .dropped
+                .fetch_add(dropped as u64, Ordering::SeqCst);
+            Ok(())
         })
         .await
     }
@@ -656,11 +691,10 @@ impl Gateway {
     ) -> Result<()> {
         let entry = self.session_entry(session_id)?;
         let info = &self.shared.tenants[entry.tenant_idx].slots[entry.slot];
-        self.call(info, |slot, reply| ShardCommand::InstallMask {
-            slot,
-            session_id,
-            delivery,
-            reply,
+        self.enclave(info, move |ws, _| {
+            ws.slot
+                .client_mut()
+                .install_session_mask_delivery(session_id, &delivery)
         })
         .await
         .map_err(|e| match e {
@@ -708,12 +742,7 @@ impl Gateway {
     /// Once completed, the tenant can seal mask deliveries to that slot.
     pub fn tenant_channel_offer(&self, tenant: &str, slot: usize) -> Result<ChannelOffer> {
         let info = self.tenant_slot(tenant, slot)?;
-        block_on(
-            self.call(info, |slot, reply| ShardCommand::TenantChannelOffer {
-                slot,
-                reply,
-            }),
-        )
+        block_on(self.enclave(info, |ws, _| ws.slot.client_mut().start_channel()))
     }
 
     /// Completes the attested tenant channel on one pool slot.
@@ -724,13 +753,10 @@ impl Gateway {
         accept: &ChannelAccept,
     ) -> Result<()> {
         let info = self.tenant_slot(tenant, slot)?;
-        block_on(
-            self.call(info, |slot, reply| ShardCommand::TenantChannelComplete {
-                slot,
-                accept: accept.clone(),
-                reply,
-            }),
-        )
+        let accept = accept.clone();
+        block_on(self.enclave(info, move |ws, _| {
+            ws.slot.client_mut().complete_channel(&accept)
+        }))
     }
 
     /// Reserve-then-check admission for a group of `n` requests bound for
@@ -1627,13 +1653,25 @@ impl Gateway {
         let (ready_tx, ready_rx) = channel();
         let (go_tx, go_rx) = channel();
         let info = &self.shared.tenants[tenant_idx].slots[slot_id];
-        let reply = self.request(info, |slot, reply| ShardCommand::ExportSlot {
-            slot,
-            header: Arc::clone(header),
-            known_state_epoch,
-            ready: ready_tx,
-            go: go_rx,
-            reply,
+        let header = Arc::clone(header);
+        let reply = self.on_slot(info, move |worker, slot, reply| {
+            // Paused for exactly one slot's export: nothing on this shard
+            // mutates enclave or stats state until the capture releases it.
+            // An abandoned export (false, or the caller died) resumes
+            // serving with nothing sealed.
+            let _ = ready_tx.send(());
+            if !matches!(go_rx.recv(), Ok(true)) {
+                return;
+            }
+            let ws = ShardWorker::occupied_at(&mut worker.slots[slot]);
+            reply.complete(ws.slot.export_checkpoint(&header, known_state_epoch).map(
+                |(state_epoch, sealed_state, stats)| SlotExport {
+                    dirty_epoch: ws.slot.dirty_epoch,
+                    state_epoch,
+                    sealed_state,
+                    stats,
+                },
+            ));
         })?;
         ready_rx
             .recv()
@@ -1719,7 +1757,7 @@ impl Gateway {
             .migration
             .lock()
             .expect("migration coordinators never panic under this lock");
-        let (from_shard, from_idx) = info.location();
+        let from_shard = info.shard();
         if from_shard == target_shard {
             return Ok(MigrationReport {
                 tenant: tenant.to_string(),
@@ -1742,18 +1780,34 @@ impl Gateway {
         let (ready_tx, ready_rx) = channel();
         let (go_tx, go_rx) = channel();
         let (done_tx, done_rx) = channel();
-        let (reply_tx, reply) = completion_pair();
-        self.send(
-            from_shard,
-            ShardCommand::MigrateOut {
-                slot: from_idx,
-                header,
-                ready: ready_tx,
-                go: go_rx,
-                reply: reply_tx,
-                done: done_rx,
-            },
-        )?;
+        let reply = self.on_slot(info, move |worker, slot, reply| {
+            // Paused: the coordinator captures nothing here (the session
+            // table needs no change — entries key on (tenant, slot), not
+            // shard), but the two-phase shape lets it abort cleanly before
+            // anything is touched.
+            let _ = ready_tx.send(());
+            if !matches!(go_rx.recv(), Ok(true)) {
+                return;
+            }
+            match Self::hand_off(worker, slot, &header) {
+                Ok(package) => {
+                    reply.complete(Ok(package));
+                    // Stay paused until the coordinator commits (`None`:
+                    // the tombstone stays forever) or aborts (`Some`:
+                    // reinstall at the old index and resume as if nothing
+                    // happened). While the slot is in flight nothing drains
+                    // this queue, so no stray command can reach the
+                    // tombstone before the routing table points at the new
+                    // owner. A coordinator that died mid-handoff took the
+                    // slot with it; there is nothing to reinstall.
+                    if let Ok(Some(ws)) = done_rx.recv() {
+                        worker.slots[slot] = SlotEntry::Occupied(ws);
+                    }
+                }
+                // The seal failed: the slot never left this worker.
+                Err(e) => reply.complete(Err(e)),
+            }
+        })?;
         ready_rx
             .recv()
             .map_err(|_| GatewayError::RuntimeUnavailable)?;
@@ -1818,7 +1872,8 @@ impl Gateway {
         // the commit has been served — forwarded through the tombstone or
         // answered — before the migration call returns.
         let (fence_tx, fenced) = completion_pair();
-        self.send(from_shard, ShardCommand::Fence { reply: fence_tx })?;
+        let op = Box::new(move |_: &mut ShardWorker| fence_tx.complete(()));
+        self.send(from_shard, ShardCommand::OnShard { op })?;
         block_on(fenced)?;
         let duration_nanos = self
             .shared
@@ -1836,6 +1891,29 @@ impl Gateway {
             sealed_bytes,
             state_epoch,
             duration_nanos,
+        })
+    }
+
+    /// The source worker's side of a migration handoff: seals the slot's
+    /// state (the crash-recovery artifact), extracts the live
+    /// [`WorkerSlot`] and leaves a forwarding tombstone in its place. On a
+    /// sealing error the slot is left untouched.
+    fn hand_off(worker: &mut ShardWorker, slot: usize, header: &[u8]) -> Result<MigrationPackage> {
+        let ws = ShardWorker::occupied_at(&mut worker.slots[slot]);
+        let (state_epoch, sealed_state, _stats) = ws.slot.export_checkpoint(header, None)?;
+        let sealed_state = sealed_state.expect("a forced export always seals");
+        let tombstone = SlotEntry::Moved {
+            tenant_idx: ws.tenant_idx,
+            slot_id: ws.slot.slot_id,
+        };
+        let SlotEntry::Occupied(worker) = std::mem::replace(&mut worker.slots[slot], tombstone)
+        else {
+            unreachable!("the entry was occupied two statements ago")
+        };
+        Ok(MigrationPackage {
+            worker,
+            sealed_state,
+            state_epoch,
         })
     }
 
@@ -2129,12 +2207,33 @@ impl Gateway {
                 .tenants
                 .push((meta.name.to_string(), meta.counters.snapshot()));
         }
-        let rows = block_on(self.fan_out(|reply| ShardCommand::CollectStats { reply }));
+        let rows = block_on(self.fan_out(|reply| ShardCommand::OnShard {
+            op: Box::new(move |worker| reply.complete(Self::slot_stats(worker))),
+        }));
         stats.slots.extend(rows.into_iter().flatten().flatten());
         stats
             .slots
             .sort_by(|a, b| (&a.tenant, a.slot).cmp(&(&b.tenant, b.slot)));
         stats
+    }
+
+    /// One shard worker's per-slot stats rows, live gauges folded in.
+    fn slot_stats(worker: &ShardWorker) -> Vec<SlotStatsRow> {
+        worker
+            .slots
+            .iter()
+            .filter_map(SlotEntry::occupied)
+            .map(|ws| {
+                let mut stats = ws.slot.stats();
+                stats.active_sessions = ws.gauges.active_sessions.load(Ordering::SeqCst);
+                SlotStatsRow {
+                    tenant: worker.shared.tenants[ws.tenant_idx].name.to_string(),
+                    slot: ws.slot.slot_id,
+                    shard: worker.shard_id,
+                    stats,
+                }
+            })
+            .collect()
     }
 
     /// A lock-free, point-in-time [`TelemetrySnapshot`] of every telemetry
@@ -2222,5 +2321,49 @@ impl Gateway {
 impl Drop for Gateway {
     fn drop(&mut self) {
         self.stop_workers();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use glimmer_core::host::GlimmerDescriptor;
+    use glimmer_core::signing::ServiceKeyMaterial;
+
+    #[test]
+    fn a_slot_op_sent_to_a_stale_address_is_answered_by_the_new_owner() {
+        let mut rng = Drbg::from_seed([90; 32]);
+        let mut avs = AttestationService::new([91; 32]);
+        let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+        let gateway = Gateway::new(
+            GatewayConfig {
+                slots_per_tenant: 1,
+                shards: 2,
+                ..GatewayConfig::default()
+            },
+            vec![TenantConfig::new(
+                "iot-telemetry.example",
+                GlimmerDescriptor::iot_default(Vec::new()),
+                material.secret_bytes(),
+            )],
+            &mut avs,
+            &mut rng,
+        )
+        .unwrap();
+        let info = &gateway.shared.tenants[0].slots[0];
+        let stale = info.location();
+        assert_eq!(stale.0, 0);
+        gateway.migrate_slot("iot-telemetry.example", 0, 1).unwrap();
+        assert_eq!(info.shard(), 1);
+
+        // The op lands on the old owner's tombstone, which forwards it.
+        let (reply, answered) = completion_pair();
+        let op = Box::new(move |worker: &mut ShardWorker, slot| {
+            reply.complete((worker.shard_id, slot));
+        });
+        gateway
+            .send(stale.0, ShardCommand::OnSlot { slot: stale.1, op })
+            .unwrap();
+        assert_eq!(block_on(answered).unwrap(), info.location());
     }
 }

@@ -182,17 +182,14 @@ impl GatewayClient {
         self.expect_ok()
     }
 
-    /// Queues one encrypted contribution.
+    /// Queues one encrypted contribution: a [`GatewayClient::submit_many`]
+    /// of one.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] on gateway rejection (quota, backpressure).
     pub fn submit(&mut self, session_id: u64, ciphertext: Vec<u8>) -> Result<(), ClientError> {
-        self.send(&Request::Submit {
-            session_id,
-            ciphertext,
-        })?;
-        self.expect_ok()
+        self.submit_many(session_id, vec![ciphertext])
     }
 
     /// Queues a contribution stream as one atomic group.

@@ -31,7 +31,10 @@ pub const MSG_COMPLETE_SESSION: u16 = 0x0002;
 pub const MSG_INSTALL_MASK: u16 = 0x0003;
 /// `InstallMaskSealed { session_id, nonce, ciphertext }` → [`MSG_OK`].
 pub const MSG_INSTALL_MASK_SEALED: u16 = 0x0004;
-/// `Submit { session_id, ciphertext }` → [`MSG_OK`].
+/// `Submit { session_id, ciphertext }` → [`MSG_OK`]. No client sends it:
+/// [`GatewayClient::submit`](crate::GatewayClient::submit) is a
+/// `SubmitMany` of one. It stays decodable only because
+/// `benchmark/src/probes.rs` times the frame codec on a `Submit`.
 pub const MSG_SUBMIT: u16 = 0x0005;
 /// `SubmitMany { session_id, ciphertexts }` → [`MSG_OK`].
 pub const MSG_SUBMIT_MANY: u16 = 0x0006;
@@ -96,7 +99,8 @@ pub enum Request {
         /// Sealed mask bytes.
         ciphertext: Vec<u8>,
     },
-    /// Queue one encrypted contribution.
+    /// Queue one encrypted contribution (see [`MSG_SUBMIT`]: clients send
+    /// a [`Request::SubmitMany`] of one instead).
     Submit {
         /// The established session.
         session_id: u64,

@@ -15,6 +15,17 @@
 //! * the session table (a mutex the routing layer holds for microseconds;
 //!   workers never take it).
 //!
+//! # Commands
+//!
+//! The worker loop knows six [`ShardCommand`]s. Control work arrives as a
+//! closure: [`ShardCommand::OnSlot`] for one slot (forwarded by a
+//! tombstone when the slot has migrated away) and [`ShardCommand::OnShard`]
+//! for the whole shard. What each closure does — an enclave call, an export
+//! barrier, a migration handoff, a stats read — is written in `gateway.rs`
+//! beside the verb that sends it. The data plane (`SubmitMany`, `Drain`),
+//! the slot import (`MigrateIn`) and `Shutdown` stay typed; the enum's doc
+//! says why.
+//!
 //! # Ordering guarantees
 //!
 //! A shard's command queue is FIFO, so everything the routing layer sent
@@ -32,10 +43,8 @@ use crate::frontend::completion::Completer;
 use crate::gateway::GatewayResponse;
 use crate::pool::{DrainScratch, PoolSlot};
 use crate::session::SessionTable;
-use crate::stats::{SlotStatsRow, TenantStats};
+use crate::stats::TenantStats;
 use crate::telemetry::{Telemetry, TraceStage};
-use glimmer_core::channel::{ChannelAccept, ChannelOffer};
-use glimmer_core::enclave_app::MaskDelivery;
 use glimmer_core::protocol::{BatchItem, BatchOutcome};
 use sgx_sim::Measurement;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -351,39 +360,40 @@ pub(crate) struct ShardDrainReport {
     pub(crate) first_error: Option<GatewayError>,
 }
 
-/// Commands a shard worker serves, in FIFO order. `slot` is always the
-/// worker-local index ([`SlotInfo::worker_idx`]).
+/// A control operation on one slot: the slot's owning worker runs it with
+/// the slot's worker-local index. Its body, reply included, is written
+/// beside the `Gateway` verb that sends it.
+pub(crate) type SlotOp = Box<dyn FnOnce(&mut ShardWorker, usize) + Send>;
+
+/// A control operation on a whole shard, run by its worker.
+pub(crate) type ShardOp = Box<dyn FnOnce(&mut ShardWorker) + Send>;
+
+/// Commands a shard worker serves, in FIFO order. The control plane is two
+/// closure commands, [`OnSlot`](ShardCommand::OnSlot) and
+/// [`OnShard`](ShardCommand::OnShard); four stay typed, each for a reason:
+///
+/// * [`SubmitMany`](ShardCommand::SubmitMany) and
+///   [`Drain`](ShardCommand::Drain) are the data plane. Typed, they cost no
+///   boxed closure per admission or per sweep.
+/// * [`MigrateIn`](ShardCommand::MigrateIn) carries a live slot. When its
+///   send fails, the channel hands the command back, and with it the slot,
+///   which the migration then returns to its source shard. A closure that
+///   captured the slot could not be opened to give it back.
+/// * [`Shutdown`](ShardCommand::Shutdown) ends the loop.
 pub(crate) enum ShardCommand {
-    OpenSession {
+    /// Runs `op` on the worker that owns the slot at worker-local index
+    /// `slot`. When the slot has migrated away, the worker forwards the
+    /// command to the slot's current home with `slot` rewritten, and the
+    /// op's completer travels with it.
+    OnSlot {
         slot: usize,
-        session_id: u64,
-        reply: Completer<Result<ChannelOffer>>,
+        op: SlotOp,
     },
-    AcceptSession {
-        slot: usize,
-        session_id: u64,
-        accept: ChannelAccept,
-        reply: Completer<Result<()>>,
-    },
-    CloseSession {
-        slot: usize,
-        session_id: u64,
-        reply: Completer<Result<()>>,
-    },
-    InstallMask {
-        slot: usize,
-        session_id: u64,
-        delivery: MaskDelivery,
-        reply: Completer<Result<()>>,
-    },
-    TenantChannelOffer {
-        slot: usize,
-        reply: Completer<Result<ChannelOffer>>,
-    },
-    TenantChannelComplete {
-        slot: usize,
-        accept: ChannelAccept,
-        reply: Completer<Result<()>>,
+    /// Runs `op` on this worker: stats collection, and the fence a
+    /// migration sends its source shard. The queue is FIFO, so a fence's
+    /// reply proves every command sent before it has been served.
+    OnShard {
+        op: ShardOp,
     },
     /// Fire-and-forget admission (gauges were already bumped by the routing
     /// layer): one command carries every already-reserved item this shard
@@ -400,46 +410,6 @@ pub(crate) enum ShardCommand {
     Drain {
         reply: Completer<ShardDrainReport>,
     },
-    /// Per-slot two-phase export barrier, pausing this worker only for one
-    /// slot's export while every other shard keeps draining. The worker
-    /// signals `ready` (it is now paused — nothing on this shard mutates
-    /// enclave or stats state), then blocks on `go`. `go = true` means the
-    /// capture finished reading the slot's session rows: the worker exports
-    /// exactly `slot` under `header` (skipping the seal when the enclave's
-    /// state epoch still equals `known_state_epoch`), replies, and resumes.
-    /// `go = false` (or a dropped sender — the capturing caller died)
-    /// abandons the export; the worker resumes serving untouched.
-    ExportSlot {
-        slot: usize,
-        header: Arc<Vec<u8>>,
-        known_state_epoch: Option<u64>,
-        ready: Sender<()>,
-        go: Receiver<bool>,
-        reply: Completer<Result<SlotExport>>,
-    },
-    CollectStats {
-        reply: Completer<Vec<SlotStatsRow>>,
-    },
-    /// Two-phase migration handoff barrier (the rebalance path). Same
-    /// ready/go protocol as `ExportSlot`, then the worker seals the slot's
-    /// state (the crash-recovery artifact), extracts the whole
-    /// [`WorkerSlot`] — enclave handle, in-flight queue, gauges — into the
-    /// reply, leaves a forwarding tombstone at the index, and **stays
-    /// paused on `done`** until the coordinator either commits (`None`: the
-    /// routing table already points at the new owner) or aborts
-    /// (`Some(slot)`: reinstall at the old index and resume as if nothing
-    /// happened). Staying paused is what closes the lost-window: while the
-    /// slot is in neither worker's vector, nothing drains this shard's
-    /// queue, so no command can reach the tombstone before the routing
-    /// table is retargeted.
-    MigrateOut {
-        slot: usize,
-        header: Arc<Vec<u8>>,
-        ready: Sender<()>,
-        go: Receiver<bool>,
-        reply: Completer<Result<MigrationPackage>>,
-        done: Receiver<Option<Box<WorkerSlot>>>,
-    },
     /// Installs a migrated slot at the end of this worker's slot vector and
     /// replies with its new worker-local index. In-flight queue entries
     /// travel inside the slot and replay on this worker's next drain sweep.
@@ -447,37 +417,7 @@ pub(crate) enum ShardCommand {
         worker: Box<WorkerSlot>,
         reply: Completer<usize>,
     },
-    /// Synchronous no-op round-trip. The queue is FIFO, so a fence reply
-    /// proves every command sent to this shard before the fence has been
-    /// served — the migration coordinator fences the source shard after
-    /// committing, flushing any stray commands through the tombstone's
-    /// forward before the migration call returns.
-    Fence {
-        reply: Completer<()>,
-    },
     Shutdown,
-}
-
-/// What a source worker hands the migration coordinator at a
-/// [`ShardCommand::MigrateOut`] barrier.
-pub(crate) struct MigrationPackage {
-    /// The live slot itself: enclave handle, queued items, stats, gauges.
-    pub(crate) worker: Box<WorkerSlot>,
-    /// Crash-recovery artifact: the slot's enclave state sealed at the
-    /// handoff point (AAD-bound to the migration header).
-    pub(crate) sealed_state: Vec<u8>,
-    /// The enclave's state epoch inside `sealed_state`.
-    pub(crate) state_epoch: u64,
-}
-
-/// One slot's reply to an [`ShardCommand::ExportSlot`] barrier.
-pub(crate) struct SlotExport {
-    pub(crate) dirty_epoch: u64,
-    pub(crate) state_epoch: u64,
-    /// `None` when the enclave skipped the seal (state unchanged since the
-    /// caller's `known_state_epoch`).
-    pub(crate) sealed_state: Option<Vec<u8>>,
-    pub(crate) stats: crate::stats::SlotStats,
 }
 
 /// One slot as owned by its shard worker.
@@ -493,7 +433,7 @@ impl WorkerSlot {
     /// every state-mutating command, *before* the command runs — bumping
     /// on failures too over-approximates dirtiness, which at worst costs
     /// one redundant export (never a silently skipped one).
-    fn mark_dirty(&mut self) {
+    pub(crate) fn mark_dirty(&mut self) {
         self.slot.dirty_epoch += 1;
         self.gauges
             .dirty_epoch
@@ -523,7 +463,7 @@ impl SlotEntry {
         }
     }
 
-    fn occupied(&self) -> Option<&WorkerSlot> {
+    pub(crate) fn occupied(&self) -> Option<&WorkerSlot> {
         match self {
             SlotEntry::Occupied(ws) => Some(ws.as_ref()),
             SlotEntry::Moved { .. } => None,
@@ -551,8 +491,8 @@ pub(crate) struct ShardWorker {
 
 impl ShardWorker {
     /// Resolves a worker-local index that is guaranteed occupied (the run
-    /// loop forwards tombstoned commands before dispatching).
-    fn occupied_at(entry: &mut SlotEntry) -> &mut WorkerSlot {
+    /// loop forwards commands for tombstoned slots before running them).
+    pub(crate) fn occupied_at(entry: &mut SlotEntry) -> &mut WorkerSlot {
         match entry {
             SlotEntry::Occupied(ws) => ws,
             SlotEntry::Moved { .. } => {
@@ -561,129 +501,24 @@ impl ShardWorker {
         }
     }
 
-    /// The worker-local index a per-slot command targets, or `None` for
-    /// fan-out commands that address the whole shard.
-    fn target_slot(command: &mut ShardCommand) -> Option<&mut usize> {
-        match command {
-            ShardCommand::OpenSession { slot, .. }
-            | ShardCommand::AcceptSession { slot, .. }
-            | ShardCommand::CloseSession { slot, .. }
-            | ShardCommand::InstallMask { slot, .. }
-            | ShardCommand::TenantChannelOffer { slot, .. }
-            | ShardCommand::TenantChannelComplete { slot, .. }
-            | ShardCommand::ExportSlot { slot, .. }
-            | ShardCommand::MigrateOut { slot, .. } => Some(slot),
-            _ => None,
-        }
-    }
-
-    /// Forwards a command whose slot migrated away to the slot's current
-    /// owner (index rewritten for its new shard); the completer travels
-    /// with the command, so the caller is answered by the new owner
-    /// directly. Returns the command back when its slot is still local.
-    fn forward_if_moved(&mut self, mut command: ShardCommand) -> Option<ShardCommand> {
-        let Some(slot) = Self::target_slot(&mut command) else {
-            return Some(command);
-        };
-        let SlotEntry::Moved {
-            tenant_idx,
-            slot_id,
-        } = self.slots[*slot]
-        else {
-            return Some(command);
-        };
-        let (shard, idx) = self.shared.tenants[tenant_idx].slots[slot_id].location();
-        *slot = idx;
-        let _ = self.senders[shard].send(command);
-        None
-    }
-
     /// The worker loop. Exits on `Shutdown` or when every sender is gone.
     /// Replies are best-effort: a caller that gave up (dropped its
     /// completion) doesn't stop the worker.
     pub(crate) fn run(mut self) {
         while let Ok(command) = self.rx.recv() {
-            let command = match self.forward_if_moved(command) {
-                Some(command) => command,
-                None => continue,
-            };
             match command {
-                ShardCommand::OpenSession {
-                    slot,
-                    session_id,
-                    reply,
-                } => {
-                    let ws = Self::occupied_at(&mut self.slots[slot]);
-                    ws.mark_dirty();
-                    let result = ws
-                        .slot
-                        .client_mut()
-                        .open_session(session_id)
-                        .map_err(GatewayError::Glimmer);
-                    reply.complete(result);
-                }
-                ShardCommand::AcceptSession {
-                    slot,
-                    session_id,
-                    accept,
-                    reply,
-                } => {
-                    let ws = Self::occupied_at(&mut self.slots[slot]);
-                    ws.mark_dirty();
-                    let result = ws
-                        .slot
-                        .client_mut()
-                        .accept_session(session_id, &accept)
-                        .map_err(GatewayError::Glimmer);
-                    reply.complete(result);
-                }
-                ShardCommand::CloseSession {
-                    slot,
-                    session_id,
-                    reply,
-                } => {
-                    let result = self.close_session(slot, session_id);
-                    reply.complete(result);
-                }
-                ShardCommand::InstallMask {
-                    slot,
-                    session_id,
-                    delivery,
-                    reply,
-                } => {
-                    let ws = Self::occupied_at(&mut self.slots[slot]);
-                    ws.mark_dirty();
-                    let result = ws
-                        .slot
-                        .client_mut()
-                        .install_session_mask_delivery(session_id, &delivery)
-                        .map_err(GatewayError::Glimmer);
-                    reply.complete(result);
-                }
-                ShardCommand::TenantChannelOffer { slot, reply } => {
-                    let ws = Self::occupied_at(&mut self.slots[slot]);
-                    ws.mark_dirty();
-                    let result = ws
-                        .slot
-                        .client_mut()
-                        .start_channel()
-                        .map_err(GatewayError::Glimmer);
-                    reply.complete(result);
-                }
-                ShardCommand::TenantChannelComplete {
-                    slot,
-                    accept,
-                    reply,
-                } => {
-                    let ws = Self::occupied_at(&mut self.slots[slot]);
-                    ws.mark_dirty();
-                    let result = ws
-                        .slot
-                        .client_mut()
-                        .complete_channel(&accept)
-                        .map_err(GatewayError::Glimmer);
-                    reply.complete(result);
-                }
+                ShardCommand::OnSlot { slot, op } => match self.slots[slot] {
+                    SlotEntry::Occupied(_) => op(&mut self, slot),
+                    SlotEntry::Moved {
+                        tenant_idx,
+                        slot_id,
+                    } => {
+                        let (shard, slot) =
+                            self.shared.tenants[tenant_idx].slots[slot_id].location();
+                        let _ = self.senders[shard].send(ShardCommand::OnSlot { slot, op });
+                    }
+                },
+                ShardCommand::OnShard { op } => op(&mut self),
                 ShardCommand::SubmitMany { items } => {
                     // One clock read for the whole group: the items were
                     // admitted together, so they share an enqueue stamp.
@@ -716,139 +551,13 @@ impl ShardWorker {
                     let report = self.drain();
                     reply.complete(report);
                 }
-                ShardCommand::ExportSlot {
-                    slot,
-                    header,
-                    known_state_epoch,
-                    ready,
-                    go,
-                    reply,
-                } => {
-                    let _ = ready.send(());
-                    // Paused for exactly one slot's export: the checkpoint
-                    // thread captures that slot's session rows, then
-                    // releases us. An abandoned export (false, or the
-                    // caller died) resumes serving with nothing sealed.
-                    if !matches!(go.recv(), Ok(true)) {
-                        continue;
-                    }
-                    reply.complete(self.export_one(slot, &header, known_state_epoch));
-                }
-                ShardCommand::CollectStats { reply } => {
-                    reply.complete(self.collect_stats());
-                }
-                ShardCommand::MigrateOut {
-                    slot,
-                    header,
-                    ready,
-                    go,
-                    reply,
-                    done,
-                } => {
-                    let _ = ready.send(());
-                    // Paused: the coordinator captures nothing here (the
-                    // session table needs no change — entries key on
-                    // (tenant, slot), not shard), but the two-phase shape
-                    // lets it abort cleanly before anything is touched.
-                    if !matches!(go.recv(), Ok(true)) {
-                        continue;
-                    }
-                    match self.migrate_out(slot, &header) {
-                        Ok(package) => {
-                            reply.complete(Ok(package));
-                            // Stay paused until the coordinator commits or
-                            // aborts: while the slot is in-flight nothing
-                            // drains this queue, so no stray command can
-                            // reach the tombstone before the routing table
-                            // points at the new owner.
-                            match done.recv() {
-                                // Aborted after handoff: reinstall at the
-                                // old index and resume as if nothing
-                                // happened (fail-closed back to this shard).
-                                Ok(Some(worker)) => {
-                                    self.slots[slot] = SlotEntry::Occupied(worker);
-                                }
-                                // Committed: the tombstone stays forever.
-                                Ok(None) => {}
-                                // The coordinator died mid-handoff and took
-                                // the slot with it; nothing to reinstall.
-                                Err(_) => {}
-                            }
-                        }
-                        // Export failed: the slot never left this worker.
-                        Err(e) => reply.complete(Err(e)),
-                    }
-                }
                 ShardCommand::MigrateIn { worker, reply } => {
                     self.slots.push(SlotEntry::Occupied(worker));
                     reply.complete(self.slots.len() - 1);
                 }
-                ShardCommand::Fence { reply } => reply.complete(()),
                 ShardCommand::Shutdown => break,
             }
         }
-    }
-
-    /// Seals the slot's state (the crash-recovery artifact), extracts the
-    /// live [`WorkerSlot`] and leaves a forwarding tombstone in its place.
-    /// On a sealing error the slot is left untouched.
-    fn migrate_out(&mut self, slot: usize, header: &[u8]) -> Result<MigrationPackage> {
-        let ws = Self::occupied_at(&mut self.slots[slot]);
-        let (state_epoch, sealed_state, _stats) = ws.slot.export_checkpoint(header, None)?;
-        let sealed_state = sealed_state.expect("a forced export always seals");
-        let tombstone = SlotEntry::Moved {
-            tenant_idx: ws.tenant_idx,
-            slot_id: ws.slot.slot_id,
-        };
-        let worker = match std::mem::replace(&mut self.slots[slot], tombstone) {
-            SlotEntry::Occupied(ws) => ws,
-            SlotEntry::Moved { .. } => {
-                unreachable!("the entry was occupied two statements ago")
-            }
-        };
-        Ok(MigrationPackage {
-            worker,
-            sealed_state,
-            state_epoch,
-        })
-    }
-
-    /// Exports exactly one slot (strictly between its export barrier and
-    /// the next command), skipping the seal when the enclave's state still
-    /// matches `known_state_epoch`.
-    fn export_one(
-        &mut self,
-        slot: usize,
-        header: &[u8],
-        known_state_epoch: Option<u64>,
-    ) -> Result<SlotExport> {
-        let ws = Self::occupied_at(&mut self.slots[slot]);
-        let (state_epoch, sealed_state, stats) =
-            ws.slot.export_checkpoint(header, known_state_epoch)?;
-        Ok(SlotExport {
-            dirty_epoch: ws.slot.dirty_epoch,
-            state_epoch,
-            sealed_state,
-            stats,
-        })
-    }
-
-    fn close_session(&mut self, slot: usize, session_id: u64) -> Result<()> {
-        let ws = Self::occupied_at(&mut self.slots[slot]);
-        ws.mark_dirty();
-        let tenant = &self.shared.tenants[ws.tenant_idx];
-        let dropped = ws.slot.discard_session_items(session_id);
-        ws.gauges.queue_depth.fetch_sub(dropped, Ordering::SeqCst);
-        tenant.queued.fetch_sub(dropped, Ordering::SeqCst);
-        ws.slot
-            .client_mut()
-            .close_session(session_id)
-            .map_err(GatewayError::Glimmer)?;
-        tenant
-            .counters
-            .dropped
-            .fetch_add(dropped as u64, Ordering::SeqCst);
-        Ok(())
     }
 
     /// One sweep over this shard's slots — at most one `PROCESS_BATCH` ECALL
@@ -933,22 +642,5 @@ impl ShardWorker {
             responses,
             first_error,
         }
-    }
-
-    fn collect_stats(&self) -> Vec<SlotStatsRow> {
-        self.slots
-            .iter()
-            .filter_map(SlotEntry::occupied)
-            .map(|ws| {
-                let mut stats = ws.slot.stats();
-                stats.active_sessions = ws.gauges.active_sessions.load(Ordering::SeqCst);
-                SlotStatsRow {
-                    tenant: self.shared.tenants[ws.tenant_idx].name.to_string(),
-                    slot: ws.slot.slot_id,
-                    shard: self.shard_id,
-                    stats,
-                }
-            })
-            .collect()
     }
 }

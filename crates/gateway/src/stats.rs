@@ -150,24 +150,10 @@ impl GatewayStats {
     }
 
     /// Simulated drain cycles grouped by owning shard, keyed by shard index.
-    #[must_use]
-    pub fn drain_cycles_by_shard(&self) -> std::collections::BTreeMap<usize, u64> {
+    fn drain_cycles_by_shard(&self) -> std::collections::BTreeMap<usize, u64> {
         let mut by_shard = std::collections::BTreeMap::new();
         for row in &self.slots {
             *by_shard.entry(row.shard).or_insert(0) += row.stats.drain_cycles;
-        }
-        by_shard
-    }
-
-    /// Queue depth found waiting at each shard's most recent drain sweep
-    /// ([`SlotStats::last_drain_queue_depth`] summed per shard) — the
-    /// merged-on-read view of the live backlog gauge the telemetry
-    /// snapshot also exports.
-    #[must_use]
-    pub fn last_drain_queue_depth_by_shard(&self) -> std::collections::BTreeMap<usize, usize> {
-        let mut by_shard = std::collections::BTreeMap::new();
-        for row in &self.slots {
-            *by_shard.entry(row.shard).or_insert(0) += row.stats.last_drain_queue_depth;
         }
         by_shard
     }
@@ -252,26 +238,5 @@ mod tests {
         assert_eq!(by_shard[&1], 26);
         // The busiest shard is the critical path.
         assert_eq!(stats.critical_path_drain_cycles(), 26);
-    }
-
-    #[test]
-    fn queue_depth_gauge_aggregates_by_shard() {
-        let row = |shard: usize, depth: usize| SlotStatsRow {
-            tenant: "a".into(),
-            slot: 0,
-            shard,
-            stats: SlotStats {
-                last_drain_queue_depth: depth,
-                ..SlotStats::default()
-            },
-        };
-        let stats = GatewayStats {
-            tenants: Vec::new(),
-            slots: vec![row(0, 3), row(1, 7), row(0, 2)],
-            submit_commands: 0,
-        };
-        let by_shard = stats.last_drain_queue_depth_by_shard();
-        assert_eq!(by_shard[&0], 5);
-        assert_eq!(by_shard[&1], 7);
     }
 }

@@ -5,15 +5,19 @@
 //! stale-pending eviction follows the injected clock rather than wall time.
 
 use glimmer_core::blinding::BlindingService;
+use glimmer_core::channel::{AttestedChannel, ChannelOffer};
 use glimmer_core::host::GlimmerDescriptor;
 use glimmer_core::protocol::{
     BatchOutcome, Contribution, ContributionPayload, PrivateData, ProcessResponse,
 };
 use glimmer_core::remote::IotDeviceSession;
 use glimmer_core::signing::ServiceKeyMaterial;
+use glimmer_crypto::dh::DhGroup;
 use glimmer_crypto::drbg::Drbg;
+use glimmer_crypto::schnorr::SigningKey;
 use glimmer_gateway::{
-    Gateway, GatewayConfig, GatewayError, ManualClock, QuotaResource, TenantConfig, TenantQuota,
+    ChainBase, Gateway, GatewayConfig, GatewayError, ManualClock, QuotaResource, TenantConfig,
+    TenantQuota,
 };
 use sgx_sim::AttestationService;
 use std::collections::HashMap;
@@ -847,4 +851,138 @@ fn eviction_follows_the_injected_clock() {
         gateway.submit(early, vec![0u8; 16]),
         Err(GatewayError::UnknownSession(_))
     ));
+}
+
+/// The gateway the dirty-epoch table runs its verbs against, and what one
+/// row leaves for the next: a pending handshake, an established session, a
+/// tenant-channel offer.
+struct Dirtying {
+    s: Setup,
+    pending: Option<(u64, ChannelOffer)>,
+    established: Option<u64>,
+    tenant_offer: Option<ChannelOffer>,
+}
+
+/// One verb, run between a base `checkpoint()` and a `checkpoint_delta`
+/// against it; returns the slot it must leave dirty, if any.
+type DirtyingVerb = fn(&mut Dirtying, &ChainBase) -> Option<(&'static str, usize)>;
+
+fn slot_of(w: &Dirtying, tenant: &'static str, session_id: u64) -> Option<(&'static str, usize)> {
+    Some((tenant, w.s.gateway.session_slot(session_id).unwrap()))
+}
+
+#[test]
+fn every_enclave_verb_dirties_exactly_its_slot_and_no_other_verb_dirties_any() {
+    let mut w = Dirtying {
+        s: setup(2, 2),
+        pending: None,
+        established: None,
+        tenant_offer: None,
+    };
+    let rows: [(&str, DirtyingVerb); 11] = [
+        ("open_session", |w, _| {
+            let (sid, offer) = w.s.gateway.open_session(IOT).unwrap();
+            w.pending = Some((sid, offer));
+            slot_of(w, IOT, sid)
+        }),
+        ("complete_session", |w, _| {
+            let (sid, offer) = w.pending.take().unwrap();
+            let approved = w.s.gateway.measurement(IOT).unwrap();
+            let (accept, _device) =
+                IotDeviceSession::connect(&offer, &w.s.avs, &approved, &mut w.s.rng).unwrap();
+            let slot = slot_of(w, IOT, sid);
+            w.s.gateway.complete_session(sid, &accept).unwrap();
+            w.established = Some(sid);
+            slot
+        }),
+        ("install_mask", |w, _| {
+            let sid = w.established.unwrap();
+            let mask = &BlindingService::new([82u8; 32]).zero_sum_masks(0, &[0], DIM)[0];
+            w.s.gateway.install_mask(sid, mask).unwrap();
+            slot_of(w, IOT, sid)
+        }),
+        ("install_mask_encrypted (refused by the enclave)", |w, _| {
+            // No tenant channel reaches this slot, so the enclave cannot
+            // open the delivery.
+            let sid = w.established.unwrap();
+            let refused =
+                w.s.gateway
+                    .install_mask_encrypted(sid, [7; 12], vec![0; 48]);
+            assert!(refused.is_err());
+            slot_of(w, IOT, sid)
+        }),
+        ("tenant_channel_offer", |w, _| {
+            w.tenant_offer = Some(w.s.gateway.tenant_channel_offer(KEYBOARD, 1).unwrap());
+            Some((KEYBOARD, 1))
+        }),
+        ("complete_tenant_channel", |w, _| {
+            let offer = w.tenant_offer.take().unwrap();
+            let measurement = w.s.gateway.measurement(KEYBOARD).unwrap();
+            let tenant_key = SigningKey::generate(DhGroup::default_group(), &mut w.s.rng).unwrap();
+            let (accept, _channel) =
+                AttestedChannel::respond(&offer, &w.s.avs, &measurement, &tenant_key, &mut w.s.rng)
+                    .unwrap();
+            w.s.gateway
+                .complete_tenant_channel(KEYBOARD, 1, &accept)
+                .unwrap();
+            Some((KEYBOARD, 1))
+        }),
+        ("close_session", |w, _| {
+            let sid = w.established.take().unwrap();
+            let slot = slot_of(w, IOT, sid);
+            w.s.gateway.close_session(sid).unwrap();
+            slot
+        }),
+        ("checkpoint", |w, _| {
+            w.s.gateway.checkpoint().unwrap();
+            None
+        }),
+        ("checkpoint_delta", |w, base| {
+            w.s.gateway.checkpoint_delta(base).unwrap();
+            None
+        }),
+        ("migrate_slot", |w, _| {
+            let report = w.s.gateway.migrate_slot(IOT, 0, 1).unwrap();
+            assert_eq!((report.from_shard, report.to_shard), (0, 1));
+            None
+        }),
+        ("stats", |w, _| {
+            assert_eq!(w.s.gateway.stats().slots.len(), 4);
+            None
+        }),
+    ];
+
+    let slots = 2 * w.s.gateway.slot_count(IOT).unwrap() as u64;
+    for (verb, run) in rows {
+        let base = w.s.gateway.checkpoint().unwrap();
+        let expected = run(&mut w, &base.chain_base());
+        let before = w.s.gateway.telemetry();
+        let delta = w.s.gateway.checkpoint_delta(&base.chain_base()).unwrap();
+        let after = w.s.gateway.telemetry();
+        let dirtied: Vec<(String, usize)> = delta
+            .tenants
+            .iter()
+            .zip(&base.tenants)
+            .flat_map(|(dt, bt)| {
+                dt.slots
+                    .iter()
+                    .zip(&bt.slots)
+                    .filter(|(d, b)| d.dirty_epoch != b.dirty_epoch)
+                    .map(|(d, _)| (dt.name.clone(), d.slot_id))
+            })
+            .collect();
+        let expected: Vec<(String, usize)> = expected
+            .into_iter()
+            .map(|(tenant, slot)| (tenant.to_string(), slot))
+            .collect();
+        assert_eq!(dirtied, expected, "{verb}: dirtied slots");
+        let exported = after.checkpoint_slots_exported - before.checkpoint_slots_exported;
+        let skipped = after.checkpoint_slots_skipped - before.checkpoint_slots_skipped;
+        let want = expected.len() as u64;
+        assert_eq!(
+            (exported, skipped),
+            (want, slots - want),
+            "{verb}: delta re-exports"
+        );
+    }
 }

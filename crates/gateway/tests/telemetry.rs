@@ -137,12 +137,11 @@ fn manual_clock_trace_stamps_all_five_stages_deterministically() {
     assert_eq!(snapshot.batch_size.count, 1);
     assert_eq!(snapshot.batch_size.sum, 1);
     // The live gauge sampled at drain time saw the one queued request, both
-    // in the snapshot and in the merged-on-read stats row.
+    // in the snapshot and in the slot's stats row.
     assert_eq!(snapshot.shard_queue_depth, vec![1]);
     assert_eq!(snapshot.shard_drain_sweeps, vec![1]);
     let stats = s.gateway.stats();
     assert_eq!(stats.slots[0].stats.last_drain_queue_depth, 1);
-    assert_eq!(stats.last_drain_queue_depth_by_shard()[&0], 1);
 }
 
 #[test]
