@@ -1,8 +1,8 @@
 //! The gateway facade: admission, routing, and batched serving.
 
 use crate::checkpoint::{
-    ChainBase, CrashPoint, DeltaSlot, DeltaTenant, GatewayDelta, GatewaySnapshot, SessionRecord,
-    SlotSnapshot, SnapshotChain, TenantSnapshot, GATEWAY_DELTA_KIND, GATEWAY_SNAPSHOT_KIND,
+    ChainBase, CrashPoint, GatewaySnapshot, SessionRecord, SlotSnapshot, SnapshotChain,
+    TenantSnapshot, GATEWAY_DELTA_KIND,
 };
 use crate::config::{GatewayConfig, TenantConfig, TenantQuota};
 use crate::error::{GatewayError, QuotaResource, Result};
@@ -97,20 +97,6 @@ struct TenantBuild {
     measurement: Measurement,
     counters: TenantCounters,
     slots: Vec<PoolSlot>,
-}
-
-/// What one run of the capture engine ([`Gateway::capture`]) produced,
-/// before it is dressed as a [`GatewaySnapshot`] or a [`GatewayDelta`].
-struct Capture {
-    epoch: u64,
-    created_at_nanos: u64,
-    next_session_id: u64,
-    submit_commands: u64,
-    /// Tenants in name order, slots in slot-id order. A full capture
-    /// (`base: None`) carries a sealed export in every slot.
-    tenants: Vec<DeltaTenant>,
-    /// Established sessions, in session-id order.
-    sessions: Vec<SessionRecord>,
 }
 
 /// One slot's reply to its export barrier ([`Gateway::export_slot_barrier`]).
@@ -1274,7 +1260,8 @@ impl Gateway {
     /// sealed per-slot enclave state (service keys, session channel keys,
     /// masks, replay windows, auditor counters — sealed *by the enclaves*,
     /// opaque to the gateway), the established-session table, per-tenant
-    /// quota counters, and per-slot stats.
+    /// quota counters, and per-slot stats. The frame is the *root* of a
+    /// chain: the delta against the empty base, with every slot sealed.
     ///
     /// The capture walks the pool **slot at a time**: each slot is exported
     /// behind a two-phase barrier that pauses only its owning shard worker
@@ -1365,36 +1352,7 @@ impl Gateway {
     /// assert_eq!(restored.tenant_names(), vec!["maps.example".to_string()]);
     /// ```
     pub fn checkpoint(&self) -> Result<GatewaySnapshot> {
-        let capture = self.capture(None)?;
-        let tenants = capture
-            .tenants
-            .into_iter()
-            .map(|tenant| TenantSnapshot {
-                name: tenant.name,
-                measurement: tenant.measurement,
-                counters: tenant.counters,
-                slots: tenant
-                    .slots
-                    .into_iter()
-                    .map(|slot| SlotSnapshot {
-                        slot_id: slot.slot_id,
-                        sealed_state: slot.sealed_state.expect("a forced export always seals"),
-                        dirty_epoch: slot.dirty_epoch,
-                        state_epoch: slot.state_epoch,
-                        stats: slot.stats,
-                    })
-                    .collect(),
-            })
-            .collect();
-        Ok(GatewaySnapshot {
-            epoch: capture.epoch,
-            created_at_nanos: capture.created_at_nanos,
-            slots_per_tenant: self.shared.config.slots_per_tenant,
-            next_session_id: capture.next_session_id,
-            submit_commands: capture.submit_commands,
-            tenants,
-            sessions: capture.sessions,
-        })
+        self.capture(None)
     }
 
     /// An alias of [`Gateway::checkpoint`], which already captures slot at
@@ -1420,40 +1378,96 @@ impl Gateway {
     /// epoch *before* mutating, so an unchanged epoch proves the captured
     /// rows match the base's sealed state).
     ///
-    /// Fresh sealed exports are AAD-bound to the **chained** header
-    /// (`delta header ‖ base header`), so a delta's blobs cannot be spliced
-    /// onto any other base even if chain metadata is forged. Restore with
-    /// [`Gateway::restore_chain`]; chain the next delta from
-    /// [`GatewayDelta::chain_base`].
+    /// The delta is the same [`GatewaySnapshot`] frame a full checkpoint is
+    /// (that one extends the empty base). Fresh sealed exports are
+    /// AAD-bound to the **chained** header (`delta header ‖ base header`),
+    /// so a delta's blobs cannot be spliced onto any other base even if
+    /// chain metadata is forged. Restore with [`Gateway::restore_chain`];
+    /// chain the next delta from [`GatewaySnapshot::chain_base`].
     ///
     /// # Errors
     ///
     /// Same surface as [`Gateway::checkpoint`], crash points included
     /// ([`CrashPoint::MidStreamExport`] fires only after a barriered export,
     /// never for a slot skipped on the clean fast path).
-    pub fn checkpoint_delta(&self, base: &ChainBase) -> Result<GatewayDelta> {
-        let capture = self.capture(Some(base))?;
-        Ok(GatewayDelta {
-            epoch: capture.epoch,
-            created_at_nanos: capture.created_at_nanos,
-            base_epoch: base.epoch,
-            base_header: base.header.clone(),
-            slots_per_tenant: self.shared.config.slots_per_tenant,
-            next_session_id: capture.next_session_id,
-            submit_commands: capture.submit_commands,
-            tenants: capture.tenants,
-            sessions: capture.sessions,
-        })
+    ///
+    /// # Examples
+    ///
+    /// The base + delta loop at one slot: persist a full checkpoint, then
+    /// one delta per housekeeping round; after a crash, decode the chain
+    /// and restore it oldest first. As in [`Gateway::checkpoint`]'s
+    /// example, the rng stands in for the machine's hardware identity.
+    ///
+    /// ```
+    /// use glimmer_core::host::GlimmerDescriptor;
+    /// use glimmer_core::signing::ServiceKeyMaterial;
+    /// use glimmer_crypto::drbg::Drbg;
+    /// use glimmer_gateway::{
+    ///     Gateway, GatewayConfig, GatewaySnapshot, SnapshotChain, TenantConfig,
+    /// };
+    /// use sgx_sim::AttestationService;
+    ///
+    /// let mut rng = Drbg::from_seed([4u8; 32]);
+    /// let mut avs = AttestationService::new([5u8; 32]);
+    /// let material = ServiceKeyMaterial::generate(&mut rng).unwrap();
+    /// let config = || GatewayConfig { slots_per_tenant: 1, ..GatewayConfig::default() };
+    /// let tenants = || {
+    ///     vec![TenantConfig::new(
+    ///         "maps.example",
+    ///         GlimmerDescriptor::iot_default(Vec::new()),
+    ///         material.secret_bytes(),
+    ///     )]
+    /// };
+    /// let machine_seed = [6u8; 32];
+    /// let gateway = Gateway::new(
+    ///     config(),
+    ///     tenants(),
+    ///     &mut avs,
+    ///     &mut Drbg::from_seed(machine_seed),
+    /// )
+    /// .unwrap();
+    ///
+    /// let base = gateway.checkpoint().unwrap();
+    /// let mut persisted = vec![base.to_bytes()];
+    /// let mut tip = base.chain_base();
+    /// for round in 0..2 {
+    ///     if round == 0 {
+    ///         gateway.open_session("maps.example").unwrap(); // dirties the slot
+    ///     }
+    ///     let delta = gateway.checkpoint_delta(&tip).unwrap(); // cost ~ dirty slots
+    ///     // The first delta re-seals the dirtied slot; the second skips it.
+    ///     assert_eq!(delta.tenants[0].slots[0].sealed_state.is_some(), round == 0);
+    ///     tip = delta.chain_base();
+    ///     persisted.push(delta.to_bytes());
+    /// }
+    /// drop(gateway); // the crash: every enclave dies with the process
+    ///
+    /// let frames: Vec<GatewaySnapshot> = persisted
+    ///     .iter()
+    ///     .map(|bytes| GatewaySnapshot::from_bytes(bytes).unwrap())
+    ///     .collect();
+    /// let restored = Gateway::restore_chain(
+    ///     config(),
+    ///     tenants(),
+    ///     SnapshotChain { base: &frames[0], deltas: &frames[1..] },
+    ///     &mut avs,
+    ///     &mut Drbg::from_seed(machine_seed), // same machine identity
+    /// )
+    /// .unwrap();
+    /// assert_eq!(restored.tenant_names(), vec!["maps.example".to_string()]);
+    /// ```
+    pub fn checkpoint_delta(&self, base: &ChainBase) -> Result<GatewaySnapshot> {
+        self.capture(Some(base))
     }
 
     /// The one capture engine behind every checkpoint verb: claim, walk the
     /// pool slot at a time (clean fast path or per-slot export barrier),
-    /// read the shared tail, assemble. `base: None` is a full capture —
-    /// no slot has a base epoch to match, so every slot takes the barrier
-    /// and is force-sealed under the plain snapshot header; `Some(base)` is
-    /// a delta — slots still at the base's dirty-epoch are skipped, and
-    /// fresh seals bind to `delta header ‖ base header`.
-    fn capture(&self, base: Option<&ChainBase>) -> Result<Capture> {
+    /// read the shared tail, assemble one frame whose seals bind to
+    /// `header ‖ base header`. `base: None` is a full capture against the
+    /// empty base — no slot has a base epoch to match, so every slot takes
+    /// the barrier and is force-sealed under the plain header; `Some(base)`
+    /// is a delta — slots still at the base's dirty-epoch are skipped.
+    fn capture(&self, base: Option<&ChainBase>) -> Result<GatewaySnapshot> {
         let crash = |point| crash_at(&self.shared.config, point);
         crash(CrashPoint::BeforeCheckpoint)?;
         let checkpoint_start_nanos = self.shared.config.clock.now_nanos();
@@ -1464,17 +1478,14 @@ impl Gateway {
         let _barrier = BarrierGuard::acquire(&self.shared, BarrierOp::Checkpoint)?;
         let epoch = self.shared.checkpoint_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let created_at_nanos = self.shared.config.clock.now_nanos();
-        let sealing_header = Arc::new(match base {
-            None => {
-                glimmer_wire::snapshot::header_bytes(GATEWAY_SNAPSHOT_KIND, epoch, created_at_nanos)
-            }
-            Some(base) => glimmer_wire::snapshot::chained_header_bytes(
-                GATEWAY_DELTA_KIND,
-                epoch,
-                created_at_nanos,
-                &base.header,
-            ),
-        });
+        let (base_epoch, base_header) =
+            base.map_or((0, Vec::new()), |base| (base.epoch, base.header.clone()));
+        let sealing_header = Arc::new(glimmer_wire::snapshot::chained_header_bytes(
+            GATEWAY_DELTA_KIND,
+            epoch,
+            created_at_nanos,
+            &base_header,
+        ));
 
         let mut sessions: Vec<SessionRecord> = Vec::new();
         let mut exported_slots = 0u64;
@@ -1497,7 +1508,7 @@ impl Gateway {
                         let mark = sessions.len();
                         self.capture_slot_sessions(tenant_idx, slot_id, &mut sessions);
                         if info.gauges.dirty_epoch.load(Ordering::SeqCst) == first_read {
-                            slots.push(DeltaSlot {
+                            slots.push(SlotSnapshot {
                                 slot_id,
                                 dirty_epoch: first_read,
                                 // The base's export stays authoritative for
@@ -1533,7 +1544,7 @@ impl Gateway {
                 } else {
                     skipped_slots += 1;
                 }
-                slots.push(DeltaSlot {
+                slots.push(SlotSnapshot {
                     slot_id,
                     dirty_epoch: export.dirty_epoch,
                     state_epoch: export.state_epoch,
@@ -1558,16 +1569,19 @@ impl Gateway {
             .next_id();
         let tenants = tenants
             .into_iter()
-            .map(|(meta, slots)| DeltaTenant {
+            .map(|(meta, slots)| TenantSnapshot {
                 name: meta.name.to_string(),
                 measurement: meta.measurement,
                 counters: meta.counters.snapshot(),
                 slots,
             })
             .collect();
-        let capture = Capture {
+        let frame = GatewaySnapshot {
             epoch,
             created_at_nanos,
+            base_epoch,
+            base_header,
+            slots_per_tenant: self.shared.config.slots_per_tenant,
             next_session_id,
             submit_commands: self.shared.submit_commands.load(Ordering::SeqCst),
             tenants,
@@ -1586,7 +1600,7 @@ impl Gateway {
             None => telemetry.record_checkpoint(elapsed),
             Some(_) => telemetry.record_delta_checkpoint(elapsed),
         }
-        Ok(capture)
+        Ok(frame)
     }
 
     /// Zeroes the per-incarnation fields of a slot's captured stats so the
@@ -1773,7 +1787,7 @@ impl Gateway {
         // The handoff seal binds to the *current* checkpoint epoch — a
         // migration is not a checkpoint and consumes no epoch.
         let header = Arc::new(glimmer_wire::snapshot::header_bytes(
-            GATEWAY_SNAPSHOT_KIND,
+            GATEWAY_DELTA_KIND,
             self.shared.checkpoint_epoch.load(Ordering::SeqCst),
             self.shared.config.clock.now_nanos(),
         ));
@@ -1917,26 +1931,27 @@ impl Gateway {
         })
     }
 
-    /// Rebuilds a serving gateway from a base snapshot plus an ordered
-    /// chain of [`GatewayDelta`]s, on the same (simulated) machine, without
-    /// re-running tenant provisioning — the restore counterpart of
-    /// [`Gateway::checkpoint`] and [`Gateway::checkpoint_delta`]. Each pool
-    /// slot's enclave is recreated from the descriptor and refilled from its
-    /// sealed state export in a single `IMPORT_STATE` ECALL — no service-key
-    /// provisioning, no session re-handshakes, no mask re-installs. Devices
-    /// that held established sessions keep serving with the channel keys
-    /// they already have.
+    /// Rebuilds a serving gateway from a root frame (a full
+    /// [`Gateway::checkpoint`]) plus its ordered deltas, on the same
+    /// (simulated) machine, without re-running tenant provisioning — the
+    /// restore counterpart of [`Gateway::checkpoint`] and
+    /// [`Gateway::checkpoint_delta`]. Each pool slot's enclave is recreated
+    /// from the descriptor and refilled from its sealed state export in a
+    /// single `IMPORT_STATE` ECALL — no service-key provisioning, no session
+    /// re-handshakes, no mask re-installs. Devices that held established
+    /// sessions keep serving with the channel keys they already have.
     ///
     /// The chain is validated fail-closed *before* any enclave is touched
-    /// (every delta must name its predecessor's exact epoch and header
-    /// bytes — gaps, reorders, and cross-chain splices reject typed as
-    /// [`GatewayError::SnapshotChainBroken`]), then folded: each slot
-    /// restores from the **latest** frame that exported it, under that
-    /// frame's sealing AAD, while the session table, counters, and id
-    /// counters come wholesale from the chain's last frame. A full-snapshot
-    /// restore is the empty chain, `SnapshotChain { base: &snapshot,
-    /// deltas: &[] }`: a fold over zero deltas, in which every slot restores
-    /// from the base under the base's own header.
+    /// (the base must be a root frame — empty base header, every slot
+    /// sealed — and every delta must name its predecessor's exact epoch and
+    /// header bytes; a delta as the base, a root as a delta, gaps, reorders,
+    /// and cross-chain splices reject typed as
+    /// [`GatewayError::SnapshotChainBroken`]), then folded with one rule:
+    /// each slot restores from the **latest** frame that sealed it, under
+    /// that frame's [`GatewaySnapshot::sealing_header_bytes`], while the
+    /// session table, counters, and id counters come wholesale from the
+    /// chain's last frame. A full-checkpoint restore is the empty chain,
+    /// `SnapshotChain { base: &snapshot, deltas: &[] }`.
     ///
     /// `rng` stands in for the machine's hardware identity: the platform
     /// fuse secrets are drawn from it with the same fork labels as the
@@ -1970,7 +1985,7 @@ impl Gateway {
     /// # Examples
     ///
     /// See [`Gateway::checkpoint`] for the full checkpoint → crash →
-    /// restore round trip.
+    /// restore round trip, and [`Gateway::checkpoint_delta`] for a chain.
     pub fn restore_chain(
         config: GatewayConfig,
         tenants: Vec<TenantConfig>,
@@ -1982,33 +1997,16 @@ impl Gateway {
         let restore_start_nanos = clock.now_nanos();
         let SnapshotChain { base, deltas } = chain;
         // Validate every chain link fail-closed before touching anything.
-        let base_aad = base.header_bytes();
-        let mut prev_epoch = base.epoch;
-        let mut prev_header = base_aad.clone();
+        // The walk ends on the chain's last frame, whose cheap mutable
+        // state the restored gateway takes wholesale.
+        Self::check_root(base)?;
+        let mut last = base;
         for delta in deltas {
-            delta.check_extends(prev_epoch, &prev_header)?;
+            delta.check_extends(last.epoch, &last.header_bytes())?;
             Self::check_delta_shape(base, delta)?;
-            prev_epoch = delta.epoch;
-            prev_header = delta.header_bytes();
+            last = delta;
         }
         crash_at(&config, CrashPoint::BeforeRestore)?;
-        // The cheap mutable state comes wholesale from the chain's last
-        // frame — which is the base itself when the chain is empty.
-        let last = deltas.last();
-        let (epoch, next_session_id, submit_commands, sessions) = match last {
-            Some(delta) => (
-                delta.epoch,
-                delta.next_session_id,
-                delta.submit_commands,
-                &delta.sessions,
-            ),
-            None => (
-                base.epoch,
-                base.next_session_id,
-                base.submit_commands,
-                &base.sessions,
-            ),
-        };
         // Fail closed on any config/snapshot disagreement BEFORE touching an
         // enclave: a wrong restore must never half-build a gateway.
         if config.slots_per_tenant != base.slots_per_tenant {
@@ -2057,8 +2055,9 @@ impl Gateway {
             .map(|tenant| vec![Vec::new(); tenant.slots.len()])
             .collect();
         let mut seen_ids: BTreeSet<u64> = BTreeSet::new();
-        for record in sessions {
-            let valid = record.session_id < next_session_id && seen_ids.insert(record.session_id);
+        for record in &last.sessions {
+            let valid =
+                record.session_id < last.next_session_id && seen_ids.insert(record.session_id);
             let bucket = live_sessions
                 .get_mut(record.tenant_idx)
                 .and_then(|slots| slots.get_mut(record.slot));
@@ -2072,46 +2071,42 @@ impl Gateway {
             }
         }
 
-        // A full snapshot seals every slot under the snapshot header; a
-        // delta seals each slot it exports under its own chained header.
-        let delta_aads: Vec<Vec<u8>> = deltas
-            .iter()
-            .map(GatewayDelta::sealing_header_bytes)
+        // Every frame seals the slots it exported under its own chained
+        // header (a root's is its plain header).
+        let frames: Vec<(&GatewaySnapshot, Vec<u8>)> = std::iter::once(base)
+            .chain(deltas)
+            .map(|frame| (frame, frame.sealing_header_bytes()))
             .collect();
         let mut builds = Vec::with_capacity(tenants.len());
         for (tenant_idx, (tenant, snap)) in tenants.iter().zip(&base.tenants).enumerate() {
             let name: Arc<str> = Arc::from(tenant.name.as_str());
             let mut slots = Vec::with_capacity(snap.slots.len());
-            for (slot_idx, base_slot) in snap.slots.iter().enumerate() {
+            for (slot_id, live) in live_sessions[tenant_idx].iter().enumerate() {
                 // The fold, per slot and by reference: the latest frame
-                // that exported the slot wins, with that frame's AAD; a
-                // clean fast-path entry (`sealed_state: None`, default
-                // stats) never does.
-                let (sealed_state, aad, stats) = deltas
+                // that sealed the slot wins, with that frame's AAD; a clean
+                // fast-path entry (`sealed_state: None`, default stats)
+                // never does.
+                let (sealed_state, aad, stats) = frames
                     .iter()
-                    .zip(&delta_aads)
                     .rev()
-                    .find_map(|(delta, aad)| {
-                        let slot = &delta.tenants[tenant_idx].slots[slot_idx];
-                        let blob = slot.sealed_state.as_ref()?;
-                        Some((blob, aad, &slot.stats))
+                    .find_map(|(frame, aad)| {
+                        let slot = &frame.tenants[tenant_idx].slots[slot_id];
+                        Some((slot.sealed_state.as_ref()?, aad, &slot.stats))
                     })
-                    .unwrap_or((&base_slot.sealed_state, &base_aad, &base_slot.stats));
-                let dirty_epoch = last.map_or(base_slot.dirty_epoch, |delta| {
-                    delta.tenants[tenant_idx].slots[slot_idx].dirty_epoch
-                });
+                    .expect("the root frame seals every slot");
+                let dirty_epoch = last.tenants[tenant_idx].slots[slot_id].dirty_epoch;
                 let slot = PoolSlot::restore(
                     tenant,
                     config.platform_config.clone(),
                     rng,
                     avs,
                     SlotRestore {
-                        slot_id: base_slot.slot_id,
+                        slot_id,
                         aad,
                         sealed_state,
                         dirty_epoch,
                         stats,
-                        live_sessions: &live_sessions[tenant_idx][slot_idx],
+                        live_sessions: live,
                     },
                 )
                 .map_err(|e| match e {
@@ -2127,12 +2122,11 @@ impl Gateway {
                 })?;
                 slots.push(slot);
             }
-            let counters = last.map_or(&snap.counters, |delta| &delta.tenants[tenant_idx].counters);
             builds.push(TenantBuild {
                 name,
                 quota: tenant.quota.clone(),
                 measurement: snap.measurement,
-                counters: TenantCounters::from_stats(counters),
+                counters: TenantCounters::from_stats(&last.tenants[tenant_idx].counters),
                 slots,
             });
             if tenant_idx == 0 {
@@ -2143,7 +2137,7 @@ impl Gateway {
         // Re-seat the established sessions: the enclaves hold their channel
         // keys again (restored from sealed state), the devices never lost
         // theirs, so the table entry is all the routing layer needs.
-        let entries = sessions.iter().map(|record| {
+        let entries = last.sessions.iter().map(|record| {
             (
                 record.session_id,
                 SessionEntry {
@@ -2155,8 +2149,8 @@ impl Gateway {
                 },
             )
         });
-        let table = SessionTable::restore(entries, next_session_id);
-        let gateway = Self::assemble(config, builds, table, epoch, submit_commands)?;
+        let table = SessionTable::restore(entries, last.next_session_id);
+        let gateway = Self::assemble(config, builds, table, last.epoch, last.submit_commands)?;
         // The restore-duration histogram lives in the *new* incarnation's
         // hub: the whole rebuild (validation, per-slot IMPORT_STATE ECALLs,
         // table re-seat, worker spawn) is one observation.
@@ -2167,10 +2161,28 @@ impl Gateway {
         Ok(gateway)
     }
 
+    /// Rejects a chain base that is not a root frame: one that extends
+    /// another frame, or leaves a slot unsealed and so gives the restore
+    /// fold a slot with no frame to restore from.
+    fn check_root(base: &GatewaySnapshot) -> Result<()> {
+        let sealed = base
+            .tenants
+            .iter()
+            .flat_map(|tenant| &tenant.slots)
+            .all(|slot| slot.sealed_state.is_some());
+        if base.base_epoch == 0 && base.base_header.is_empty() && sealed {
+            Ok(())
+        } else {
+            Err(GatewayError::SnapshotChainBroken {
+                reason: "chain base is not a full checkpoint",
+            })
+        }
+    }
+
     /// Rejects a delta whose tenant/slot shape differs from the chain's
     /// base — the restore fold indexes them positionally, so shape
     /// agreement must be proven first.
-    fn check_delta_shape(base: &GatewaySnapshot, delta: &GatewayDelta) -> Result<()> {
+    fn check_delta_shape(base: &GatewaySnapshot, delta: &GatewaySnapshot) -> Result<()> {
         let shape_ok = delta.slots_per_tenant == base.slots_per_tenant
             && delta.tenants.len() == base.tenants.len()
             && delta.tenants.iter().zip(&base.tenants).all(|(dt, bt)| {

@@ -89,9 +89,8 @@ pub mod stats;
 pub mod telemetry;
 
 pub use checkpoint::{
-    ChainBase, CrashAt, CrashHooks, CrashPoint, DeltaSlot, DeltaTenant, GatewayDelta,
-    GatewaySnapshot, NoCrash, SessionRecord, SlotSnapshot, SnapshotChain, TenantSnapshot,
-    GATEWAY_DELTA_KIND, GATEWAY_SNAPSHOT_KIND,
+    ChainBase, CrashAt, CrashHooks, CrashPoint, GatewayDelta, GatewaySnapshot, NoCrash,
+    SessionRecord, SlotSnapshot, SnapshotChain, TenantSnapshot, GATEWAY_DELTA_KIND,
 };
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{GatewayConfig, NetConfig, RebalanceConfig, TenantConfig, TenantQuota};

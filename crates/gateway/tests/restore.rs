@@ -367,8 +367,9 @@ fn corrupted_snapshots_fail_closed_with_typed_errors() {
     // A tampered sealed blob passes the envelope (the attacker can re-CRC)
     // but the enclave refuses it: typed, tenant-labelled.
     let mut tampered = snapshot.clone();
-    let mid = tampered.tenants[0].slots[0].sealed_state.len() / 2;
-    tampered.tenants[0].slots[0].sealed_state[mid] ^= 0x01;
+    let blob = tampered.tenants[0].slots[0].sealed_state.as_mut().unwrap();
+    let mid = blob.len() / 2;
+    blob[mid] ^= 0x01;
     let err = restore_full(
         fixture.config.clone(),
         tenant_configs(),
@@ -1024,7 +1025,11 @@ fn replay_windows_ride_the_delta_chain_and_stay_constant_size() {
         snapshot
             .tenants
             .iter()
-            .flat_map(|t| t.slots.iter().map(|s| s.sealed_state.len()))
+            .flat_map(|t| {
+                t.slots
+                    .iter()
+                    .map(|s| s.sealed_state.as_ref().map_or(0, Vec::len))
+            })
             .collect()
     };
     assert_eq!(
@@ -1088,7 +1093,7 @@ fn delta_chains_fail_closed_with_typed_errors() {
     // validation (the envelope is intact) but is AAD-bound to the base
     // header, not the delta's chained header: the enclave refuses it.
     let mut spliced = d1.clone();
-    spliced.tenants[0].slots[0].sealed_state = Some(base.tenants[0].slots[0].sealed_state.clone());
+    spliced.tenants[0].slots[0].sealed_state = base.tenants[0].slots[0].sealed_state.clone();
     assert_eq!(
         restore(vec![spliced]).unwrap_err(),
         GatewayError::SealedBlobRejected {
@@ -1150,40 +1155,84 @@ fn delta_chains_fail_closed_with_typed_errors() {
 }
 
 #[test]
-fn delta_frames_reject_kind_confusion() {
+fn frames_in_the_wrong_chain_position_are_rejected() {
+    // There is one frame type, so a misplaced frame decodes fine; the chain
+    // check refuses it typed. A crash armed at `BeforeRestore` proves the
+    // refusal lands before any enclave is built: reaching it would turn the
+    // error into `CrashInjected`.
     let (base, deltas) = chain_fixture();
-    // A full snapshot's bytes fed to the delta decoder (and vice versa)
-    // fail typed at the frame kind, long before any field decodes.
-    assert!(GatewayDelta::from_bytes(&base.to_bytes()).is_err());
-    assert!(GatewaySnapshot::from_bytes(&deltas[0].to_bytes()).is_err());
-    // And the delta codec round-trips losslessly.
-    let bytes = deltas[0].to_bytes();
-    assert_eq!(&GatewayDelta::from_bytes(&bytes).unwrap(), &deltas[0]);
+    let crash = Arc::new(CrashAt::default());
+    crash.arm(CrashPoint::BeforeRestore);
+    let mut avs = AttestationService::new(AVS_SEED);
+    let mut restore = |base: &GatewaySnapshot, deltas: &[GatewaySnapshot]| {
+        Gateway::restore_chain(
+            GatewayConfig {
+                crash_hooks: crash.clone(),
+                ..config()
+            },
+            tenant_configs(),
+            SnapshotChain { base, deltas },
+            &mut avs,
+            &mut Drbg::from_seed(GW_SEED),
+        )
+        .unwrap_err()
+    };
+    let mut hollow = base.clone();
+    hollow.tenants[1].slots[0].sealed_state = None;
+    let misplaced: [(&str, &GatewaySnapshot, &[GatewaySnapshot]); 3] = [
+        ("a delta as the base", &deltas[0], &deltas[1..]),
+        ("a root as a delta", base, std::slice::from_ref(base)),
+        ("a base with an unsealed slot", &hollow, &[]),
+    ];
+    for (case, base, deltas) in misplaced {
+        assert!(
+            matches!(
+                restore(base, deltas),
+                GatewayError::SnapshotChainBroken { .. }
+            ),
+            "{case} must be refused typed"
+        );
+    }
+    // The well-placed chain reaches the armed point.
+    assert_eq!(
+        restore(base, deltas),
+        GatewayError::CrashInjected(CrashPoint::BeforeRestore)
+    );
+    // Both positions share one codec, and it round-trips losslessly.
+    for frame in [base, &deltas[0]] {
+        assert_eq!(
+            &GatewaySnapshot::from_bytes(&frame.to_bytes()).unwrap(),
+            frame
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any truncation or bit flip of a persisted delta frame fails closed
-    /// with a typed error — never a panic, never a silent partial decode.
+    /// Any truncation or bit flip of a persisted frame, root or delta,
+    /// fails closed with a typed error — never a panic, never a silent
+    /// partial decode.
     #[test]
     fn mutated_delta_frames_fail_closed(
         cut in any::<usize>(),
         pos in any::<usize>(),
         bit in 0u32..8,
     ) {
-        let (_, deltas) = chain_fixture();
-        let bytes = deltas[0].to_bytes();
-        let err = GatewayDelta::from_bytes(&bytes[..cut % bytes.len()]).unwrap_err();
-        prop_assert!(matches!(err, GatewayError::SnapshotCorrupt(_)));
-        let mut corrupt = bytes.clone();
-        let pos = pos % corrupt.len();
-        corrupt[pos] ^= 1u8 << bit;
-        let err = GatewayDelta::from_bytes(&corrupt).unwrap_err();
-        prop_assert!(matches!(
-            err,
-            GatewayError::SnapshotCorrupt(_) | GatewayError::SnapshotMismatch { .. }
-        ));
+        let (base, deltas) = chain_fixture();
+        for frame in [base, &deltas[0]] {
+            let bytes = frame.to_bytes();
+            let err = GatewaySnapshot::from_bytes(&bytes[..cut % bytes.len()]).unwrap_err();
+            prop_assert!(matches!(err, GatewayError::SnapshotCorrupt(_)));
+            let mut corrupt = bytes.clone();
+            let pos = pos % corrupt.len();
+            corrupt[pos] ^= 1u8 << bit;
+            let err = GatewaySnapshot::from_bytes(&corrupt).unwrap_err();
+            prop_assert!(matches!(
+                err,
+                GatewayError::SnapshotCorrupt(_) | GatewayError::SnapshotMismatch { .. }
+            ));
+        }
     }
 
     /// Any delta sequence that is not an exact prefix of the true chain —

@@ -165,13 +165,34 @@ impl<'a> Decoder<'a> {
         Ok(self.get_str_ref()?.to_string())
     }
 
+    /// Reads a varint element count that the remaining input can hold.
+    /// Each element encodes to at least `min_elem_len` bytes, so a count
+    /// whose elements could not fit is refused before the caller reserves
+    /// room for them: a hostile count reserves nothing. A `min_elem_len`
+    /// of 0 bounds nothing.
+    ///
+    /// # Errors
+    /// [`WireError::UnexpectedEnd`] when `count × min_elem_len` exceeds
+    /// [`Decoder::remaining`]; the varint errors of [`Decoder::get_varint`].
+    pub fn get_count(&mut self, min_elem_len: usize) -> Result<usize> {
+        let count = self.get_varint()?;
+        let needed = count.saturating_mul(min_elem_len as u64);
+        if needed > self.remaining() as u64 {
+            return Err(WireError::UnexpectedEnd {
+                needed: usize::try_from(needed).unwrap_or(usize::MAX),
+                remaining: self.remaining(),
+            });
+        }
+        usize::try_from(count).map_err(|_| WireError::LengthOverflow(count))
+    }
+
     /// Reads a length-prefixed vector of `u64` values.
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>> {
-        let len = self.get_varint()?;
-        if len > MAX_FIELD_LEN / 8 {
-            return Err(WireError::LengthOverflow(len));
+        let len = self.get_count(8)?;
+        if len as u64 > MAX_FIELD_LEN / 8 {
+            return Err(WireError::LengthOverflow(len as u64));
         }
-        let mut out = Vec::with_capacity(len as usize);
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(self.get_u64()?);
         }
@@ -180,15 +201,11 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed vector of `f64` values.
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>> {
-        let len = self.get_varint()?;
-        if len > MAX_FIELD_LEN / 8 {
-            return Err(WireError::LengthOverflow(len));
-        }
-        let mut out = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
+        Ok(self
+            .get_u64_vec()?
+            .into_iter()
+            .map(f64::from_bits)
+            .collect())
     }
 }
 
@@ -315,6 +332,55 @@ mod tests {
         assert_eq!(
             Decoder::new(&invalid).get_str_ref(),
             Err(WireError::InvalidUtf8)
+        );
+    }
+
+    #[test]
+    fn a_hostile_vector_count_reserves_nothing() {
+        // Four bytes announce 2 Mi u64s (16 MiB): refused typed before any
+        // reservation, for either element type.
+        let mut enc = Encoder::new();
+        enc.put_varint(2 << 20);
+        let bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), 4);
+        assert!(matches!(
+            Decoder::new(&bytes).get_u64_vec(),
+            Err(WireError::UnexpectedEnd { remaining: 0, .. })
+        ));
+        assert!(matches!(
+            Decoder::new(&bytes).get_f64_vec(),
+            Err(WireError::UnexpectedEnd { remaining: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn get_count_refuses_one_element_past_what_remains() {
+        // A count followed by 43 bytes: five 8-byte elements fit, six do not.
+        for (count, fits) in [(5u64, true), (6, false)] {
+            let mut enc = Encoder::new();
+            enc.put_varint(count);
+            enc.put_raw(&[0u8; 43]);
+            let bytes = enc.into_bytes();
+            let mut dec = Decoder::new(&bytes);
+            let got = dec.get_count(8);
+            if fits {
+                assert_eq!(got, Ok(5));
+            } else {
+                assert_eq!(
+                    got,
+                    Err(WireError::UnexpectedEnd {
+                        needed: 48,
+                        remaining: 43
+                    })
+                );
+            }
+        }
+        // A zero minimum bounds nothing.
+        let mut enc = Encoder::new();
+        enc.put_varint(1 << 30);
+        assert_eq!(
+            Decoder::new(&enc.into_bytes()).get_count(0),
+            Ok(1usize << 30)
         );
     }
 
