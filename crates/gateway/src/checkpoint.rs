@@ -798,45 +798,81 @@ mod tests {
         (bytes.len(), snapshot::crc32(&bytes[..bytes.len() - 4]))
     }
 
-    #[test]
-    fn snapshot_round_trip() {
-        // The root's 319 B are the retired full-snapshot layout's 308 B plus
-        // the base epoch (8 B), the empty base header's length (1 B) and one
-        // presence byte per slot; the delta's bytes predate the one frame.
-        for (frame, pin) in [
-            (sample(), (319, 0x8C8F_2B18)),
-            (sample_delta(), (321, 0x3E43_A5FC)),
-        ] {
-            let bytes = frame.to_bytes();
-            assert_eq!(GatewaySnapshot::from_bytes(&bytes).unwrap(), frame);
-            // Serialization is deterministic.
-            assert_eq!(bytes, frame.clone().to_bytes());
-            assert_eq!(frame_len_and_crc(&bytes), pin);
+    /// Decodes `frame`'s bytes back to `frame`, checks that encoding is
+    /// deterministic and that the bytes match the pinned fingerprint.
+    fn assert_round_trip(frame: &GatewaySnapshot, pin: (usize, u32)) {
+        let bytes = frame.to_bytes();
+        assert_eq!(&GatewaySnapshot::from_bytes(&bytes).unwrap(), frame);
+        assert_eq!(bytes, frame.clone().to_bytes());
+        assert_eq!(frame_len_and_crc(&bytes), pin);
+    }
+
+    /// Every truncation and every sampled bit flip of `bytes` decodes to a
+    /// typed `SnapshotCorrupt`.
+    fn assert_corruption_typed(bytes: &[u8]) {
+        for cut in [0, 4, 12, bytes.len() / 2, bytes.len() - 1] {
+            assert!(matches!(
+                GatewaySnapshot::from_bytes(&bytes[..cut]),
+                Err(GatewayError::SnapshotCorrupt(_))
+            ));
+        }
+        for pos in (0..bytes.len()).step_by(7) {
+            let mut corrupt = bytes.to_vec();
+            corrupt[pos] ^= 0x40;
+            assert!(
+                matches!(
+                    GatewaySnapshot::from_bytes(&corrupt),
+                    Err(GatewayError::SnapshotCorrupt(_))
+                ),
+                "flip at {pos} must be typed corruption"
+            );
         }
     }
 
     #[test]
+    fn snapshot_round_trip() {
+        // The root's 319 B are the retired full-snapshot layout's 308 B plus
+        // the base epoch (8 B), the empty base header's length (1 B) and one
+        // presence byte per slot.
+        assert_round_trip(&sample(), (319, 0x8C8F_2B18));
+    }
+
+    #[test]
+    fn delta_round_trip_and_chain_base() {
+        // The delta's bytes predate the one frame type.
+        let delta = sample_delta();
+        assert_round_trip(&delta, (321, 0x3E43_A5FC));
+
+        // chain_base views expose the per-slot epoch maps.
+        let base = sample().chain_base();
+        assert_eq!((base.epoch, &base.header), (3, &sample().header_bytes()));
+        assert_eq!(base.slot(0, 0), Some((5, 12)));
+        assert_eq!(base.slot(0, 1), Some((0, 3)));
+        assert_eq!(base.slot(0, 9), None);
+        assert_eq!(base.slot(3, 0), None);
+        let next = delta.chain_base();
+        assert_eq!((next.epoch, &next.header), (4, &delta.header_bytes()));
+        assert_eq!(next.slot(0, 0), Some((7, 15)));
+        // A slot the delta skipped keeps the epochs it was captured at.
+        assert_eq!(next.slot(0, 1), Some((0, 3)));
+    }
+
+    #[test]
     fn corruption_and_truncation_are_typed() {
-        for frame in [sample(), sample_delta()] {
-            let bytes = frame.to_bytes();
-            for cut in [0, 4, 12, bytes.len() / 2, bytes.len() - 1] {
-                assert!(matches!(
-                    GatewaySnapshot::from_bytes(&bytes[..cut]),
-                    Err(GatewayError::SnapshotCorrupt(_))
-                ));
-            }
-            for pos in (0..bytes.len()).step_by(7) {
-                let mut corrupt = bytes.clone();
-                corrupt[pos] ^= 0x40;
-                assert!(
-                    matches!(
-                        GatewaySnapshot::from_bytes(&corrupt),
-                        Err(GatewayError::SnapshotCorrupt(_))
-                    ),
-                    "flip at {pos} must be typed corruption"
-                );
-            }
-        }
+        assert_corruption_typed(&sample().to_bytes());
+    }
+
+    #[test]
+    fn delta_corruption_and_foreign_kinds_are_typed() {
+        assert_corruption_typed(&sample_delta().to_bytes());
+        // A delta relabelled as the retired kind-1 full snapshot is refused
+        // as a foreign kind, not decoded or migrated.
+        let mut frame = SnapshotFrame::from_bytes(&sample_delta().to_bytes()).expect("valid frame");
+        frame.kind = 1;
+        assert!(matches!(
+            GatewaySnapshot::from_bytes(&frame.to_bytes()),
+            Err(GatewayError::SnapshotMismatch { .. })
+        ));
     }
 
     #[test]
@@ -872,17 +908,10 @@ mod tests {
             ..sample_delta()
         };
         // A root extends the empty base; a delta extends its base's
-        // chain_base view, whose per-slot epoch map the delta capture reads.
+        // chain_base view.
         base.check_extends(0, &[]).unwrap();
         let link = base.chain_base();
         delta.check_extends(link.epoch, &link.header).unwrap();
-        assert_eq!(link.slot(0, 0), Some((5, 12)));
-        assert_eq!(link.slot(0, 1), Some((0, 3)));
-        assert_eq!(link.slot(0, 9), None);
-        assert_eq!(link.slot(3, 0), None);
-        let next = delta.chain_base();
-        assert_eq!((next.epoch, &next.header), (4, &delta.header_bytes()));
-        assert_eq!(next.slot(0, 0), Some((7, 15)));
         // Wrong epoch (gap / reorder).
         assert!(matches!(
             delta.check_extends(base.epoch + 1, &base.header_bytes()),
